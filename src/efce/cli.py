@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 usage error, 3 invalid input, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -97,6 +98,8 @@ def _cmd_run(args, parser):
         parser.error("--delta must lie strictly between 0 and 1")
     if args.threads < 1:
         parser.error("--threads must be at least 1")
+    if not 0.0 < args.fp_tol < math.inf:
+        parser.error("--fp-tol must be positive and finite")
     game = _load_game(args, parser)
     log = run(
         game,

@@ -306,6 +306,8 @@ def run(game, iterations, seed, gap_every=100, delta=0.01, fp_tol=1e-10, threads
         raise ValueError("delta must lie strictly between 0 and 1")
     if threads < 1:
         raise ValueError("threads must be at least 1")
+    if not 0.0 < fp_tol < math.inf:
+        raise ValueError("fp-tol must be positive and finite")
 
     n = game.n_players
     rngs = split_rngs(seed, n)

@@ -74,6 +74,45 @@ class InfoSet:
     seq_ids: tuple[int, ...]
 
 
+@dataclass(frozen=True)
+class Level:
+    """One player's information sets at one depth of their infoset forest.
+
+    ``seqs`` lists the level's sequences, grouped by action count, and
+    ``parents`` the parent sequence of each.  ``blocks`` holds one
+    (offset into ``seqs``, sequence ids (k, m), parent sequences (k,))
+    triple per action count m.  ``incidence`` (level sequences x level
+    infosets) marks the infoset each sequence belongs to, and ``lift``
+    (level infosets x all sequences) marks each infoset's parent sequence.
+    """
+
+    seqs: np.ndarray
+    parents: np.ndarray
+    blocks: tuple
+    incidence: np.ndarray
+    lift: np.ndarray
+
+
+@dataclass(frozen=True)
+class PlayerPlan:
+    """Static structure of one player's batched hot path.
+
+    ``levels`` runs from the roots of the infoset forest down.  Rows of
+    ``subtree`` and ``roots`` are the triggers 1..n-1: ``subtree`` is 1 on
+    the sequences at or below the trigger's infoset, ``roots`` on the
+    sequences of that infoset itself.  ``infoset_sum`` (n x n) is the
+    sequence-to-infoset incidence times its transpose: a row vector times it
+    gives each sequence the total over its infoset.  ``uniform`` is 1/m on
+    each sequence of an m-action infoset.
+    """
+
+    levels: tuple[Level, ...]
+    subtree: np.ndarray
+    roots: np.ndarray
+    infoset_sum: np.ndarray
+    uniform: np.ndarray
+
+
 class GameTree:
     """Immutable n-player perfect-recall game in extensive form.
 
@@ -360,6 +399,7 @@ class GameTree:
         self._subtree_seq_cache: dict[int, np.ndarray] = {}
         self._subtree_mask_cache: dict[int, np.ndarray] = {}
         self._desc_mask_cache: dict[int, np.ndarray] = {}
+        self._plan_cache: dict[int, PlayerPlan] = {}
 
     # -- counts and lookups --------------------------------------------------
 
@@ -447,6 +487,53 @@ class GameTree:
                     mask[anc, sid] = True
             self._desc_mask_cache[player] = mask
         return mask
+
+    def player_plan(self, player):
+        """The player's :class:`PlayerPlan`, built on first use."""
+        plan = self._plan_cache.get(player)
+        if plan is None:
+            plan = self._build_plan(player)
+            self._plan_cache[player] = plan
+        return plan
+
+    def _build_plan(self, player):
+        n = self._n_seq[player]
+        by_depth: dict[int, dict[int, list[InfoSet]]] = {}
+        subtree = np.zeros((n - 1, n))
+        roots = np.zeros((n - 1, n))
+        infoset_sum = np.zeros((n, n))
+        uniform = np.ones(n)
+        for gid in self._player_isets[player]:
+            js = self.infosets[gid]
+            sids = list(js.seq_ids)
+            depth = len(self._seq_chain[player][js.parent_seq])
+            by_depth.setdefault(depth, {}).setdefault(len(sids), []).append(js)
+            rows = [s - 1 for s in sids]
+            subtree[rows] = self.subtree_seq_mask(gid)
+            roots[np.ix_(rows, sids)] = 1.0
+            infoset_sum[np.ix_(sids, sids)] = 1.0
+            uniform[sids] = 1.0 / len(sids)
+
+        levels = []
+        for depth in sorted(by_depth):
+            blocks, seqs, members = [], [], []
+            for m, group in sorted(by_depth[depth].items()):
+                sids = np.array([js.seq_ids for js in group], dtype=np.int64)
+                pars = np.array([js.parent_seq for js in group], dtype=np.int64)
+                blocks.append((len(seqs), sids, pars))
+                seqs.extend(sids.ravel().tolist())
+                members.extend(group)
+            incidence = np.zeros((len(seqs), len(members)))
+            lift = np.zeros((len(members), n))
+            start = 0
+            for k, js in enumerate(members):
+                incidence[start:start + len(js.seq_ids), k] = 1.0
+                start += len(js.seq_ids)
+                lift[k, js.parent_seq] = 1.0
+            seqs = np.array(seqs, dtype=np.int64)
+            levels.append(Level(seqs, self._seq_parent[player][seqs], tuple(blocks),
+                                incidence, lift))
+        return PlayerPlan(tuple(levels), subtree, roots, infoset_sum, uniform)
 
     def payoff_range(self, player):
         """Spread between the best and worst terminal payoff of one player."""

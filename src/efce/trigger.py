@@ -1,8 +1,8 @@
 """Regret minimization against trigger deviations.
 
-The composite minimizer is layered exactly as the objects suggest: one
-counterfactual-style minimizer per trigger learns continuations on that
-trigger's subtree, a regret-matching instance over the triggers learns the
+The composite minimizer is a regret circuit: one counterfactual-regret
+learner per trigger learns continuations on that trigger's subtree (all of
+them held in one regret array), regret matching over the triggers learns the
 mixture weights, and the combination yields a convex trigger deviation per
 round.  Taking that deviation's fixed point turns deviation-space regret into
 trigger regret over the strategy polytope, and sampling the fixed point gives
@@ -22,7 +22,7 @@ import numpy as np
 
 from .deviations import ConvexTriggerDeviation, fixed_point
 from .game import EMPTY_SEQ
-from .regret import CallOrderError, CfrMinimizer, RegretMatching
+from .regret import CallOrderError
 from .strategies import sample_pure
 
 
@@ -39,85 +39,77 @@ class RankOneFunctional:
         return np.outer(self.ell, self.q)
 
 
-class PerTriggerMinimizer:
-    """Learns continuation strategies for one fixed trigger sequence.
-
-    The inner minimizer works on the trigger infoset's subtree; observed
-    rank-one functionals reduce to the utility ell scaled by the weight the
-    played point put on the trigger.
-    """
-
-    def __init__(self, game, player, trigger):
-        if trigger == EMPTY_SEQ:
-            raise ValueError("the empty sequence cannot be a trigger")
-        self.game = game
-        self.player = player
-        self.trigger = trigger
-        self.infoset = int(game.seq_infoset(player)[trigger])
-        self.inner = CfrMinimizer(game, player, root=self.infoset)
-        self._sub = game.subtree_sequences(self.infoset)
-
-    def next_element(self):
-        return self.inner.next_element()
-
-    def observe_utility(self, func):
-        gvec = np.zeros(self.game.num_sequences(self.player))
-        weight = float(func.q[self.trigger])
-        if weight != 0.0:
-            gvec[self._sub] = func.ell[self._sub] * weight
-        self.inner.observe_utility(gvec)
-
-
 class HullMinimizer:
     """Plays convex combinations of one-trigger deviations.
 
-    Regret matching over the set of non-empty sequences picks the mixture;
-    each per-trigger minimizer picks its continuation.  Observing a rank-one
-    functional forwards it to every per-trigger state and feeds the mixture
-    learner the value each pure-trigger deviation would have obtained.
+    Regret matching over the non-empty sequences picks the mixture, and per
+    trigger a counterfactual-regret learner on the trigger infoset's subtree
+    picks the continuation.  The learners are held flat: row t - 1 of
+    ``regrets`` is trigger t's, masked to its subtree, and both steps run a
+    few array operations per level of the infoset forest.  Observing a
+    rank-one functional updates every row with the utility scaled by the
+    weight the played point put on its trigger, and feeds the mixture the
+    value each pure-trigger deviation would have obtained.
     """
 
     def __init__(self, game, player):
         self.game = game
         self.player = player
         n = game.num_sequences(player)
-        self.triggers = list(range(1, n))
-        self.states = [PerTriggerMinimizer(game, player, sid) for sid in self.triggers]
-        self.mixer = RegretMatching(len(self.triggers))
-        self._subs = [st._sub for st in self.states]
-        self.last_weights = None
-        self.last_continuations = None
-        self.last_trigger_values = None
+        self.regrets = np.zeros((n - 1, n))
+        self.mixer_regrets = np.zeros(n - 1)
+        self._plan = game.player_plan(player)
+        self._uniform = np.tile(self._plan.uniform, (n - 1, 1))
+        self._below = game.descendant_mask(player)[1:].astype(float)
+        self._local = None
+        self._phi = None
 
     def next_element(self):
-        conts = [st.next_element() for st in self.states]
-        if not self.triggers:
-            self.last_continuations = []
-            return ConvexTriggerDeviation(self.player, [])
-        lam = self.mixer.next_element()
-        self.last_weights = lam
-        self.last_continuations = conts
-        return ConvexTriggerDeviation(
-            self.player,
-            [(sid, lam[k], conts[k].values) for k, sid in enumerate(self.triggers)],
-        )
+        if self._phi is not None:
+            raise CallOrderError("next_element called again before observe_utility")
+        n = self.game.num_sequences(self.player)
+        if n == 1:
+            self._phi = ConvexTriggerDeviation(self.player, [])
+            return self._phi
+        plan = self._plan
+        pos = np.maximum(self.regrets, 0.0)
+        tot = pos @ plan.infoset_sum
+        local = np.divide(pos, tot, out=self._uniform.copy(), where=tot > 0.0)
+        # Compose top-down; each row starts with mass 1 at its trigger's infoset.
+        conts = np.zeros((n, n))
+        rows = conts[1:]
+        for lev in plan.levels:
+            mass = rows[:, lev.parents] + plan.roots[:, lev.seqs]
+            rows[:, lev.seqs] = local[:, lev.seqs] * mass
+        mpos = np.maximum(self.mixer_regrets, 0.0)
+        s = mpos.sum()
+        lam = np.zeros(n)
+        lam[1:] = mpos / s if s > 0.0 else 1.0 / (n - 1)
+        self._local = local
+        self._phi = ConvexTriggerDeviation.from_arrays(self.player, lam, conts)
+        return self._phi
 
     def observe_utility(self, func):
-        for st in self.states:
-            st.observe_utility(func)
-        if not self.triggers:
+        phi, self._phi = self._phi, None
+        if phi is None:
+            raise CallOrderError("observe_utility called before next_element")
+        if phi.lam.size == 0:
             return
-        lq = func.ell * func.q
-        total = float(lq.sum())
-        ondesc = self.game.descendant_mask(self.player) @ lq
-        values = np.empty(len(self.triggers))
-        for k, sid in enumerate(self.triggers):
-            sub = self._subs[k]
-            cont = self.last_continuations[k].values
-            values[k] = (total - float(ondesc[sid])
-                         + float(func.q[sid]) * float(func.ell[sub] @ cont[sub]))
-        self.last_trigger_values = values
-        self.mixer.observe_utility(values)
+        plan = self._plan
+        ell, q = func.ell, func.q
+        # Counterfactual values, completed bottom-up with child infoset values.
+        vals = q[1:, None] * ell * plan.subtree
+        iset_vals = np.zeros_like(vals)
+        for lev in reversed(plan.levels):
+            here = (vals[:, lev.seqs] * self._local[:, lev.seqs]) @ lev.incidence
+            iset_vals[:, lev.seqs] = here @ lev.incidence.T
+            vals += here @ lev.lift
+        self.regrets += (vals - iset_vals) * plan.subtree
+
+        lq = ell * q
+        follow = float(lq.sum()) - self._below @ lq
+        values = follow + q[1:] * (phi.C[1:] @ ell)
+        self.mixer_regrets += values - float(values @ phi.lam[1:])
 
 
 class MixedTriggerMinimizer:

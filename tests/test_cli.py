@@ -64,6 +64,13 @@ def test_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_fp_tol_usage_errors(capsys):
+    for bad in ("-1", "0", "nan", "inf"):
+        assert cli.main(["run", "--builtin", "fig1", "--builtin-seed", "0",
+                         "--iterations", "5", "--fp-tol", bad]) == 2
+    assert "--fp-tol" in capsys.readouterr().err
+
+
 def test_help_exits_zero(capsys):
     assert cli.main(["--help"]) == 0
     assert "validate" in capsys.readouterr().out

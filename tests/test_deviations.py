@@ -1,4 +1,5 @@
 import random
+import time
 
 import numpy as np
 import pytest
@@ -193,6 +194,27 @@ def test_stationary_distribution_random_chains():
         assert np.abs(w @ b - b).max() <= 1e-9
 
 
+def test_stationary_distribution_rejects_non_finite_input():
+    with pytest.raises(ValueError):
+        efce.stationary_distribution(np.array([[np.nan, 0.5], [np.nan, 0.5]]))
+    with pytest.raises(ValueError):
+        efce.stationary_distribution(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+
+def test_stationary_distribution_reducible_chain_is_fast():
+    # two closed classes ({0} and {2}) with state 1 draining slowly into 0:
+    # the full linear system is singular, and iteration mixes very slowly
+    w = np.array([[1.0, 2.569245931734661e-07, 0.0],
+                  [0.0, 9.999997430754068e-01, 0.0],
+                  [0.0, 0.0, 1.0]])
+    t0 = time.perf_counter()
+    b = efce.stationary_distribution(w)
+    assert time.perf_counter() - t0 < 0.05
+    assert np.abs(w @ b - b).max() <= 1e-10
+    assert b.sum() == pytest.approx(1.0, abs=1e-12)
+    assert (b >= 0.0).all()
+
+
 def test_stationary_distribution_input_validation():
     with pytest.raises(ValueError):
         efce.stationary_distribution(np.ones((2, 3)))
@@ -282,6 +304,26 @@ def test_extend_zero_mass_parent_gives_zero_children():
     assert x2[3] == 0.0 and x2[4] == 0.0
 
 
+def test_extend_rounding_residue_parent_mass():
+    # x[1] is a rounding residue of an exact zero, and trigger 1 carries all
+    # the weight above B while sending nothing into B: both columns of B's
+    # extension matrix lose their mass entirely
+    g = efce.builtin_game("fig1", seed=0)
+    y = np.zeros(9)
+    y[2] = y[8] = 1.0
+    phi = efce.ConvexTriggerDeviation(0, [(1, 1.0, y)])
+    A = g.infoset(0, "A").index
+    B = g.infoset(0, "B").index
+    x = np.zeros(9)
+    x[0] = 1.0
+    x[1] = 7.8e-11
+    x[2] = 1.0 - x[1]
+    out = efce.extend(g, phi, {A}, B, x)
+    assert np.isfinite(out).all()
+    assert (out[3:5] >= 0.0).all()
+    assert out[3] + out[4] == pytest.approx(x[1], abs=1e-20)
+
+
 def test_fixed_point_worked_example():
     g = efce.builtin_game("fig1", seed=0)
     phi = _worked_phi(g)
@@ -328,3 +370,53 @@ def test_fixed_point_pure_trigger_deviation():
     assert fp.values[2] == pytest.approx(1.0)
     resid = np.abs(efce.apply_deviation(g, phi, fp.values) - fp.values).max()
     assert resid <= 1e-10
+
+
+def test_fixed_point_equals_chain_of_extends():
+    rng = random.Random(2024)
+    checked = 0
+    for seed in range(40):
+        g = efce.builtin_game("random-tree", seed=seed)
+        for i in range(g.n_players):
+            if g.num_sequences(i) == 1:
+                continue
+            phi = random_deviation(g, i, rng)
+            x = np.zeros(g.num_sequences(i))
+            x[efce.EMPTY_SEQ] = 1.0
+            trunk = set()
+            for gid in g.player_infosets(i):
+                x = efce.extend(g, phi, trunk, gid, x)
+                trunk.add(gid)
+            fp = efce.fixed_point(g, phi)
+            assert np.abs(fp.values - x).max() <= 1e-12
+            checked += 1
+    assert checked >= 40
+
+
+def test_fixed_point_closed_forms_match_general_solver():
+    # one infoset of m actions: the fixed point is the stationary distribution
+    # of col[a, c] = lam[c] * cont_c[a] + (1 - lam[c]) * [a == c], which the
+    # fixed point solves in closed form for m = 2 and m = 3 (m = 4 takes the
+    # general solver's path)
+    rng = np.random.default_rng(4)
+    for m in (2, 3, 4):
+        acts = " ; ".join(f"a{k} -> z{k}" for k in range(m))
+        leaves = "; ".join(f"leaf z{k} {{{k}}}" for k in range(m))
+        g = efce.parse_game(f"players 1; root r\n"
+                            f"decision r player 1 infoset A {{ {acts} }}\n{leaves}")
+        for _ in range(200):
+            lam = rng.random(m) * (rng.random(m) < 0.8)
+            if not lam.any():
+                continue
+            lam /= lam.sum()
+            entries = []
+            col = np.diag(1.0 - lam)
+            for c in range(m):
+                cont = rng.random(m) * (rng.random(m) < 0.6)
+                cont[rng.integers(m)] += 1e-3
+                cont /= cont.sum()
+                entries.append((c + 1, lam[c], np.concatenate([[0.0], cont])))
+                col[:, c] += lam[c] * cont
+            phi = efce.ConvexTriggerDeviation(0, entries)
+            fp = efce.fixed_point(g, phi)
+            assert np.abs(fp.values[1:] - efce.stationary_distribution(col)).max() <= 1e-12

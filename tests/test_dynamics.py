@@ -249,6 +249,26 @@ def test_run_rejects_bad_arguments():
         efce.run(g, iterations=5, seed=0, threads=0)
 
 
+def test_run_rejects_bad_fp_tol():
+    g = efce.builtin_game("fig1", seed=0)
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            efce.run(g, iterations=5, seed=0, fp_tol=bad)
+
+
+def test_run_survives_rounding_residue_parent_mass():
+    # game 53, run seed 0 reaches an infoset whose parent mass is a rounding
+    # residue of zero with every sequence's weight fully above it: the
+    # extension matrix then has zero column sums
+    g = efce.builtin_game("random-tree", seed=53)
+    log = efce.run(g, iterations=32, seed=0, gap_every=1)
+    for t, player, regret, bound, gap, _ in log.rows:
+        d = max(1.0, g.payoff_range(player - 1))
+        assert abs(regret / t - gap) <= 1e-6 * d
+        assert regret <= bound
+    assert np.isfinite(log.final.eps)
+
+
 def test_summary_mentions_key_facts():
     g = efce.builtin_game("kuhn3")
     log = efce.run(g, iterations=20, seed=7, gap_every=10)

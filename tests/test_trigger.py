@@ -47,40 +47,106 @@ def test_hull_rejects_player_without_sequences():
     assert phi.terms == []
 
 
-def test_per_trigger_minimizer_requires_real_trigger():
-    g = efce.builtin_game("fig1", seed=0)
-    with pytest.raises(ValueError):
-        efce.PerTriggerMinimizer(g, 0, efce.EMPTY_SEQ)
-
-
 def test_per_trigger_state_unmoved_until_triggered():
+    # row 3 of the hull (trigger sequence 3) learns only when 3 is played
     g = efce.builtin_game("fig1", seed=0)
-    st = efce.PerTriggerMinimizer(g, 0, 3)
-    first = st.next_element().values.copy()
+    hull = efce.HullMinimizer(g, 0)
+    first = hull.next_element().C[3].copy()
     ell = np.arange(9.0)
     q = np.zeros(9)
     q[0] = 1.0
     q[2] = 1.0
     q[7] = 1.0  # never reaches sequence 3
     for _ in range(5):
-        st.observe_utility(efce.RankOneFunctional(0, ell, q))
-        nxt = st.next_element().values
+        hull.observe_utility(efce.RankOneFunctional(0, ell, q))
+        nxt = hull.next_element().C[3]
         assert np.allclose(nxt, first)
+        assert not hull.regrets[3 - 1].any()
 
 
 def test_per_trigger_state_reacts_once_triggered():
     g = efce.builtin_game("fig1", seed=0)
-    st = efce.PerTriggerMinimizer(g, 0, 3)
-    st.next_element()
+    hull = efce.HullMinimizer(g, 0)
+    hull.next_element()
     ell = np.zeros(9)
     ell[3] = 5.0
     ell[4] = -5.0
     q = np.zeros(9)
     q[0] = q[1] = q[3] = 1.0
-    st.observe_utility(efce.RankOneFunctional(0, ell, q))
-    nxt = st.next_element().values
+    hull.observe_utility(efce.RankOneFunctional(0, ell, q))
+    nxt = hull.next_element().C[3]
     assert nxt[3] == pytest.approx(1.0)
     assert nxt[4] == pytest.approx(0.0)
+
+
+def test_hull_alternation_enforced():
+    g = efce.builtin_game("fig1", seed=0)
+    hull = efce.HullMinimizer(g, 0)
+    func = efce.RankOneFunctional(0, np.zeros(9), np.zeros(9))
+    with pytest.raises(efce.CallOrderError):
+        hull.observe_utility(func)
+    hull.next_element()
+    with pytest.raises(efce.CallOrderError):
+        hull.next_element()
+    hull.observe_utility(func)
+    hull.next_element()
+
+
+class _ReferenceHull:
+    """The hull built from objects: one subtree CFR learner per trigger plus
+    a regret-matching mixer, fed the same rank-one functionals."""
+
+    def __init__(self, game, player):
+        n = game.num_sequences(player)
+        self.desc = game.descendant_mask(player)
+        self.learners = [
+            efce.CfrMinimizer(game, player, root=int(game.seq_infoset(player)[t]))
+            for t in range(1, n)
+        ]
+        self.subs = [game.subtree_sequences(c.root) for c in self.learners]
+        self.mixer = efce.RegretMatching(n - 1)
+
+    def next_element(self):
+        self.conts = np.stack([c.next_element().values for c in self.learners])
+        self.lam = self.mixer.next_element()
+        return self.lam, self.conts
+
+    def observe_utility(self, ell, q):
+        values = []
+        lq = ell * q
+        ondesc = self.desc @ lq
+        for t, (learner, sub) in enumerate(zip(self.learners, self.subs), 1):
+            gvec = np.zeros(len(ell))
+            gvec[sub] = ell[sub] * q[t]
+            learner.observe_utility(gvec)
+            cont = self.conts[t - 1]
+            values.append(lq.sum() - ondesc[t] + q[t] * (ell[sub] @ cont[sub]))
+        self.mixer.observe_utility(np.array(values))
+
+
+def test_flat_hull_matches_per_trigger_learners():
+    games = [efce.builtin_game("fig1", seed=0), efce.builtin_game("kuhn3")]
+    games += [efce.builtin_game("random-tree", seed=s) for s in range(8)]
+    rng = random.Random(31)
+    compared = 0
+    for g in games:
+        for i in range(g.n_players):
+            n = g.num_sequences(i)
+            if n == 1:
+                continue
+            hull = efce.HullMinimizer(g, i)
+            ref = _ReferenceHull(g, i)
+            for _ in range(200):
+                phi = hull.next_element()
+                lam, conts = ref.next_element()
+                assert np.abs(phi.lam[1:] - lam).max() <= 1e-12
+                assert np.abs(phi.C[1:] - conts).max() <= 1e-12
+                ell = np.array([rng.uniform(-1, 1) for _ in range(n)])
+                q = random_behavioral(g, i, rng).values
+                hull.observe_utility(efce.RankOneFunctional(i, ell, q))
+                ref.observe_utility(ell, q)
+            compared += 1
+    assert compared >= 12
 
 
 def test_mixed_iterates_are_deviation_fixed_points():
