@@ -54,7 +54,8 @@ def _build_parser():
     runp.add_argument("--out", default=".",
                       help="directory for log.csv and summary.txt")
     runp.add_argument("--threads", type=int, default=1,
-                      help="worker threads for the per-player phases")
+                      help="accepted for compatibility; output and speed do not "
+                      "depend on it")
     return parser
 
 

@@ -2,26 +2,25 @@
 
 All players run the pure trigger-regret minimizer in uncoupled self-play.
 The empirical distribution of the sampled joint strategies is summarized by
-per-trigger accumulation tables; the trigger gap of that distribution (how
-much any player could gain by committing to a single trigger deviation in
-hindsight) is computed from the tables by dynamic programming, and doubles
-as the distance from correlated-equilibrium behavior.
+per-trigger tables, one regret meter per player; the trigger gap of that
+distribution (how much any player could gain by committing to a single
+trigger deviation in hindsight) is each meter's regret over the rounds, and
+doubles as the distance from correlated-equilibrium behavior.
 
-For small games the raw sample multiset is kept alongside the tables so an
-exhaustive checker can enumerate every deviation directly.
+For small games the distinct sampled profiles are kept with their counts
+so an exhaustive checker can enumerate every deviation directly.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .game import EMPTY_SEQ
 from .strategies import SequenceFormStrategy, utility_vector
-from .trigger import PhiRegretMeter, PureTriggerMinimizer, split_rngs
+from .trigger import PhiRegretMeter, PureTriggerMinimizer, best_values, split_rngs
 
 _PROFILE_KEEP_LIMIT = 200
 
@@ -44,45 +43,42 @@ class _ConstantState:
 class EmpiricalFrequency:
     """Running summary of a sequence of sampled deterministic profiles.
 
-    For every player and every non-empty sequence s, ``tables[i][s]`` holds
-    the summed utility coefficient vectors of the rounds in which the player
-    actually played s, restricted to the subtree of s's infoset, and
-    ``follow[i][s]`` the summed realized utility mass at or below s.  Games
-    with at most 200 joint deterministic profiles also keep the raw samples.
+    Holds one :class:`PhiRegretMeter` per player, fed the player's utility
+    vector and played point each round.  For every non-empty sequence s,
+    ``tables[i][s]`` (the meter's table) holds the summed utility coefficient
+    vectors of the rounds in which player i actually played s, restricted to
+    the subtree of s's infoset, and ``follow[i][s]`` the summed realized
+    utility mass at or below s.  Games with at most 200 joint deterministic
+    profiles also keep the raw samples: ``profiles`` holds one ``[values,
+    count]`` entry per distinct joint profile.
     """
 
     def __init__(self, game):
         self.game = game
         self.t = 0
-        self.tables = [
-            np.zeros((game.num_sequences(i), game.num_sequences(i)))
-            for i in range(game.n_players)
-        ]
-        self.follow = [np.zeros(game.num_sequences(i)) for i in range(game.n_players)]
+        self.meters = [PhiRegretMeter(game, i) for i in range(game.n_players)]
+        self.tables = [m.tables for m in self.meters]
+        self.follow = [m.follow for m in self.meters]
         small = game.joint_profile_count() <= _PROFILE_KEEP_LIMIT
-        self.profiles: list[list[np.ndarray]] | None = [] if small else None
+        self.profiles: list[list] | None = [] if small else None
+        self._profile_index: dict[bytes, list] = {}
 
     def accumulate(self, profile):
-        """Fold one deterministic joint profile into the summary."""
+        """Fold one joint profile into the summary; return each player's utility vector."""
         game = self.game
         self.t += 1
         if self.profiles is not None:
-            self.profiles.append([p.values.copy() for p in profile])
-        for i in range(game.n_players):
-            reach = game.term_chance.copy()
-            for j in range(game.n_players):
-                if j != i:
-                    reach *= profile[j].values[game.term_seq[:, j]]
-            coeff = np.zeros(game.num_sequences(i))
-            np.add.at(coeff, game.term_seq[:, i], game.term_payoffs[:, i] * reach)
-            pv = profile[i].values
-            self.follow[i] += game.descendant_mask(i) @ (coeff * pv)
-            for sid in np.flatnonzero(pv):
-                if sid == EMPTY_SEQ:
-                    continue
-                gid = int(game.seq_infoset(i)[sid])
-                sub = game.subtree_sequences(gid)
-                self.tables[i][sid, sub] += pv[sid] * coeff[sub]
+            key = b"".join(p.values.tobytes() for p in profile)
+            entry = self._profile_index.get(key)
+            if entry is None:
+                entry = [[p.values.copy() for p in profile], 0]
+                self._profile_index[key] = entry
+                self.profiles.append(entry)
+            entry[1] += 1
+        utils = [utility_vector(game, i, profile) for i in range(game.n_players)]
+        for meter, util, strat in zip(self.meters, utils, profile):
+            meter.record(util.coefficients, strat.values)
+        return utils
 
 
 @dataclass
@@ -104,50 +100,44 @@ class GapReport:
     argmax: tuple[int, int] | None
 
 
+def _walk_best(game, player, completed, frontier, values):
+    """Mark, top-down from ``frontier``, the first best action of each reached infoset."""
+    while frontier:
+        js = game.infosets[frontier.pop()]
+        sid = max(js.seq_ids, key=completed.__getitem__)
+        values[sid] = 1.0
+        frontier.extend(game.child_infosets(player, sid))
+
+
 def subtree_best_response(game, player, coeffs, root=None):
     """Best deterministic strategy against a coefficient vector.
 
-    Runs bottom-up dynamic programming over the infoset forest (or the
+    Runs the bottom-up dynamic program over the infoset forest (or the
     subtree of ``root``), breaking ties toward the lowest action index, and
     returns the optimal value together with an optimal vertex.
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    order = (game.player_infosets(player) if root is None
-             else game.subtree_infosets(root))
-    best_val: dict[int, float] = {}
-    best_act: dict[int, int] = {}
-    for gid in reversed(order):
-        js = game.infosets[gid]
-        top = None
-        for k, sid in enumerate(js.seq_ids):
-            v = float(coeffs[sid])
-            for child in game.child_infosets(player, sid):
-                v += best_val[child]
-            if top is None or v > top:
-                top = v
-                best_act[gid] = k
-        best_val[gid] = top
-
+    completed = best_values(game.player_plan(player), coeffs[None, :])[0]
     values = np.zeros(game.num_sequences(player))
     if root is None:
         values[EMPTY_SEQ] = 1.0
-        roots = [gid for gid in order
-                 if game.infosets[gid].parent_seq == EMPTY_SEQ]
-        total = float(coeffs[EMPTY_SEQ]) + sum(best_val[g] for g in roots)
-        frontier = list(roots)
+        total = float(completed[EMPTY_SEQ])
+        frontier = [gid for gid in game.player_infosets(player)
+                    if game.infosets[gid].parent_seq == EMPTY_SEQ]
     else:
-        total = best_val[root]
+        total = float(completed[list(game.infosets[root].seq_ids)].max())
         frontier = [root]
-    while frontier:
-        gid = frontier.pop()
-        sid = game.infosets[gid].seq_ids[best_act[gid]]
-        values[sid] = 1.0
-        frontier.extend(game.child_infosets(player, sid))
+    _walk_best(game, player, completed, frontier, values)
     return total, SequenceFormStrategy(player, values, root)
 
 
 def efce_gap(freq):
-    """Trigger gap of the accumulated empirical distribution."""
+    """Trigger gap of the accumulated empirical distribution.
+
+    Reads each player's cached meter pass: the gap of trigger s is (best
+    continuation value - follow value) / t, and the witness continuation is
+    read top-down off the completed table row of the player's worst trigger.
+    """
     game = freq.game
     if freq.t == 0:
         raise ValueError("no profiles accumulated yet")
@@ -156,20 +146,19 @@ def efce_gap(freq):
     witnesses = []
     argmax = None
     eps = None
-    for i in range(game.n_players):
-        n = game.num_sequences(i)
-        gaps = np.full(n, -np.inf)
-        best_here = None
+    for i, meter in enumerate(freq.meters):
+        best, completed = meter.best_pass()
+        gaps = (best - meter.follow) / freq.t
+        gaps[EMPTY_SEQ] = -np.inf
         witness = None
-        for sid in range(1, n):
+        eps_i = 0.0
+        if gaps.size > 1:
+            sid = int(gaps.argmax())
+            eps_i = float(gaps[sid])
             gid = int(game.seq_infoset(i)[sid])
-            val, vertex = subtree_best_response(game, i, freq.tables[i][sid], gid)
-            gap = (val - float(freq.follow[i][sid])) / freq.t
-            gaps[sid] = gap
-            if best_here is None or gap > best_here:
-                best_here = gap
-                witness = (sid, vertex)
-        eps_i = 0.0 if best_here is None else best_here
+            vertex = np.zeros(gaps.size)
+            _walk_best(game, i, completed[sid], [gid], vertex)
+            witness = (sid, SequenceFormStrategy(i, vertex, gid))
         per_player.append(eps_i)
         trigger_gaps.append(gaps)
         witnesses.append(witness)
@@ -184,8 +173,9 @@ def efce_gap_brute(freq):
 
     Enumerates every pure continuation at every trigger and evaluates the
     defining inequalities of the equilibrium directly on the stored samples,
-    walking terminals.  Only available when the game was small enough for the
-    frequency object to keep its samples.
+    each weighted by how often it was played, walking terminals.  Only
+    available when the game was small enough for the frequency object to
+    keep its samples.
     """
     from .strategies import enumerate_pure
 
@@ -207,8 +197,8 @@ def efce_gap_brute(freq):
             below_iset = game.subtree_seq_mask(gid)[term_i]
             follow = 0.0
             triggered_alpha = np.zeros(game.n_terminals)
-            for sample in freq.profiles:
-                others = game.term_chance.copy()
+            for sample, count in freq.profiles:
+                others = count * game.term_chance
                 for j in range(game.n_players):
                     if j != i:
                         others *= sample[j][game.term_seq[:, j]]
@@ -296,7 +286,9 @@ def run(game, iterations, seed, gap_every=100, delta=0.01, fp_tol=1e-10, threads
     per-player random streams split deterministically from ``seed``.  The
     trigger gap of the empirical play distribution is evaluated every
     ``gap_every`` rounds and at the end; ``delta`` sets the confidence level
-    of the logged high-probability gap bound.
+    of the logged high-probability gap bound.  ``threads`` is validated but
+    runs nothing in parallel: the per-player work is too small to gain from
+    threads, so neither the output nor the speed depends on it.
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
@@ -317,7 +309,6 @@ def run(game, iterations, seed, gap_every=100, delta=0.01, fp_tol=1e-10, threads
         else _ConstantState(game, i)
         for i in range(n)
     ]
-    meters = [PhiRegretMeter(game, i) for i in range(n)]
     freq = EmpiricalFrequency(game)
     checkpoints = set(range(gap_every, iterations + 1, gap_every))
     checkpoints.add(iterations)
@@ -340,44 +331,29 @@ def run(game, iterations, seed, gap_every=100, delta=0.01, fp_tol=1e-10, threads
         },
     )
 
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        report = None
-        for t in range(1, iterations + 1):
-            if pool is not None:
-                profile = list(pool.map(lambda s: s.next_element(), states))
-            else:
-                profile = [s.next_element() for s in states]
-            freq.accumulate(profile)
-            utils = [utility_vector(game, i, profile) for i in range(n)]
-            for i in range(n):
-                meters[i].record(utils[i].coefficients, profile[i].values)
-            if pool is not None:
-                list(pool.map(lambda sl: sl[0].observe_utility(sl[1]),
-                              zip(states, utils)))
-            else:
-                for i in range(n):
-                    states[i].observe_utility(utils[i])
+    report = None
+    for t in range(1, iterations + 1):
+        profile = [s.next_element() for s in states]
+        utils = freq.accumulate(profile)
+        for state, util in zip(states, utils):
+            state.observe_utility(util)
 
-            gaps = None
-            gap_bound = None
-            if t in checkpoints:
-                report = efce_gap(freq)
-                gaps = report.per_player
-                gap_bound = gap_factor / math.sqrt(t)
-            sqrt_t = math.sqrt(t)
-            for i in range(n):
-                log.rows.append((
-                    t, i + 1, meters[i].regret(), regret_factor[i] * sqrt_t,
-                    None if gaps is None else gaps[i], gap_bound,
-                ))
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        gaps = None
+        gap_bound = None
+        if t in checkpoints:
+            report = efce_gap(freq)
+            gaps = report.per_player
+            gap_bound = gap_factor / math.sqrt(t)
+        sqrt_t = math.sqrt(t)
+        for i, meter in enumerate(freq.meters):
+            log.rows.append((
+                t, i + 1, meter.regret(), regret_factor[i] * sqrt_t,
+                None if gaps is None else gaps[i], gap_bound,
+            ))
 
     log.final = report
     log.meta["final_gap_bound"] = gap_factor / math.sqrt(iterations)
-    log.meta["final_regrets"] = [meters[i].regret() for i in range(n)]
+    log.meta["final_regrets"] = [meter.regret() for meter in freq.meters]
     log.meta["final_regret_bounds"] = [
         regret_factor[i] * math.sqrt(iterations) for i in range(n)
     ]

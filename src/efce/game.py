@@ -25,6 +25,7 @@ renormalizes.  Perfect recall is validated on every parse.
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from dataclasses import dataclass
@@ -84,6 +85,10 @@ class Level:
     triple per action count m.  ``incidence`` (level sequences x level
     infosets) marks the infoset each sequence belongs to, and ``lift``
     (level infosets x all sequences) marks each infoset's parent sequence.
+    Each infoset's sequences are contiguous in ``seqs``: ``starts`` holds
+    where each infoset's segment begins.  ``own`` locates, in a flattened
+    (all sequences x level infosets) matrix, each level sequence's entry at
+    its own infoset.
     """
 
     seqs: np.ndarray
@@ -91,6 +96,8 @@ class Level:
     blocks: tuple
     incidence: np.ndarray
     lift: np.ndarray
+    starts: np.ndarray
+    own: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -523,16 +530,16 @@ class GameTree:
                 blocks.append((len(seqs), sids, pars))
                 seqs.extend(sids.ravel().tolist())
                 members.extend(group)
+            sizes = [len(js.seq_ids) for js in members]
+            starts = np.cumsum([0] + sizes[:-1])
+            member = np.repeat(np.arange(len(members)), sizes)
             incidence = np.zeros((len(seqs), len(members)))
+            incidence[np.arange(len(seqs)), member] = 1.0
             lift = np.zeros((len(members), n))
-            start = 0
-            for k, js in enumerate(members):
-                incidence[start:start + len(js.seq_ids), k] = 1.0
-                start += len(js.seq_ids)
-                lift[k, js.parent_seq] = 1.0
+            lift[np.arange(len(members)), [js.parent_seq for js in members]] = 1.0
             seqs = np.array(seqs, dtype=np.int64)
             levels.append(Level(seqs, self._seq_parent[player][seqs], tuple(blocks),
-                                incidence, lift))
+                                incidence, lift, starts, seqs * len(members) + member))
         return PlayerPlan(tuple(levels), subtree, roots, infoset_sum, uniform)
 
     def payoff_range(self, player):
@@ -765,7 +772,11 @@ def parse_game(text):
                 t = cur.take("payoff or '}'")
                 if t.text == "}":
                     break
-                payoffs.append(_parse_number(t, "a payoff"))
+                payoff = _parse_number(t, "a payoff")
+                if not math.isfinite(payoff):
+                    raise GameFormatError(f"payoff must be finite, found '{t.text}'",
+                                          t.line, t.col)
+                payoffs.append(payoff)
             records.append((LEAF, label, payoffs))
         else:
             raise GameFormatError(

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deviations import ConvexTriggerDeviation, fixed_point
-from .game import EMPTY_SEQ
 from .regret import CallOrderError
 from .strategies import sample_pure
 
@@ -166,14 +165,35 @@ class PureTriggerMinimizer:
         self.mixed.observe_utility(util)
 
 
+def best_values(plan, vals, trigger_values=None):
+    """Complete a rows x sequences value matrix bottom-up over the infoset forest.
+
+    One pass over ``plan.levels``, deepest first: each level's infosets take
+    the best of their sequences' completed values, and add it to their
+    parent sequences.  Entry (r, s) of the result is then row r's value of
+    s plus the best deterministic continuation below s.  When the rows are
+    indexed by sequence (one row per sequence, as in the meter's tables),
+    ``trigger_values[s]`` receives row s's best value at the infoset of s.
+    """
+    completed = vals.copy()
+    for lev in reversed(plan.levels):
+        best = np.maximum.reduceat(completed.take(lev.seqs, axis=1), lev.starts, axis=1)
+        if trigger_values is not None:
+            trigger_values[lev.seqs] = best.take(lev.own)
+        completed += best.dot(lev.lift)
+    return completed
+
+
 class PhiRegretMeter:
     """Running trigger regret of an observed play sequence.
 
     Accumulates, per trigger, the utility mass at or below the trigger under
-    the played points and the utility vectors scaled by the played trigger
-    weight.  The regret against the best fixed one-trigger deviation is then a
-    max over triggers of (best continuation value - follow value), with the
-    best continuation found by bottom-up dynamic programming.
+    the played points (``follow``) and the utility vectors scaled by the
+    played trigger weight, masked to the trigger's subtree (row s of
+    ``tables``, row 0 unused).  The regret against the best fixed one-trigger
+    deviation is then a max over triggers of (best continuation value -
+    follow value), the best values coming from one :func:`best_values` pass
+    that is kept until the next :meth:`record`.
     """
 
     def __init__(self, game, player):
@@ -183,42 +203,32 @@ class PhiRegretMeter:
         self.tables = np.zeros((n, n))
         self.follow = np.zeros(n)
         self.rounds = 0
-        self._best = np.zeros(n)
-        self._dirty: set[int] = set()
+        self._plan = game.player_plan(player)
+        self._below = game.descendant_mask(player).astype(float)
+        self._pass = None
 
     def record(self, ell, played):
         ell = np.asarray(ell, dtype=float)
         played = np.asarray(played, dtype=float)
-        self.follow += self.game.descendant_mask(self.player) @ (ell * played)
-        for sid in np.flatnonzero(played):
-            if sid == EMPTY_SEQ:
-                continue
-            gid = int(self.game.seq_infoset(self.player)[sid])
-            sub = self.game.subtree_sequences(gid)
-            self.tables[sid, sub] += played[sid] * ell[sub]
-            self._dirty.add(int(sid))
+        self.follow += self._below.dot(ell * played)
+        self.tables[1:] += played[1:, None] * ell * self._plan.subtree
         self.rounds += 1
+        self._pass = None
 
-    def _subtree_best(self, vec, gid):
-        best = None
-        for sid in self.game.infosets[gid].seq_ids:
-            v = float(vec[sid])
-            for child in self.game.child_infosets(self.player, sid):
-                v += self._subtree_best(vec, child)
-            if best is None or v > best:
-                best = v
-        return best
+    def best_pass(self):
+        """(best continuation value per trigger, completed tables), cached."""
+        if self._pass is None:
+            values = np.zeros(self.tables.shape[0])
+            completed = best_values(self._plan, self.tables, values)
+            self._pass = (values, completed)
+        return self._pass
 
     def regret(self):
         """Cumulative regret against the best fixed one-trigger deviation."""
-        n = self.game.num_sequences(self.player)
-        if n == 1:
+        if self.tables.shape[0] == 1:
             return 0.0
-        for sid in self._dirty:
-            gid = int(self.game.seq_infoset(self.player)[sid])
-            self._best[sid] = self._subtree_best(self.tables[sid], gid)
-        self._dirty.clear()
-        return float(np.max(self._best[1:] - self.follow[1:]))
+        values, _ = self.best_pass()
+        return float((values[1:] - self.follow[1:]).max())
 
 
 def split_rngs(seed, n):

@@ -38,6 +38,20 @@ def test_validate_rejects_malformed_file(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_non_finite_payoff_file_exits_3(tmp_path, capsys):
+    p = tmp_path / "nan.game"
+    p.write_text("players 1; root a\n"
+                 "decision a player 1 infoset A { x -> z1 ; y -> z2 }\n"
+                 "leaf z1 {0}; leaf z2 {nan}\n")
+    assert cli.main(["validate", str(p)]) == 3
+    assert "line 3" in capsys.readouterr().err
+    out = tmp_path / "res"
+    code = cli.main(["run", "--game", str(p), "--iterations", "5", "--out", str(out)])
+    assert code == 3
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_validate_missing_file(capsys):
     code = cli.main(["validate", "/no/such/file.game"])
     assert code == 3

@@ -55,6 +55,35 @@ def test_best_response_subtree_scope():
     assert pi.values[efce.EMPTY_SEQ] == 0.0
 
 
+def test_subtree_best_response_matches_enumeration_per_root():
+    rng = np.random.default_rng(8)
+    games = [efce.builtin_game("fig1", seed=0), efce.builtin_game("kuhn3")]
+    games += [efce.builtin_game("random-tree", seed=s) for s in range(5)]
+    for g in games:
+        for i in range(g.n_players):
+            n = g.num_sequences(i)
+            coeffs = rng.uniform(-2, 2, size=n)
+            for gid in g.player_infosets(i):
+                val, pi = efce.subtree_best_response(g, i, coeffs, root=gid)
+                efce.validate_strategy(g, pi)
+                want = max(float(coeffs @ p.values)
+                           for p in efce.enumerate_pure(g, i, root=gid))
+                assert val == pytest.approx(want, abs=1e-12)
+                assert float(coeffs @ pi.values) == pytest.approx(val, abs=1e-12)
+
+
+def test_subtree_best_response_ties_prefer_lowest_action_per_root():
+    g = efce.builtin_game("fig1", seed=0)
+    A = g.infoset(0, "A").index
+    val, pi = efce.subtree_best_response(g, 0, np.zeros(9), root=A)
+    assert val == 0.0
+    # the first action at A, then the first action at both infosets below it
+    assert np.flatnonzero(pi.values).tolist() == [1, 3, 5]
+    D = g.infoset(0, "D").index
+    val, pi = efce.subtree_best_response(g, 0, np.zeros(9), root=D)
+    assert np.flatnonzero(pi.values).tolist() == [7]
+
+
 def test_frequency_accumulates_tables_and_follow():
     g = efce.builtin_game("fig1", seed=0)
     freq = EmpiricalFrequency(g)
@@ -72,6 +101,38 @@ def test_frequency_accumulates_tables_and_follow():
     assert np.allclose(freq.tables[0][2], 0.0)
     desc = g.descendant_mask(0)
     assert np.allclose(freq.follow[0], desc @ (coeff * p1.values))
+
+
+def test_accumulate_returns_each_players_utility_vector():
+    g = efce.builtin_game("kuhn3")
+    rng = random.Random(2)
+    pures = [list(efce.enumerate_pure(g, i)) for i in range(2)]
+    freq = EmpiricalFrequency(g)
+    prof = [rng.choice(pures[0]), rng.choice(pures[1])]
+    utils = freq.accumulate(prof)
+    for i in range(2):
+        assert utils[i].player == i
+        want = efce.utility_vector(g, i, prof).coefficients
+        assert np.array_equal(utils[i].coefficients, want)
+        assert freq.tables[i] is freq.meters[i].tables
+        assert freq.follow[i] is freq.meters[i].follow
+
+
+def test_frequency_keeps_one_entry_per_distinct_profile():
+    g = efce.builtin_game("fig1", seed=0)
+    a = [_pure(g, 0, 1, 3, 5), _pure(g, 1, 1, 3)]
+    b = [_pure(g, 0, 2, 7), _pure(g, 1, 2, 4)]
+    freq = EmpiricalFrequency(g)
+    for t in range(10_000):
+        freq.accumulate(a if t % 3 else b)
+    assert freq.t == 10_000
+    assert len(freq.profiles) == 2
+    assert sorted(count for _, count in freq.profiles) == [3334, 6666]
+    fast = efce.efce_gap(freq)
+    slow = efce.efce_gap_brute(freq)
+    assert abs(fast.eps - slow.eps) <= 1e-9
+    for i in range(2):
+        assert np.abs(fast.trigger_gaps[i][1:] - slow.trigger_gaps[i][1:]).max() <= 1e-9
 
 
 def test_frequency_skips_profile_storage_for_large_games():
@@ -205,6 +266,19 @@ def test_run_regret_matches_gap_identity():
             continue
         d = g.payoff_range(player - 1)
         assert abs(regret / t - gap) <= 1e-9 * max(1.0, d)
+
+
+def test_run_checkpoint_gap_is_regret_over_t_exactly():
+    for g, seed in [(efce.builtin_game("fig1", seed=1), 3),
+                    (efce.builtin_game("kuhn3"), 7),
+                    (efce.builtin_game("random-tree", seed=5), 2)]:
+        log = efce.run(g, iterations=96, seed=seed, gap_every=8)
+        checked = 0
+        for t, _, regret, _, gap, _ in log.rows:
+            if gap is not None:
+                assert gap == regret / t
+                checked += 1
+        assert checked == 12 * g.n_players
 
 
 def test_run_deterministic_and_thread_count_invariant():

@@ -73,6 +73,16 @@ def test_parse_error_reports_position():
     assert e.value.col is not None
 
 
+def test_non_finite_payoffs_rejected_with_position():
+    for bad in ("nan", "inf", "-inf", "1e999"):
+        text = ("players 1; root a\n"
+                "decision a player 1 infoset A { x -> z1 ; y -> z2 }\n"
+                f"leaf z1 {{0}}; leaf z2 {{ {bad} }}")
+        with pytest.raises(efce.GameFormatError, match="finite") as e:
+            efce.parse_game(text)
+        assert (e.value.line, e.value.col) == (3, 24)
+
+
 def test_duplicate_node_rejected():
     text = "players 1; root a\ndecision a player 1 infoset A { x -> b ; y -> c }\nleaf b {0}; leaf b {1}; leaf c {0}"
     with pytest.raises(ValueError, match="duplicate"):

@@ -236,3 +236,40 @@ def test_meter_handles_mixed_played_vectors():
     ell = np.array([rng.uniform(-1, 1) for _ in range(9)])
     meter.record(ell, q.values)
     assert np.isfinite(meter.regret())
+
+
+def _reference_subtree_best(game, player, vec, gid):
+    """The meter's former recursive walk: best continuation value below gid."""
+    best = None
+    for sid in game.infosets[gid].seq_ids:
+        v = float(vec[sid])
+        for child in game.child_infosets(player, sid):
+            v += _reference_subtree_best(game, player, vec, child)
+        if best is None or v > best:
+            best = v
+    return best
+
+
+def test_meter_pass_matches_recursive_reference():
+    games = [efce.builtin_game("fig1", seed=0), efce.builtin_game("kuhn3")]
+    games += [efce.builtin_game("random-tree", seed=s) for s in range(16)]
+    assert {g.n_players for g in games} == {1, 2, 3}
+    rng = random.Random(11)
+    for g in games:
+        for i in range(g.n_players):
+            n = g.num_sequences(i)
+            if n == 1:
+                continue
+            meter = efce.PhiRegretMeter(g, i)
+            for _ in range(50):
+                played = random_behavioral(g, i, rng).values
+                ell = np.array([rng.uniform(-1.0, 1.0) for _ in range(n)])
+                meter.record(ell, played)
+                values, _ = meter.best_pass()
+                want = np.zeros(n)
+                for sid in range(1, n):
+                    gid = int(g.seq_infoset(i)[sid])
+                    want[sid] = _reference_subtree_best(g, i, meter.tables[sid], gid)
+                assert np.abs(values[1:] - want[1:]).max() <= 1e-12
+                want_regret = float(np.max(want[1:] - meter.follow[1:]))
+                assert abs(meter.regret() - want_regret) <= 1e-12
