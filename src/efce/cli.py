@@ -8,12 +8,11 @@ Exit codes: 0 success, 2 usage error, 3 invalid input, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
 from .deviations import NumericalError
-from .dynamics import run
+from .dynamics import check_run_args, run
 from .game import builtin_game, parse_game
 
 EXIT_OK = 0
@@ -91,16 +90,11 @@ def _cmd_validate(args, parser):
 
 
 def _cmd_run(args, parser):
-    if args.iterations < 1:
-        parser.error("--iterations must be at least 1")
-    if args.gap_every < 1:
-        parser.error("--gap-every must be at least 1")
-    if not 0.0 < args.delta < 1.0:
-        parser.error("--delta must lie strictly between 0 and 1")
-    if args.threads < 1:
-        parser.error("--threads must be at least 1")
-    if not 0.0 < args.fp_tol < math.inf:
-        parser.error("--fp-tol must be positive and finite")
+    try:
+        check_run_args(args.iterations, args.gap_every, args.delta, args.fp_tol,
+                       args.threads)
+    except ValueError as exc:
+        parser.error("--" + str(exc))
     game = _load_game(args, parser)
     log = run(
         game,

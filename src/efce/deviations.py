@@ -154,7 +154,7 @@ def apply_trigger(game, dev, x):
 def cumulative_weights(game, phi):
     """For each sequence, the total deviation weight at or above it."""
     lam, _ = _arrays(game, phi)
-    return lam @ game.descendant_mask(phi.player)
+    return lam @ game.player_plan(phi.player).below
 
 
 def apply_deviation(game, phi, x, cum=None):

@@ -204,8 +204,7 @@ def efce_gap_brute(freq):
                         others *= sample[j][game.term_seq[:, j]]
                 alpha = game.term_payoffs[:, i] * others
                 follow += float((alpha * sample[i][term_i])[below_trigger].sum())
-                if sample[i][sid] == 1.0:
-                    triggered_alpha += alpha
+                triggered_alpha += sample[i][sid] * alpha
             best = None
             for cand in enumerate_pure(game, i, root=gid):
                 val = float((triggered_alpha * cand.values[term_i])[below_iset].sum())
@@ -279,16 +278,10 @@ class RunLog:
         return "\n".join(out) + "\n"
 
 
-def run(game, iterations, seed, gap_every=100, delta=0.01, fp_tol=1e-10, threads=1):
-    """Run uncoupled self-play for a number of rounds and log its progress.
+def check_run_args(iterations, gap_every, delta, fp_tol, threads):
+    """Raise ValueError unless the arguments of :func:`run` are valid.
 
-    Every player independently runs the pure trigger-regret minimizer, with
-    per-player random streams split deterministically from ``seed``.  The
-    trigger gap of the empirical play distribution is evaluated every
-    ``gap_every`` rounds and at the end; ``delta`` sets the confidence level
-    of the logged high-probability gap bound.  ``threads`` is validated but
-    runs nothing in parallel: the per-player work is too small to gain from
-    threads, so neither the output nor the speed depends on it.
+    Each message starts with the argument's command-line name.
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
@@ -300,6 +293,20 @@ def run(game, iterations, seed, gap_every=100, delta=0.01, fp_tol=1e-10, threads
         raise ValueError("threads must be at least 1")
     if not 0.0 < fp_tol < math.inf:
         raise ValueError("fp-tol must be positive and finite")
+
+
+def run(game, iterations, seed, gap_every=100, delta=0.01, fp_tol=1e-10, threads=1):
+    """Run uncoupled self-play for a number of rounds and log its progress.
+
+    Every player independently runs the pure trigger-regret minimizer, with
+    per-player random streams split deterministically from ``seed``.  The
+    trigger gap of the empirical play distribution is evaluated every
+    ``gap_every`` rounds and at the end; ``delta`` sets the confidence level
+    of the logged high-probability gap bound.  ``threads`` is validated but
+    runs nothing in parallel: the per-player work is too small to gain from
+    threads, so neither the output nor the speed depends on it.
+    """
+    check_run_args(iterations, gap_every, delta, fp_tol, threads)
 
     n = game.n_players
     rngs = split_rngs(seed, n)

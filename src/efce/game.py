@@ -82,41 +82,38 @@ class Level:
     ``seqs`` lists the level's sequences, grouped by action count, and
     ``parents`` the parent sequence of each.  ``blocks`` holds one
     (offset into ``seqs``, sequence ids (k, m), parent sequences (k,))
-    triple per action count m.  ``incidence`` (level sequences x level
-    infosets) marks the infoset each sequence belongs to, and ``lift``
-    (level infosets x all sequences) marks each infoset's parent sequence.
-    Each infoset's sequences are contiguous in ``seqs``: ``starts`` holds
-    where each infoset's segment begins.  ``own`` locates, in a flattened
-    (all sequences x level infosets) matrix, each level sequence's entry at
-    its own infoset.
+    triple per action count m.  Each infoset's sequences are contiguous in
+    ``seqs``: ``starts`` holds where each infoset's segment begins, and
+    ``member`` the level infoset of each sequence.  ``lift`` (level infosets
+    x all sequences) marks each infoset's parent sequence.
     """
 
     seqs: np.ndarray
     parents: np.ndarray
     blocks: tuple
-    incidence: np.ndarray
     lift: np.ndarray
     starts: np.ndarray
-    own: np.ndarray
+    member: np.ndarray
 
 
 @dataclass(frozen=True)
 class PlayerPlan:
-    """Static structure of one player's batched hot path.
+    """Static per-player arrays of the batched hot path and the regret meters.
 
-    ``levels`` runs from the roots of the infoset forest down.  Rows of
-    ``subtree`` and ``roots`` are the triggers 1..n-1: ``subtree`` is 1 on
-    the sequences at or below the trigger's infoset, ``roots`` on the
-    sequences of that infoset itself.  ``infoset_sum`` (n x n) is the
-    sequence-to-infoset incidence times its transpose: a row vector times it
-    gives each sequence the total over its infoset.  ``uniform`` is 1/m on
-    each sequence of an m-action infoset.
+    ``levels`` runs from the roots of the infoset forest down.  The n x n
+    matrices are indexed (sequence, sequence).  Row t of ``subtree`` is 1 on
+    the sequences at or below trigger t's infoset, and row t of
+    ``infoset_sum`` on the sequences of that infoset itself; row 0 (the
+    empty sequence) of both is zero.  A row vector times ``infoset_sum``
+    gives each sequence the total over its infoset.  ``below[s, t]`` is 1
+    when sequence t is at or below sequence s (every t for s = 0).
+    ``uniform`` is 1/m on each sequence of an m-action infoset.
     """
 
     levels: tuple[Level, ...]
     subtree: np.ndarray
-    roots: np.ndarray
     infoset_sum: np.ndarray
+    below: np.ndarray
     uniform: np.ndarray
 
 
@@ -404,8 +401,6 @@ class GameTree:
             self._seq_chain.append(chains)
 
         self._subtree_seq_cache: dict[int, np.ndarray] = {}
-        self._subtree_mask_cache: dict[int, np.ndarray] = {}
-        self._desc_mask_cache: dict[int, np.ndarray] = {}
         self._plan_cache: dict[int, PlayerPlan] = {}
 
     # -- counts and lookups --------------------------------------------------
@@ -474,26 +469,12 @@ class GameTree:
 
     def subtree_seq_mask(self, gid):
         """Boolean array over the owner's sequences marking the subtree of ``gid``."""
-        mask = self._subtree_mask_cache.get(gid)
-        if mask is None:
-            i = self.infosets[gid].player
-            mask = np.zeros(self._n_seq[i], dtype=bool)
-            mask[self.subtree_sequences(gid)] = True
-            self._subtree_mask_cache[gid] = mask
-        return mask
+        js = self.infosets[gid]
+        return self.player_plan(js.player).subtree[js.seq_ids[0]] > 0.0
 
     def descendant_mask(self, player):
         """Matrix D with D[s, t] true iff sequence t is at or below sequence s."""
-        mask = self._desc_mask_cache.get(player)
-        if mask is None:
-            m = self._n_seq[player]
-            mask = np.zeros((m, m), dtype=bool)
-            mask[EMPTY_SEQ, :] = True
-            for sid in range(1, m):
-                for anc in self._seq_chain[player][sid]:
-                    mask[anc, sid] = True
-            self._desc_mask_cache[player] = mask
-        return mask
+        return self.player_plan(player).below > 0.0
 
     def player_plan(self, player):
         """The player's :class:`PlayerPlan`, built on first use."""
@@ -506,18 +487,19 @@ class GameTree:
     def _build_plan(self, player):
         n = self._n_seq[player]
         by_depth: dict[int, dict[int, list[InfoSet]]] = {}
-        subtree = np.zeros((n - 1, n))
-        roots = np.zeros((n - 1, n))
+        subtree = np.zeros((n, n))
         infoset_sum = np.zeros((n, n))
+        below = np.zeros((n, n))
+        below[EMPTY_SEQ] = 1.0
+        for sid in range(1, n):
+            below[self._seq_chain[player][sid], sid] = 1.0
         uniform = np.ones(n)
         for gid in self._player_isets[player]:
             js = self.infosets[gid]
             sids = list(js.seq_ids)
             depth = len(self._seq_chain[player][js.parent_seq])
             by_depth.setdefault(depth, {}).setdefault(len(sids), []).append(js)
-            rows = [s - 1 for s in sids]
-            subtree[rows] = self.subtree_seq_mask(gid)
-            roots[np.ix_(rows, sids)] = 1.0
+            subtree[np.ix_(sids, self.subtree_sequences(gid))] = 1.0
             infoset_sum[np.ix_(sids, sids)] = 1.0
             uniform[sids] = 1.0 / len(sids)
 
@@ -533,14 +515,12 @@ class GameTree:
             sizes = [len(js.seq_ids) for js in members]
             starts = np.cumsum([0] + sizes[:-1])
             member = np.repeat(np.arange(len(members)), sizes)
-            incidence = np.zeros((len(seqs), len(members)))
-            incidence[np.arange(len(seqs)), member] = 1.0
             lift = np.zeros((len(members), n))
             lift[np.arange(len(members)), [js.parent_seq for js in members]] = 1.0
             seqs = np.array(seqs, dtype=np.int64)
             levels.append(Level(seqs, self._seq_parent[player][seqs], tuple(blocks),
-                                incidence, lift, starts, seqs * len(members) + member))
-        return PlayerPlan(tuple(levels), subtree, roots, infoset_sum, uniform)
+                                lift, starts, member))
+        return PlayerPlan(tuple(levels), subtree, infoset_sum, below, uniform)
 
     def payoff_range(self, player):
         """Spread between the best and worst terminal payoff of one player."""

@@ -43,23 +43,23 @@ class HullMinimizer:
 
     Regret matching over the non-empty sequences picks the mixture, and per
     trigger a counterfactual-regret learner on the trigger infoset's subtree
-    picks the continuation.  The learners are held flat: row t - 1 of
-    ``regrets`` is trigger t's, masked to its subtree, and both steps run a
-    few array operations per level of the infoset forest.  Observing a
-    rank-one functional updates every row with the utility scaled by the
-    weight the played point put on its trigger, and feeds the mixture the
-    value each pure-trigger deviation would have obtained.
+    picks the continuation.  The learners are held flat: row t of
+    ``regrets`` is trigger t's, masked to its subtree (row 0 stays zero),
+    and both steps run a few array operations per level of the infoset
+    forest.  Observing a rank-one functional updates every row with the
+    utility scaled by the weight the played point put on its trigger, and
+    feeds the mixture the value each pure-trigger deviation would have
+    obtained.
     """
 
     def __init__(self, game, player):
         self.game = game
         self.player = player
         n = game.num_sequences(player)
-        self.regrets = np.zeros((n - 1, n))
+        self.regrets = np.zeros((n, n))
         self.mixer_regrets = np.zeros(n - 1)
         self._plan = game.player_plan(player)
-        self._uniform = np.tile(self._plan.uniform, (n - 1, 1))
-        self._below = game.descendant_mask(player)[1:].astype(float)
+        self._uniform = np.tile(self._plan.uniform, (n, 1))
         self._local = None
         self._phi = None
 
@@ -76,10 +76,9 @@ class HullMinimizer:
         local = np.divide(pos, tot, out=self._uniform.copy(), where=tot > 0.0)
         # Compose top-down; each row starts with mass 1 at its trigger's infoset.
         conts = np.zeros((n, n))
-        rows = conts[1:]
         for lev in plan.levels:
-            mass = rows[:, lev.parents] + plan.roots[:, lev.seqs]
-            rows[:, lev.seqs] = local[:, lev.seqs] * mass
+            mass = conts[:, lev.parents] + plan.infoset_sum[:, lev.seqs]
+            conts[:, lev.seqs] = local[:, lev.seqs] * mass
         mpos = np.maximum(self.mixer_regrets, 0.0)
         s = mpos.sum()
         lam = np.zeros(n)
@@ -97,17 +96,17 @@ class HullMinimizer:
         plan = self._plan
         ell, q = func.ell, func.q
         # Counterfactual values, completed bottom-up with child infoset values.
-        vals = q[1:, None] * ell * plan.subtree
+        vals = q[:, None] * ell * plan.subtree
         iset_vals = np.zeros_like(vals)
         for lev in reversed(plan.levels):
-            here = (vals[:, lev.seqs] * self._local[:, lev.seqs]) @ lev.incidence
-            iset_vals[:, lev.seqs] = here @ lev.incidence.T
+            here = np.add.reduceat(vals[:, lev.seqs] * self._local[:, lev.seqs],
+                                   lev.starts, axis=1)
+            iset_vals[:, lev.seqs] = here.take(lev.member, axis=1)
             vals += here @ lev.lift
         self.regrets += (vals - iset_vals) * plan.subtree
 
         lq = ell * q
-        follow = float(lq.sum()) - self._below @ lq
-        values = follow + q[1:] * (phi.C[1:] @ ell)
+        values = (float(lq.sum()) - plan.below @ lq + q * (phi.C @ ell))[1:]
         self.mixer_regrets += values - float(values @ phi.lam[1:])
 
 
@@ -179,7 +178,7 @@ def best_values(plan, vals, trigger_values=None):
     for lev in reversed(plan.levels):
         best = np.maximum.reduceat(completed.take(lev.seqs, axis=1), lev.starts, axis=1)
         if trigger_values is not None:
-            trigger_values[lev.seqs] = best.take(lev.own)
+            trigger_values[lev.seqs] = best[lev.seqs, lev.member]
         completed += best.dot(lev.lift)
     return completed
 
@@ -190,10 +189,10 @@ class PhiRegretMeter:
     Accumulates, per trigger, the utility mass at or below the trigger under
     the played points (``follow``) and the utility vectors scaled by the
     played trigger weight, masked to the trigger's subtree (row s of
-    ``tables``, row 0 unused).  The regret against the best fixed one-trigger
-    deviation is then a max over triggers of (best continuation value -
-    follow value), the best values coming from one :func:`best_values` pass
-    that is kept until the next :meth:`record`.
+    ``tables``; row 0 stays zero).  The regret against the best fixed
+    one-trigger deviation is then a max over triggers of (best continuation
+    value - follow value), the best values coming from one
+    :func:`best_values` pass that is kept until the next :meth:`record`.
     """
 
     def __init__(self, game, player):
@@ -202,17 +201,14 @@ class PhiRegretMeter:
         n = game.num_sequences(player)
         self.tables = np.zeros((n, n))
         self.follow = np.zeros(n)
-        self.rounds = 0
         self._plan = game.player_plan(player)
-        self._below = game.descendant_mask(player).astype(float)
         self._pass = None
 
     def record(self, ell, played):
         ell = np.asarray(ell, dtype=float)
         played = np.asarray(played, dtype=float)
-        self.follow += self._below.dot(ell * played)
-        self.tables[1:] += played[1:, None] * ell * self._plan.subtree
-        self.rounds += 1
+        self.follow += self._plan.below.dot(ell * played)
+        self.tables += played[:, None] * ell * self._plan.subtree
         self._pass = None
 
     def best_pass(self):

@@ -5,7 +5,7 @@ import pytest
 
 import efce
 from efce.dynamics import EmpiricalFrequency
-from conftest import brute_expected_payoffs, random_behavioral
+from conftest import brute_expected_payoffs, random_behavioral, random_deviation
 
 
 def _pure(game, player, *sids):
@@ -209,6 +209,23 @@ def test_gap_fast_matches_brute_on_random_play():
                                    slow.trigger_gaps[i][1:], atol=1e-9)
 
 
+def test_gap_brute_matches_fast_on_mixed_profiles():
+    # the library quick start: the brute oracle weights a stored mixed
+    # profile by its played mass at the trigger, as the trigger's linear
+    # action does
+    g = efce.builtin_game("fig1", seed=0)
+    freq = EmpiricalFrequency(g)
+    profile = [efce.uniform_strategy(g, i) for i in range(g.n_players)]
+    for _ in range(5):
+        freq.accumulate(profile)
+    fast = efce.efce_gap(freq)
+    slow = efce.efce_gap_brute(freq)
+    assert fast.eps == pytest.approx(slow.eps, abs=1e-9)
+    for i in range(g.n_players):
+        assert np.allclose(fast.trigger_gaps[i][1:], slow.trigger_gaps[i][1:],
+                           rtol=0.0, atol=1e-9)
+
+
 def test_gap_witness_achieves_reported_value():
     g = efce.builtin_game("fig1", seed=2)
     rng = random.Random(4)
@@ -341,6 +358,71 @@ def test_run_survives_rounding_residue_parent_mass():
         assert abs(regret / t - gap) <= 1e-6 * d
         assert regret <= bound
     assert np.isfinite(log.final.eps)
+
+
+# Player 1's infoset B has a single action.
+_ONE_ACTION_GAME = """players 2; root a
+decision a player 1 infoset A { x -> p ; y -> z1 }
+decision p player 2 infoset P { l -> b ; r -> z2 }
+decision b player 1 infoset B { only -> d }
+decision d player 2 infoset D { l -> z3 ; r -> z4 }
+leaf z1 {1 0}; leaf z2 {0 2}; leaf z3 {3 -1}; leaf z4 {-2 1}
+"""
+
+
+def test_one_action_infoset():
+    g = efce.parse_game(_ONE_ACTION_GAME)
+    assert g.joint_profile_count() == 6
+    rng = random.Random(12)
+    for _ in range(50):
+        phi = random_deviation(g, 0, rng)
+        q = efce.fixed_point(g, phi).values
+        assert np.max(np.abs(efce.apply_deviation(g, phi, q) - q)) <= 1e-9
+
+    log = efce.run(g, iterations=64, seed=3, gap_every=4)
+    for t, _, regret, _, gap, _ in log.rows:
+        if gap is not None:
+            assert gap == regret / t
+
+    freq = EmpiricalFrequency(g)
+    pures = [list(efce.enumerate_pure(g, i)) for i in range(2)]
+    for _ in range(30):
+        freq.accumulate([rng.choice(pures[i]) for i in range(2)])
+    fast = efce.efce_gap(freq)
+    slow = efce.efce_gap_brute(freq)
+    for i in range(2):
+        assert np.allclose(fast.trigger_gaps[i][1:], slow.trigger_gaps[i][1:],
+                           rtol=0.0, atol=1e-9)
+
+
+def test_random_tree_sweep(monkeypatch):
+    # games 0-63 cover 1-, 2- and 3-player games, players without decisions,
+    # and games 21, 34, 51, 53 and 54, which once built NaN extension matrices
+    made = []
+
+    class Recording(EmpiricalFrequency):
+        def __init__(self, game):
+            super().__init__(game)
+            made.append(self)
+
+    monkeypatch.setattr(efce.dynamics, "EmpiricalFrequency", Recording)
+    brute_checked = 0
+    for s in range(64):
+        g = efce.builtin_game("random-tree", seed=s)
+        log = efce.run(g, iterations=64, seed=0, gap_every=8)
+        checkpoints = 0
+        for t, _, regret, bound, gap, _ in log.rows:
+            assert regret <= bound, s
+            if gap is not None:
+                assert gap == regret / t, s
+                checkpoints += 1
+        assert checkpoints == 8 * g.n_players
+        freq = made.pop()
+        if freq.profiles is not None:
+            slow = efce.efce_gap_brute(freq)
+            assert log.final.per_player == pytest.approx(slow.per_player, abs=1e-9), s
+            brute_checked += 1
+    assert brute_checked > 0
 
 
 def test_summary_mentions_key_facts():

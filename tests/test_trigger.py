@@ -61,7 +61,7 @@ def test_per_trigger_state_unmoved_until_triggered():
         hull.observe_utility(efce.RankOneFunctional(0, ell, q))
         nxt = hull.next_element().C[3]
         assert np.allclose(nxt, first)
-        assert not hull.regrets[3 - 1].any()
+        assert not hull.regrets[3].any()
 
 
 def test_per_trigger_state_reacts_once_triggered():
