@@ -70,7 +70,7 @@ class ConvexTriggerDeviation:
         for sid, weight, c in entries:
             if sid == EMPTY_SEQ:
                 raise ValueError("the empty sequence cannot be a trigger")
-            if weight < 0.0:
+            if not weight >= 0.0:
                 raise ValueError("deviation weights must be nonnegative")
             if weight > 0.0:
                 # A repeated trigger keeps the weighted mean of its continuations.
@@ -87,10 +87,10 @@ class ConvexTriggerDeviation:
         return phi
 
     def _init(self, player, lam, C):
-        if lam.size and (lam[EMPTY_SEQ] != 0.0 or lam.min() < 0.0):
+        if lam.size and (lam[EMPTY_SEQ] != 0.0 or not lam.min() >= 0.0):
             raise ValueError("deviation weights must be nonnegative and off the empty sequence")
         total = float(lam.sum())
-        if total != 0.0 and abs(total - 1.0) > _WEIGHT_TOL:
+        if total != 0.0 and not abs(total - 1.0) <= _WEIGHT_TOL:
             raise ValueError(f"deviation weights sum to {total!r}, not 1")
         self.player = player
         self.lam = lam

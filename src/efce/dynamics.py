@@ -100,13 +100,12 @@ class GapReport:
     argmax: tuple[int, int] | None
 
 
-def _walk_best(game, player, completed, frontier, values):
-    """Mark, top-down from ``frontier``, the first best action of each reached infoset."""
-    while frontier:
-        js = game.infosets[frontier.pop()]
-        sid = max(js.seq_ids, key=completed.__getitem__)
-        values[sid] = 1.0
-        frontier.extend(game.child_infosets(player, sid))
+def _walk_best(game, player, completed, root, values):
+    """Mark the first best action of each infoset of the scope that the vertex reaches."""
+    for gid in game.scope_infosets(player, root):
+        js = game.infosets[gid]
+        if gid == root or values[js.parent_seq] != 0.0:
+            values[max(js.seq_ids, key=completed.__getitem__)] = 1.0
 
 
 def subtree_best_response(game, player, coeffs, root=None):
@@ -121,14 +120,9 @@ def subtree_best_response(game, player, coeffs, root=None):
     values = np.zeros(game.num_sequences(player))
     if root is None:
         values[EMPTY_SEQ] = 1.0
-        total = float(completed[EMPTY_SEQ])
-        frontier = [gid for gid in game.player_infosets(player)
-                    if game.infosets[gid].parent_seq == EMPTY_SEQ]
-    else:
-        total = float(completed[list(game.infosets[root].seq_ids)].max())
-        frontier = [root]
-    _walk_best(game, player, completed, frontier, values)
-    return total, SequenceFormStrategy(player, values, root)
+    _walk_best(game, player, completed, root, values)
+    top = [EMPTY_SEQ] if root is None else list(game.infosets[root].seq_ids)
+    return float(completed[top].max()), SequenceFormStrategy(player, values, root)
 
 
 def efce_gap(freq):
@@ -157,7 +151,7 @@ def efce_gap(freq):
             eps_i = float(gaps[sid])
             gid = int(game.seq_infoset(i)[sid])
             vertex = np.zeros(gaps.size)
-            _walk_best(game, i, completed[sid], [gid], vertex)
+            _walk_best(game, i, completed[sid], gid, vertex)
             witness = (sid, SequenceFormStrategy(i, vertex, gid))
         per_player.append(eps_i)
         trigger_gaps.append(gaps)

@@ -211,7 +211,6 @@ class GameTree:
                 kids.append(c)
             self.node_children[k] = tuple(kids)
 
-        self.node_parent = parent
         self._check_reachable()
         self._group_infosets(iset_label_of_node)
         self._walk_and_index()
@@ -263,67 +262,61 @@ class GameTree:
 
     def _walk_and_index(self):
         n_players = self.n_players
-        # Paths are tuples of (infoset gid, action index) per player; perfect
-        # recall means all nodes of an infoset share the owner's path to it.
-        iset_path: dict[int, tuple] = {}
-        node_path = [None] * self.n_nodes
-        term_nodes: list[int] = []
-        term_pc: list[float] = []
-
-        empty = tuple(() for _ in range(n_players))
-        stack = [(self.root, empty, 1.0)]
-        while stack:
-            k, paths, pc = stack.pop()
-            node_path[k] = paths
-            kind = self.node_kind[k]
-            if kind == LEAF:
-                term_nodes.append(k)
-                term_pc.append(pc)
-                continue
-            if kind == DECISION:
-                p = self.node_player[k]
-                gid = self.node_infoset[k]
-                expected = iset_path.setdefault(gid, paths[p])
-                if paths[p] != expected:
-                    lab = self.infoset_label(gid)
-                    raise GameValidationError(
-                        f"perfect recall violated at information set '{lab}' of "
-                        f"player {p + 1}: its nodes are reached with different "
-                        f"histories of that player's own actions"
-                    )
-                for a_idx, c in enumerate(self.node_children[k]):
-                    new = list(paths)
-                    new[p] = paths[p] + ((gid, a_idx),)
-                    stack.append((c, tuple(new), pc))
-            else:
-                for prob, c in zip(self.chance_probs[k], self.node_children[k]):
-                    stack.append((c, paths, pc * prob))
-
         # Dense per-player sequence ids: 0 is the empty sequence, then one id
         # per (infoset, action) in document order of the infoset.
         n_seq = [1] * n_players
         iset_seq_ids = []
-        for gid, nodes in enumerate(self._iset_members):
+        for nodes in self._iset_members:
             p = self.node_player[nodes[0]]
             m = len(self.node_actions[nodes[0]])
             iset_seq_ids.append(tuple(range(n_seq[p], n_seq[p] + m)))
             n_seq[p] += m
         self._n_seq = n_seq
 
+        # Each node carries every player's last own sequence.  Perfect recall
+        # means all nodes of an infoset share the owner's last sequence; by
+        # induction over infosets they then share the owner's whole history.
+        parent_of: dict[int, int] = {}
+        term_nodes: list[int] = []
+        term_pc: list[float] = []
+        term_seq: list[tuple[int, ...]] = []
+
+        stack = [(self.root, (EMPTY_SEQ,) * n_players, 1.0)]
+        while stack:
+            k, last, pc = stack.pop()
+            kind = self.node_kind[k]
+            if kind == LEAF:
+                term_nodes.append(k)
+                term_pc.append(pc)
+                term_seq.append(last)
+                continue
+            if kind == DECISION:
+                p = self.node_player[k]
+                gid = self.node_infoset[k]
+                if parent_of.setdefault(gid, last[p]) != last[p]:
+                    lab = self.infoset_label(gid)
+                    raise GameValidationError(
+                        f"perfect recall violated at information set '{lab}' of "
+                        f"player {p + 1}: its nodes are reached with different "
+                        f"histories of that player's own actions"
+                    )
+                for sid, c in zip(iset_seq_ids[gid], self.node_children[k]):
+                    new = list(last)
+                    new[p] = sid
+                    stack.append((c, tuple(new), pc))
+            else:
+                for prob, c in zip(self.chance_probs[k], self.node_children[k]):
+                    stack.append((c, last, pc * prob))
+
         self._seq_infoset = [np.full(n_seq[i], -1, dtype=np.int64) for i in range(n_players)]
         self._seq_action = [np.full(n_seq[i], -1, dtype=np.int64) for i in range(n_players)]
         self._seq_parent = [np.full(n_seq[i], -1, dtype=np.int64) for i in range(n_players)]
-
-        def sid_of(pair):
-            gid, a_idx = pair
-            return iset_seq_ids[gid][a_idx]
 
         finished = []
         for gid, nodes in enumerate(self._iset_members):
             first = nodes[0]
             p = self.node_player[first]
-            path = iset_path[gid]
-            parent_seq = sid_of(path[-1]) if path else EMPTY_SEQ
+            parent_seq = parent_of[gid]
             finished.append(
                 InfoSet(
                     index=gid,
@@ -345,12 +338,9 @@ class GameTree:
         z = len(term_nodes)
         self.term_chance = np.asarray(term_pc, dtype=float)
         self.term_payoffs = np.zeros((z, n_players))
-        self.term_seq = np.zeros((z, n_players), dtype=np.int64)
+        self.term_seq = np.array(term_seq, dtype=np.int64).reshape(z, n_players)
         for row, k in enumerate(term_nodes):
             self.term_payoffs[row] = self.leaf_payoffs[k]
-            for i in range(n_players):
-                path = node_path[k][i]
-                self.term_seq[row, i] = sid_of(path[-1]) if path else EMPTY_SEQ
         self.n_terminals = z
         if z:
             self._payoff_range = self.term_payoffs.max(axis=0) - self.term_payoffs.min(axis=0)
@@ -387,20 +377,6 @@ class GameTree:
                 visit(gid)
             self._player_isets.append(tuple(order))
 
-        # Ancestor chains (non-empty sequences at or above each sequence).
-        # Built over infoset pre-order because document order may place a
-        # child infoset before its parent.
-        self._seq_chain: list[list[tuple[int, ...]]] = []
-        for i in range(n_players):
-            chains: list[tuple[int, ...]] = [()] * self._n_seq[i]
-            for gid in self._player_isets[i]:
-                js = self.infosets[gid]
-                base = chains[js.parent_seq] if js.parent_seq != EMPTY_SEQ else ()
-                for sid in js.seq_ids:
-                    chains[sid] = base + (sid,)
-            self._seq_chain.append(chains)
-
-        self._subtree_seq_cache: dict[int, np.ndarray] = {}
         self._plan_cache: dict[int, PlayerPlan] = {}
 
     # -- counts and lookups --------------------------------------------------
@@ -442,10 +418,6 @@ class GameTree:
     def seq_parent(self, player):
         return self._seq_parent[player]
 
-    def seq_chain(self, player, sid):
-        """Non-empty sequences on the path to ``sid``, inclusive."""
-        return self._seq_chain[player][sid]
-
     def child_infosets(self, player, sid):
         """Infosets of ``player`` whose parent sequence is ``sid``."""
         return self._seq_child_isets[player][sid]
@@ -456,21 +428,26 @@ class GameTree:
         start = self._pre_index[gid]
         return self._player_isets[i][start:self._subtree_end[gid]]
 
-    def subtree_sequences(self, gid):
-        """Sequence ids at or below infoset ``gid``, parents first."""
-        ids = self._subtree_seq_cache.get(gid)
-        if ids is None:
-            out = []
-            for g2 in self.subtree_infosets(gid):
-                out.extend(self.infosets[g2].seq_ids)
-            ids = np.asarray(out, dtype=np.int64)
-            self._subtree_seq_cache[gid] = ids
-        return ids
-
     def subtree_seq_mask(self, gid):
         """Boolean array over the owner's sequences marking the subtree of ``gid``."""
         js = self.infosets[gid]
         return self.player_plan(js.player).subtree[js.seq_ids[0]] > 0.0
+
+    def scope_infosets(self, player, root=None):
+        """Infosets of a strategy scope, parents first.
+
+        The scope is the player's whole forest when ``root`` is None, else the
+        subtree of infoset ``root``, which must belong to ``player``.
+        """
+        if root is None:
+            return self._player_isets[player]
+        if self.infosets[root].player != player:
+            raise ValueError("subtree root belongs to a different player")
+        return self.subtree_infosets(root)
+
+    def subtree_sequences(self, gid):
+        """Sequence ids at or below infoset ``gid``, in increasing order."""
+        return np.flatnonzero(self.subtree_seq_mask(gid))
 
     def descendant_mask(self, player):
         """Matrix D with D[s, t] true iff sequence t is at or below sequence s."""
@@ -487,21 +464,23 @@ class GameTree:
     def _build_plan(self, player):
         n = self._n_seq[player]
         by_depth: dict[int, dict[int, list[InfoSet]]] = {}
-        subtree = np.zeros((n, n))
         infoset_sum = np.zeros((n, n))
+        # Pre-order visits a parent sequence's infoset before its children's,
+        # so each infoset's columns can copy their parent sequence's column.
         below = np.zeros((n, n))
-        below[EMPTY_SEQ] = 1.0
-        for sid in range(1, n):
-            below[self._seq_chain[player][sid], sid] = 1.0
+        below[EMPTY_SEQ, EMPTY_SEQ] = 1.0
         uniform = np.ones(n)
         for gid in self._player_isets[player]:
             js = self.infosets[gid]
             sids = list(js.seq_ids)
-            depth = len(self._seq_chain[player][js.parent_seq])
+            below[:, sids] = below[:, [js.parent_seq]]
+            below[sids, sids] = 1.0
+            depth = int(below[1:, js.parent_seq].sum())
             by_depth.setdefault(depth, {}).setdefault(len(sids), []).append(js)
-            subtree[np.ix_(sids, self.subtree_sequences(gid))] = 1.0
             infoset_sum[np.ix_(sids, sids)] = 1.0
             uniform[sids] = 1.0 / len(sids)
+        # 0/1, because the sequences of one infoset have disjoint descendants.
+        subtree = infoset_sum @ below
 
         levels = []
         for depth in sorted(by_depth):
@@ -586,13 +565,7 @@ def sequence_precedes(game, seq_a, seq_b):
     pb, sb = seq_b
     if pa != pb:
         raise ValueError(f"cannot compare sequences of players {pa + 1} and {pb + 1}")
-    if sa == sb:
-        return False
-    if sa == EMPTY_SEQ:
-        return True
-    if sb == EMPTY_SEQ:
-        return False
-    return sa in game.seq_chain(pa, sb)
+    return sa != sb and bool(game.player_plan(pa).below[sa, sb] > 0.0)
 
 
 def sequences_at_or_below(game, gid):

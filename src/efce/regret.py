@@ -70,10 +70,7 @@ class CfrMinimizer:
         self.game = game
         self.player = player
         self.root = root
-        if root is not None and game.infosets[root].player != player:
-            raise ValueError("subtree root belongs to a different player")
-        self._isets = (game.player_infosets(player) if root is None
-                       else game.subtree_infosets(root))
+        self._isets = game.scope_infosets(player, root)
         self._seq_ids = {gid: np.asarray(game.infosets[gid].seq_ids, dtype=np.int64)
                          for gid in self._isets}
         self._children = {

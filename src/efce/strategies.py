@@ -68,31 +68,21 @@ def validate_strategy(game, strat, tol=_FLOW_TOL):
     n = game.num_sequences(i)
     if v.shape != (n,):
         raise ValueError(f"strategy has {v.shape[0]} entries, expected {n}")
-    if np.any(v < -tol) or np.any(v > 1.0 + tol):
+    if not np.all((v >= -tol) & (v <= 1.0 + tol)):
         raise ValueError("strategy entries must lie in [0, 1]")
 
+    isets = game.scope_infosets(i, strat.root)
     if strat.root is None:
-        if abs(v[EMPTY_SEQ] - 1.0) > tol:
+        if not abs(v[EMPTY_SEQ] - 1.0) <= tol:
             raise ValueError("full-tree strategy must put mass 1 on the empty sequence")
-        isets = game.player_infosets(i)
-        in_scope = None
-    else:
-        root = game.infosets[strat.root]
-        if root.player != i:
-            raise ValueError("subtree root belongs to a different player")
-        isets = game.subtree_infosets(strat.root)
-        in_scope = game.subtree_seq_mask(strat.root)
-        if np.any(v[~in_scope] != 0.0):
-            raise ValueError("subtree strategy must be zero outside its subtree")
+    elif np.any(v[~game.subtree_seq_mask(strat.root)] != 0.0):
+        raise ValueError("subtree strategy must be zero outside its subtree")
 
     for gid in isets:
         js = game.infosets[gid]
         total = float(v[list(js.seq_ids)].sum())
-        if strat.root is not None and gid == strat.root:
-            incoming = 1.0
-        else:
-            incoming = float(v[js.parent_seq])
-        if abs(total - incoming) > tol:
+        incoming = 1.0 if gid == strat.root else float(v[js.parent_seq])
+        if not abs(total - incoming) <= tol:
             raise ValueError(
                 f"flow conservation fails at information set '{js.label}' of "
                 f"player {i + 1}: {total!r} outgoing vs {incoming!r} incoming"
@@ -113,12 +103,10 @@ def sequence_from_behavioral(game, player, local, root=None):
     ``local`` maps a global infoset id to an action-probability array.  The
     result is scoped to ``root`` when given, full-tree otherwise.
     """
+    isets = game.scope_infosets(player, root)
     values = np.zeros(game.num_sequences(player))
     if root is None:
         values[EMPTY_SEQ] = 1.0
-        isets = game.player_infosets(player)
-    else:
-        isets = game.subtree_infosets(root)
     for gid in isets:
         js = game.infosets[gid]
         mass = 1.0 if gid == root else values[js.parent_seq]
@@ -132,8 +120,7 @@ def uniform_strategy(game, player, root=None):
     local = {
         gid: np.full(len(game.infosets[gid].actions),
                      1.0 / len(game.infosets[gid].actions))
-        for gid in (game.player_infosets(player) if root is None
-                    else game.subtree_infosets(root))
+        for gid in game.scope_infosets(player, root)
     }
     return sequence_from_behavioral(game, player, local, root)
 
@@ -175,8 +162,7 @@ def sample_pure(game, strat, rng):
 
 def enumerate_pure(game, player, root=None):
     """Yield every deterministic strategy of the given scope."""
-    order = list(game.player_infosets(player) if root is None
-                 else game.subtree_infosets(root))
+    order = game.scope_infosets(player, root)
     values = np.zeros(game.num_sequences(player))
     if root is None:
         values[EMPTY_SEQ] = 1.0

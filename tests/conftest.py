@@ -41,10 +41,8 @@ def brute_expected_payoffs(game, strategies):
 
 def random_behavioral(game, player, rng, root=None):
     """Random point of the sequence-form polytope via random local simplices."""
-    isets = (game.player_infosets(player) if root is None
-             else game.subtree_infosets(root))
     local = {}
-    for gid in isets:
+    for gid in game.scope_infosets(player, root):
         m = len(game.infosets[gid].actions)
         raw = np.array([rng.random() + 1e-3 for _ in range(m)])
         local[gid] = raw / raw.sum()

@@ -75,6 +75,7 @@ def test_usage_errors(capsys):
     assert cli.main(["run", "--builtin", "fig1", "--builtin-seed", "0",
                      "--iterations", "5", "--delta", "2"]) == 2
     assert cli.main(["frobnicate"]) == 2
+    assert cli.main(["validate", "--builtin", "kuhn3", "some.game"]) == 2
     capsys.readouterr()
 
 
@@ -104,6 +105,15 @@ def test_run_writes_log_and_summary(tmp_path, capsys):
     summary = (tmp_path / "summary.txt").read_text()
     assert "game: fig1-s1" in summary
     assert "iterations: 30" in summary
+
+
+def test_run_out_is_a_file_exits_3(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code = cli.main(["run", "--builtin", "fig1", "--builtin-seed", "0",
+                     "--iterations", "5", "--out", str(taken)])
+    assert code == 3
+    assert "cannot write results" in capsys.readouterr().err
 
 
 def test_run_game_file(tmp_path, capsys):

@@ -140,6 +140,14 @@ def test_convex_deviation_validation():
         efce.ConvexTriggerDeviation(0, [(1, -0.5, cont), (2, 1.5, cont)])
     with pytest.raises(ValueError):
         efce.ConvexTriggerDeviation(0, [(1, 0.4, cont)])
+    with pytest.raises(ValueError):
+        efce.ConvexTriggerDeviation(0, [(3, 1.0, cont), (4, np.nan, cont)])
+    with pytest.raises(ValueError):
+        efce.ConvexTriggerDeviation(0, [(3, np.nan, cont)])
+    lam = np.zeros(9)
+    lam[3] = np.nan
+    with pytest.raises(ValueError):
+        efce.ConvexTriggerDeviation.from_arrays(0, lam, np.zeros((9, 9)))
     empty = efce.ConvexTriggerDeviation(0, [])
     assert empty.terms == []
     x = efce.uniform_strategy(g, 0)
@@ -151,6 +159,12 @@ def test_validate_deviation_checks_continuations():
     bad = np.zeros(9)
     bad[2] = 0.7  # flow broken below
     phi = efce.ConvexTriggerDeviation(0, [(1, 1.0, bad)])
+    with pytest.raises(ValueError):
+        efce.validate_deviation(g, phi)
+    nan_cont = np.zeros(9)
+    nan_cont[1] = nan_cont[3] = 1.0
+    nan_cont[5] = np.nan
+    phi = efce.ConvexTriggerDeviation(0, [(1, 1.0, nan_cont)])
     with pytest.raises(ValueError):
         efce.validate_deviation(g, phi)
     da, db, dc = fig1_deviations(g)

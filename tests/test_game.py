@@ -141,6 +141,41 @@ def test_infoset_action_sets_must_match():
         efce.parse_game(text)
 
 
+@pytest.mark.parametrize("text, match", [
+    ("players 0; root z; leaf z {}", "at least 1"),
+    ("players 2; root a; decision a player 3 infoset A { x -> z }; leaf z {0 0}",
+     "player 3"),
+    ("players 1; root r; leaf z {0}", "root node 'r' is not declared"),
+    ("players 1; root a; decision a player 1 infoset A { x -> a }", "appears as a child"),
+    ("players 1; root a; decision a player 1 infoset A { x -> y ; x -> z }\n"
+     "leaf y {0}; leaf z {0}", "repeats an action"),
+    ("players 1; root c; chance c { h=0.5 -> y ; h=0.5 -> z }\n"
+     "leaf y {0}; leaf z {0}", "repeats an action"),
+    ("players 1; root a; decision a player 1 infoset A { }", "no actions"),
+])
+def test_structural_errors_rejected(text, match):
+    with pytest.raises(efce.GameValidationError, match=match):
+        efce.parse_game(text)
+
+
+@pytest.mark.parametrize("text, match, line, col", [
+    ("players 1; root a\ndecision a player 1 infoset A {", "unexpected end of input",
+     2, 32),
+    ("players 1; root z\nleaf z 0", "expected '{'", 2, 8),
+    ("players 1; root c\nchance c { h=half -> z }", "probability", 2, 14),
+    ("game g; game h; players 1; root z; leaf z {0}", "repeated 'game'", 1, 9),
+    ("players 1; players 1; root z; leaf z {0}", "repeated 'players'", 1, 12),
+    ("players 1; root z; root z; leaf z {0}", "repeated 'root'", 1, 20),
+    ("root z; leaf z {0}", "missing 'players'", 1, 1),
+    ("players 1; leaf z {0}", "missing 'root'", 1, 1),
+    ("players 1; root z\nnode z {0}", "statement keyword", 2, 1),
+])
+def test_format_errors_report_position(text, match, line, col):
+    with pytest.raises(efce.GameFormatError, match=match) as e:
+        efce.parse_game(text)
+    assert (e.value.line, e.value.col) == (line, col)
+
+
 def test_perfect_recall_violation_rejected():
     # both children of the player's own choice land in one infoset
     text = ("players 1; root a\n"
@@ -220,6 +255,37 @@ def test_descendant_mask():
     assert set(np.flatnonzero(desc[3])) == {3}
 
 
+def test_plan_matches_independent_ancestry():
+    # Ancestry rebuilt by walking seq_parent upward, subtrees from the
+    # infoset forest; neither reads the plan.
+    games = [efce.builtin_game("kuhn3"), efce.builtin_game("fig1", seed=0)]
+    games += [efce.builtin_game("random-tree", seed=s) for s in range(64)]
+    for g in games:
+        for i in range(g.n_players):
+            n = g.num_sequences(i)
+            parent = g.seq_parent(i)
+            below = np.zeros((n, n))
+            for t in range(n):
+                s = t
+                while s != efce.EMPTY_SEQ:
+                    below[s, t] = 1.0
+                    s = parent[s]
+                below[efce.EMPTY_SEQ, t] = 1.0
+            subtree = np.zeros((n, n))
+            for gid in g.player_infosets(i):
+                sub = {sid for g2 in g.subtree_infosets(gid)
+                       for sid in g.infosets[g2].seq_ids}
+                assert set(g.subtree_sequences(gid).tolist()) == sub
+                subtree[np.ix_(g.infosets[gid].seq_ids, sorted(sub))] = 1.0
+            plan = g.player_plan(i)
+            assert np.array_equal(plan.below, below)
+            assert np.array_equal(plan.subtree, subtree)
+            for a in range(n):
+                for b in range(n):
+                    want = a != b and below[a, b] == 1.0
+                    assert efce.sequence_precedes(g, (i, a), (i, b)) == want
+
+
 def test_pure_strategy_counts():
     g = efce.builtin_game("fig1", seed=0)
     assert g.pure_count(0) == 6
@@ -262,6 +328,9 @@ def test_random_trees_are_valid_and_varied():
 def test_unknown_builtin_rejected():
     with pytest.raises(ValueError, match="builtin"):
         efce.builtin_game("nope")
+    for name in ("fig1", "random-tree"):
+        with pytest.raises(ValueError, match="requires"):
+            efce.builtin_game(name)
 
 
 def test_infoset_lookup():

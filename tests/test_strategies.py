@@ -81,7 +81,25 @@ def test_validate_rejects_bad_vectors():
     B = g.infoset(0, "B").index
     with pytest.raises(ValueError):
         efce.validate_strategy(g, efce.SequenceFormStrategy(0, outside, B))
+    not_a_number = efce.uniform_strategy(g, 0).values
+    not_a_number[3] = np.nan
+    with pytest.raises(ValueError):
+        efce.validate_strategy(g, efce.SequenceFormStrategy(0, not_a_number, None))
     assert not efce.is_valid_strategy(g, efce.SequenceFormStrategy(0, bad_flow, None))
+
+
+def test_subtree_root_of_another_player_rejected():
+    g = efce.builtin_game("fig1", seed=0)
+    R = g.infoset(1, "R").index
+    calls = [
+        lambda: efce.subtree_best_response(g, 0, np.arange(9.0), root=R),
+        lambda: efce.uniform_strategy(g, 0, root=R),
+        lambda: list(efce.enumerate_pure(g, 0, root=R)),
+        lambda: efce.sequence_from_behavioral(g, 0, {R: [.5, .5]}, root=R),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="different player"):
+            call()
 
 
 def test_enumerate_pure_matches_counts():
@@ -125,6 +143,34 @@ def test_sampling_is_unbiased_and_consistent():
     tol = 5 * np.sqrt(q * (1 - q) / n) + 1e-12
     assert (np.abs(freq - q) <= tol).all()
     assert acc[7] == 0.0
+
+
+def test_sampling_is_unbiased_on_random_trees():
+    # About 30% of infosets give their first action probability 0, so each
+    # game mixes interior and zero-mass sequences.
+    rng = random.Random(17)
+    n = 2000
+    zero_mass = 0
+    for s in range(64):
+        g = efce.builtin_game("random-tree", seed=s)
+        for i in range(g.n_players):
+            if g.num_sequences(i) == 1:
+                continue
+            local = {}
+            for gid in g.player_infosets(i):
+                raw = np.array([rng.random() + 1e-3 for _ in g.infosets[gid].actions])
+                if rng.random() < 0.3:
+                    raw[0] = 0.0
+                local[gid] = raw / raw.sum()
+            q = efce.sequence_from_behavioral(g, i, local).values
+            acc = np.zeros_like(q)
+            for _ in range(n):
+                acc += efce.sample_pure(g, efce.SequenceFormStrategy(i, q, None), rng).values
+            tol = 5 * np.sqrt(q * (1 - q) / n) + 1e-12
+            assert (np.abs(acc / n - q) <= tol).all()
+            assert (acc[q == 0.0] == 0.0).all()
+            zero_mass += int((q == 0.0).sum())
+    assert zero_mass > 0
 
 
 def test_sampling_requires_full_scope():
