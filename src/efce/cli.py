@@ -91,10 +91,11 @@ def _cmd_validate(args, parser):
 
 def _cmd_run(args, parser):
     try:
-        check_run_args(args.iterations, args.gap_every, args.delta, args.fp_tol,
-                       args.threads)
+        check_run_args(args.iterations, args.gap_every, args.delta, args.fp_tol)
     except ValueError as exc:
         parser.error("--" + str(exc))
+    if args.threads < 1:
+        parser.error("--threads must be at least 1")
     game = _load_game(args, parser)
     log = run(
         game,
@@ -103,7 +104,6 @@ def _cmd_run(args, parser):
         gap_every=args.gap_every,
         delta=args.delta,
         fp_tol=args.fp_tol,
-        threads=args.threads,
     )
     out = Path(args.out)
     try:

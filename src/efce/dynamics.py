@@ -25,21 +25,6 @@ from .trigger import PhiRegretMeter, PureTriggerMinimizer, best_values, split_rn
 _PROFILE_KEEP_LIMIT = 200
 
 
-class _ConstantState:
-    """Stand-in minimizer for a player with no decision points."""
-
-    def __init__(self, game, player):
-        values = np.zeros(game.num_sequences(player))
-        values[EMPTY_SEQ] = 1.0
-        self._strat = SequenceFormStrategy(player, values, None)
-
-    def next_element(self):
-        return self._strat.copy()
-
-    def observe_utility(self, util):
-        pass
-
-
 class EmpiricalFrequency:
     """Running summary of a sequence of sampled deterministic profiles.
 
@@ -57,11 +42,17 @@ class EmpiricalFrequency:
         self.game = game
         self.t = 0
         self.meters = [PhiRegretMeter(game, i) for i in range(game.n_players)]
-        self.tables = [m.tables for m in self.meters]
-        self.follow = [m.follow for m in self.meters]
         small = game.joint_profile_count() <= _PROFILE_KEEP_LIMIT
         self.profiles: list[list] | None = [] if small else None
         self._profile_index: dict[bytes, list] = {}
+
+    @property
+    def tables(self):
+        return [m.tables for m in self.meters]
+
+    @property
+    def follow(self):
+        return [m.follow for m in self.meters]
 
     def accumulate(self, profile):
         """Fold one joint profile into the summary; return each player's utility vector."""
@@ -272,7 +263,7 @@ class RunLog:
         return "\n".join(out) + "\n"
 
 
-def check_run_args(iterations, gap_every, delta, fp_tol, threads):
+def check_run_args(iterations, gap_every, delta, fp_tol):
     """Raise ValueError unless the arguments of :func:`run` are valid.
 
     Each message starts with the argument's command-line name.
@@ -283,33 +274,24 @@ def check_run_args(iterations, gap_every, delta, fp_tol, threads):
         raise ValueError("gap-every must be at least 1")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie strictly between 0 and 1")
-    if threads < 1:
-        raise ValueError("threads must be at least 1")
     if not 0.0 < fp_tol < math.inf:
         raise ValueError("fp-tol must be positive and finite")
 
 
-def run(game, iterations, seed, gap_every=100, delta=0.01, fp_tol=1e-10, threads=1):
+def run(game, iterations, seed, gap_every=100, delta=0.01, fp_tol=1e-10):
     """Run uncoupled self-play for a number of rounds and log its progress.
 
     Every player independently runs the pure trigger-regret minimizer, with
     per-player random streams split deterministically from ``seed``.  The
     trigger gap of the empirical play distribution is evaluated every
     ``gap_every`` rounds and at the end; ``delta`` sets the confidence level
-    of the logged high-probability gap bound.  ``threads`` is validated but
-    runs nothing in parallel: the per-player work is too small to gain from
-    threads, so neither the output nor the speed depends on it.
+    of the logged high-probability gap bound.
     """
-    check_run_args(iterations, gap_every, delta, fp_tol, threads)
+    check_run_args(iterations, gap_every, delta, fp_tol)
 
     n = game.n_players
     rngs = split_rngs(seed, n)
-    states = [
-        PureTriggerMinimizer(game, i, rngs[i], fp_tol)
-        if game.num_sequences(i) > 1
-        else _ConstantState(game, i)
-        for i in range(n)
-    ]
+    states = [PureTriggerMinimizer(game, i, rngs[i], fp_tol) for i in range(n)]
     freq = EmpiricalFrequency(game)
     checkpoints = set(range(gap_every, iterations + 1, gap_every))
     checkpoints.add(iterations)

@@ -364,17 +364,19 @@ class GameTree:
             roots = [js.index for js in self.infosets
                      if js.player == i and js.parent_seq == EMPTY_SEQ]
             order: list[int] = []
-
-            def visit(gid):
+            # Depth-first pre-order without recursion, so depth is unbounded;
+            # ~gid on the stack closes the subtree of gid.
+            stack = roots[::-1]
+            while stack:
+                gid = stack.pop()
+                if gid < 0:
+                    self._subtree_end[~gid] = len(order)
+                    continue
                 self._pre_index[gid] = len(order)
                 order.append(gid)
-                for sid in self.infosets[gid].seq_ids:
-                    for child in self._seq_child_isets[i][sid]:
-                        visit(child)
-                self._subtree_end[gid] = len(order)
-
-            for gid in roots:
-                visit(gid)
+                stack.append(~gid)
+                for sid in reversed(self.infosets[gid].seq_ids):
+                    stack.extend(reversed(self._seq_child_isets[i][sid]))
             self._player_isets.append(tuple(order))
 
         self._plan_cache: dict[int, PlayerPlan] = {}
@@ -507,25 +509,16 @@ class GameTree:
 
     def pure_count(self, player):
         """Number of deterministic sequence-form strategies of one player."""
-        memo: dict[int, int] = {}
-
-        def count(gid):
-            got = memo.get(gid)
-            if got is None:
-                got = 0
-                for sid in self.infosets[gid].seq_ids:
-                    prod = 1
-                    for child in self._seq_child_isets[player][sid]:
-                        prod *= count(child)
-                    got += prod
-                memo[gid] = got
-            return got
-
-        total = 1
-        for gid in self._player_isets[player]:
-            if self.infosets[gid].parent_seq == EMPTY_SEQ:
-                total *= count(gid)
-        return total
+        order = self._player_isets[player]
+        count: dict[int, int] = {}
+        # Reverse pre-order counts every child infoset before its parent.
+        for gid in reversed(order):
+            count[gid] = sum(
+                math.prod(count[c] for c in self._seq_child_isets[player][sid])
+                for sid in self.infosets[gid].seq_ids
+            )
+        return math.prod(count[gid] for gid in order
+                         if self.infosets[gid].parent_seq == EMPTY_SEQ)
 
     def joint_profile_count(self):
         total = 1

@@ -67,7 +67,7 @@ def validate_strategy(game, strat, tol=_FLOW_TOL):
     v = strat.values
     n = game.num_sequences(i)
     if v.shape != (n,):
-        raise ValueError(f"strategy has {v.shape[0]} entries, expected {n}")
+        raise ValueError(f"strategy has shape {v.shape}, expected ({n},)")
     if not np.all((v >= -tol) & (v <= 1.0 + tol)):
         raise ValueError("strategy entries must lie in [0, 1]")
 
@@ -161,7 +161,10 @@ def sample_pure(game, strat, rng):
 
 
 def enumerate_pure(game, player, root=None):
-    """Yield every deterministic strategy of the given scope."""
+    """Iterator over every deterministic strategy of the given scope.
+
+    The scope is checked at the call, before the first strategy is drawn.
+    """
     order = game.scope_infosets(player, root)
     values = np.zeros(game.num_sequences(player))
     if root is None:
@@ -181,7 +184,7 @@ def enumerate_pure(game, player, root=None):
             yield from rec(k + 1)
             values[sid] = 0.0
 
-    yield from rec(0)
+    return rec(0)
 
 
 def utility_vector(game, player, profile):

@@ -16,26 +16,12 @@ the image of the round's fixed point.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
 from .deviations import ConvexTriggerDeviation, fixed_point
 from .regret import CallOrderError
 from .strategies import sample_pure
-
-
-@dataclass
-class RankOneFunctional:
-    """Utility on deviations: phi maps to ell . phi(q), kept in factored form."""
-
-    player: int
-    ell: np.ndarray
-    q: np.ndarray
-
-    def matrix(self):
-        """Dense coefficient matrix, for tests: entry (r, c) is ell[r] * q[c]."""
-        return np.outer(self.ell, self.q)
 
 
 class HullMinimizer:
@@ -87,14 +73,18 @@ class HullMinimizer:
         self._phi = ConvexTriggerDeviation.from_arrays(self.player, lam, conts)
         return self._phi
 
-    def observe_utility(self, func):
+    def observe_utility(self, ell, q):
+        """Observe the rank-one utility ell ⊗ q: a deviation phi earns ell . phi(q).
+
+        ``ell`` is the utility vector over the player's sequences and ``q``
+        the point the round's deviation was applied to.
+        """
         phi, self._phi = self._phi, None
         if phi is None:
             raise CallOrderError("observe_utility called before next_element")
         if phi.lam.size == 0:
             return
         plan = self._plan
-        ell, q = func.ell, func.q
         # Counterfactual values, completed bottom-up with child infoset values.
         vals = q[:, None] * ell * plan.subtree
         iset_vals = np.zeros_like(vals)
@@ -116,6 +106,7 @@ class MixedTriggerMinimizer:
     Each round plays the fixed point of the hull's deviation, so the value a
     deviation assigns to the played point equals the played point's own
     utility, and the hull's deviation-space regret transfers unchanged.
+    The hull enforces that next and observe calls alternate.
     """
 
     def __init__(self, game, player, fp_tol=1e-10):
@@ -123,45 +114,30 @@ class MixedTriggerMinimizer:
         self.player = player
         self.fp_tol = fp_tol
         self.hull = HullMinimizer(game, player)
-        self.last_q = None
-        self._awaiting = False
+        self.last_mixed = None
 
     def next_element(self):
-        if self._awaiting:
-            raise CallOrderError("next_element called again before observe_utility")
         phi = self.hull.next_element()
-        self.last_q = fixed_point(self.game, phi, self.fp_tol)
-        self._awaiting = True
-        return self.last_q
+        self.last_mixed = fixed_point(self.game, phi, self.fp_tol)
+        return self.last_mixed
 
     def observe_utility(self, util):
-        if not self._awaiting:
-            raise CallOrderError("observe_utility called before next_element")
         coeffs = np.asarray(getattr(util, "coefficients", util), dtype=float)
-        self.hull.observe_utility(
-            RankOneFunctional(self.player, coeffs, self.last_q.values)
-        )
-        self._awaiting = False
+        # Before the first round there is no point; the hull raises CallOrderError.
+        self.hull.observe_utility(coeffs, getattr(self.last_mixed, "values", None))
 
 
-class PureTriggerMinimizer:
+class PureTriggerMinimizer(MixedTriggerMinimizer):
     """Mixed trigger minimizer plus per-round sampling of a pure strategy."""
 
     def __init__(self, game, player, rng, fp_tol=1e-10):
-        self.game = game
-        self.player = player
+        super().__init__(game, player, fp_tol)
         self.rng = rng
-        self.mixed = MixedTriggerMinimizer(game, player, fp_tol)
-        self.last_mixed = None
         self.last_pure = None
 
     def next_element(self):
-        self.last_mixed = self.mixed.next_element()
-        self.last_pure = sample_pure(self.game, self.last_mixed, self.rng)
+        self.last_pure = sample_pure(self.game, super().next_element(), self.rng)
         return self.last_pure
-
-    def observe_utility(self, util):
-        self.mixed.observe_utility(util)
 
 
 def best_values(plan, vals, trigger_values=None):

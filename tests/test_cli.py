@@ -74,6 +74,8 @@ def test_usage_errors(capsys):
                      "--iterations", "0"]) == 2
     assert cli.main(["run", "--builtin", "fig1", "--builtin-seed", "0",
                      "--iterations", "5", "--delta", "2"]) == 2
+    assert cli.main(["run", "--builtin", "fig1", "--builtin-seed", "0",
+                     "--iterations", "5", "--threads", "0"]) == 2
     assert cli.main(["frobnicate"]) == 2
     assert cli.main(["validate", "--builtin", "kuhn3", "some.game"]) == 2
     capsys.readouterr()

@@ -1,7 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 
 import efce
+import efce.cli as cli
 
 
 def test_fig1_structure():
@@ -294,6 +297,25 @@ def test_pure_strategy_counts():
     k = efce.builtin_game("kuhn3")
     assert k.pure_count(0) == 27
     assert k.pure_count(1) == 64
+
+
+def test_deep_chain_parses_without_recursion(tmp_path, capsys):
+    # One infoset per level, nested deeper than the interpreter's recursion limit.
+    depth = sys.getrecursionlimit() + 100
+    lines = ["players 1", "root d0"]
+    for k in range(depth):
+        nxt = f"d{k + 1}" if k + 1 < depth else f"y{k}"
+        lines.append(f"decision d{k} player 1 infoset I{k} {{ x -> z{k} ; y -> {nxt} }}")
+        lines.append(f"leaf z{k} {{ {k} }}")
+    lines.append(f"leaf y{depth - 1} {{ -1 }}")
+    text = "\n".join(lines) + "\n"
+    g = efce.parse_game(text)
+    assert g.pure_count(0) == depth + 1
+    assert list(g.player_infosets(0)) == [g.infoset(0, f"I{k}").index for k in range(depth)]
+    path = tmp_path / "chain.game"
+    path.write_text(text)
+    assert cli.main(["validate", str(path)]) == 0
+    assert f"player 1: infosets={depth} sequences={2 * depth + 1}" in capsys.readouterr().out
 
 
 def test_sequence_count_bounded_by_nodes():

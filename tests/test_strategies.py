@@ -88,6 +88,18 @@ def test_validate_rejects_bad_vectors():
     assert not efce.is_valid_strategy(g, efce.SequenceFormStrategy(0, bad_flow, None))
 
 
+def test_validate_reports_wrong_shape():
+    g = efce.builtin_game("fig1", seed=0)
+    scalar = efce.SequenceFormStrategy(0, 1.0, None)
+    with pytest.raises(ValueError, match=r"shape \(\), expected \(9,\)"):
+        efce.validate_strategy(g, scalar)
+    assert not efce.is_valid_strategy(g, scalar)
+    square = efce.SequenceFormStrategy(0, np.eye(9), None)
+    with pytest.raises(ValueError, match=r"shape \(9, 9\), expected \(9,\)"):
+        efce.validate_strategy(g, square)
+    assert not efce.is_valid_strategy(g, square)
+
+
 def test_subtree_root_of_another_player_rejected():
     g = efce.builtin_game("fig1", seed=0)
     R = g.infoset(1, "R").index
@@ -95,6 +107,7 @@ def test_subtree_root_of_another_player_rejected():
         lambda: efce.subtree_best_response(g, 0, np.arange(9.0), root=R),
         lambda: efce.uniform_strategy(g, 0, root=R),
         lambda: list(efce.enumerate_pure(g, 0, root=R)),
+        lambda: efce.enumerate_pure(g, 0, root=R),  # checked before the first draw
         lambda: efce.sequence_from_behavioral(g, 0, {R: [.5, .5]}, root=R),
     ]
     for call in calls:

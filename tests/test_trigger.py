@@ -18,15 +18,6 @@ def test_split_rngs_deterministic_and_independent():
     assert [r.random() for r in c] != [seqs_a[i][0] for i in range(3)]
 
 
-def test_rank_one_functional_matrix():
-    # entry [r, c] is ell[r] * q[c], so the Frobenius pairing with a matrix
-    # M recovers ell @ (M @ q)
-    f = efce.RankOneFunctional(0, np.array([1.0, 2.0]), np.array([3.0, 4.0]))
-    assert np.allclose(f.matrix(), [[3.0, 4.0], [6.0, 8.0]])
-    m = np.array([[0.5, 0.25], [0.5, 0.75]])
-    assert np.sum(f.matrix() * m) == pytest.approx(f.ell @ (m @ f.q))
-
-
 def test_hull_first_deviation_is_uniform_mixture():
     g = efce.builtin_game("fig1", seed=0)
     hull = efce.HullMinimizer(g, 0)
@@ -58,7 +49,7 @@ def test_per_trigger_state_unmoved_until_triggered():
     q[2] = 1.0
     q[7] = 1.0  # never reaches sequence 3
     for _ in range(5):
-        hull.observe_utility(efce.RankOneFunctional(0, ell, q))
+        hull.observe_utility(ell, q)
         nxt = hull.next_element().C[3]
         assert np.allclose(nxt, first)
         assert not hull.regrets[3].any()
@@ -73,7 +64,7 @@ def test_per_trigger_state_reacts_once_triggered():
     ell[4] = -5.0
     q = np.zeros(9)
     q[0] = q[1] = q[3] = 1.0
-    hull.observe_utility(efce.RankOneFunctional(0, ell, q))
+    hull.observe_utility(ell, q)
     nxt = hull.next_element().C[3]
     assert nxt[3] == pytest.approx(1.0)
     assert nxt[4] == pytest.approx(0.0)
@@ -82,13 +73,13 @@ def test_per_trigger_state_reacts_once_triggered():
 def test_hull_alternation_enforced():
     g = efce.builtin_game("fig1", seed=0)
     hull = efce.HullMinimizer(g, 0)
-    func = efce.RankOneFunctional(0, np.zeros(9), np.zeros(9))
+    ell = q = np.zeros(9)
     with pytest.raises(efce.CallOrderError):
-        hull.observe_utility(func)
+        hull.observe_utility(ell, q)
     hull.next_element()
     with pytest.raises(efce.CallOrderError):
         hull.next_element()
-    hull.observe_utility(func)
+    hull.observe_utility(ell, q)
     hull.next_element()
 
 
@@ -143,7 +134,7 @@ def test_flat_hull_matches_per_trigger_learners():
                 assert np.abs(phi.C[1:] - conts).max() <= 1e-12
                 ell = np.array([rng.uniform(-1, 1) for _ in range(n)])
                 q = random_behavioral(g, i, rng).values
-                hull.observe_utility(efce.RankOneFunctional(i, ell, q))
+                hull.observe_utility(ell, q)
                 ref.observe_utility(ell, q)
             compared += 1
     assert compared >= 12
