@@ -14,6 +14,7 @@ column-stochastic matrix, batched over the infosets of a level.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .game import EMPTY_SEQ
 from .strategies import SequenceFormStrategy, validate_strategy
 
 _WEIGHT_TOL = 1e-9
+_ONE_BLOCK = np.zeros(1, dtype=np.int64)
 # Flat indices into a 3 x 3 matrix for each state a = 0, 1, 2 and its two
 # other states c < d: entries (a, c), (a, d), (c, d) and (d, c).
 _AC = np.array([1, 3, 6])
@@ -47,17 +49,21 @@ class TriggerDeviation:
 
 
 class ConvexTriggerDeviation:
-    """Convex combination of trigger deviations for one player.
+    """Convex combination of trigger deviations for one player, or one per player of a group.
 
     ``entries`` holds (trigger sequence id, weight, continuation vector)
-    triples.  Weights must be nonnegative and sum to 1; zero-weight entries
-    are dropped.  An empty combination is allowed for players without any
-    non-empty sequences and acts as the identity.
+    triples.  Trigger ids must be non-empty sequence ids, weights must be
+    nonnegative and sum to 1; zero-weight entries are dropped.  An empty
+    combination is allowed for players without any non-empty sequences and
+    acts as the identity.
 
     The combination is held densely: ``lam[s]`` is the weight of trigger s
     and row s of ``C`` its continuation, supported on the subtree of the
     trigger's infoset (zero rows for sequences that are not triggers).  Both
-    are empty for the empty combination.
+    are empty for the empty combination.  A group's combination (from
+    :meth:`from_arrays` with a tuple ``player``) is indexed by the group's
+    :class:`~efce.game.PlayerPlan`: every player's weights sum to 1, or to
+    0 for a player without triggers, and ``C`` is block diagonal.
     """
 
     __slots__ = ("player", "lam", "C")
@@ -70,6 +76,8 @@ class ConvexTriggerDeviation:
         for sid, weight, c in entries:
             if sid == EMPTY_SEQ:
                 raise ValueError("the empty sequence cannot be a trigger")
+            if not 0 < sid < n:
+                raise ValueError(f"trigger {sid} is not a sequence id between 1 and {n - 1}")
             if not weight >= 0.0:
                 raise ValueError("deviation weights must be nonnegative")
             if weight > 0.0:
@@ -77,21 +85,27 @@ class ConvexTriggerDeviation:
                 old = lam[sid]
                 cont[sid] = c if old == 0.0 else (old * cont[sid] + weight * c) / (old + weight)
                 lam[sid] = old + weight
-        self._init(player, lam, cont)
+        self._init(player, lam, cont, _ONE_BLOCK)
 
     @classmethod
-    def from_arrays(cls, player, lam, C):
-        """Wrap dense weights and continuation rows, with the same weight checks."""
+    def from_arrays(cls, player, lam, C, offsets=None):
+        """Wrap dense weights and continuation rows, with the same weight checks.
+
+        ``offsets`` holds where each player's block starts (its empty
+        sequence); the default is one block.
+        """
         phi = cls.__new__(cls)
-        phi._init(player, lam, C)
+        phi._init(player, lam, C, _ONE_BLOCK if offsets is None else offsets)
         return phi
 
-    def _init(self, player, lam, C):
-        if lam.size and (lam[EMPTY_SEQ] != 0.0 or not lam.min() >= 0.0):
-            raise ValueError("deviation weights must be nonnegative and off the empty sequence")
-        total = float(lam.sum())
-        if total != 0.0 and not abs(total - 1.0) <= _WEIGHT_TOL:
-            raise ValueError(f"deviation weights sum to {total!r}, not 1")
+    def _init(self, player, lam, C, offsets):
+        if lam.size:
+            if lam[offsets].any() or not lam.min() >= 0.0:
+                raise ValueError(
+                    "deviation weights must be nonnegative and off the empty sequence")
+            for total in np.add.reduceat(lam, offsets).tolist():
+                if total != 0.0 and not abs(total - 1.0) <= _WEIGHT_TOL:
+                    raise ValueError(f"deviation weights sum to {total!r}, not 1")
         self.player = player
         self.lam = lam
         self.C = C
@@ -102,9 +116,9 @@ class ConvexTriggerDeviation:
         return [(int(s), float(self.lam[s]), self.C[s]) for s in np.flatnonzero(self.lam)]
 
 
-def _arrays(game, phi):
-    """The weights and continuation matrix of ``phi``, sized to its player."""
-    n = game.num_sequences(phi.player)
+def _arrays(plan, phi):
+    """The weights and continuation matrix of ``phi``, sized to its plan."""
+    n = plan.uniform.size
     if phi.lam.size == 0:
         return np.zeros(n), np.zeros((n, n))
     if phi.lam.size != n:
@@ -153,8 +167,9 @@ def apply_trigger(game, dev, x):
 
 def cumulative_weights(game, phi):
     """For each sequence, the total deviation weight at or above it."""
-    lam, _ = _arrays(game, phi)
-    return lam @ game.player_plan(phi.player).below
+    plan = game.player_plan(phi.player)
+    lam, _ = _arrays(plan, phi)
+    return lam @ plan.below
 
 
 def apply_deviation(game, phi, x, cum=None):
@@ -164,12 +179,13 @@ def apply_deviation(game, phi, x, cum=None):
     every trigger on the path to s, that trigger's continuation at s scaled by
     the weight and by x at the trigger.
     """
-    lam, C = _arrays(game, phi)
+    plan = game.player_plan(phi.player)
+    lam, C = _arrays(plan, phi)
     x = np.asarray(x, dtype=float)
     if cum is None:
-        cum = cumulative_weights(game, phi)
+        cum = lam @ plan.below
     out = (1.0 - cum) * x + (lam * x) @ C
-    out[EMPTY_SEQ] = x[EMPTY_SEQ]
+    out[plan.offsets] = x[plan.offsets]
     return out
 
 
@@ -334,7 +350,7 @@ def extend(game, phi, trunk, j_star, x, fp_tol=1e-10):
                 f"the trunk must contain '{game.infosets[pred].label}', the "
                 f"immediate predecessor of '{js.label}'"
             )
-    lam, C = _arrays(game, phi)
+    lam, C = _arrays(game.player_plan(i), phi)
     cum = cumulative_weights(game, phi)
     sids = np.array([js.seq_ids], dtype=np.int64)
     out = np.array(x, dtype=float)
@@ -350,19 +366,23 @@ def extend(game, phi, trunk, j_star, x, fp_tol=1e-10):
 def fixed_point(game, phi, fp_tol=1e-10):
     """Sequence-form fixed point q = phi(q) of a convex trigger combination.
 
-    Starts from the vector with mass only on the empty sequence and extends
-    it one level of the player's infoset forest at a time.  An infoset's
-    incoming mass depends only on shallower entries, so a whole level's is
-    one product, and its infosets are solved together per action count.  The
-    result is checked against the closed-form action; residuals above
-    10 * fp_tol raise :class:`NumericalError`.
+    Starts from the vector with mass only on the empty sequence (of every
+    player of a group's combination) and extends it one level of the infoset
+    forests at a time.  An infoset's incoming mass depends only on shallower
+    entries, so a whole level's is one product, and its infosets are solved
+    together per action count.  The result is checked against the
+    closed-form action; residuals above 10 * fp_tol raise
+    :class:`NumericalError`.
+
+    Returns one player's :class:`~efce.strategies.SequenceFormStrategy`, or
+    for a group's combination the joint values array on the group's plan.
     """
-    i = phi.player
-    lam, C = _arrays(game, phi)
-    cum = cumulative_weights(game, phi)
+    plan = game.player_plan(phi.player)
+    lam, C = _arrays(plan, phi)
+    cum = lam @ plan.below
     x = np.zeros(len(lam))
-    x[EMPTY_SEQ] = 1.0
-    for level in game.player_plan(i).levels:
+    x[plan.offsets] = 1.0
+    for level in plan.levels:
         r = (lam * x) @ C[:, level.seqs]
         for start, sids, parents in level.blocks:
             incoming = r[start:start + sids.size].reshape(sids.shape)
@@ -370,4 +390,6 @@ def fixed_point(game, phi, fp_tol=1e-10):
     resid = float(np.max(np.abs(apply_deviation(game, phi, x, cum) - x)))
     if not resid <= 10.0 * fp_tol:
         raise NumericalError(f"fixed point residual {resid:g} exceeds tolerance")
-    return SequenceFormStrategy(i, x, None)
+    if isinstance(phi.player, Integral):
+        return SequenceFormStrategy(phi.player, x, None)
+    return x

@@ -2,10 +2,11 @@
 
 All players run the pure trigger-regret minimizer in uncoupled self-play.
 The empirical distribution of the sampled joint strategies is summarized by
-per-trigger tables, one regret meter per player; the trigger gap of that
-distribution (how much any player could gain by committing to a single
-trigger deviation in hindsight) is each meter's regret over the rounds, and
-doubles as the distance from correlated-equilibrium behavior.
+per-trigger tables, held for all players by one regret meter; the trigger
+gap of that distribution (how much any player could gain by committing to a
+single trigger deviation in hindsight) is each player's metered regret over
+the rounds, and doubles as the distance from correlated-equilibrium
+behavior.
 
 For small games the distinct sampled profiles are kept with their counts
 so an exhaustive checker can enumerate every deviation directly.
@@ -28,31 +29,35 @@ _PROFILE_KEEP_LIMIT = 200
 class EmpiricalFrequency:
     """Running summary of a sequence of sampled deterministic profiles.
 
-    Holds one :class:`PhiRegretMeter` per player, fed the player's utility
-    vector and played point each round.  For every non-empty sequence s,
-    ``tables[i][s]`` (the meter's table) holds the summed utility coefficient
-    vectors of the rounds in which player i actually played s, restricted to
-    the subtree of s's infoset, and ``follow[i][s]`` the summed realized
-    utility mass at or below s.  Games with at most 200 joint deterministic
-    profiles also keep the raw samples: ``profiles`` holds one ``[values,
-    count]`` entry per distinct joint profile.
+    Holds one :class:`PhiRegretMeter` for all players (``meter``), fed the
+    players' utility vectors and played points each round.  For every
+    non-empty sequence s, ``tables[i][s]`` holds the summed utility
+    coefficient vectors of the rounds in which player i actually played s,
+    restricted to the subtree of s's infoset, and ``follow[i][s]`` the summed
+    realized utility mass at or below s; both are views of player i's block
+    of the meter's joint arrays.  ``utility`` holds the last profile's
+    utility vectors concatenated in the order of the meter's plan, the form
+    a group learner takes them in.  Games with at most 200 joint
+    deterministic profiles also keep the raw samples: ``profiles`` holds one
+    ``[values, count]`` entry per distinct joint profile.
     """
 
     def __init__(self, game):
         self.game = game
         self.t = 0
-        self.meters = [PhiRegretMeter(game, i) for i in range(game.n_players)]
+        self.meter = PhiRegretMeter(game, tuple(range(game.n_players)))
+        self.utility = None
         small = game.joint_profile_count() <= _PROFILE_KEEP_LIMIT
         self.profiles: list[list] | None = [] if small else None
         self._profile_index: dict[bytes, list] = {}
 
     @property
     def tables(self):
-        return [m.tables for m in self.meters]
+        return [self.meter.tables[a:b, a:b] for _, a, b in self.meter.plan.spans]
 
     @property
     def follow(self):
-        return [m.follow for m in self.meters]
+        return [self.meter.follow[a:b] for _, a, b in self.meter.plan.spans]
 
     def accumulate(self, profile):
         """Fold one joint profile into the summary; return each player's utility vector."""
@@ -67,8 +72,8 @@ class EmpiricalFrequency:
                 self.profiles.append(entry)
             entry[1] += 1
         utils = [utility_vector(game, i, profile) for i in range(game.n_players)]
-        for meter, util, strat in zip(self.meters, utils, profile):
-            meter.record(util.coefficients, strat.values)
+        self.utility = np.concatenate([u.coefficients for u in utils])
+        self.meter.record(self.utility, np.concatenate([p.values for p in profile]))
         return utils
 
 
@@ -119,38 +124,40 @@ def subtree_best_response(game, player, coeffs, root=None):
 def efce_gap(freq):
     """Trigger gap of the accumulated empirical distribution.
 
-    Reads each player's cached meter pass: the gap of trigger s is (best
+    Reads the meter's cached pass: the gap of trigger s is (best
     continuation value - follow value) / t, and the witness continuation is
-    read top-down off the completed table row of the player's worst trigger.
+    read top-down off the completed table row of the player's worst
+    trigger.
     """
     game = freq.game
     if freq.t == 0:
         raise ValueError("no profiles accumulated yet")
+    meter = freq.meter
+    best, completed = meter.best_pass()
+    gaps = (best - meter.follow) / freq.t
+    gaps[meter.plan.offsets] = -np.inf
     per_player = []
     trigger_gaps = []
     witnesses = []
-    argmax = None
-    eps = None
-    for i, meter in enumerate(freq.meters):
-        best, completed = meter.best_pass()
-        gaps = (best - meter.follow) / freq.t
-        gaps[EMPTY_SEQ] = -np.inf
+    for i, a, b in meter.plan.spans:
+        own = gaps[a:b]
         witness = None
         eps_i = 0.0
-        if gaps.size > 1:
-            sid = int(gaps.argmax())
-            eps_i = float(gaps[sid])
+        if b - a > 1:
+            # The witness needs the argmax, so it also gives the player's gap.
+            sid = int(own.argmax())
+            eps_i = float(own[sid])
             gid = int(game.seq_infoset(i)[sid])
-            vertex = np.zeros(gaps.size)
-            _walk_best(game, i, completed[sid], gid, vertex)
+            vertex = np.zeros(b - a)
+            _walk_best(game, i, completed[a + sid, a:b], gid, vertex)
             witness = (sid, SequenceFormStrategy(i, vertex, gid))
         per_player.append(eps_i)
-        trigger_gaps.append(gaps)
+        trigger_gaps.append(own)
         witnesses.append(witness)
-        if eps is None or eps_i > eps:
-            eps = eps_i
-            argmax = (i, witness[0]) if witness is not None else None
-    return GapReport(per_player, float(eps), trigger_gaps, witnesses, argmax)
+    eps = max(per_player)
+    top = per_player.index(eps)
+    argmax = (top, witnesses[top][0]) if witnesses[top] is not None else None
+    return GapReport(per_player, eps, trigger_gaps, witnesses, argmax)
 
 
 def efce_gap_brute(freq):
@@ -282,7 +289,8 @@ def run(game, iterations, seed, gap_every=100, delta=0.01, fp_tol=1e-10):
     """Run uncoupled self-play for a number of rounds and log its progress.
 
     Every player independently runs the pure trigger-regret minimizer, with
-    per-player random streams split deterministically from ``seed``.  The
+    per-player random streams split deterministically from ``seed``; the
+    players' minimizers advance together as one group learner.  The
     trigger gap of the empirical play distribution is evaluated every
     ``gap_every`` rounds and at the end; ``delta`` sets the confidence level
     of the logged high-probability gap bound.
@@ -290,8 +298,7 @@ def run(game, iterations, seed, gap_every=100, delta=0.01, fp_tol=1e-10):
     check_run_args(iterations, gap_every, delta, fp_tol)
 
     n = game.n_players
-    rngs = split_rngs(seed, n)
-    states = [PureTriggerMinimizer(game, i, rngs[i], fp_tol) for i in range(n)]
+    learner = PureTriggerMinimizer(game, tuple(range(n)), split_rngs(seed, n), fp_tol)
     freq = EmpiricalFrequency(game)
     checkpoints = set(range(gap_every, iterations + 1, gap_every))
     checkpoints.add(iterations)
@@ -316,10 +323,8 @@ def run(game, iterations, seed, gap_every=100, delta=0.01, fp_tol=1e-10):
 
     report = None
     for t in range(1, iterations + 1):
-        profile = [s.next_element() for s in states]
-        utils = freq.accumulate(profile)
-        for state, util in zip(states, utils):
-            state.observe_utility(util)
+        freq.accumulate(learner.next_element())
+        learner.observe_utility(freq.utility)
 
         gaps = None
         gap_bound = None
@@ -328,15 +333,15 @@ def run(game, iterations, seed, gap_every=100, delta=0.01, fp_tol=1e-10):
             gaps = report.per_player
             gap_bound = gap_factor / math.sqrt(t)
         sqrt_t = math.sqrt(t)
-        for i, meter in enumerate(freq.meters):
+        for i, regret in enumerate(freq.meter.regret()):
             log.rows.append((
-                t, i + 1, meter.regret(), regret_factor[i] * sqrt_t,
+                t, i + 1, regret, regret_factor[i] * sqrt_t,
                 None if gaps is None else gaps[i], gap_bound,
             ))
 
     log.final = report
     log.meta["final_gap_bound"] = gap_factor / math.sqrt(iterations)
-    log.meta["final_regrets"] = [meter.regret() for meter in freq.meters]
+    log.meta["final_regrets"] = freq.meter.regret()
     log.meta["final_regret_bounds"] = [
         regret_factor[i] * math.sqrt(iterations) for i in range(n)
     ]

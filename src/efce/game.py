@@ -28,7 +28,8 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -77,44 +78,81 @@ class InfoSet:
 
 @dataclass(frozen=True)
 class Level:
-    """One player's information sets at one depth of their infoset forest.
+    """The information sets at one depth of a plan's infoset forests.
 
     ``seqs`` lists the level's sequences, grouped by action count, and
-    ``parents`` the parent sequence of each.  ``blocks`` holds one
-    (offset into ``seqs``, sequence ids (k, m), parent sequences (k,))
-    triple per action count m.  Each infoset's sequences are contiguous in
-    ``seqs``: ``starts`` holds where each infoset's segment begins, and
-    ``member`` the level infoset of each sequence.  ``lift`` (level infosets
-    x all sequences) marks each infoset's parent sequence.
+    ``member`` the level infoset of each.  ``blocks`` holds one (offset into
+    ``seqs``, sequence ids (k, m), parent sequences (k,)) triple per action
+    count m; each infoset's sequences are contiguous.  In the plan's level
+    layout the level's sequences are rows ``lo`` to ``hi``, in ``seqs``
+    order, and ``parent_rows`` holds the row of each one's parent sequence.
+    The level's infosets hang below rows ``up_lo`` to ``up_hi``: infoset k
+    below row ``up_lo + up_rel[k]``.
     """
 
     seqs: np.ndarray
-    parents: np.ndarray
-    blocks: tuple
-    lift: np.ndarray
-    starts: np.ndarray
     member: np.ndarray
+    blocks: tuple
+    lo: int
+    hi: int
+    parent_rows: np.ndarray
+    up_lo: int
+    up_hi: int
+    up_rel: np.ndarray
+    # Column count -> bincount index of lift(); filled on first use.
+    _lift_index: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def lift(self, into, here):
+        """Add row k of ``here`` (level infosets x columns) to ``into``'s row of k's parent.
+
+        ``into`` is in the plan's level layout.  One bincount sums the
+        infosets that share a parent, in infoset order.
+        """
+        cols = here.shape[1]
+        index = self._lift_index.get(cols)
+        if index is None:
+            index = (self.up_rel[:, None] * cols + np.arange(cols)).ravel()
+            self._lift_index[cols] = index
+        width = self.up_hi - self.up_lo
+        sums = np.bincount(index, here.ravel(), width * cols)
+        into[self.up_lo:self.up_hi] += sums.reshape(width, cols)
 
 
 @dataclass(frozen=True)
 class PlayerPlan:
-    """Static per-player arrays of the batched hot path and the regret meters.
+    """Static arrays of the batched hot path and the regret meters, for a group of players.
 
-    ``levels`` runs from the roots of the infoset forest down.  The n x n
-    matrices are indexed (sequence, sequence).  Row t of ``subtree`` is 1 on
-    the sequences at or below trigger t's infoset, and row t of
-    ``infoset_sum`` on the sequences of that infoset itself; row 0 (the
-    empty sequence) of both is zero.  A row vector times ``infoset_sum``
-    gives each sequence the total over its infoset.  ``below[s, t]`` is 1
-    when sequence t is at or below sequence s (every t for s = 0).
-    ``uniform`` is 1/m on each sequence of an m-action infoset.
+    The players' sequences share one index: the k-th player's block
+    ``spans[k] = (player, start, stop)`` begins at ``offsets[k]`` with its
+    empty sequence and holds its ``sizes[k]`` sequences in their own order;
+    ``owner[s]`` is the slot k of sequence s.  ``levels`` runs from the roots
+    of the infoset forests down, merging the players' infosets by depth.  The
+    N x N matrices are indexed (sequence, sequence) and block diagonal.  Row
+    t of ``subtree`` is 1 on the sequences at or below trigger t's infoset,
+    and row t of ``infoset_sum`` on the sequences of that infoset itself;
+    the rows of the empty sequences are zero.  ``below[s, t]`` is 1 when
+    sequence t is at or below sequence s (every t of the block when s is its
+    empty sequence).  ``uniform`` is 1/m on each sequence of an m-action
+    infoset.
+
+    The level layout orders sequences by level: row j is sequence
+    ``order[j]`` (the empty sequences first, then each level's ``seqs``),
+    and ``rank[s]`` is the row of sequence s.  The batched passes keep their
+    sequences x triggers work arrays in it, so every level is a run of
+    contiguous rows.
     """
 
+    spans: tuple[tuple[int, int, int], ...]
+    offsets: np.ndarray
+    sizes: np.ndarray
+    owner: np.ndarray
     levels: tuple[Level, ...]
     subtree: np.ndarray
     infoset_sum: np.ndarray
     below: np.ndarray
     uniform: np.ndarray
+    order: np.ndarray
+    rank: np.ndarray
 
 
 class GameTree:
@@ -379,7 +417,7 @@ class GameTree:
                     stack.extend(reversed(self._seq_child_isets[i][sid]))
             self._player_isets.append(tuple(order))
 
-        self._plan_cache: dict[int, PlayerPlan] = {}
+        self._plan_cache: dict[tuple[int, ...], PlayerPlan] = {}
 
     # -- counts and lookups --------------------------------------------------
 
@@ -455,53 +493,70 @@ class GameTree:
         """Matrix D with D[s, t] true iff sequence t is at or below sequence s."""
         return self.player_plan(player).below > 0.0
 
-    def player_plan(self, player):
-        """The player's :class:`PlayerPlan`, built on first use."""
-        plan = self._plan_cache.get(player)
+    def player_plan(self, players):
+        """The :class:`PlayerPlan` of one player or a tuple of players, built on first use."""
+        key = (int(players),) if isinstance(players, Integral) else tuple(players)
+        plan = self._plan_cache.get(key)
         if plan is None:
-            plan = self._build_plan(player)
-            self._plan_cache[player] = plan
+            plan = self._build_plan(key)
+            self._plan_cache[key] = plan
         return plan
 
-    def _build_plan(self, player):
-        n = self._n_seq[player]
-        by_depth: dict[int, dict[int, list[InfoSet]]] = {}
+    def _build_plan(self, players):
+        sizes = np.array([self._n_seq[p] for p in players], dtype=np.int64)
+        offsets = np.cumsum(sizes) - sizes
+        n = int(sizes.sum())
+        # depth -> action count -> (joint sequence ids, joint parent sequence) per infoset
+        by_depth: dict[int, dict[int, list]] = {}
         infoset_sum = np.zeros((n, n))
-        # Pre-order visits a parent sequence's infoset before its children's,
-        # so each infoset's columns can copy their parent sequence's column.
         below = np.zeros((n, n))
-        below[EMPTY_SEQ, EMPTY_SEQ] = 1.0
+        below[offsets, offsets] = 1.0
         uniform = np.ones(n)
-        for gid in self._player_isets[player]:
-            js = self.infosets[gid]
-            sids = list(js.seq_ids)
-            below[:, sids] = below[:, [js.parent_seq]]
-            below[sids, sids] = 1.0
-            depth = int(below[1:, js.parent_seq].sum())
-            by_depth.setdefault(depth, {}).setdefault(len(sids), []).append(js)
-            infoset_sum[np.ix_(sids, sids)] = 1.0
-            uniform[sids] = 1.0 / len(sids)
+        for player, off in zip(players, offsets.tolist()):
+            # Pre-order visits a parent sequence's infoset before its children's,
+            # so each infoset's columns can copy their parent sequence's column.
+            for gid in self._player_isets[player]:
+                js = self.infosets[gid]
+                sids = [off + s for s in js.seq_ids]
+                parent = off + js.parent_seq
+                below[:, sids] = below[:, [parent]]
+                below[sids, sids] = 1.0
+                depth = int(below[:, parent].sum()) - 1
+                by_depth.setdefault(depth, {}).setdefault(len(sids), []).append((sids, parent))
+                infoset_sum[np.ix_(sids, sids)] = 1.0
+                uniform[sids] = 1.0 / len(sids)
         # 0/1, because the sequences of one infoset have disjoint descendants.
         subtree = infoset_sum @ below
 
+        order = offsets.tolist()
+        rank = np.zeros(n, dtype=np.int64)
+        rank[offsets] = np.arange(len(players))
         levels = []
         for depth in sorted(by_depth):
+            lo = len(order)
             blocks, seqs, members = [], [], []
             for m, group in sorted(by_depth[depth].items()):
-                sids = np.array([js.seq_ids for js in group], dtype=np.int64)
-                pars = np.array([js.parent_seq for js in group], dtype=np.int64)
+                sids = np.array([s for s, _ in group], dtype=np.int64)
+                pars = np.array([p for _, p in group], dtype=np.int64)
                 blocks.append((len(seqs), sids, pars))
                 seqs.extend(sids.ravel().tolist())
                 members.extend(group)
-            sizes = [len(js.seq_ids) for js in members]
-            starts = np.cumsum([0] + sizes[:-1])
-            member = np.repeat(np.arange(len(members)), sizes)
-            lift = np.zeros((len(members), n))
-            lift[np.arange(len(members)), [js.parent_seq for js in members]] = 1.0
-            seqs = np.array(seqs, dtype=np.int64)
-            levels.append(Level(seqs, self._seq_parent[player][seqs], tuple(blocks),
-                                lift, starts, member))
-        return PlayerPlan(tuple(levels), subtree, infoset_sum, below, uniform)
+            order.extend(seqs)
+            rank[seqs] = np.arange(lo, len(order))
+            sizes_here = [len(s) for s, _ in members]
+            up_rows = rank[[p for _, p in members]]
+            up_lo = int(up_rows.min())
+            levels.append(Level(
+                np.array(seqs, dtype=np.int64),
+                np.repeat(np.arange(len(members)), sizes_here), tuple(blocks),
+                lo, len(order), np.repeat(up_rows, sizes_here),
+                up_lo, int(up_rows.max()) + 1, up_rows - up_lo))
+        spans = tuple((p, a, a + k)
+                      for p, a, k in zip(players, offsets.tolist(), sizes.tolist()))
+        return PlayerPlan(spans, offsets, sizes,
+                          np.repeat(np.arange(len(players)), sizes), tuple(levels),
+                          subtree, infoset_sum, below, uniform,
+                          np.array(order, dtype=np.int64), rank)
 
     def payoff_range(self, player):
         """Spread between the best and worst terminal payoff of one player."""

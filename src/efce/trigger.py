@@ -16,12 +16,23 @@ the image of the round's fixed point.
 from __future__ import annotations
 
 import random
+from numbers import Integral
 
 import numpy as np
 
 from .deviations import ConvexTriggerDeviation, fixed_point
 from .regret import CallOrderError
-from .strategies import sample_pure
+from .strategies import SequenceFormStrategy, sample_pure
+
+
+def _check_round(n, ell, x, name):
+    """Raise ValueError unless the utility ``ell`` and the point ``x`` are finite n-vectors."""
+    if ell.shape != (n,) or x.shape != (n,):
+        raise ValueError(f"utility and {name} have shapes {ell.shape} and {x.shape}, "
+                         f"expected ({n},)")
+    # On vectors this short, count_nonzero costs about half of what .all() does.
+    if np.count_nonzero(np.isfinite(ell)) + np.count_nonzero(np.isfinite(x)) != 2 * n:
+        raise ValueError(f"utility or {name} has a non-finite entry")
 
 
 class HullMinimizer:
@@ -30,74 +41,113 @@ class HullMinimizer:
     Regret matching over the non-empty sequences picks the mixture, and per
     trigger a counterfactual-regret learner on the trigger infoset's subtree
     picks the continuation.  The learners are held flat: row t of
-    ``regrets`` is trigger t's, masked to its subtree (row 0 stays zero),
-    and both steps run a few array operations per level of the infoset
-    forest.  Observing a rank-one functional updates every row with the
-    utility scaled by the weight the played point put on its trigger, and
-    feeds the mixture the value each pure-trigger deviation would have
-    obtained.
+    ``regrets`` is trigger t's, masked to its subtree (the rows of empty
+    sequences stay zero), and both steps run a few array operations per
+    level of the infoset forest, on sequences x triggers arrays in the
+    plan's level layout.  Observing a rank-one functional updates every row
+    with the utility scaled by the weight the played point put on its
+    trigger, and feeds the mixture the value each pure-trigger deviation
+    would have obtained.
+
+    ``player`` is one player, or a tuple of players whose minimizers
+    advance together on the index of their :class:`~efce.game.PlayerPlan`.
+    The players share no entry, so each one's iterates are those of its
+    own one-player minimizer.
     """
 
     def __init__(self, game, player):
         self.game = game
         self.player = player
-        n = game.num_sequences(player)
-        self.regrets = np.zeros((n, n))
-        self.mixer_regrets = np.zeros(n - 1)
-        self._plan = game.player_plan(player)
-        self._uniform = np.tile(self._plan.uniform, (n, 1))
+        self.plan = plan = game.player_plan(player)
+        n = plan.uniform.size
+        # Level layout: entry (j, t) belongs to sequence plan.order[j] and trigger t.
+        self._regrets = np.zeros((n, n))
+        self._subtree = plan.subtree.T[plan.order]
+        self._own = plan.infoset_sum.T[plan.order]
+        self._uniform = np.tile(plan.uniform[plan.order, None], (1, n))
+        # Entry t is trigger t's; the entries of empty sequences stay zero.
+        self.mixer_regrets = np.zeros(n)
+        # The uniform mixture: 1 / (number of triggers) on each player's triggers.
+        triggers = plan.sizes - 1
+        self._even = np.divide(1.0, triggers, out=np.zeros(triggers.size),
+                               where=triggers > 0)[plan.owner]
+        self._even[plan.offsets] = 0.0
         self._local = None
         self._phi = None
+
+    @property
+    def regrets(self):
+        """Triggers x sequences regrets, row t trigger t's (a copy)."""
+        return self._regrets[self.plan.rank].T
 
     def next_element(self):
         if self._phi is not None:
             raise CallOrderError("next_element called again before observe_utility")
-        n = self.game.num_sequences(self.player)
-        if n == 1:
-            self._phi = ConvexTriggerDeviation(self.player, [])
-            return self._phi
-        plan = self._plan
-        pos = np.maximum(self.regrets, 0.0)
-        tot = pos @ plan.infoset_sum
-        local = np.divide(pos, tot, out=self._uniform.copy(), where=tot > 0.0)
-        # Compose top-down; each row starts with mass 1 at its trigger's infoset.
-        conts = np.zeros((n, n))
+        plan = self.plan
+        n = plan.uniform.size
+        pos = np.maximum(self._regrets, 0.0)
+        local = self._uniform.copy()
+        # Compose top-down: a sequence's mass is its parent's, plus 1 at the
+        # trigger's own infoset, times its local probability.
+        conts = self._own.copy()
         for lev in plan.levels:
-            mass = conts[:, lev.parents] + plan.infoset_sum[:, lev.seqs]
-            conts[:, lev.seqs] = local[:, lev.seqs] * mass
+            for start, sids, _ in lev.blocks:
+                k, m = sids.shape
+                rows = slice(lev.lo + start, lev.lo + start + k * m)
+                here = pos[rows].reshape(k, m, n)
+                tot = here.sum(axis=1, keepdims=True)
+                np.divide(here, tot, out=local[rows].reshape(k, m, n), where=tot > 0.0)
+            here = conts[lev.lo:lev.hi]
+            here += conts.take(lev.parent_rows, axis=0)
+            here *= local[lev.lo:lev.hi]
         mpos = np.maximum(self.mixer_regrets, 0.0)
-        s = mpos.sum()
-        lam = np.zeros(n)
-        lam[1:] = mpos / s if s > 0.0 else 1.0 / (n - 1)
+        s = np.add.reduceat(mpos, plan.offsets).take(plan.owner)
+        lam = np.divide(mpos, s, out=self._even.copy(), where=s > 0.0)
         self._local = local
-        self._phi = ConvexTriggerDeviation.from_arrays(self.player, lam, conts)
+        self._phi = ConvexTriggerDeviation.from_arrays(
+            self.player, lam, conts.take(plan.rank, axis=0).T, plan.offsets)
         return self._phi
 
     def observe_utility(self, ell, q):
         """Observe the rank-one utility ell ⊗ q: a deviation phi earns ell . phi(q).
 
         ``ell`` is the utility vector over the player's sequences and ``q``
-        the point the round's deviation was applied to.
+        the point the round's deviation was applied to.  Both must be
+        finite; a bad pair raises ValueError and leaves the round open.
         """
-        phi, self._phi = self._phi, None
-        if phi is None:
+        if self._phi is None:
             raise CallOrderError("observe_utility called before next_element")
-        if phi.lam.size == 0:
-            return
-        plan = self._plan
+        plan = self.plan
+        n = plan.uniform.size
+        ell = np.asarray(ell, dtype=float)
+        q = np.asarray(q, dtype=float)
+        _check_round(n, ell, q, "point")
+        phi, self._phi = self._phi, None
         # Counterfactual values, completed bottom-up with child infoset values.
-        vals = q[:, None] * ell * plan.subtree
+        vals = np.multiply.outer(ell.take(plan.order), q)
+        vals *= self._subtree
         iset_vals = np.zeros_like(vals)
         for lev in reversed(plan.levels):
-            here = np.add.reduceat(vals[:, lev.seqs] * self._local[:, lev.seqs],
-                                   lev.starts, axis=1)
-            iset_vals[:, lev.seqs] = here.take(lev.member, axis=1)
-            vals += here @ lev.lift
-        self.regrets += (vals - iset_vals) * plan.subtree
+            here = np.empty((lev.up_rel.size, n))
+            k0 = 0
+            for start, sids, _ in lev.blocks:
+                k, m = sids.shape
+                rows = slice(lev.lo + start, lev.lo + start + k * m)
+                prod = (vals[rows] * self._local[rows]).reshape(k, m, n)
+                prod.sum(axis=1, out=here[k0:k0 + k])
+                iset_vals[rows].reshape(k, m, n)[...] = here[k0:k0 + k, None]
+                k0 += k
+            lev.lift(vals, here)
+        vals -= iset_vals
+        vals *= self._subtree
+        self._regrets += vals
 
         lq = ell * q
-        values = (float(lq.sum()) - plan.below @ lq + q * (phi.C @ ell))[1:]
-        self.mixer_regrets += values - float(values @ phi.lam[1:])
+        values = np.add.reduceat(lq, plan.offsets).take(plan.owner) - plan.below @ lq
+        values += q * (phi.C @ ell)
+        values -= np.add.reduceat(values * phi.lam, plan.offsets).take(plan.owner)
+        values[plan.offsets] = 0.0
+        self.mixer_regrets += values
 
 
 class MixedTriggerMinimizer:
@@ -107,6 +157,14 @@ class MixedTriggerMinimizer:
     deviation assigns to the played point equals the played point's own
     utility, and the hull's deviation-space regret transfers unchanged.
     The hull enforces that next and observe calls alternate.
+
+    For one player, :meth:`next_element` returns a strategy and
+    :meth:`observe_utility` takes one utility vector.  For a tuple of
+    players, :meth:`next_element` returns a list of per-player strategies,
+    views of the joint fixed point, and :meth:`observe_utility` takes the
+    players' utility vectors concatenated in the order of the group's plan
+    (as :attr:`efce.dynamics.EmpiricalFrequency.utility` holds them).
+    ``last_mixed`` is what :meth:`next_element` last returned.
     """
 
     def __init__(self, game, player, fp_tol=1e-10):
@@ -115,20 +173,26 @@ class MixedTriggerMinimizer:
         self.fp_tol = fp_tol
         self.hull = HullMinimizer(game, player)
         self.last_mixed = None
+        self._point = None
 
     def next_element(self):
-        phi = self.hull.next_element()
-        self.last_mixed = fixed_point(self.game, phi, self.fp_tol)
+        point = fixed_point(self.game, self.hull.next_element(), self.fp_tol)
+        self._point = getattr(point, "values", point)
+        self.last_mixed = point if isinstance(self.player, Integral) else [
+            SequenceFormStrategy(p, point[a:b], None) for p, a, b in self.hull.plan.spans]
         return self.last_mixed
 
     def observe_utility(self, util):
-        coeffs = np.asarray(getattr(util, "coefficients", util), dtype=float)
         # Before the first round there is no point; the hull raises CallOrderError.
-        self.hull.observe_utility(coeffs, getattr(self.last_mixed, "values", None))
+        self.hull.observe_utility(getattr(util, "coefficients", util), self._point)
 
 
 class PureTriggerMinimizer(MixedTriggerMinimizer):
-    """Mixed trigger minimizer plus per-round sampling of a pure strategy."""
+    """Mixed trigger minimizer plus per-round sampling of a pure strategy.
+
+    ``rng`` is one random stream, or one per player of a tuple ``player``;
+    each player's pure strategy is drawn from its own stream, in player order.
+    """
 
     def __init__(self, game, player, rng, fp_tol=1e-10):
         super().__init__(game, player, fp_tol)
@@ -136,27 +200,39 @@ class PureTriggerMinimizer(MixedTriggerMinimizer):
         self.last_pure = None
 
     def next_element(self):
-        self.last_pure = sample_pure(self.game, super().next_element(), self.rng)
+        mixed = super().next_element()
+        if isinstance(self.player, Integral):
+            self.last_pure = sample_pure(self.game, mixed, self.rng)
+        else:
+            self.last_pure = [sample_pure(self.game, m, rng) for m, rng in zip(mixed, self.rng)]
         return self.last_pure
 
 
 def best_values(plan, vals, trigger_values=None):
     """Complete a rows x sequences value matrix bottom-up over the infoset forest.
 
-    One pass over ``plan.levels``, deepest first: each level's infosets take
-    the best of their sequences' completed values, and add it to their
-    parent sequences.  Entry (r, s) of the result is then row r's value of
-    s plus the best deterministic continuation below s.  When the rows are
-    indexed by sequence (one row per sequence, as in the meter's tables),
-    ``trigger_values[s]`` receives row s's best value at the infoset of s.
+    One pass over ``plan.levels``, deepest first, in the plan's level
+    layout: each level's infosets take the best of their sequences'
+    completed values, and add it to their parent sequences.  Entry (r, s) of
+    the result is then row r's value of s plus the best deterministic
+    continuation below s.  When the rows are indexed by sequence (one row
+    per sequence, as in the meter's tables), ``trigger_values[s]`` receives
+    row s's best value at the infoset of s.
     """
-    completed = vals.copy()
+    completed = vals.T.take(plan.order, axis=0)
+    cols = completed.shape[1]
     for lev in reversed(plan.levels):
-        best = np.maximum.reduceat(completed.take(lev.seqs, axis=1), lev.starts, axis=1)
+        best = np.empty((lev.up_rel.size, cols))
+        k0 = 0
+        for start, sids, _ in lev.blocks:
+            k, m = sids.shape
+            rows = completed[lev.lo + start:lev.lo + start + k * m]
+            rows.reshape(k, m, cols).max(axis=1, out=best[k0:k0 + k])
+            k0 += k
         if trigger_values is not None:
-            trigger_values[lev.seqs] = best[lev.seqs, lev.member]
-        completed += best.dot(lev.lift)
-    return completed
+            trigger_values[lev.seqs] = best[lev.member, lev.seqs]
+        lev.lift(completed, best)
+    return completed.take(plan.rank, axis=0).T
 
 
 class PhiRegretMeter:
@@ -165,42 +241,57 @@ class PhiRegretMeter:
     Accumulates, per trigger, the utility mass at or below the trigger under
     the played points (``follow``) and the utility vectors scaled by the
     played trigger weight, masked to the trigger's subtree (row s of
-    ``tables``; row 0 stays zero).  The regret against the best fixed
-    one-trigger deviation is then a max over triggers of (best continuation
-    value - follow value), the best values coming from one
-    :func:`best_values` pass that is kept until the next :meth:`record`.
+    ``tables``; the rows of empty sequences stay zero).  The regret against
+    the best fixed one-trigger deviation is then a max over triggers of
+    (best continuation value - follow value), the best values coming from
+    one :func:`best_values` pass that is kept until the next :meth:`record`.
+
+    ``player`` is one player, or a tuple of players metered together on the
+    index of their :class:`~efce.game.PlayerPlan`; ``record`` then takes the
+    players' vectors concatenated in that order.
     """
 
     def __init__(self, game, player):
         self.game = game
         self.player = player
-        n = game.num_sequences(player)
+        self.plan = plan = game.player_plan(player)
+        n = plan.uniform.size
         self.tables = np.zeros((n, n))
         self.follow = np.zeros(n)
-        self._plan = game.player_plan(player)
         self._pass = None
 
     def record(self, ell, played):
+        """Add one round: the utility vector and the played point, both finite."""
         ell = np.asarray(ell, dtype=float)
         played = np.asarray(played, dtype=float)
-        self.follow += self._plan.below.dot(ell * played)
-        self.tables += played[:, None] * ell * self._plan.subtree
+        _check_round(self.follow.size, ell, played, "played point")
+        self.follow += self.plan.below.dot(ell * played)
+        update = np.multiply.outer(played, ell)
+        update *= self.plan.subtree
+        self.tables += update
         self._pass = None
 
     def best_pass(self):
         """(best continuation value per trigger, completed tables), cached."""
         if self._pass is None:
             values = np.zeros(self.tables.shape[0])
-            completed = best_values(self._plan, self.tables, values)
+            completed = best_values(self.plan, self.tables, values)
             self._pass = (values, completed)
         return self._pass
 
     def regret(self):
-        """Cumulative regret against the best fixed one-trigger deviation."""
-        if self.tables.shape[0] == 1:
-            return 0.0
+        """Cumulative regret against the best fixed one-trigger deviation.
+
+        A float for one player; for a tuple of players, a list with one
+        float per player.  A player without triggers has regret 0.
+        """
+        plan = self.plan
         values, _ = self.best_pass()
-        return float((values[1:] - self.follow[1:]).max())
+        gaps = values - self.follow
+        gaps[plan.offsets] = -np.inf
+        out = np.maximum.reduceat(gaps, plan.offsets)
+        out[plan.sizes == 1] = 0.0
+        return float(out[0]) if isinstance(self.player, Integral) else out.tolist()
 
 
 def split_rngs(seed, n):

@@ -148,6 +148,11 @@ def test_convex_deviation_validation():
     lam[3] = np.nan
     with pytest.raises(ValueError):
         efce.ConvexTriggerDeviation.from_arrays(0, lam, np.zeros((9, 9)))
+    # trigger ids must be non-empty sequence ids: -1 once wrapped to 8
+    with pytest.raises(ValueError):
+        efce.ConvexTriggerDeviation(0, [(-1, 1.0, cont)])
+    with pytest.raises(ValueError):
+        efce.ConvexTriggerDeviation(0, [(9, 1.0, cont)])
     empty = efce.ConvexTriggerDeviation(0, [])
     assert empty.terms == []
     x = efce.uniform_strategy(g, 0)
@@ -353,6 +358,14 @@ def test_fixed_point_of_empty_deviation():
     fp = efce.fixed_point(g, phi)
     efce.validate_strategy(g, fp)
     assert np.abs(efce.apply_deviation(g, phi, fp.values) - fp.values).max() == 0.0
+    # every infoset's chain moves no mass, so each gets the equal shares
+    # stationary_distribution gives an identity chain, 2 and 3 actions alike
+    for g in [g] + [efce.builtin_game("random-tree", seed=s) for s in range(8)]:
+        for i in range(g.n_players):
+            fp = efce.fixed_point(g, efce.ConvexTriggerDeviation(i, []))
+            assert np.array_equal(fp.values, efce.uniform_strategy(g, i).values)
+    for m in (2, 3):
+        assert np.array_equal(efce.stationary_distribution(np.eye(m)), np.full(m, 1.0 / m))
 
 
 def test_fixed_point_random_deviations():

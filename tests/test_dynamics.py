@@ -114,8 +114,9 @@ def test_accumulate_returns_each_players_utility_vector():
         assert utils[i].player == i
         want = efce.utility_vector(g, i, prof).coefficients
         assert np.array_equal(utils[i].coefficients, want)
-        assert freq.tables[i] is freq.meters[i].tables
-        assert freq.follow[i] is freq.meters[i].follow
+        assert np.shares_memory(freq.tables[i], freq.meter.tables)
+        assert np.shares_memory(freq.follow[i], freq.meter.follow)
+    assert np.array_equal(freq.utility, np.concatenate([u.coefficients for u in utils]))
 
 
 def test_frequency_keeps_one_entry_per_distinct_profile():

@@ -289,6 +289,37 @@ def test_plan_matches_independent_ancestry():
                     assert efce.sequence_precedes(g, (i, a), (i, b)) == want
 
 
+def test_group_plan_stacks_one_player_plans():
+    games = [efce.builtin_game("kuhn3"), efce.builtin_game("fig1", seed=0)]
+    games += [efce.builtin_game("random-tree", seed=s) for s in range(64)]
+    for g in games:
+        players = tuple(range(g.n_players))
+        plan = g.player_plan(players)
+        assert g.player_plan(players) is plan
+        n = plan.uniform.size
+        assert n == sum(g.num_sequences(i) for i in players)
+        mask = np.zeros((n, n), dtype=bool)
+        for k, (i, a, b) in enumerate(plan.spans):
+            one = g.player_plan(i)
+            assert (i, a) == (players[k], plan.offsets[k])
+            assert (plan.owner[a:b] == k).all()
+            for name in ("subtree", "infoset_sum", "below"):
+                assert np.array_equal(getattr(plan, name)[a:b, a:b], getattr(one, name))
+            assert np.array_equal(plan.uniform[a:b], one.uniform)
+            mask[a:b, a:b] = True
+        for name in ("subtree", "infoset_sum", "below"):
+            assert not getattr(plan, name)[~mask].any()
+        # the level layout visits every sequence once, each level's in order
+        assert sorted(plan.order.tolist()) == list(range(n))
+        assert np.array_equal(plan.order[plan.rank], np.arange(n))
+        assert plan.order[:len(players)].tolist() == plan.offsets.tolist()
+        for lev in plan.levels:
+            assert np.array_equal(plan.order[lev.lo:lev.hi], lev.seqs)
+            for s, row in zip(lev.seqs, lev.parent_rows):
+                i, a, _ = plan.spans[plan.owner[s]]
+                assert plan.order[row] == a + g.seq_parent(i)[s - a]
+
+
 def test_pure_strategy_counts():
     g = efce.builtin_game("fig1", seed=0)
     assert g.pure_count(0) == 6

@@ -264,3 +264,99 @@ def test_meter_pass_matches_recursive_reference():
                 assert np.abs(values[1:] - want[1:]).max() <= 1e-12
                 want_regret = float(np.max(want[1:] - meter.follow[1:]))
                 assert abs(meter.regret() - want_regret) <= 1e-12
+
+
+def test_hull_rejects_bad_utility_and_point():
+    # a NaN utility once made every regret NaN, and every later round uniform
+    g = efce.builtin_game("fig1", seed=0)
+    hull = efce.HullMinimizer(g, 0)
+    hull.next_element()
+    q = efce.uniform_strategy(g, 0).values
+    ell = np.arange(9.0)
+    for bad_ell, bad_q in [(np.full(9, np.nan), q), (ell, np.full(9, np.inf)),
+                           (np.zeros(8), q), (ell, np.zeros(10))]:
+        with pytest.raises(ValueError):
+            hull.observe_utility(bad_ell, bad_q)
+    # the round stays open, and the state untouched
+    assert not hull.regrets.any()
+    hull.observe_utility(ell, q)
+    assert np.isfinite(hull.regrets).all()
+    hull.next_element()
+
+
+def test_meter_rejects_bad_utility_and_played_point():
+    # an inf utility once made regret() NaN
+    g = efce.builtin_game("fig1", seed=0)
+    meter = efce.PhiRegretMeter(g, 0)
+    played = efce.uniform_strategy(g, 0).values
+    ell = np.arange(9.0)
+    bad_ell = ell.copy()
+    bad_ell[4] = np.inf
+    bad_played = played.copy()
+    bad_played[2] = np.nan
+    for args in [(bad_ell, played), (ell, bad_played), (ell[:8], played), (ell, played[:8])]:
+        with pytest.raises(ValueError):
+            meter.record(*args)
+    assert not meter.tables.any()
+    meter.record(ell, played)
+    assert np.isfinite(meter.regret())
+
+
+def test_group_mixed_deals_in_per_player_strategies_and_joint_utility():
+    g = efce.builtin_game("fig1", seed=0)
+    mixed = efce.MixedTriggerMinimizer(g, (0, 1))
+    n0, n1 = g.num_sequences(0), g.num_sequences(1)
+    for _ in range(3):
+        points = mixed.next_element()
+        assert points is mixed.last_mixed
+        assert [p.player for p in points] == [0, 1]
+        for p in points:
+            efce.validate_strategy(g, p)
+        with pytest.raises(ValueError):
+            mixed.observe_utility(np.zeros(n0 + n1 - 1))
+        with pytest.raises(ValueError):
+            mixed.observe_utility([np.zeros(n0), np.zeros(n1 + 1)])
+        mixed.observe_utility(np.arange(n0 + n1, dtype=float))
+
+
+def _group_reference_games():
+    games = [efce.builtin_game("fig1", seed=s) for s in range(5)]
+    games.append(efce.builtin_game("kuhn3"))
+    games += [efce.builtin_game("random-tree", seed=s) for s in range(64)]
+    return games
+
+
+def test_group_learner_matches_one_player_learners():
+    # The players' learners share no entry, so stepping them as one group
+    # must give each player the iterates of its own one-player learner.
+    for g in _group_reference_games():
+        n = g.n_players
+        players = tuple(range(n))
+        group = efce.PureTriggerMinimizer(g, players, efce.split_rngs(0, n))
+        singles = [efce.PureTriggerMinimizer(g, i, rng)
+                   for i, rng in enumerate(efce.split_rngs(0, n))]
+        freq = efce.EmpiricalFrequency(g)
+        meters = [efce.PhiRegretMeter(g, i) for i in players]
+        for t in range(1, 65):
+            profile = group.next_element()
+            for i in players:
+                pure = singles[i].next_element()
+                assert np.array_equal(profile[i].values, pure.values), (g.name, t, i)
+                assert np.abs(group.last_mixed[i].values
+                              - singles[i].last_mixed.values).max() <= 1e-12
+            utils = freq.accumulate(profile)
+            group.observe_utility(freq.utility)
+            for i in players:
+                singles[i].observe_utility(utils[i])
+                meters[i].record(utils[i].coefficients, profile[i].values)
+            regrets = freq.meter.regret()
+            assert len(regrets) == n
+            for i in players:
+                assert abs(regrets[i] - meters[i].regret()) <= 1e-9
+            report = efce.efce_gap(freq)
+            for i in players:
+                best, _ = meters[i].best_pass()
+                gaps = (best - meters[i].follow) / t
+                assert np.abs(report.trigger_gaps[i][1:] - gaps[1:]).max(initial=0.0) <= 1e-9
+                want = float(gaps[1:].max()) if gaps.size > 1 else 0.0
+                assert abs(report.per_player[i] - want) <= 1e-9
