@@ -118,7 +118,7 @@ class ConvexTriggerDeviation:
 
 def _arrays(plan, phi):
     """The weights and continuation matrix of ``phi``, sized to its plan."""
-    n = plan.uniform.size
+    n = plan.rank.size
     if phi.lam.size == 0:
         return np.zeros(n), np.zeros((n, n))
     if phi.lam.size != n:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .game import EMPTY_SEQ
 from .strategies import SequenceFormStrategy, utility_vector
-from .trigger import PhiRegretMeter, PureTriggerMinimizer, best_values, split_rngs
+from .trigger import PhiRegretMeter, PureTriggerMinimizer, _complete, split_rngs
 
 _PROFILE_KEEP_LIMIT = 200
 
@@ -34,8 +34,9 @@ class EmpiricalFrequency:
     non-empty sequence s, ``tables[i][s]`` holds the summed utility
     coefficient vectors of the rounds in which player i actually played s,
     restricted to the subtree of s's infoset, and ``follow[i][s]`` the summed
-    realized utility mass at or below s; both are views of player i's block
-    of the meter's joint arrays.  ``utility`` holds the last profile's
+    realized utility mass at or below s.  ``tables`` is built from the
+    meter's state on each access; ``follow[i]`` is a view of player i's
+    block of the meter's joint array.  ``utility`` holds the last profile's
     utility vectors concatenated in the order of the meter's plan, the form
     a group learner takes them in.  Games with at most 200 joint
     deterministic profiles also keep the raw samples: ``profiles`` holds one
@@ -46,6 +47,8 @@ class EmpiricalFrequency:
         self.game = game
         self.t = 0
         self.meter = PhiRegretMeter(game, tuple(range(game.n_players)))
+        # (player, root, shape) of each entry of a valid profile
+        self._profile_form = [(i, None, (b - a,)) for i, a, b in self.meter.plan.spans]
         self.utility = None
         small = game.joint_profile_count() <= _PROFILE_KEEP_LIMIT
         self.profiles: list[list] | None = [] if small else None
@@ -53,15 +56,23 @@ class EmpiricalFrequency:
 
     @property
     def tables(self):
-        return [self.meter.tables[a:b, a:b] for _, a, b in self.meter.plan.spans]
+        tables = self.meter.tables
+        return [tables[a:b, a:b] for _, a, b in self.meter.plan.spans]
 
     @property
     def follow(self):
         return [self.meter.follow[a:b] for _, a, b in self.meter.plan.spans]
 
     def accumulate(self, profile):
-        """Fold one joint profile into the summary; return each player's utility vector."""
+        """Fold one joint profile into the summary; return each player's utility vector.
+
+        ``profile`` holds one full-tree strategy per player, in player order;
+        any other profile raises ValueError and leaves the summary unchanged.
+        """
         game = self.game
+        if [(p.player, p.root, p.values.shape) for p in profile] != self._profile_form:
+            raise ValueError("profile must hold one full-tree strategy per player, "
+                             "in player order")
         self.t += 1
         if self.profiles is not None:
             key = b"".join(p.values.tobytes() for p in profile)
@@ -111,8 +122,13 @@ def subtree_best_response(game, player, coeffs, root=None):
     subtree of ``root``), breaking ties toward the lowest action index, and
     returns the optimal value together with an optimal vertex.
     """
+    plan = game.player_plan(player)
     coeffs = np.asarray(coeffs, dtype=float)
-    completed = best_values(game.player_plan(player), coeffs[None, :])[0]
+    if coeffs.shape != plan.rank.shape or not np.isfinite(coeffs).all():
+        raise ValueError(f"coefficients must be {plan.rank.size} finite numbers")
+    completed = coeffs.take(plan.order)[:, None]
+    _complete(plan, completed)
+    completed = completed[plan.rank, 0]
     values = np.zeros(game.num_sequences(player))
     if root is None:
         values[EMPTY_SEQ] = 1.0
@@ -126,7 +142,7 @@ def efce_gap(freq):
 
     Reads the meter's cached pass: the gap of trigger s is (best
     continuation value - follow value) / t, and the witness continuation is
-    read top-down off the completed table row of the player's worst
+    read top-down off the completed table column of the player's worst
     trigger.
     """
     game = freq.game
@@ -149,7 +165,7 @@ def efce_gap(freq):
             eps_i = float(own[sid])
             gid = int(game.seq_infoset(i)[sid])
             vertex = np.zeros(b - a)
-            _walk_best(game, i, completed[a + sid, a:b], gid, vertex)
+            _walk_best(game, i, completed[:, a + sid][meter.plan.rank[a:b]], gid, vertex)
             witness = (sid, SequenceFormStrategy(i, vertex, gid))
         per_player.append(eps_i)
         trigger_gaps.append(own)

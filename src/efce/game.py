@@ -80,18 +80,17 @@ class InfoSet:
 class Level:
     """The information sets at one depth of a plan's infoset forests.
 
-    ``seqs`` lists the level's sequences, grouped by action count, and
-    ``member`` the level infoset of each.  ``blocks`` holds one (offset into
-    ``seqs``, sequence ids (k, m), parent sequences (k,)) triple per action
-    count m; each infoset's sequences are contiguous.  In the plan's level
-    layout the level's sequences are rows ``lo`` to ``hi``, in ``seqs``
-    order, and ``parent_rows`` holds the row of each one's parent sequence.
+    ``seqs`` lists the level's sequences, grouped by action count.
+    ``blocks`` holds one (offset into ``seqs``, sequence ids (k, m), parent
+    sequences (k,)) triple per action count m; each infoset's sequences are
+    contiguous.  In the plan's level layout the level's sequences are rows
+    ``lo`` to ``hi``, in ``seqs`` order, and ``parent_rows`` holds the row
+    of each one's parent sequence.
     The level's infosets hang below rows ``up_lo`` to ``up_hi``: infoset k
     below row ``up_lo + up_rel[k]``.
     """
 
     seqs: np.ndarray
-    member: np.ndarray
     blocks: tuple
     lo: int
     hi: int
@@ -126,20 +125,20 @@ class PlayerPlan:
     ``spans[k] = (player, start, stop)`` begins at ``offsets[k]`` with its
     empty sequence and holds its ``sizes[k]`` sequences in their own order;
     ``owner[s]`` is the slot k of sequence s.  ``levels`` runs from the roots
-    of the infoset forests down, merging the players' infosets by depth.  The
-    N x N matrices are indexed (sequence, sequence) and block diagonal.  Row
-    t of ``subtree`` is 1 on the sequences at or below trigger t's infoset,
-    and row t of ``infoset_sum`` on the sequences of that infoset itself;
-    the rows of the empty sequences are zero.  ``below[s, t]`` is 1 when
-    sequence t is at or below sequence s (every t of the block when s is its
-    empty sequence).  ``uniform`` is 1/m on each sequence of an m-action
-    infoset.
+    of the infoset forests down, merging the players' infosets by depth.
+    ``subtree`` and ``below`` are N x N, indexed (sequence, sequence) and
+    block diagonal.  Row t of ``subtree`` is 1 on the sequences at or below
+    trigger t's infoset; the rows of the empty sequences are zero.
+    ``below[s, t]`` is 1 when sequence t is at or below sequence s (every t
+    of the block when s is its empty sequence).
 
     The level layout orders sequences by level: row j is sequence
     ``order[j]`` (the empty sequences first, then each level's ``seqs``),
-    and ``rank[s]`` is the row of sequence s.  The batched passes keep their
-    sequences x triggers work arrays in it, so every level is a run of
-    contiguous rows.
+    and ``rank[s]`` is the row of sequence s.  All per-trigger state is
+    held in it as sequences x triggers arrays, so every level is a run of
+    contiguous rows.  Column t of ``level_subtree`` is row t of ``subtree``,
+    of ``level_own`` is 1 on trigger t's infoset, and of ``level_uniform``
+    is 1/m on each m-action infoset (1 on the empty sequences).
     """
 
     spans: tuple[tuple[int, int, int], ...]
@@ -148,11 +147,12 @@ class PlayerPlan:
     owner: np.ndarray
     levels: tuple[Level, ...]
     subtree: np.ndarray
-    infoset_sum: np.ndarray
     below: np.ndarray
-    uniform: np.ndarray
     order: np.ndarray
     rank: np.ndarray
+    level_subtree: np.ndarray
+    level_own: np.ndarray
+    level_uniform: np.ndarray
 
 
 class GameTree:
@@ -494,10 +494,17 @@ class GameTree:
         return self.player_plan(player).below > 0.0
 
     def player_plan(self, players):
-        """The :class:`PlayerPlan` of one player or a tuple of players, built on first use."""
+        """The :class:`PlayerPlan` of one player or a tuple of distinct players, built on first use.
+
+        Raises ValueError for a player outside 0 to ``n_players - 1`` or a
+        repeated player.
+        """
         key = (int(players),) if isinstance(players, Integral) else tuple(players)
         plan = self._plan_cache.get(key)
         if plan is None:
+            if len(set(key)) != len(key) or not all(0 <= p < self.n_players for p in key):
+                raise ValueError(f"players {key} are not distinct players "
+                                 f"0 to {self.n_players - 1}")
             plan = self._build_plan(key)
             self._plan_cache[key] = plan
         return plan
@@ -547,16 +554,16 @@ class GameTree:
             up_rows = rank[[p for _, p in members]]
             up_lo = int(up_rows.min())
             levels.append(Level(
-                np.array(seqs, dtype=np.int64),
-                np.repeat(np.arange(len(members)), sizes_here), tuple(blocks),
+                np.array(seqs, dtype=np.int64), tuple(blocks),
                 lo, len(order), np.repeat(up_rows, sizes_here),
                 up_lo, int(up_rows.max()) + 1, up_rows - up_lo))
         spans = tuple((p, a, a + k)
                       for p, a, k in zip(players, offsets.tolist(), sizes.tolist()))
+        order = np.array(order, dtype=np.int64)
         return PlayerPlan(spans, offsets, sizes,
                           np.repeat(np.arange(len(players)), sizes), tuple(levels),
-                          subtree, infoset_sum, below, uniform,
-                          np.array(order, dtype=np.int64), rank)
+                          subtree, below, order, rank, subtree.T[order],
+                          infoset_sum.T[order], np.tile(uniform[order, None], (1, n)))
 
     def payoff_range(self, player):
         """Spread between the best and worst terminal payoff of one player."""

@@ -59,12 +59,9 @@ class HullMinimizer:
         self.game = game
         self.player = player
         self.plan = plan = game.player_plan(player)
-        n = plan.uniform.size
+        n = plan.rank.size
         # Level layout: entry (j, t) belongs to sequence plan.order[j] and trigger t.
         self._regrets = np.zeros((n, n))
-        self._subtree = plan.subtree.T[plan.order]
-        self._own = plan.infoset_sum.T[plan.order]
-        self._uniform = np.tile(plan.uniform[plan.order, None], (1, n))
         # Entry t is trigger t's; the entries of empty sequences stay zero.
         self.mixer_regrets = np.zeros(n)
         # The uniform mixture: 1 / (number of triggers) on each player's triggers.
@@ -84,12 +81,12 @@ class HullMinimizer:
         if self._phi is not None:
             raise CallOrderError("next_element called again before observe_utility")
         plan = self.plan
-        n = plan.uniform.size
+        n = plan.rank.size
         pos = np.maximum(self._regrets, 0.0)
-        local = self._uniform.copy()
+        local = plan.level_uniform.copy()
         # Compose top-down: a sequence's mass is its parent's, plus 1 at the
         # trigger's own infoset, times its local probability.
-        conts = self._own.copy()
+        conts = plan.level_own.copy()
         for lev in plan.levels:
             for start, sids, _ in lev.blocks:
                 k, m = sids.shape
@@ -118,28 +115,15 @@ class HullMinimizer:
         if self._phi is None:
             raise CallOrderError("observe_utility called before next_element")
         plan = self.plan
-        n = plan.uniform.size
         ell = np.asarray(ell, dtype=float)
         q = np.asarray(q, dtype=float)
-        _check_round(n, ell, q, "point")
+        _check_round(plan.rank.size, ell, q, "point")
         phi, self._phi = self._phi, None
         # Counterfactual values, completed bottom-up with child infoset values.
         vals = np.multiply.outer(ell.take(plan.order), q)
-        vals *= self._subtree
-        iset_vals = np.zeros_like(vals)
-        for lev in reversed(plan.levels):
-            here = np.empty((lev.up_rel.size, n))
-            k0 = 0
-            for start, sids, _ in lev.blocks:
-                k, m = sids.shape
-                rows = slice(lev.lo + start, lev.lo + start + k * m)
-                prod = (vals[rows] * self._local[rows]).reshape(k, m, n)
-                prod.sum(axis=1, out=here[k0:k0 + k])
-                iset_vals[rows].reshape(k, m, n)[...] = here[k0:k0 + k, None]
-                k0 += k
-            lev.lift(vals, here)
-        vals -= iset_vals
-        vals *= self._subtree
+        vals *= plan.level_subtree
+        vals -= _complete(plan, vals, self._local)
+        vals *= plan.level_subtree
         self._regrets += vals
 
         lq = ell * q
@@ -208,31 +192,33 @@ class PureTriggerMinimizer(MixedTriggerMinimizer):
         return self.last_pure
 
 
-def best_values(plan, vals, trigger_values=None):
-    """Complete a rows x sequences value matrix bottom-up over the infoset forest.
+def _complete(plan, vals, local=None):
+    """Complete a level-layout array bottom-up in place; return its infoset values.
 
-    One pass over ``plan.levels``, deepest first, in the plan's level
-    layout: each level's infosets take the best of their sequences'
-    completed values, and add it to their parent sequences.  Entry (r, s) of
-    the result is then row r's value of s plus the best deterministic
-    continuation below s.  When the rows are indexed by sequence (one row
-    per sequence, as in the meter's tables), ``trigger_values[s]`` receives
-    row s's best value at the infoset of s.
+    One pass over ``plan.levels``, deepest first: each level's infosets take
+    the max of their sequences' completed entries, or with ``local`` (local
+    strategies in the same layout) their mean under it, and add it to their
+    parent sequences' rows.  Row j of the returned array holds, per column,
+    the value of the infoset of sequence ``plan.order[j]``; the rows of the
+    empty sequences are zero.
     """
-    completed = vals.T.take(plan.order, axis=0)
-    cols = completed.shape[1]
+    cols = vals.shape[1]
+    iset = np.zeros(vals.shape)
     for lev in reversed(plan.levels):
-        best = np.empty((lev.up_rel.size, cols))
+        here = np.empty((lev.up_rel.size, cols))
         k0 = 0
         for start, sids, _ in lev.blocks:
             k, m = sids.shape
-            rows = completed[lev.lo + start:lev.lo + start + k * m]
-            rows.reshape(k, m, cols).max(axis=1, out=best[k0:k0 + k])
+            rows = slice(lev.lo + start, lev.lo + start + k * m)
+            out = here[k0:k0 + k]
+            if local is None:
+                vals[rows].reshape(k, m, cols).max(axis=1, out=out)
+            else:
+                (vals[rows] * local[rows]).reshape(k, m, cols).sum(axis=1, out=out)
+            iset[rows].reshape(k, m, cols)[...] = out[:, None]
             k0 += k
-        if trigger_values is not None:
-            trigger_values[lev.seqs] = best[lev.member, lev.seqs]
-        lev.lift(completed, best)
-    return completed.take(plan.rank, axis=0).T
+        lev.lift(vals, here)
+    return iset
 
 
 class PhiRegretMeter:
@@ -240,11 +226,12 @@ class PhiRegretMeter:
 
     Accumulates, per trigger, the utility mass at or below the trigger under
     the played points (``follow``) and the utility vectors scaled by the
-    played trigger weight, masked to the trigger's subtree (row s of
-    ``tables``; the rows of empty sequences stay zero).  The regret against
-    the best fixed one-trigger deviation is then a max over triggers of
-    (best continuation value - follow value), the best values coming from
-    one :func:`best_values` pass that is kept until the next :meth:`record`.
+    played trigger weight, masked to the trigger's subtree (held in the
+    plan's level layout; ``tables`` is a triggers x sequences copy whose
+    rows of empty sequences are zero).  The regret against the best fixed
+    one-trigger deviation is then a max over triggers of (best continuation
+    value - follow value), the best values coming from one bottom-up pass
+    that is kept until the next :meth:`record`.
 
     ``player`` is one player, or a tuple of players metered together on the
     index of their :class:`~efce.game.PlayerPlan`; ``record`` then takes the
@@ -255,10 +242,15 @@ class PhiRegretMeter:
         self.game = game
         self.player = player
         self.plan = plan = game.player_plan(player)
-        n = plan.uniform.size
-        self.tables = np.zeros((n, n))
+        n = plan.rank.size
+        self._tables = np.zeros((n, n))
         self.follow = np.zeros(n)
         self._pass = None
+
+    @property
+    def tables(self):
+        """Triggers x sequences tables, row t trigger t's (a copy)."""
+        return self._tables[self.plan.rank].T
 
     def record(self, ell, played):
         """Add one round: the utility vector and the played point, both finite."""
@@ -266,17 +258,17 @@ class PhiRegretMeter:
         played = np.asarray(played, dtype=float)
         _check_round(self.follow.size, ell, played, "played point")
         self.follow += self.plan.below.dot(ell * played)
-        update = np.multiply.outer(played, ell)
-        update *= self.plan.subtree
-        self.tables += update
+        update = np.multiply.outer(ell.take(self.plan.order), played)
+        update *= self.plan.level_subtree
+        self._tables += update
         self._pass = None
 
     def best_pass(self):
-        """(best continuation value per trigger, completed tables), cached."""
+        """(best continuation value per trigger, completed tables in level layout), cached."""
         if self._pass is None:
-            values = np.zeros(self.tables.shape[0])
-            completed = best_values(self.plan, self.tables, values)
-            self._pass = (values, completed)
+            completed = self._tables.copy()
+            iset = _complete(self.plan, completed)
+            self._pass = (iset[self.plan.rank, np.arange(completed.shape[1])], completed)
         return self._pass
 
     def regret(self):

@@ -250,6 +250,7 @@ def test_criterion_7_regret_gap_identity():
           f"checkpoints, worst scaled error {worst:.2e} ({el:.1f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_8_gap_convergence_with_bound():
     t0 = time.monotonic()
     T = 4096

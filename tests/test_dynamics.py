@@ -84,6 +84,36 @@ def test_subtree_best_response_ties_prefer_lowest_action_per_root():
     assert np.flatnonzero(pi.values).tolist() == [7]
 
 
+def test_subtree_best_response_rejects_bad_coefficients():
+    # a 12-entry vector once returned 4.0, a 4-entry one raised IndexError,
+    # and an all-NaN one returned the value nan
+    g = efce.builtin_game("fig1", seed=0)
+    B = g.infoset(0, "B").index
+    inf = np.zeros(9)
+    inf[4] = np.inf
+    for bad in (np.ones(12), np.ones(4), np.full(9, np.nan), inf, np.ones((1, 9))):
+        for root in (None, B):
+            with pytest.raises(ValueError):
+                efce.subtree_best_response(g, 0, bad, root=root)
+
+
+def test_accumulate_rejects_bad_profiles():
+    # the swapped profile was once accepted and metered each player against
+    # the other's strategy; a one-entry profile raised IndexError
+    g = efce.builtin_game("kuhn3")
+    p1, p2 = efce.uniform_strategy(g, 0), efce.uniform_strategy(g, 1)
+    scoped = efce.uniform_strategy(g, 0, root=g.player_infosets(0)[0])
+    short = efce.SequenceFormStrategy(0, np.ones(12))
+    freq = EmpiricalFrequency(g)
+    for bad in ([p2, p1], [p1], [p1, p2, p2], [scoped, p2], [short, p2]):
+        with pytest.raises(ValueError):
+            freq.accumulate(bad)
+    assert freq.t == 0 and freq.utility is None
+    assert not freq.meter.tables.any()
+    freq.accumulate([p1, p2])
+    assert freq.t == 1
+
+
 def test_frequency_accumulates_tables_and_follow():
     g = efce.builtin_game("fig1", seed=0)
     freq = EmpiricalFrequency(g)
@@ -114,7 +144,6 @@ def test_accumulate_returns_each_players_utility_vector():
         assert utils[i].player == i
         want = efce.utility_vector(g, i, prof).coefficients
         assert np.array_equal(utils[i].coefficients, want)
-        assert np.shares_memory(freq.tables[i], freq.meter.tables)
         assert np.shares_memory(freq.follow[i], freq.meter.follow)
     assert np.array_equal(freq.utility, np.concatenate([u.coefficients for u in utils]))
 
@@ -228,20 +257,29 @@ def test_gap_brute_matches_fast_on_mixed_profiles():
 
 
 def test_gap_witness_achieves_reported_value():
-    g = efce.builtin_game("fig1", seed=2)
+    # The random trees add 3-player games and players without triggers.
+    games = [efce.builtin_game("fig1", seed=2)]
+    games += [efce.builtin_game("random-tree", seed=s) for s in range(64)]
     rng = random.Random(4)
-    pures = [list(efce.enumerate_pure(g, i)) for i in range(2)]
-    freq = EmpiricalFrequency(g)
-    for _ in range(30):
-        freq.accumulate([rng.choice(pures[i]) for i in range(2)])
-    report = efce.efce_gap(freq)
-    for i in range(2):
-        sid, witness = report.witnesses[i]
-        gid = int(g.seq_infoset(i)[sid])
-        sub = g.subtree_sequences(gid)
-        value = float(freq.tables[i][sid, sub] @ witness.values[sub])
-        gap = (value - float(freq.follow[i][sid])) / freq.t
-        assert gap == pytest.approx(report.per_player[i], abs=1e-12)
+    for g in games:
+        n = g.n_players
+        pures = [list(efce.enumerate_pure(g, i)) for i in range(n)]
+        freq = EmpiricalFrequency(g)
+        for _ in range(30):
+            freq.accumulate([rng.choice(pures[i]) for i in range(n)])
+        report = efce.efce_gap(freq)
+        for i in range(n):
+            if g.num_sequences(i) == 1:
+                assert report.witnesses[i] is None and report.per_player[i] == 0.0
+                continue
+            sid, witness = report.witnesses[i]
+            efce.validate_strategy(g, witness)
+            gid = int(g.seq_infoset(i)[sid])
+            assert witness.root == gid
+            sub = g.subtree_sequences(gid)
+            value = float(freq.tables[i][sid, sub] @ witness.values[sub])
+            gap = (value - float(freq.follow[i][sid])) / freq.t
+            assert gap == pytest.approx(report.per_player[i], abs=1e-12), (g.name, i)
 
 
 def test_run_log_row_layout():

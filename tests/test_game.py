@@ -296,19 +296,28 @@ def test_group_plan_stacks_one_player_plans():
         players = tuple(range(g.n_players))
         plan = g.player_plan(players)
         assert g.player_plan(players) is plan
-        n = plan.uniform.size
+        n = plan.rank.size
         assert n == sum(g.num_sequences(i) for i in players)
         mask = np.zeros((n, n), dtype=bool)
+        own = np.zeros((n, n))
+        uniform = np.ones(n)
         for k, (i, a, b) in enumerate(plan.spans):
             one = g.player_plan(i)
             assert (i, a) == (players[k], plan.offsets[k])
             assert (plan.owner[a:b] == k).all()
-            for name in ("subtree", "infoset_sum", "below"):
+            for name in ("subtree", "below"):
                 assert np.array_equal(getattr(plan, name)[a:b, a:b], getattr(one, name))
-            assert np.array_equal(plan.uniform[a:b], one.uniform)
             mask[a:b, a:b] = True
-        for name in ("subtree", "infoset_sum", "below"):
+            for gid in g.player_infosets(i):
+                sids = [a + s for s in g.infosets[gid].seq_ids]
+                own[np.ix_(sids, sids)] = 1.0
+                uniform[sids] = 1.0 / len(sids)
+        for name in ("subtree", "below"):
             assert not getattr(plan, name)[~mask].any()
+        # the level-layout masks: row j is sequence order[j], column t trigger t
+        assert np.array_equal(plan.level_subtree, plan.subtree.T[plan.order])
+        assert np.array_equal(plan.level_own, own[plan.order])
+        assert np.array_equal(plan.level_uniform, np.tile(uniform[plan.order, None], (1, n)))
         # the level layout visits every sequence once, each level's in order
         assert sorted(plan.order.tolist()) == list(range(n))
         assert np.array_equal(plan.order[plan.rank], np.arange(n))
@@ -318,6 +327,22 @@ def test_group_plan_stacks_one_player_plans():
             for s, row in zip(lev.seqs, lev.parent_rows):
                 i, a, _ = plan.spans[plan.owner[s]]
                 assert plan.order[row] == a + g.seq_parent(i)[s - a]
+
+
+def test_player_plan_rejects_bad_players():
+    # -1 once built player 2's plan labelled -1, 2 raised IndexError, and
+    # (0, 0) stacked player 0 twice
+    g = efce.builtin_game("fig1", seed=0)
+    for bad in (-1, 2, (0, 0), (0, 2), (-1, 0)):
+        with pytest.raises(ValueError):
+            g.player_plan(bad)
+    for make in (lambda: efce.HullMinimizer(g, -1),
+                 lambda: efce.PhiRegretMeter(g, -1),
+                 lambda: efce.subtree_best_response(g, -1, np.ones(5)),
+                 lambda: efce.fixed_point(g, efce.ConvexTriggerDeviation(-1, []))):
+        with pytest.raises(ValueError):
+            make()
+    assert g.player_plan((1, 0)).sizes.tolist() == [5, 9]
 
 
 def test_pure_strategy_counts():
