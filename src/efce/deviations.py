@@ -29,6 +29,9 @@ _AC = np.array([1, 3, 6])
 _AD = np.array([2, 5, 7])
 _CD = np.array([5, 2, 1])
 _DC = np.array([7, 6, 3])
+# The two other states c < d of each state a = 0, 1, 2.
+_PAIR_C = np.array([1, 0, 0])
+_PAIR_D = np.array([2, 2, 1])
 
 
 class NumericalError(RuntimeError):
@@ -57,16 +60,22 @@ class ConvexTriggerDeviation:
     combination is allowed for players without any non-empty sequences and
     acts as the identity.
 
-    The combination is held densely: ``lam[s]`` is the weight of trigger s
-    and row s of ``C`` its continuation, supported on the subtree of the
-    trigger's infoset (zero rows for sequences that are not triggers).  Both
-    are empty for the empty combination.  A group's combination (from
-    :meth:`from_arrays` with a tuple ``player``) is indexed by the group's
-    :class:`~efce.game.PlayerPlan`: every player's weights sum to 1, or to
-    0 for a player without triggers, and ``C`` is block diagonal.
+    ``lam[s]`` is the weight of trigger s.  The continuations are held in
+    the plan's level layout (see :class:`~efce.game.PlayerPlan`), the
+    layout the hull learns them in and the fixed point reads: column t of
+    that sequences x triggers array is trigger t's continuation, supported
+    on the subtree of the trigger's infoset (zero columns for sequences
+    that are not triggers).  ``C``, with row s trigger s's continuation
+    over the sequences in their own order, is built on first read.  A
+    combination built from entries is turned into the level layout once,
+    on its first use.  ``lam`` and ``C`` are empty for the empty
+    combination.  A group's combination (from :meth:`from_level_layout`
+    with a tuple ``player``) is indexed by the group's plan: every player's
+    weights sum to 1, or to 0 for a player without triggers, and ``C`` is
+    block diagonal.
     """
 
-    __slots__ = ("player", "lam", "C")
+    __slots__ = ("player", "lam", "_C", "_conts", "_rank")
 
     def __init__(self, player, entries):
         entries = [(int(sid), float(w), np.asarray(c, dtype=float)) for sid, w, c in entries]
@@ -85,20 +94,18 @@ class ConvexTriggerDeviation:
                 old = lam[sid]
                 cont[sid] = c if old == 0.0 else (old * cont[sid] + weight * c) / (old + weight)
                 lam[sid] = old + weight
-        self._init(player, lam, cont, _ONE_BLOCK)
+        self._init(player, lam, _ONE_BLOCK)
+        self._C, self._conts, self._rank = cont, None, None
 
     @classmethod
-    def from_arrays(cls, player, lam, C, offsets=None):
-        """Wrap dense weights and continuation rows, with the same weight checks.
-
-        ``offsets`` holds where each player's block starts (its empty
-        sequence); the default is one block.
-        """
+    def from_level_layout(cls, player, lam, conts, plan):
+        """Wrap weights and ``plan``'s sequences x triggers continuations, with the same weight checks."""
         phi = cls.__new__(cls)
-        phi._init(player, lam, C, _ONE_BLOCK if offsets is None else offsets)
+        phi._init(player, lam, plan.offsets)
+        phi._C, phi._conts, phi._rank = None, conts, plan.rank
         return phi
 
-    def _init(self, player, lam, C, offsets):
+    def _init(self, player, lam, offsets):
         if lam.size:
             if lam[offsets].any() or not lam.min() >= 0.0:
                 raise ValueError(
@@ -108,7 +115,13 @@ class ConvexTriggerDeviation:
                     raise ValueError(f"deviation weights sum to {total!r}, not 1")
         self.player = player
         self.lam = lam
-        self.C = C
+
+    @property
+    def C(self):
+        """Triggers x sequences continuations, row s trigger s's (built on first read)."""
+        if self._C is None:
+            self._C = self._conts.take(self._rank, axis=0).T
+        return self._C
 
     @property
     def terms(self):
@@ -117,13 +130,16 @@ class ConvexTriggerDeviation:
 
 
 def _arrays(plan, phi):
-    """The weights and continuation matrix of ``phi``, sized to its plan."""
+    """The weights of ``phi`` and its continuations in ``plan``'s level layout."""
     n = plan.rank.size
     if phi.lam.size == 0:
         return np.zeros(n), np.zeros((n, n))
     if phi.lam.size != n:
         raise ValueError(f"deviation has {phi.lam.size} sequences, expected {n}")
-    return phi.lam, phi.C
+    if phi._conts is None:
+        phi._conts = phi._C.T[plan.order]
+        phi._rank = plan.rank
+    return phi.lam, phi._conts
 
 
 def validate_deviation(game, phi):
@@ -180,11 +196,11 @@ def apply_deviation(game, phi, x, cum=None):
     the weight and by x at the trigger.
     """
     plan = game.player_plan(phi.player)
-    lam, C = _arrays(plan, phi)
+    lam, conts = _arrays(plan, phi)
     x = np.asarray(x, dtype=float)
     if cum is None:
         cum = lam @ plan.below
-    out = (1.0 - cum) * x + (lam * x) @ C
+    out = (1.0 - cum) * x + (conts @ (lam * x)).take(plan.rank)
     out[plan.offsets] = x[plan.offsets]
     return out
 
@@ -269,24 +285,31 @@ def is_trunk(game, player, trunk):
     return True
 
 
-def _extend_block(sids, xp, r, lam, C, cum, fp_tol):
+def _extend_block(xp, r, lam_c, conts, cum_a, fp_tol):
     """Fixed-point values at k infosets of m actions each, as a (k, m) array.
 
     Row j is infoset j's parent mass ``xp[j]`` times the stationary
     distribution of its extension matrix: ``r[j] / xp[j]`` (the mass that
     triggers above the infoset send to its sequences) in every column, plus
-    the infoset's own triggers' continuations and the (1 - cum) share each
-    sequence keeps.  m = 2 and m = 3 are solved in closed form by the Markov
-    chain tree theorem; larger or degenerate chains fall back to
-    :func:`stationary_distribution`.
+    the infoset's own triggers' continuations ``conts[j, a, c]`` (at
+    sequence a, of trigger c) weighted by ``lam_c[j, c]``, and the
+    ``1 - cum_a[j, a]`` share each sequence keeps.  m = 2 and m = 3 are
+    solved in closed form by the Markov chain tree theorem.  A row whose
+    closed form sums to zero is solved as :func:`stationary_distribution`
+    would solve it, without calling it, when its parent has no mass (the
+    row is 0) or its chain has several closed classes (the identity chain,
+    and for m = 3 two absorbing states or one absorbing state beside a
+    closed pair).  Only the other such rows (a closed form that underflowed
+    on a chain with one closed class) and every row of m >= 4 actions reach
+    the general solver.
     """
-    k, m = sids.shape
+    k, m = r.shape
     # A parent without mass leaves its children at zero; dividing its row by
     # 1 instead of 0 keeps that row's chain finite.
     scale = xp + (xp == 0.0)
     # w[j, a, c]: the share of sequence c's mass that infoset j's chain moves to a.
-    w = C[sids[:, None, :], sids[:, :, None]] * lam[sids][:, None, :]
-    w.reshape(k, m * m)[:, ::m + 1] += 1.0 - cum[sids]
+    w = conts * lam_c[:, None, :]
+    w.reshape(k, m * m)[:, ::m + 1] += 1.0 - cum_a
     w += (r / scale[:, None])[:, :, None]
     # Columns of w sum to 1 exactly in real arithmetic; rounding from earlier
     # levels leaves a small absolute drift that the division by a possibly
@@ -318,10 +341,55 @@ def _extend_block(sids, xp, r, lam, C, cum, fp_tol):
         b = np.zeros((k, m))
     total = b.sum(axis=1)
     if not total.min() > 0.0:
+        _several_classes(w, b, total, xp)
         for row in np.flatnonzero(~(total > 0.0)):
             b[row] = stationary_distribution(w[row], tol=fp_tol)
             total[row] = 1.0
     return b * (xp / total)[:, None]
+
+
+def _several_classes(w, b, total, xp):
+    """Solve, in place, the rows of ``b`` whose closed-form ``total`` is 0 and that need no solver.
+
+    A row of a parent without mass stays 0.  Every other row is the
+    stationary distribution :func:`stationary_distribution` returns, to the
+    bit: with several closed classes each class gets an equal share, and a
+    closed pair c < d, after the columns are rescaled by their sums, splits
+    its share as 1 : p with p = w[d, c] / w[c, d].  A solved row's total is
+    set to 1; the other rows are left as they are.
+    """
+    zero = total == 0.0  # so b's row is zero, and w's is finite
+    total[zero & (xp == 0.0)] = 1.0
+    rows = np.flatnonzero(zero & (xp != 0.0))
+    m = b.shape[1]
+    if not rows.size or m > 3:
+        return
+    if m == 2:
+        # Both states keep all their mass: the identity chain.
+        b[rows] = 0.5
+        total[rows] = 1.0
+        return
+    v = w[rows]
+    moves = v > 0.0
+    moves.reshape(rows.size, 9)[:, ::4] = False
+    absorbing = ~moves.any(axis=1)
+    n_abs = absorbing.sum(axis=1)
+    shares = absorbing / np.maximum(n_abs, 1)[:, None]
+    # A closed pair beside an absorbing state a that nothing enters.
+    pair = (n_abs == 1) & (absorbing & ~moves.any(axis=2)).any(axis=1)
+    solved = (n_abs >= 2) | pair
+    if pair.any():
+        i = np.flatnonzero(pair)
+        a = absorbing[i].argmax(axis=1)
+        c, d = _PAIR_C[a], _PAIR_D[a]
+        u = v[i] / v[i].sum(axis=1)[:, None, :]
+        p = u[np.arange(i.size), d, c] / u[np.arange(i.size), c, d]
+        s = 1.0 + p
+        shares[i, a] = 0.5
+        shares[i, c] = 1.0 / s / 2
+        shares[i, d] = p / s / 2
+    b[rows[solved]] = shares[solved]
+    total[rows[solved]] = 1.0
 
 
 def extend(game, phi, trunk, j_star, x, fp_tol=1e-10):
@@ -350,16 +418,19 @@ def extend(game, phi, trunk, j_star, x, fp_tol=1e-10):
                 f"the trunk must contain '{game.infosets[pred].label}', the "
                 f"immediate predecessor of '{js.label}'"
             )
-    lam, C = _arrays(game.player_plan(i), phi)
+    plan = game.player_plan(i)
+    lam, conts = _arrays(plan, phi)
     cum = cumulative_weights(game, phi)
-    sids = np.array([js.seq_ids], dtype=np.int64)
+    sids = np.array(js.seq_ids, dtype=np.int64)
+    rows = plan.rank[sids]
     out = np.array(x, dtype=float)
     # Only triggers above the infoset send mass into it; its own sequences'
     # current values are not part of the trunk.
     above = out.copy()
     above[sids] = 0.0
-    r = (lam * above) @ C[:, sids[0]]
-    out[sids] = _extend_block(sids, out[[js.parent_seq]], r[None, :], lam, C, cum, fp_tol)
+    r = conts[rows] @ (lam * above)
+    out[sids] = _extend_block(out[[js.parent_seq]], r[None, :], lam[None, sids],
+                              conts[np.ix_(rows, sids)][None], cum[None, sids], fp_tol)
     return out
 
 
@@ -369,24 +440,25 @@ def fixed_point(game, phi, fp_tol=1e-10):
     Starts from the vector with mass only on the empty sequence (of every
     player of a group's combination) and extends it one level of the infoset
     forests at a time.  An infoset's incoming mass depends only on shallower
-    entries, so a whole level's is one product, and its infosets are solved
-    together per action count.  The result is checked against the
-    closed-form action; residuals above 10 * fp_tol raise
-    :class:`NumericalError`.
+    entries, so a whole level's is one product over its rows of the level
+    layout, and its infosets are solved together per action count.  The
+    result is checked against the closed-form action; residuals above
+    10 * fp_tol raise :class:`NumericalError`.
 
     Returns one player's :class:`~efce.strategies.SequenceFormStrategy`, or
     for a group's combination the joint values array on the group's plan.
     """
     plan = game.player_plan(phi.player)
-    lam, C = _arrays(plan, phi)
+    lam, conts = _arrays(plan, phi)
     cum = lam @ plan.below
     x = np.zeros(len(lam))
     x[plan.offsets] = 1.0
     for level in plan.levels:
-        r = (lam * x) @ C[:, level.seqs]
-        for start, sids, parents in level.blocks:
+        r = conts[level.lo:level.hi] @ (lam * x)
+        for (start, sids, parents), gather in zip(level.blocks, level.gathers):
             incoming = r[start:start + sids.size].reshape(sids.shape)
-            x[sids] = _extend_block(sids, x[parents], incoming, lam, C, cum, fp_tol)
+            x[sids] = _extend_block(x[parents], incoming, lam[sids], conts.take(gather),
+                                    cum[sids], fp_tol)
     resid = float(np.max(np.abs(apply_deviation(game, phi, x, cum) - x)))
     if not resid <= 10.0 * fp_tol:
         raise NumericalError(f"fixed point residual {resid:g} exceeds tolerance")

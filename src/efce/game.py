@@ -29,6 +29,7 @@ import math
 import random
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from numbers import Integral
 
 import numpy as np
@@ -87,11 +88,15 @@ class Level:
     ``lo`` to ``hi``, in ``seqs`` order, and ``parent_rows`` holds the row
     of each one's parent sequence.
     The level's infosets hang below rows ``up_lo`` to ``up_hi``: infoset k
-    below row ``up_lo + up_rel[k]``.
+    below row ``up_lo + up_rel[k]``.  ``gathers`` holds one (k, m, m) array
+    per block: entry (j, a, c) is the flat index, into a sequences x
+    triggers array in the level layout, of the row of sequence
+    ``sids[j, a]`` and the column of trigger ``sids[j, c]``.
     """
 
     seqs: np.ndarray
     blocks: tuple
+    gathers: tuple
     lo: int
     hi: int
     parent_rows: np.ndarray
@@ -138,7 +143,9 @@ class PlayerPlan:
     held in it as sequences x triggers arrays, so every level is a run of
     contiguous rows.  Column t of ``level_subtree`` is row t of ``subtree``,
     of ``level_own`` is 1 on trigger t's infoset, and of ``level_uniform``
-    is 1/m on each m-action infoset (1 on the empty sequences).
+    is 1/m on each m-action infoset (1 on the empty sequences).  These
+    three masks are built on first read: a plan built only for ancestry
+    queries never holds them.
     """
 
     spans: tuple[tuple[int, int, int], ...]
@@ -150,9 +157,26 @@ class PlayerPlan:
     below: np.ndarray
     order: np.ndarray
     rank: np.ndarray
-    level_subtree: np.ndarray
-    level_own: np.ndarray
-    level_uniform: np.ndarray
+
+    @cached_property
+    def level_subtree(self):
+        return self.subtree.T[self.order]
+
+    @cached_property
+    def level_own(self):
+        own = np.zeros((self.rank.size, self.rank.size))
+        for lev in self.levels:
+            for _, sids, _ in lev.blocks:
+                own[self.rank[sids][:, :, None], sids[:, None, :]] = 1.0
+        return own
+
+    @cached_property
+    def level_uniform(self):
+        uniform = np.ones(self.rank.size)
+        for lev in self.levels:
+            for _, sids, _ in lev.blocks:
+                uniform[self.rank[sids]] = 1.0 / sids.shape[1]
+        return np.tile(uniform[:, None], (1, self.rank.size))
 
 
 class GameTree:
@@ -518,7 +542,6 @@ class GameTree:
         infoset_sum = np.zeros((n, n))
         below = np.zeros((n, n))
         below[offsets, offsets] = 1.0
-        uniform = np.ones(n)
         for player, off in zip(players, offsets.tolist()):
             # Pre-order visits a parent sequence's infoset before its children's,
             # so each infoset's columns can copy their parent sequence's column.
@@ -531,7 +554,6 @@ class GameTree:
                 depth = int(below[:, parent].sum()) - 1
                 by_depth.setdefault(depth, {}).setdefault(len(sids), []).append((sids, parent))
                 infoset_sum[np.ix_(sids, sids)] = 1.0
-                uniform[sids] = 1.0 / len(sids)
         # 0/1, because the sequences of one infoset have disjoint descendants.
         subtree = infoset_sum @ below
 
@@ -541,11 +563,13 @@ class GameTree:
         levels = []
         for depth in sorted(by_depth):
             lo = len(order)
-            blocks, seqs, members = [], [], []
+            blocks, gathers, seqs, members = [], [], [], []
             for m, group in sorted(by_depth[depth].items()):
                 sids = np.array([s for s, _ in group], dtype=np.int64)
                 pars = np.array([p for _, p in group], dtype=np.int64)
+                rows = np.arange(lo + len(seqs), lo + len(seqs) + sids.size).reshape(sids.shape)
                 blocks.append((len(seqs), sids, pars))
+                gathers.append(rows[:, :, None] * n + sids[:, None, :])
                 seqs.extend(sids.ravel().tolist())
                 members.extend(group)
             order.extend(seqs)
@@ -554,7 +578,7 @@ class GameTree:
             up_rows = rank[[p for _, p in members]]
             up_lo = int(up_rows.min())
             levels.append(Level(
-                np.array(seqs, dtype=np.int64), tuple(blocks),
+                np.array(seqs, dtype=np.int64), tuple(blocks), tuple(gathers),
                 lo, len(order), np.repeat(up_rows, sizes_here),
                 up_lo, int(up_rows.max()) + 1, up_rows - up_lo))
         spans = tuple((p, a, a + k)
@@ -562,8 +586,7 @@ class GameTree:
         order = np.array(order, dtype=np.int64)
         return PlayerPlan(spans, offsets, sizes,
                           np.repeat(np.arange(len(players)), sizes), tuple(levels),
-                          subtree, below, order, rank, subtree.T[order],
-                          infoset_sum.T[order], np.tile(uniform[order, None], (1, n)))
+                          subtree, below, order, rank)
 
     def payoff_range(self, player):
         """Spread between the best and worst terminal payoff of one player."""

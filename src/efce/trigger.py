@@ -101,8 +101,7 @@ class HullMinimizer:
         s = np.add.reduceat(mpos, plan.offsets).take(plan.owner)
         lam = np.divide(mpos, s, out=self._even.copy(), where=s > 0.0)
         self._local = local
-        self._phi = ConvexTriggerDeviation.from_arrays(
-            self.player, lam, conts.take(plan.rank, axis=0).T, plan.offsets)
+        self._phi = ConvexTriggerDeviation.from_level_layout(self.player, lam, conts, plan)
         return self._phi
 
     def observe_utility(self, ell, q):

@@ -1,3 +1,4 @@
+import functools
 import random
 import time
 
@@ -147,7 +148,7 @@ def test_convex_deviation_validation():
     lam = np.zeros(9)
     lam[3] = np.nan
     with pytest.raises(ValueError):
-        efce.ConvexTriggerDeviation.from_arrays(0, lam, np.zeros((9, 9)))
+        efce.ConvexTriggerDeviation.from_level_layout(0, lam, np.zeros((9, 9)), g.player_plan(0))
     # trigger ids must be non-empty sequence ids: -1 once wrapped to 8
     with pytest.raises(ValueError):
         efce.ConvexTriggerDeviation(0, [(-1, 1.0, cont)])
@@ -420,17 +421,36 @@ def test_fixed_point_equals_chain_of_extends():
     assert checked >= 40
 
 
-def test_fixed_point_closed_forms_match_general_solver():
+@functools.cache
+def _one_infoset_game(m):
+    acts = " ; ".join(f"a{k} -> z{k}" for k in range(m))
+    leaves = "; ".join(f"leaf z{k} {{{k}}}" for k in range(m))
+    return efce.parse_game(f"players 1; root r\n"
+                           f"decision r player 1 infoset A {{ {acts} }}\n{leaves}")
+
+
+def _one_infoset_fixed_point(lam, conts):
+    """Fixed point of a one-infoset game, and the chain it solves.
+
+    ``conts[c]`` is trigger c's continuation over the infoset's actions, and
+    ``col[a, c] = lam[c] * conts[c, a] + (1 - lam[c]) * [a == c]``.
+    """
+    m = len(lam)
+    col = conts.T * lam
+    col[np.diag_indices(m)] += 1.0 - lam
+    entries = [(c + 1, lam[c], np.concatenate([[0.0], conts[c]])) for c in range(m)]
+    fp = efce.fixed_point(_one_infoset_game(m), efce.ConvexTriggerDeviation(0, entries))
+    return fp.values[1:], col
+
+
+def test_fixed_point_closed_forms_match_general_solver(monkeypatch):
     # one infoset of m actions: the fixed point is the stationary distribution
     # of col[a, c] = lam[c] * cont_c[a] + (1 - lam[c]) * [a == c], which the
     # fixed point solves in closed form for m = 2 and m = 3 (m = 4 takes the
     # general solver's path)
     rng = np.random.default_rng(4)
     for m in (2, 3, 4):
-        acts = " ; ".join(f"a{k} -> z{k}" for k in range(m))
-        leaves = "; ".join(f"leaf z{k} {{{k}}}" for k in range(m))
-        g = efce.parse_game(f"players 1; root r\n"
-                            f"decision r player 1 infoset A {{ {acts} }}\n{leaves}")
+        g = _one_infoset_game(m)
         for _ in range(200):
             lam = rng.random(m) * (rng.random(m) < 0.8)
             if not lam.any():
@@ -447,3 +467,93 @@ def test_fixed_point_closed_forms_match_general_solver():
             phi = efce.ConvexTriggerDeviation(0, entries)
             fp = efce.fixed_point(g, phi)
             assert np.abs(fp.values[1:] - efce.stationary_distribution(col)).max() <= 1e-12
+
+    # A chain with several closed classes has no spanning tree, so the closed
+    # forms sum to 0.  The fixed point then gives, without calling the general
+    # solver, its answer bit for bit: equal shares of the classes, and a
+    # closed pair split by its two crossing entries.
+    calls = []
+    monkeypatch.setattr(efce.deviations, "stationary_distribution", calls.append)
+
+    def split(states):
+        cont = np.zeros(3)
+        cont[states] = rng.random(len(states)) + 1e-3
+        return cont / cont.sum()
+
+    chains = [np.eye(2), np.eye(3)]  # identity chains
+    for _ in range(1500):
+        a, b, t = rng.permutation(3)
+        # two absorbing states, and a transient one that leaks into one or both
+        into = [a, b] if rng.random() < 0.5 else [a]
+        chains.append(np.stack([split([c] if c != t else into + [t] * (rng.random() < 0.5))
+                                for c in range(3)]))
+        # one absorbing state beside a closed pair
+        chains.append(np.stack([split([c] if c == a else [b, t] if rng.random() < 0.5
+                                      else [b + t - c]) for c in range(3)]))
+    drifted = 0
+    for k, conts in enumerate(chains):
+        lam = rng.random(len(conts)) + 1e-3
+        lam /= lam.sum()
+        col = conts.T * lam
+        col[np.diag_indices(len(lam))] += 1.0 - lam
+        # The fixed point rescales col's columns by their sums before it
+        # solves, and stationary_distribution rescales them once more.  Keep
+        # every chain on which the second rescaling moves a bit, and a few more.
+        col /= col.sum(axis=0)
+        drift = (col.sum(axis=0) != 1.0).any()
+        if k >= 200 and not drift:
+            continue
+        values, _ = _one_infoset_fixed_point(lam, conts)
+        assert np.array_equal(values, efce.stationary_distribution(col))
+        drifted += bool(drift)
+    assert drifted >= 5
+
+    # an infoset below a parent without mass comes out exactly 0
+    g = efce.builtin_game("fig1", seed=0)
+    y = np.zeros(9)
+    y[2] = y[7] = 1.0
+    fp = efce.fixed_point(g, efce.ConvexTriggerDeviation(0, [(1, 1.0, y)]))
+    assert fp.values[1] == 0.0
+    assert np.array_equal(fp.values[3:7], np.zeros(4))
+    assert not np.signbit(fp.values[3:7]).any()
+    assert calls == []
+
+
+def test_fixed_point_underflowed_closed_form_reaches_general_solver(monkeypatch):
+    # every pair of states communicates, so the chain has one closed class,
+    # but its spanning-tree products (about 1e-341) underflow to 0
+    calls = []
+    solve = efce.deviations.stationary_distribution
+
+    def counted(w, tol=1e-10):
+        calls.append(w.copy())
+        return solve(w, tol)
+
+    monkeypatch.setattr(efce.deviations, "stationary_distribution", counted)
+    lam = np.array([0.25, 0.5, 0.25])
+    conts = np.full((3, 3), 1e-170)
+    conts[np.diag_indices(3)] = 1.0
+    conts /= conts.sum(axis=1, keepdims=True)
+    values, col = _one_infoset_fixed_point(lam, conts)
+    assert len(calls) == 1
+    assert np.array_equal(values, solve(calls[0]))
+    assert np.abs(values - solve(col)).max() <= 1e-12
+    assert values.min() > 0.0 and values.sum() == pytest.approx(1.0)
+
+
+def test_fixed_point_calls_general_solver_only_for_four_or_more_actions(monkeypatch):
+    calls = []
+    solve = efce.deviations.stationary_distribution
+
+    def counted(w, tol=1e-10):
+        calls.append(len(w))
+        return solve(w, tol)
+
+    monkeypatch.setattr(efce.deviations, "stationary_distribution", counted)
+    efce.run(efce.builtin_game("kuhn3"), 256, 0, gap_every=64)
+    for seed in range(64):
+        efce.run(efce.builtin_game("random-tree", seed=seed), 32, 0, gap_every=32)
+    assert calls == []
+    # no closed form covers an infoset of four actions
+    efce.run(_one_infoset_game(4), 8, 0, gap_every=8)
+    assert calls and set(calls) == {4}
