@@ -99,7 +99,7 @@ class ConvexTriggerDeviation:
 
     @classmethod
     def from_level_layout(cls, player, lam, conts, plan):
-        """Wrap weights and ``plan``'s sequences x triggers continuations, with the same weight checks."""
+        """Wrap weights and continuations in ``plan``'s level layout, with the same checks."""
         phi = cls.__new__(cls)
         phi._init(player, lam, plan.offsets)
         phi._C, phi._conts, phi._rank = None, conts, plan.rank
