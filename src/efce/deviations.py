@@ -60,28 +60,27 @@ class ConvexTriggerDeviation:
     combination is allowed for players without any non-empty sequences and
     acts as the identity.
 
-    ``lam[s]`` is the weight of trigger s.  The continuations are held in
-    the plan's level layout (see :class:`~efce.game.PlayerPlan`), the
-    layout the hull learns them in and the fixed point reads: column t of
-    that sequences x triggers array is trigger t's continuation, supported
-    on the subtree of the trigger's infoset (zero columns for sequences
-    that are not triggers).  ``C``, with row s trigger s's continuation
-    over the sequences in their own order, is built on first read.  A
-    combination built from entries is turned into the level layout once,
-    on its first use.  ``lam`` and ``C`` are empty for the empty
-    combination.  A group's combination (from :meth:`from_level_layout`
-    with a tuple ``player``) is indexed by the group's plan: every player's
-    weights sum to 1, or to 0 for a player without triggers, and ``C`` is
-    block diagonal.
+    ``lam[s]`` is the weight of trigger s, and ``conts`` the continuations
+    in the plan's pair layout (see :class:`~efce.game.PlayerPlan`), the
+    layout the hull learns them in and the fixed point reads: entry p is
+    trigger t's continuation at sequence s, for the pair p = (t, s).  A
+    combination built from entries is turned into the pair layout on its
+    first use; that raises ValueError unless every continuation is finite,
+    nonnegative and zero off the subtree of its trigger's infoset.  ``C``,
+    with row s trigger s's continuation, is a triggers x sequences copy.
+    ``lam`` and ``C`` are empty for the empty combination.  A group's
+    combination (from :meth:`from_pairs` with a tuple ``player``) is indexed
+    by the group's plan: every player's weights sum to 1, or to 0 for a
+    player without triggers, and ``C`` is block diagonal.
     """
 
-    __slots__ = ("player", "lam", "_C", "_conts", "_rank")
+    __slots__ = ("player", "lam", "conts", "_plan", "_rows")
 
     def __init__(self, player, entries):
         entries = [(int(sid), float(w), np.asarray(c, dtype=float)) for sid, w, c in entries]
         n = max((len(c) for _, _, c in entries), default=0)
         lam = np.zeros(n)
-        cont = np.zeros((n, n))
+        rows = {}
         for sid, weight, c in entries:
             if sid == EMPTY_SEQ:
                 raise ValueError("the empty sequence cannot be a trigger")
@@ -92,17 +91,17 @@ class ConvexTriggerDeviation:
             if weight > 0.0:
                 # A repeated trigger keeps the weighted mean of its continuations.
                 old = lam[sid]
-                cont[sid] = c if old == 0.0 else (old * cont[sid] + weight * c) / (old + weight)
+                rows[sid] = c if old == 0.0 else (old * rows[sid] + weight * c) / (old + weight)
                 lam[sid] = old + weight
         self._init(player, lam, _ONE_BLOCK)
-        self._C, self._conts, self._rank = cont, None, None
+        self.conts, self._plan, self._rows = None, None, rows
 
     @classmethod
-    def from_level_layout(cls, player, lam, conts, plan):
-        """Wrap weights and continuations in ``plan``'s level layout, with the same checks."""
+    def from_pairs(cls, player, lam, conts, plan):
+        """Wrap weights and continuations in ``plan``'s pair layout, with the same checks."""
         phi = cls.__new__(cls)
         phi._init(player, lam, plan.offsets)
-        phi._C, phi._conts, phi._rank = None, conts, plan.rank
+        phi.conts, phi._plan, phi._rows = conts, plan, None
         return phi
 
     def _init(self, player, lam, offsets):
@@ -118,28 +117,38 @@ class ConvexTriggerDeviation:
 
     @property
     def C(self):
-        """Triggers x sequences continuations, row s trigger s's (built on first read)."""
-        if self._C is None:
-            self._C = self._conts.take(self._rank, axis=0).T
-        return self._C
+        """Triggers x sequences continuations, row s trigger s's (a copy)."""
+        if self._rows is None:
+            return self._plan.dense(self.conts)
+        C = np.zeros((self.lam.size, self.lam.size))
+        for sid, c in self._rows.items():
+            C[sid] = c
+        return C
 
     @property
     def terms(self):
         """(trigger, weight, continuation) triples of the positive weights."""
-        return [(int(s), float(self.lam[s]), self.C[s]) for s in np.flatnonzero(self.lam)]
+        C = self.C
+        return [(int(s), float(self.lam[s]), C[s]) for s in np.flatnonzero(self.lam)]
 
 
 def _arrays(plan, phi):
-    """The weights of ``phi`` and its continuations in ``plan``'s level layout."""
-    n = plan.rank.size
+    """The weights of ``phi`` and its continuations in ``plan``'s pair layout."""
+    n = plan.owner.size
     if phi.lam.size == 0:
-        return np.zeros(n), np.zeros((n, n))
+        return np.zeros(n), np.zeros(plan.pair_seq.size)
     if phi.lam.size != n:
         raise ValueError(f"deviation has {phi.lam.size} sequences, expected {n}")
-    if phi._conts is None:
-        phi._conts = phi._C.T[plan.order]
-        phi._rank = plan.rank
-    return phi.lam, phi._conts
+    if phi.conts is None:
+        C = phi.C
+        conts = C[plan.pair_trigger, plan.pair_seq]
+        C[plan.pair_trigger, plan.pair_seq] = 0.0
+        # The pair layout has no slot for an entry off the trigger infoset's subtree.
+        if C.any() or not np.isfinite(conts).all() or conts.min(initial=0.0) < 0.0:
+            raise ValueError("continuations must be finite, nonnegative and zero off "
+                             "the subtree of their trigger's information set")
+        phi.conts, phi._plan = conts, plan
+    return phi.lam, phi.conts
 
 
 def validate_deviation(game, phi):
@@ -200,7 +209,8 @@ def apply_deviation(game, phi, x, cum=None):
     x = np.asarray(x, dtype=float)
     if cum is None:
         cum = lam @ plan.below
-    out = (1.0 - cum) * x + (conts @ (lam * x)).take(plan.rank)
+    moved = conts * (lam * x).take(plan.pair_trigger)
+    out = (1.0 - cum) * x + np.bincount(plan.pair_seq, moved, x.size)
     out[plan.offsets] = x[plan.offsets]
     return out
 
@@ -422,15 +432,18 @@ def extend(game, phi, trunk, j_star, x, fp_tol=1e-10):
     lam, conts = _arrays(plan, phi)
     cum = cumulative_weights(game, phi)
     sids = np.array(js.seq_ids, dtype=np.int64)
-    rows = plan.rank[sids]
     out = np.array(x, dtype=float)
     # Only triggers above the infoset send mass into it; its own sequences'
     # current values are not part of the trunk.
     above = out.copy()
     above[sids] = 0.0
-    r = conts[rows] @ (lam * above)
+    pairs = np.isin(plan.pair_seq, sids)
+    moved = conts[pairs] * (lam * above).take(plan.pair_trigger[pairs])
+    r = np.bincount(plan.pair_seq[pairs], moved, out.size)[sids]
+    a = np.arange(sids.size)
+    own = conts.take(plan.own[sids] + (a[:, None] - a))
     out[sids] = _extend_block(out[[js.parent_seq]], r[None, :], lam[None, sids],
-                              conts[np.ix_(rows, sids)][None], cum[None, sids], fp_tol)
+                              own[None], cum[None, sids], fp_tol)
     return out
 
 
@@ -454,10 +467,11 @@ def fixed_point(game, phi, fp_tol=1e-10):
     x = np.zeros(len(lam))
     x[plan.offsets] = 1.0
     for level in plan.levels:
-        r = conts[level.lo:level.hi] @ (lam * x)
-        for (start, sids, parents), gather in zip(level.blocks, level.gathers):
-            incoming = r[start:start + sids.size].reshape(sids.shape)
-            x[sids] = _extend_block(x[parents], incoming, lam[sids], conts.take(gather),
+        pairs = slice(level.lo, level.hi)
+        moved = conts[pairs] * (lam * x).take(plan.pair_trigger[pairs])
+        r = np.bincount(plan.pair_seq[pairs], moved, x.size)
+        for (sids, parents), gather in zip(level.blocks, level.gathers):
+            x[sids] = _extend_block(x[parents], r[sids], lam[sids], conts.take(gather),
                                     cum[sids], fp_tol)
     resid = float(np.max(np.abs(apply_deviation(game, phi, x, cum) - x)))
     if not resid <= 10.0 * fp_tol:

@@ -108,7 +108,7 @@ class GapReport:
 
 
 def _walk_best(game, player, completed, root, values):
-    """Mark the first best action of each infoset of the scope that the vertex reaches."""
+    """Mark the first best action, by ``completed[s]``, of each scope infoset the vertex reaches."""
     for gid in game.scope_infosets(player, root):
         js = game.infosets[gid]
         if gid == root or values[js.parent_seq] != 0.0:
@@ -120,21 +120,20 @@ def subtree_best_response(game, player, coeffs, root=None):
 
     Runs the bottom-up dynamic program over the infoset forest (or the
     subtree of ``root``), breaking ties toward the lowest action index, and
-    returns the optimal value together with an optimal vertex.
+    returns the optimal value, the vertex's, together with an optimal vertex.
     """
     plan = game.player_plan(player)
     coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != plan.rank.shape or not np.isfinite(coeffs).all():
-        raise ValueError(f"coefficients must be {plan.rank.size} finite numbers")
-    completed = coeffs.take(plan.order)[:, None]
+    if coeffs.shape != plan.owner.shape or not np.isfinite(coeffs).all():
+        raise ValueError(f"coefficients must be {plan.owner.size} finite numbers")
+    # Every pair holds its sequence's coefficient, so pair (s, s) completes s.
+    completed = coeffs.take(plan.pair_seq)
     _complete(plan, completed)
-    completed = completed[plan.rank, 0]
     values = np.zeros(game.num_sequences(player))
     if root is None:
         values[EMPTY_SEQ] = 1.0
-    _walk_best(game, player, completed, root, values)
-    top = [EMPTY_SEQ] if root is None else list(game.infosets[root].seq_ids)
-    return float(completed[top].max()), SequenceFormStrategy(player, values, root)
+    _walk_best(game, player, np.append(completed, 0.0).take(plan.own), root, values)
+    return float(coeffs @ values), SequenceFormStrategy(player, values, root)
 
 
 def efce_gap(freq):
@@ -165,7 +164,9 @@ def efce_gap(freq):
             eps_i = float(own[sid])
             gid = int(game.seq_infoset(i)[sid])
             vertex = np.zeros(b - a)
-            _walk_best(game, i, completed[:, a + sid][meter.plan.rank[a:b]], gid, vertex)
+            mine = meter.plan.pair_trigger == a + sid
+            column = dict(zip((meter.plan.pair_seq[mine] - a).tolist(), completed[mine].tolist()))
+            _walk_best(game, i, column, gid, vertex)
             witness = (sid, SequenceFormStrategy(i, vertex, gid))
         per_player.append(eps_i)
         trigger_gaps.append(own)

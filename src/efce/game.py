@@ -28,8 +28,7 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
@@ -79,47 +78,29 @@ class InfoSet:
 
 @dataclass(frozen=True)
 class Level:
-    """The information sets at one depth of a plan's infoset forests.
+    """The information sets at one depth of a plan's infoset forests, and their pairs.
 
-    ``seqs`` lists the level's sequences, grouped by action count.
-    ``blocks`` holds one (offset into ``seqs``, sequence ids (k, m), parent
-    sequences (k,)) triple per action count m; each infoset's sequences are
-    contiguous.  In the plan's level layout the level's sequences are rows
-    ``lo`` to ``hi``, in ``seqs`` order, and ``parent_rows`` holds the row
-    of each one's parent sequence.
-    The level's infosets hang below rows ``up_lo`` to ``up_hi``: infoset k
-    below row ``up_lo + up_rel[k]``.  ``gathers`` holds one (k, m, m) array
-    per block: entry (j, a, c) is the flat index, into a sequences x
-    triggers array in the level layout, of the row of sequence
-    ``sids[j, a]`` and the column of trigger ``sids[j, c]``.
+    ``blocks`` holds one (sequence ids (k, m), parent sequences (k,)) pair
+    per action count m.  The level's pairs are ``lo`` to ``hi`` of the
+    plan's pair layout: per infoset, one segment of m pairs (one per action)
+    for each trigger covering it.  Per pair, ``segment`` is its segment
+    (counted from 0 in the level), and ``up`` its parent pair (t, parent
+    sequence), or P, the root slot, when t is one of the infoset's own
+    sequences.  ``starts`` holds each segment's first pair, from ``lo``, and
+    ``parents`` each segment's parent pair, from the level above's ``lo``
+    (the level above's pair count for the root slot).
+    ``gathers`` holds one (k, m, m) array per block: entry (j, a, c) is the
+    pair (``sids[j, c]``, ``sids[j, a]``).
     """
 
-    seqs: np.ndarray
     blocks: tuple
     gathers: tuple
     lo: int
     hi: int
-    parent_rows: np.ndarray
-    up_lo: int
-    up_hi: int
-    up_rel: np.ndarray
-    # Column count -> bincount index of lift(); filled on first use.
-    _lift_index: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def lift(self, into, here):
-        """Add row k of ``here`` (level infosets x columns) to ``into``'s row of k's parent.
-
-        ``into`` is in the plan's level layout.  One bincount sums the
-        infosets that share a parent, in infoset order.
-        """
-        cols = here.shape[1]
-        index = self._lift_index.get(cols)
-        if index is None:
-            index = (self.up_rel[:, None] * cols + np.arange(cols)).ravel()
-            self._lift_index[cols] = index
-        width = self.up_hi - self.up_lo
-        sums = np.bincount(index, here.ravel(), width * cols)
-        into[self.up_lo:self.up_hi] += sums.reshape(width, cols)
+    segment: np.ndarray
+    up: np.ndarray
+    starts: np.ndarray
+    parents: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -131,21 +112,19 @@ class PlayerPlan:
     empty sequence and holds its ``sizes[k]`` sequences in their own order;
     ``owner[s]`` is the slot k of sequence s.  ``levels`` runs from the roots
     of the infoset forests down, merging the players' infosets by depth.
-    ``subtree`` and ``below`` are N x N, indexed (sequence, sequence) and
-    block diagonal.  Row t of ``subtree`` is 1 on the sequences at or below
-    trigger t's infoset; the rows of the empty sequences are zero.
+    ``below`` is N x N, indexed (sequence, sequence) and block diagonal:
     ``below[s, t]`` is 1 when sequence t is at or below sequence s (every t
     of the block when s is its empty sequence).
 
-    The level layout orders sequences by level: row j is sequence
-    ``order[j]`` (the empty sequences first, then each level's ``seqs``),
-    and ``rank[s]`` is the row of sequence s.  All per-trigger state is
-    held in it as sequences x triggers arrays, so every level is a run of
-    contiguous rows.  Column t of ``level_subtree`` is row t of ``subtree``,
-    of ``level_own`` is 1 on trigger t's infoset, and of ``level_uniform``
-    is 1/m on each m-action infoset (1 on the empty sequences).  These
-    three masks are built on first read: a plan built only for ancestry
-    queries never holds them.
+    All per-trigger state is held in the pair layout: one entry per pair
+    (t, s) of a trigger t (a non-empty sequence) and a sequence s at or
+    below t's infoset.  Pair p is (``pair_trigger[p]``, ``pair_seq[p]``).
+    The P pairs run by level, then by infoset in block order, then by
+    trigger (the parent sequence's infoset's triggers, then the infoset's
+    own), then by action, so each (infoset, trigger) segment of m pairs is
+    contiguous; ``segment[p]`` numbers p's segment.  ``own[s]`` is the pair
+    (s, s), and P for an empty sequence.  :meth:`dense` and ``subtree``
+    give triggers x sequences copies.
     """
 
     spans: tuple[tuple[int, int, int], ...]
@@ -153,30 +132,22 @@ class PlayerPlan:
     sizes: np.ndarray
     owner: np.ndarray
     levels: tuple[Level, ...]
-    subtree: np.ndarray
     below: np.ndarray
-    order: np.ndarray
-    rank: np.ndarray
+    pair_seq: np.ndarray
+    pair_trigger: np.ndarray
+    segment: np.ndarray
+    own: np.ndarray
 
-    @cached_property
-    def level_subtree(self):
-        return self.subtree.T[self.order]
+    def dense(self, pairs):
+        """Triggers x sequences array holding ``pairs`` (one entry per pair), zero elsewhere."""
+        out = np.zeros((self.owner.size, self.owner.size))
+        out[self.pair_trigger, self.pair_seq] = pairs
+        return out
 
-    @cached_property
-    def level_own(self):
-        own = np.zeros((self.rank.size, self.rank.size))
-        for lev in self.levels:
-            for _, sids, _ in lev.blocks:
-                own[self.rank[sids][:, :, None], sids[:, None, :]] = 1.0
-        return own
-
-    @cached_property
-    def level_uniform(self):
-        uniform = np.ones(self.rank.size)
-        for lev in self.levels:
-            for _, sids, _ in lev.blocks:
-                uniform[self.rank[sids]] = 1.0 / sids.shape[1]
-        return np.tile(uniform[:, None], (1, self.rank.size))
+    @property
+    def subtree(self):
+        """Row t is 1 on the sequences at or below trigger t's infoset (a copy)."""
+        return self.dense(1.0)
 
 
 class GameTree:
@@ -495,7 +466,10 @@ class GameTree:
     def subtree_seq_mask(self, gid):
         """Boolean array over the owner's sequences marking the subtree of ``gid``."""
         js = self.infosets[gid]
-        return self.player_plan(js.player).subtree[js.seq_ids[0]] > 0.0
+        plan = self.player_plan(js.player)
+        mask = np.zeros(plan.owner.size, dtype=bool)
+        mask[plan.pair_seq[plan.pair_trigger == js.seq_ids[0]]] = True
+        return mask
 
     def scope_infosets(self, player, root=None):
         """Infosets of a strategy scope, parents first.
@@ -539,7 +513,6 @@ class GameTree:
         n = int(sizes.sum())
         # depth -> action count -> (joint sequence ids, joint parent sequence) per infoset
         by_depth: dict[int, dict[int, list]] = {}
-        infoset_sum = np.zeros((n, n))
         below = np.zeros((n, n))
         below[offsets, offsets] = 1.0
         for player, off in zip(players, offsets.tolist()):
@@ -553,40 +526,57 @@ class GameTree:
                 below[sids, sids] = 1.0
                 depth = int(below[:, parent].sum()) - 1
                 by_depth.setdefault(depth, {}).setdefault(len(sids), []).append((sids, parent))
-                infoset_sum[np.ix_(sids, sids)] = 1.0
-        # 0/1, because the sequences of one infoset have disjoint descendants.
-        subtree = infoset_sum @ below
 
-        order = offsets.tolist()
-        rank = np.zeros(n, dtype=np.int64)
-        rank[offsets] = np.arange(len(players))
-        levels = []
+        pair_seq, pair_trigger, segment, up = [], [], [], []
+        own = np.zeros(n, dtype=np.int64)
+        # sequence -> (first pair of its infoset, the infoset's triggers, m, action)
+        home = {}
+        ranges, n_segments = [], 0
         for depth in sorted(by_depth):
-            lo = len(order)
-            blocks, gathers, seqs, members = [], [], [], []
+            lo = len(pair_seq)
+            blocks = []
             for m, group in sorted(by_depth[depth].items()):
-                sids = np.array([s for s, _ in group], dtype=np.int64)
-                pars = np.array([p for _, p in group], dtype=np.int64)
-                rows = np.arange(lo + len(seqs), lo + len(seqs) + sids.size).reshape(sids.shape)
-                blocks.append((len(seqs), sids, pars))
-                gathers.append(rows[:, :, None] * n + sids[:, None, :])
-                seqs.extend(sids.ravel().tolist())
-                members.extend(group)
-            order.extend(seqs)
-            rank[seqs] = np.arange(lo, len(order))
-            sizes_here = [len(s) for s, _ in members]
-            up_rows = rank[[p for _, p in members]]
-            up_lo = int(up_rows.min())
-            levels.append(Level(
-                np.array(seqs, dtype=np.int64), tuple(blocks), tuple(gathers),
-                lo, len(order), np.repeat(up_rows, sizes_here),
-                up_lo, int(up_rows.max()) + 1, up_rows - up_lo))
+                blocks.append((np.array([s for s, _ in group], dtype=np.int64),
+                               np.array([p for _, p in group], dtype=np.int64)))
+                for sids, parent in group:
+                    # The triggers covering an infoset: its parent's infoset's, then its own.
+                    first, covers, pm, pa = home.get(parent, (0, (), 0, 0))
+                    triggers = covers + tuple(sids)
+                    base = len(pair_seq)
+                    for q, t in enumerate(triggers):
+                        pair_trigger += [t] * m
+                        up += [first + q * pm + pa if q < len(covers) else -1] * m
+                        segment += [n_segments] * m
+                        n_segments += 1
+                    pair_seq += sids * len(triggers)
+                    for a, s in enumerate(sids):
+                        home[s] = (base, triggers, m, a)
+                        own[s] = base + (len(covers) + a) * m + a
+            ranges.append((lo, len(pair_seq), tuple(blocks)))
+        n_pairs = len(pair_seq)
+        own[offsets] = n_pairs
+        segment = np.array(segment, dtype=np.int64)
+        up = np.array(up, dtype=np.int64)
+        up[up < 0] = n_pairs
+        levels = []
+        above = 0
+        for lo, hi, blocks in ranges:
+            rel = segment[lo:hi] - segment[lo]
+            starts = np.flatnonzero(np.diff(rel, prepend=-1))
+            heads = up[lo + starts]
+            gathers = []
+            for sids, _ in blocks:
+                a = np.arange(sids.shape[1])
+                gathers.append(own[sids][:, None, :] + (a[:, None] - a))
+            levels.append(Level(blocks, tuple(gathers), lo, hi, rel, up[lo:hi], starts,
+                                np.where(heads == n_pairs, lo, heads) - above))
+            above = lo
         spans = tuple((p, a, a + k)
                       for p, a, k in zip(players, offsets.tolist(), sizes.tolist()))
-        order = np.array(order, dtype=np.int64)
         return PlayerPlan(spans, offsets, sizes,
-                          np.repeat(np.arange(len(players)), sizes), tuple(levels),
-                          subtree, below, order, rank)
+                          np.repeat(np.arange(len(players)), sizes), tuple(levels), below,
+                          np.array(pair_seq, dtype=np.int64),
+                          np.array(pair_trigger, dtype=np.int64), segment, own)
 
     def payoff_range(self, player):
         """Spread between the best and worst terminal payoff of one player."""

@@ -40,12 +40,11 @@ class HullMinimizer:
 
     Regret matching over the non-empty sequences picks the mixture, and per
     trigger a counterfactual-regret learner on the trigger infoset's subtree
-    picks the continuation.  The learners are held flat: row t of
-    ``regrets`` is trigger t's, masked to its subtree (the rows of empty
-    sequences stay zero), and both steps run a few array operations per
-    level of the infoset forest, on sequences x triggers arrays in the
-    plan's level layout.  Observing a rank-one functional updates every row
-    with the utility scaled by the weight the played point put on its
+    picks the continuation.  The learners are held flat, in the plan's pair
+    layout (see :class:`~efce.game.PlayerPlan`): one regret per (trigger,
+    sequence) pair, and both steps run a few array operations per level of
+    the infoset forest.  Observing a rank-one functional updates every
+    pair with the utility scaled by the weight the played point put on its
     trigger, and feeds the mixture the value each pure-trigger deviation
     would have obtained.
 
@@ -59,49 +58,41 @@ class HullMinimizer:
         self.game = game
         self.player = player
         self.plan = plan = game.player_plan(player)
-        n = plan.rank.size
-        # Level layout: entry (j, t) belongs to sequence plan.order[j] and trigger t.
-        self._regrets = np.zeros((n, n))
+        self._regrets = np.zeros(plan.pair_seq.size)
         # Entry t is trigger t's; the entries of empty sequences stay zero.
-        self.mixer_regrets = np.zeros(n)
+        self.mixer_regrets = np.zeros(plan.owner.size)
         # The uniform mixture: 1 / (number of triggers) on each player's triggers.
         triggers = plan.sizes - 1
         self._even = np.divide(1.0, triggers, out=np.zeros(triggers.size),
                                where=triggers > 0)[plan.owner]
         self._even[plan.offsets] = 0.0
+        # The uniform local strategy: 1/m on each pair of an m-action infoset.
+        self._uniform = 1.0 / np.bincount(plan.segment).take(plan.segment)
         self._local = None
         self._phi = None
 
     @property
     def regrets(self):
         """Triggers x sequences regrets, row t trigger t's (a copy)."""
-        return self._regrets[self.plan.rank].T
+        return self.plan.dense(self._regrets)
 
     def next_element(self):
         if self._phi is not None:
             raise CallOrderError("next_element called again before observe_utility")
         plan = self.plan
-        n = plan.rank.size
         pos = np.maximum(self._regrets, 0.0)
-        local = plan.level_uniform.copy()
-        # Compose top-down: a sequence's mass is its parent's, plus 1 at the
-        # trigger's own infoset, times its local probability.
-        conts = plan.level_own.copy()
+        tot = np.bincount(plan.segment, pos).take(plan.segment)
+        local = np.divide(pos, tot, out=self._uniform.copy(), where=tot > 0.0)
+        # Compose top-down: a pair's mass is its parent pair's (1 in the root
+        # slot, for a trigger at its own infoset) times its local probability.
+        conts = np.ones(pos.size + 1)
         for lev in plan.levels:
-            for start, sids, _ in lev.blocks:
-                k, m = sids.shape
-                rows = slice(lev.lo + start, lev.lo + start + k * m)
-                here = pos[rows].reshape(k, m, n)
-                tot = here.sum(axis=1, keepdims=True)
-                np.divide(here, tot, out=local[rows].reshape(k, m, n), where=tot > 0.0)
-            here = conts[lev.lo:lev.hi]
-            here += conts.take(lev.parent_rows, axis=0)
-            here *= local[lev.lo:lev.hi]
+            np.multiply(conts.take(lev.up), local[lev.lo:lev.hi], out=conts[lev.lo:lev.hi])
         mpos = np.maximum(self.mixer_regrets, 0.0)
         s = np.add.reduceat(mpos, plan.offsets).take(plan.owner)
         lam = np.divide(mpos, s, out=self._even.copy(), where=s > 0.0)
         self._local = local
-        self._phi = ConvexTriggerDeviation.from_level_layout(self.player, lam, conts, plan)
+        self._phi = ConvexTriggerDeviation.from_pairs(self.player, lam, conts[:-1], plan)
         return self._phi
 
     def observe_utility(self, ell, q):
@@ -116,18 +107,18 @@ class HullMinimizer:
         plan = self.plan
         ell = np.asarray(ell, dtype=float)
         q = np.asarray(q, dtype=float)
-        _check_round(plan.rank.size, ell, q, "point")
+        n = plan.owner.size
+        _check_round(n, ell, q, "point")
         phi, self._phi = self._phi, None
         # Counterfactual values, completed bottom-up with child infoset values.
-        vals = np.multiply.outer(ell.take(plan.order), q)
-        vals *= plan.level_subtree
+        ell_pairs = ell.take(plan.pair_seq)
+        vals = ell_pairs * q.take(plan.pair_trigger)
         vals -= _complete(plan, vals, self._local)
-        vals *= plan.level_subtree
         self._regrets += vals
 
         lq = ell * q
         values = np.add.reduceat(lq, plan.offsets).take(plan.owner) - plan.below @ lq
-        values += q * (phi.C @ ell)
+        values += q * np.bincount(plan.pair_trigger, phi.conts * ell_pairs, n)
         values -= np.add.reduceat(values * phi.lam, plan.offsets).take(plan.owner)
         values[plan.offsets] = 0.0
         self.mixer_regrets += values
@@ -192,31 +183,29 @@ class PureTriggerMinimizer(MixedTriggerMinimizer):
 
 
 def _complete(plan, vals, local=None):
-    """Complete a level-layout array bottom-up in place; return its infoset values.
+    """Complete a pair-layout array bottom-up in place; return its infoset values.
 
-    One pass over ``plan.levels``, deepest first: each level's infosets take
-    the max of their sequences' completed entries, or with ``local`` (local
-    strategies in the same layout) their mean under it, and add it to their
-    parent sequences' rows.  Row j of the returned array holds, per column,
-    the value of the infoset of sequence ``plan.order[j]``; the rows of the
-    empty sequences are zero.
+    One pass over ``plan.levels``, deepest first: each (infoset, trigger)
+    segment takes the max of its pairs' completed entries, or with
+    ``local`` (local strategies in the same layout) their mean under it,
+    and adds it to its parent pair.  Entry p of the returned array holds the
+    value of pair p's segment.
     """
-    cols = vals.shape[1]
-    iset = np.zeros(vals.shape)
-    for lev in reversed(plan.levels):
-        here = np.empty((lev.up_rel.size, cols))
-        k0 = 0
-        for start, sids, _ in lev.blocks:
-            k, m = sids.shape
-            rows = slice(lev.lo + start, lev.lo + start + k * m)
-            out = here[k0:k0 + k]
-            if local is None:
-                vals[rows].reshape(k, m, cols).max(axis=1, out=out)
-            else:
-                (vals[rows] * local[rows]).reshape(k, m, cols).sum(axis=1, out=out)
-            iset[rows].reshape(k, m, cols)[...] = out[:, None]
-            k0 += k
-        lev.lift(vals, here)
+    iset = np.empty(vals.size)
+    levels = plan.levels
+    for i in range(len(levels) - 1, -1, -1):
+        lev = levels[i]
+        here = vals[lev.lo:lev.hi]
+        if local is None:
+            seg = np.maximum.reduceat(here, lev.starts)
+        else:
+            # bincount adds each segment's pairs in order, as a row sum would.
+            seg = np.bincount(lev.segment, here * local[lev.lo:lev.hi])
+        iset[lev.lo:lev.hi] = seg.take(lev.segment)
+        if i:
+            # The last slot collects the root segments, which have no parent.
+            up = levels[i - 1]
+            vals[up.lo:up.hi] += np.bincount(lev.parents, seg, up.hi - up.lo + 1)[:-1]
     return iset
 
 
@@ -225,9 +214,9 @@ class PhiRegretMeter:
 
     Accumulates, per trigger, the utility mass at or below the trigger under
     the played points (``follow``) and the utility vectors scaled by the
-    played trigger weight, masked to the trigger's subtree (held in the
-    plan's level layout; ``tables`` is a triggers x sequences copy whose
-    rows of empty sequences are zero).  The regret against the best fixed
+    played trigger weight, on the trigger's subtree (held in the plan's
+    pair layout; ``tables`` is a triggers x sequences copy whose rows of
+    empty sequences are zero).  The regret against the best fixed
     one-trigger deviation is then a max over triggers of (best continuation
     value - follow value), the best values coming from one bottom-up pass
     that is kept until the next :meth:`record`.
@@ -241,33 +230,32 @@ class PhiRegretMeter:
         self.game = game
         self.player = player
         self.plan = plan = game.player_plan(player)
-        n = plan.rank.size
-        self._tables = np.zeros((n, n))
-        self.follow = np.zeros(n)
+        self._tables = np.zeros(plan.pair_seq.size)
+        self.follow = np.zeros(plan.owner.size)
         self._pass = None
 
     @property
     def tables(self):
         """Triggers x sequences tables, row t trigger t's (a copy)."""
-        return self._tables[self.plan.rank].T
+        return self.plan.dense(self._tables)
 
     def record(self, ell, played):
         """Add one round: the utility vector and the played point, both finite."""
+        plan = self.plan
         ell = np.asarray(ell, dtype=float)
         played = np.asarray(played, dtype=float)
         _check_round(self.follow.size, ell, played, "played point")
-        self.follow += self.plan.below.dot(ell * played)
-        update = np.multiply.outer(ell.take(self.plan.order), played)
-        update *= self.plan.level_subtree
-        self._tables += update
+        self.follow += plan.below.dot(ell * played)
+        self._tables += ell.take(plan.pair_seq) * played.take(plan.pair_trigger)
         self._pass = None
 
     def best_pass(self):
-        """(best continuation value per trigger, completed tables in level layout), cached."""
+        """(best continuation value per trigger, completed tables in pair layout), cached."""
         if self._pass is None:
             completed = self._tables.copy()
             iset = _complete(self.plan, completed)
-            self._pass = (iset[self.plan.rank, np.arange(completed.shape[1])], completed)
+            # The empty sequences read the trailing 0.
+            self._pass = (np.append(iset, 0.0).take(self.plan.own), completed)
         return self._pass
 
     def regret(self):

@@ -148,7 +148,8 @@ def test_convex_deviation_validation():
     lam = np.zeros(9)
     lam[3] = np.nan
     with pytest.raises(ValueError):
-        efce.ConvexTriggerDeviation.from_level_layout(0, lam, np.zeros((9, 9)), g.player_plan(0))
+        plan = g.player_plan(0)
+        efce.ConvexTriggerDeviation.from_pairs(0, lam, np.zeros(plan.pair_seq.size), plan)
     # trigger ids must be non-empty sequence ids: -1 once wrapped to 8
     with pytest.raises(ValueError):
         efce.ConvexTriggerDeviation(0, [(-1, 1.0, cont)])
@@ -178,6 +179,31 @@ def test_validate_deviation_checks_continuations():
         0, [(1, 0.5, da.continuation), (2, 1 / 3, db.continuation),
             (3, 1 / 6, dc.continuation)])
     efce.validate_deviation(g, good)
+
+
+def test_continuations_off_their_subtree_fail_fast():
+    # On fig1, trigger 3's infoset B holds sequences 3 and 4.  Mass on 7 once
+    # made fixed_point raise NumericalError and apply_deviation use it; -0.5
+    # raised "lost mass conservation", and inf a RuntimeWarning.
+    g = efce.builtin_game("fig1", seed=0)
+    x = efce.uniform_strategy(g, 0).values
+    below_a = x.copy()
+    below_a[efce.EMPTY_SEQ] = 0.0  # a valid continuation for trigger 1
+    for at, value in [(7, 1.0), (4, -0.5), (4, np.inf), (4, np.nan)]:
+        y = np.zeros(9)
+        y[3] = 1.0 - value if np.isfinite(value) else 1.0
+        y[at] = value
+        for use in (lambda phi: efce.fixed_point(g, phi),
+                    lambda phi: efce.apply_deviation(g, phi, x),
+                    lambda phi: efce.extend(g, phi, set(), g.infoset(0, "A").index, x)):
+            with pytest.raises(ValueError, match="subtree"):
+                use(efce.ConvexTriggerDeviation(0, [(1, 0.5, below_a), (3, 0.5, y)]))
+    # valid continuations pass
+    y = np.zeros(9)
+    y[3] = y[4] = 0.5
+    phi = efce.ConvexTriggerDeviation(0, [(1, 0.5, below_a), (3, 0.5, y)])
+    fp = efce.fixed_point(g, phi)
+    assert np.abs(efce.apply_deviation(g, phi, fp.values) - fp.values).max() <= 1e-12
 
 
 def test_cumulative_weights_worked_example():

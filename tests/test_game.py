@@ -296,11 +296,11 @@ def test_group_plan_stacks_one_player_plans():
         players = tuple(range(g.n_players))
         plan = g.player_plan(players)
         assert g.player_plan(players) is plan
-        n = plan.rank.size
+        n = plan.owner.size
         assert n == sum(g.num_sequences(i) for i in players)
         mask = np.zeros((n, n), dtype=bool)
-        own = np.zeros((n, n))
-        uniform = np.ones(n)
+        # (trigger, sequence) -> the trigger's parent sequence, over every subtree entry
+        want = {}
         for k, (i, a, b) in enumerate(plan.spans):
             one = g.player_plan(i)
             assert (i, a) == (players[k], plan.offsets[k])
@@ -309,24 +309,38 @@ def test_group_plan_stacks_one_player_plans():
                 assert np.array_equal(getattr(plan, name)[a:b, a:b], getattr(one, name))
             mask[a:b, a:b] = True
             for gid in g.player_infosets(i):
-                sids = [a + s for s in g.infosets[gid].seq_ids]
-                own[np.ix_(sids, sids)] = 1.0
-                uniform[sids] = 1.0 / len(sids)
+                for t in g.infosets[gid].seq_ids:
+                    for g2 in g.subtree_infosets(gid):
+                        for s in g.infosets[g2].seq_ids:
+                            want[a + t, a + s] = a + g.infosets[g2].parent_seq
         for name in ("subtree", "below"):
             assert not getattr(plan, name)[~mask].any()
-        # the level-layout masks: row j is sequence order[j], column t trigger t
-        assert np.array_equal(plan.level_subtree, plan.subtree.T[plan.order])
-        assert np.array_equal(plan.level_own, own[plan.order])
-        assert np.array_equal(plan.level_uniform, np.tile(uniform[plan.order, None], (1, n)))
-        # the level layout visits every sequence once, each level's in order
-        assert sorted(plan.order.tolist()) == list(range(n))
-        assert np.array_equal(plan.order[plan.rank], np.arange(n))
-        assert plan.order[:len(players)].tolist() == plan.offsets.tolist()
+        # every pair's sequence lies in its trigger's subtree, and every
+        # subtree entry has exactly one pair
+        pairs = list(zip(plan.pair_trigger.tolist(), plan.pair_seq.tolist()))
+        assert len(set(pairs)) == len(pairs) == len(want)
+        assert set(pairs) == set(want)
+        # each pair's parent is (t, parent sequence), or the root slot when
+        # t is at the pair's own infoset
+        P = len(pairs)
+        assert [lev.lo for lev in plan.levels] + [P] == [0] + [lev.hi for lev in plan.levels]
         for lev in plan.levels:
-            assert np.array_equal(plan.order[lev.lo:lev.hi], lev.seqs)
-            for s, row in zip(lev.seqs, lev.parent_rows):
+            for p, up in zip(range(lev.lo, lev.hi), lev.up.tolist()):
+                t, s = pairs[p]
                 i, a, _ = plan.spans[plan.owner[s]]
-                assert plan.order[row] == a + g.seq_parent(i)[s - a]
+                if g.seq_infoset(i)[t - a] == g.seq_infoset(i)[s - a]:
+                    assert up == P
+                else:
+                    assert pairs[up] == (t, want[t, s])
+        for t in range(n):
+            assert plan.own[t] == (P if t in plan.offsets else pairs.index((t, t)))
+        # each (infoset, trigger) segment is one run of pairs, in action order
+        starts = np.flatnonzero(np.diff(plan.segment, prepend=-1)).tolist()
+        for lo, hi in zip(starts, starts[1:] + [P]):
+            t, s = pairs[lo]
+            i, a, _ = plan.spans[plan.owner[s]]
+            sids = g.infosets[g.seq_infoset(i)[s - a]].seq_ids
+            assert pairs[lo:hi] == [(t, a + x) for x in sids]
 
 
 def test_player_plan_rejects_bad_players():
