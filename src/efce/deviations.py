@@ -8,7 +8,9 @@ Convex combinations of such deviations admit a closed-form linear action and,
 by construction, a fixed point inside the sequence-form polytope.  The fixed
 point is grown top-down, one level of the player's infoset forest at a time;
 every infoset solves for a stationary distribution of a small
-column-stochastic matrix, batched over the infosets of a level.
+column-stochastic matrix.  A level's infosets of at most 3 actions are
+solved in one kernel call, padded with dummy states to the level's widest;
+those of 4 or more take one call per action count.
 """
 
 from __future__ import annotations
@@ -18,17 +20,18 @@ from numbers import Integral
 
 import numpy as np
 
-from .game import EMPTY_SEQ
+from .game import EMPTY_SEQ, _chains
 from .strategies import SequenceFormStrategy, validate_strategy
 
 _WEIGHT_TOL = 1e-9
 _ONE_BLOCK = np.zeros(1, dtype=np.int64)
-# Flat indices into a 3 x 3 matrix for each state a = 0, 1, 2 and its two
-# other states c < d: entries (a, c), (a, d), (c, d) and (d, c).
-_AC = np.array([1, 3, 6])
-_AD = np.array([2, 5, 7])
-_CD = np.array([5, 2, 1])
-_DC = np.array([7, 6, 3])
+# Flat indices into a 3 x 3 matrix for each state a = 0, 1, 2 (columns) and
+# its two other states c < d: entries (a, c), (a, d), (c, d) and (d, c) (rows).
+_TREE = np.array([[1, 3, 6], [2, 5, 7], [5, 2, 1], [7, 6, 3]])
+# The slots that follow the pair array in a chain's gather, and the share
+# that a dummy state keeps.
+_SLOTS = np.array([0.0, 1.0])
+_ZERO = np.zeros(1)
 # The two other states c < d of each state a = 0, 1, 2.
 _PAIR_C = np.array([1, 0, 0])
 _PAIR_D = np.array([2, 2, 1])
@@ -295,48 +298,92 @@ def is_trunk(game, player, trunk):
     return True
 
 
-def _extend_block(xp, r, lam_c, conts, cum_a, fp_tol):
-    """Fixed-point values at k infosets of m actions each, as a (k, m) array.
+def _static_chains(ch, ext, keep):
+    """The parts of the chains' extension matrices that do not depend on x, as (k, m, m).
+
+    Entry (j, a, c) is ``ext`` (see :func:`_parts`) at the chains' gather:
+    the continuation at sequence a of infoset j's own trigger c, weighted
+    by the trigger's weight.  The diagonal adds ``keep[a]``, the share that
+    sequence a keeps.
+    """
+    k, m = ch.sids.shape
+    w = ext.take(ch.gather)
+    w.reshape(k, m * m)[:, ::m + 1] += keep.take(ch.sids)
+    return w
+
+
+def _parts(plan, phi):
+    """The inputs of the chains that do not depend on x.
+
+    Returns the weights and continuations of ``phi`` in the pair layout, the
+    cumulative weights, ``ext``, ``keep`` and whether an entry of an
+    extension matrix may be negative or not finite.  ``ext`` holds each pair's weighted
+    continuation, a 0 and a 1 slot, then ``keep``: the share ``1 - cum``
+    each sequence keeps, and 0 for the dummy states.
+    """
+    lam, conts = _arrays(plan, phi)
+    cum = lam @ plan.below
+    ext = np.concatenate((conts * lam.take(plan.pair_trigger), _SLOTS, 1.0 - cum, _ZERO))
+    # A zero weight times a negative continuation is -0.0; adding 0.0 makes it
+    # 0.0, as adding the incoming mass does below the roots.
+    ext += 0.0
+    # Finite nonnegative weighted continuations and kept shares make every
+    # entry finite and nonnegative.
+    suspect = not (ext.min() >= 0.0 and ext.max() < np.inf)
+    return lam, conts, cum, ext, ext[conts.size + 2:], suspect
+
+
+def _conserved(sums, xp):
+    """Raise NumericalError unless every column sum, weighted by its parent mass, is 1."""
+    if (np.abs(sums - 1.0) * xp[:, None]).max(initial=0.0) > 1e-9:
+        raise NumericalError("extension matrix lost mass conservation")
+
+
+def _solve(w0, r, xp, mask, sums, clip, fp_tol):
+    """Fixed-point values of k infosets padded to m states each, as a (k, m) array.
 
     Row j is infoset j's parent mass ``xp[j]`` times the stationary
-    distribution of its extension matrix: ``r[j] / xp[j]`` (the mass that
-    triggers above the infoset send to its sequences) in every column, plus
-    the infoset's own triggers' continuations ``conts[j, a, c]`` (at
-    sequence a, of trigger c) weighted by ``lam_c[j, c]``, and the
-    ``1 - cum_a[j, a]`` share each sequence keeps.  m = 2 and m = 3 are
-    solved in closed form by the Markov chain tree theorem.  A row whose
-    closed form sums to zero is solved as :func:`stationary_distribution`
-    would solve it, without calling it, when its parent has no mass (the
-    row is 0) or its chain has several closed classes (the identity chain,
-    and for m = 3 two absorbing states or one absorbing state beside a
-    closed pair).  Only the other such rows (a closed form that underflowed
-    on a chain with one closed class) and every row of m >= 4 actions reach
-    the general solver.
+    distribution of its extension matrix: ``w0[j]`` (from
+    :func:`_static_chains`) plus ``r[j] / xp[j]`` (the mass that triggers
+    above the infoset send to its sequences; ``r`` is None for none) in
+    every real column, those where ``mask`` (None for all) is 1.  A dummy
+    column sends all its mass to action 0 and receives none, so the closed
+    form of m states (by the Markov chain tree theorem, for m = 2 and 3)
+    gives the answer of fewer real states bit for bit.  The column sums go
+    to ``sums`` for the caller to check with :func:`_conserved`; with
+    ``sums`` None they are checked here, before anything else.  ``clip``
+    says that an entry may be negative: one below -1e-12 raises ValueError
+    and the others are clipped to 0.  Rows whose closed form does not sum
+    to a positive total are solved by :func:`_degenerate`.
     """
-    k, m = r.shape
-    # A parent without mass leaves its children at zero; dividing its row by
-    # 1 instead of 0 keeps that row's chain finite.
-    scale = xp + (xp == 0.0)
-    # w[j, a, c]: the share of sequence c's mass that infoset j's chain moves to a.
-    w = conts * lam_c[:, None, :]
-    w.reshape(k, m * m)[:, ::m + 1] += 1.0 - cum_a
-    w += (r / scale[:, None])[:, :, None]
+    k, m, _ = w0.shape
+    w = w0
+    if r is not None:
+        # A parent without mass leaves its children at zero; dividing its row by
+        # 1 instead of 0 keeps that row's chain finite.
+        rx = (r / (xp + (xp == 0.0))[:, None])[:, :, None]
+        w = w0 + (rx if mask is None else rx * mask)
+    if sums is None:
+        sums = np.add.reduce(w, axis=1)
+        _conserved(sums, xp)
+    else:
+        np.add.reduce(w, axis=1, out=sums)
+    if clip:
+        if w.min() < -1e-12:
+            raise ValueError("extension matrix entries must be nonnegative")
+        w = np.maximum(w, 0.0)
     # Columns of w sum to 1 exactly in real arithmetic; rounding from earlier
     # levels leaves a small absolute drift that the division by a possibly
     # tiny xp would blow up, so rescale here.  A column whose mass rounded
     # away entirely is made a self-loop instead of being divided by zero.
-    sums = w.sum(axis=1)
-    if (np.abs(sums - 1.0) * xp[:, None]).max() > 1e-9:
-        raise NumericalError("extension matrix lost mass conservation")
-    if w.min() < -1e-12:
-        raise ValueError("extension matrix entries must be nonnegative")
-    if sums.min() <= 0.0:
+    if not sums.min() > 0.0:  # a nan sum must not hide a zero one
         rows, cols = np.nonzero(sums <= 0.0)
+        # Copies: w may be the static part, and the sums are checked as they were.
+        w, sums = w.copy(), sums.copy()
         w[rows, :, cols] = 0.0
         w[rows, cols, cols] = 1.0
         sums[rows, cols] = 1.0
-    w = np.maximum(w, 0.0, out=w) / sums[:, None, :]
-
+    w = w / sums[:, None, :]
     if m == 1:
         b = np.ones((k, 1))
     elif m == 2:
@@ -344,62 +391,84 @@ def _extend_block(xp, r, lam_c, conts, cum_a, fp_tol):
     elif m == 3:
         # Spanning trees into each state a, with c, d the other two states:
         # w[a, c] * (w[a, d] + w[c, d]) + w[d, c] * w[a, d].
-        flat = w.reshape(k, 9)
-        w_ad = flat[:, _AD]
-        b = flat[:, _AC] * (w_ad + flat[:, _CD]) + flat[:, _DC] * w_ad
+        t = w.reshape(k, 9)[:, _TREE]
+        b = t[:, 0] * (t[:, 1] + t[:, 2]) + t[:, 3] * t[:, 1]
     else:
         b = np.zeros((k, m))
     total = b.sum(axis=1)
     if not total.min() > 0.0:
-        _several_classes(w, b, total, xp)
-        for row in np.flatnonzero(~(total > 0.0)):
-            b[row] = stationary_distribution(w[row], tol=fp_tol)
-            total[row] = 1.0
+        _degenerate(w, b, total, xp, mask, fp_tol)
     return b * (xp / total)[:, None]
 
 
-def _several_classes(w, b, total, xp):
-    """Solve, in place, the rows of ``b`` whose closed-form ``total`` is 0 and that need no solver.
+def _degenerate(w, b, total, xp, mask, fp_tol):
+    """Solve, in place, the rows of ``b`` whose closed-form ``total`` is not positive.
 
-    A row of a parent without mass stays 0.  Every other row is the
-    stationary distribution :func:`stationary_distribution` returns, to the
-    bit: with several closed classes each class gets an equal share, and a
-    closed pair c < d, after the columns are rescaled by their sums, splits
-    its share as 1 : p with p = w[d, c] / w[c, d].  A solved row's total is
-    set to 1; the other rows are left as they are.
+    Each row is solved as :func:`stationary_distribution` would solve its
+    real states, to the bit, and its total set to 1.  A row of a parent
+    without mass stays 0.  A chain with no flow between its real states
+    (the identity chain) gives each of them an equal share.
+    :func:`_several_classes` solves the other 3-state chains with several
+    closed classes.  Only the rows left (a closed form that underflowed on
+    a chain with one closed class, and rows of 4 or more actions) reach the
+    general solver.
     """
-    zero = total == 0.0  # so b's row is zero, and w's is finite
-    total[zero & (xp == 0.0)] = 1.0
-    rows = np.flatnonzero(zero & (xp != 0.0))
     m = b.shape[1]
-    if not rows.size or m > 3:
-        return
-    if m == 2:
-        # Both states keep all their mass: the identity chain.
-        b[rows] = 0.5
-        total[rows] = 1.0
-        return
-    v = w[rows]
-    moves = v > 0.0
-    moves.reshape(rows.size, 9)[:, ::4] = False
+    flat = total == 0.0  # so b's row is zero, and for m <= 3 w's is finite
+    total[flat & (xp == 0.0)] = 1.0
+    rows = np.flatnonzero(flat & (xp != 0.0))
+    if rows.size:
+        v = w[rows]
+        real = np.ones((rows.size, m), dtype=bool) if mask is None else mask[rows, 0] > 0.0
+        moves = (v > 0.0) & real[:, :, None] & real[:, None, :]
+        moves.reshape(rows.size, m * m)[:, ::m + 1] = False
+        identity = ~moves.any(axis=(1, 2))
+        if m > 3:
+            identity &= np.isfinite(v).all(axis=(1, 2))
+        b[rows[identity]] = real[identity] / real[identity].sum(axis=1, keepdims=True)
+        total[rows[identity]] = 1.0
+        if m == 3:
+            three = ~identity & real.all(axis=1)
+            if three.any():
+                solved, shares = _several_classes(v[three], moves[three])
+                b[rows[three][solved]] = shares[solved]
+                total[rows[three][solved]] = 1.0
+    for row in np.flatnonzero(~(total > 0.0)):
+        d = m if mask is None else int(mask[row].sum())
+        b[row] = 0.0
+        # One state is its own answer, whatever its chain holds.
+        b[row, :d] = 1.0 if d == 1 else stationary_distribution(w[row, :d, :d], tol=fp_tol)
+        total[row] = 1.0
+
+
+def _several_classes(w, moves):
+    """Which 3-state chains have several closed classes, and their stationary distributions.
+
+    ``w`` holds chains whose columns are rescaled by their sums, with flow
+    between some of their states, and ``moves`` their positive off-diagonal
+    entries.  A chain with two absorbing states (the third is transient)
+    gives each an equal share, as :func:`stationary_distribution` does; so
+    does an absorbing state a that nothing enters beside a closed pair
+    c < d, which, after the columns are rescaled by their sums once more,
+    splits its share as 1 : p with p = w[d, c] / w[c, d].  Returns the
+    solved mask and the (k, 3) distributions, to the bit.
+    """
     absorbing = ~moves.any(axis=1)
     n_abs = absorbing.sum(axis=1)
     shares = absorbing / np.maximum(n_abs, 1)[:, None]
     # A closed pair beside an absorbing state a that nothing enters.
     pair = (n_abs == 1) & (absorbing & ~moves.any(axis=2)).any(axis=1)
-    solved = (n_abs >= 2) | pair
     if pair.any():
         i = np.flatnonzero(pair)
         a = absorbing[i].argmax(axis=1)
         c, d = _PAIR_C[a], _PAIR_D[a]
-        u = v[i] / v[i].sum(axis=1)[:, None, :]
+        u = w[i] / w[i].sum(axis=1)[:, None, :]
         p = u[np.arange(i.size), d, c] / u[np.arange(i.size), c, d]
         s = 1.0 + p
         shares[i, a] = 0.5
         shares[i, c] = 1.0 / s / 2
         shares[i, d] = p / s / 2
-    b[rows[solved]] = shares[solved]
-    total[rows[solved]] = 1.0
+    return (n_abs >= 2) | pair, shares
 
 
 def extend(game, phi, trunk, j_star, x, fp_tol=1e-10):
@@ -429,9 +498,9 @@ def extend(game, phi, trunk, j_star, x, fp_tol=1e-10):
                 f"immediate predecessor of '{js.label}'"
             )
     plan = game.player_plan(i)
-    lam, conts = _arrays(plan, phi)
-    cum = cumulative_weights(game, phi)
+    lam, conts, _, ext, keep, _ = _parts(plan, phi)
     sids = np.array(js.seq_ids, dtype=np.int64)
+    ch = _chains([(sids, js.parent_seq)], sids.size, plan.own, lam.size, conts.size)
     out = np.array(x, dtype=float)
     # Only triggers above the infoset send mass into it; its own sequences'
     # current values are not part of the trunk.
@@ -440,10 +509,9 @@ def extend(game, phi, trunk, j_star, x, fp_tol=1e-10):
     pairs = np.isin(plan.pair_seq, sids)
     moved = conts[pairs] * (lam * above).take(plan.pair_trigger[pairs])
     r = np.bincount(plan.pair_seq[pairs], moved, out.size)[sids]
-    a = np.arange(sids.size)
-    own = conts.take(plan.own[sids] + (a[:, None] - a))
-    out[sids] = _extend_block(out[[js.parent_seq]], r[None, :], lam[None, sids],
-                              own[None], cum[None, sids], fp_tol)
+    # x is the caller's, so an entry may be negative.
+    out[sids] = _solve(_static_chains(ch, ext, keep), r[None], out[[js.parent_seq]], None, None,
+                       True, fp_tol)[0]
     return out
 
 
@@ -452,27 +520,65 @@ def fixed_point(game, phi, fp_tol=1e-10):
 
     Starts from the vector with mass only on the empty sequence (of every
     player of a group's combination) and extends it one level of the infoset
-    forests at a time.  An infoset's incoming mass depends only on shallower
-    entries, so a whole level's is one product over its rows of the level
-    layout, and its infosets are solved together per action count.  The
-    result is checked against the closed-form action; residuals above
-    10 * fp_tol raise :class:`NumericalError`.
+    forests at a time.  What does not depend on x is built once, for all
+    the plan's ``chains`` together.  An infoset's incoming mass depends only
+    on shallower entries, so a whole level's is one product over its pairs,
+    and one kernel call solves its infosets of at most 3 actions (one call
+    per action count those of 4 or more).  The result is checked against
+    the closed-form action; residuals above 10 * fp_tol raise
+    :class:`NumericalError`, as does an extension matrix column that does
+    not sum to 1.
 
     Returns one player's :class:`~efce.strategies.SequenceFormStrategy`, or
     for a group's combination the joint values array on the group's plan.
     """
     plan = game.player_plan(phi.player)
-    lam, conts = _arrays(plan, phi)
-    cum = lam @ plan.below
-    x = np.zeros(len(lam))
+    lam, conts, cum, ext, keep, suspect = _parts(plan, phi)
+    chains = plan.chains
+    w0 = _static_chains(chains, ext, keep)
+    # The last slot takes the dummy states' zeros.
+    x = np.zeros(lam.size + 1)
     x[plan.offsets] = 1.0
-    for level in plan.levels:
-        pairs = slice(level.lo, level.hi)
-        moved = conts[pairs] * (lam * x).take(plan.pair_trigger[pairs])
-        r = np.bincount(plan.pair_seq[pairs], moved, x.size)
-        for (sids, parents), gather in zip(level.blocks, level.gathers):
-            x[sids] = _extend_block(x[parents], r[sids], lam[sids], conts.take(gather),
-                                    cum[sids], fp_tol)
+    xv = x[:-1]
+    # Column sums and parent masses of the chains' rows, checked after the loop.
+    sums = np.ones(chains.sids.shape)
+    xps = np.ones(chains.parents.size)
+    try:
+        for level in plan.levels:
+            rows, m = level.rows, level.width
+            k = rows.stop - rows.start
+            r, xp = None, xps[rows]  # the roots' parents hold 1, and nothing above sends mass
+            if level.lo:
+                pairs = slice(level.lo, level.hi)
+                moved = conts[pairs] * (lam * xv).take(plan.pair_trigger[pairs])
+                r = np.bincount(level.slot, moved, level.size)
+                np.take(x, chains.parents[rows], out=xp)
+            rk = None if r is None else r[:k * m].reshape(k, m)
+            if k and not suspect:
+                x[chains.sids[rows, :m]] = _solve(w0[rows, :m, :m], rk, xp, level.mask,
+                                                  sums[rows, :m], False, fp_tol)
+            elif k:
+                # Each action count apart, in turn, its checks before the next's.
+                d = np.full(k, m) if level.mask is None else level.mask.sum(axis=(1, 2))
+                for dj in np.unique(d).astype(int).tolist():
+                    j = np.flatnonzero(d == dj)
+                    g = rows.start + j
+                    x[chains.sids[g, :dj]] = _solve(
+                        w0[g, :dj, :dj], None if rk is None else rk[j, :dj],
+                        x.take(chains.parents[g]), None, None, True, fp_tol)
+            at = k * m
+            for ch in level.wide:
+                k, m = ch.sids.shape
+                x[ch.sids] = _solve(_static_chains(ch, ext, keep),
+                                    None if r is None else r[at:at + k * m].reshape(k, m),
+                                    x.take(ch.parents), None, None, suspect, fp_tol)
+                at += k * m
+    except (ValueError, NumericalError):
+        # A column sum that is not 1 is reported first, as its level would.
+        _conserved(sums, xps)
+        raise
+    _conserved(sums, xps)
+    x = xv
     resid = float(np.max(np.abs(apply_deviation(game, phi, x, cum) - x)))
     if not resid <= 10.0 * fp_tol:
         raise NumericalError(f"fixed point residual {resid:g} exceeds tolerance")

@@ -310,20 +310,30 @@ def run(game, iterations, seed, gap_every=100, delta=0.01, fp_tol=1e-10):
     players' minimizers advance together as one group learner.  The
     trigger gap of the empirical play distribution is evaluated every
     ``gap_every`` rounds and at the end; ``delta`` sets the confidence level
-    of the logged high-probability gap bound.
+    of the logged high-probability gap bound.  Raises ValueError when the
+    payoffs are so large that a logged bound, or a regret sum over
+    ``iterations`` rounds, would overflow.
     """
     check_run_args(iterations, gap_every, delta, fp_tol)
 
     n = game.n_players
-    learner = PureTriggerMinimizer(game, tuple(range(n)), split_rngs(seed, n), fp_tol)
-    freq = EmpiricalFrequency(game)
-    checkpoints = set(range(gap_every, iterations + 1, gap_every))
-    checkpoints.add(iterations)
-
     d_max = max(game.payoff_range(i) for i in range(n))
     gap_factor = d_max * (2.0 * game.n_nodes + math.sqrt(8.0 * math.log(n / delta)))
     regret_factor = [2.0 * game.payoff_range(i) * game.num_sequences(i)
                      for i in range(n)]
+    # Every regret sum adds at most iterations x |payoff| per sequence: fail
+    # here rather than log inf and nan bounds.
+    scale = np.abs(game.term_payoffs).max(axis=0, initial=0.0).tolist()
+    for i in range(n):
+        if not (math.isfinite(gap_factor) and math.isfinite(regret_factor[i])
+                and math.isfinite(iterations * scale[i] * game.num_sequences(i))):
+            raise ValueError(f"payoffs of player {i + 1} are too large: the regret sums "
+                             f"or bounds of {iterations} rounds overflow")
+
+    learner = PureTriggerMinimizer(game, tuple(range(n)), split_rngs(seed, n), fp_tol)
+    freq = EmpiricalFrequency(game)
+    checkpoints = set(range(gap_every, iterations + 1, gap_every))
+    checkpoints.add(iterations)
 
     log = RunLog(
         game_name=game.name,

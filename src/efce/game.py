@@ -77,24 +77,51 @@ class InfoSet:
 
 
 @dataclass(frozen=True)
+class Chains:
+    """Static arrays of k information sets whose fixed-point chains are solved together.
+
+    Every infoset is padded to m states: ``sids[j]`` holds its sequence ids,
+    then N (the plan's sequence count) for each dummy state, and
+    ``parents[j]`` its parent sequence.  ``gather[j, a, c]`` indexes the
+    plan's pair array extended by a 0 slot (P) and a 1 slot (P + 1): the pair
+    (``sids[j, c]``, ``sids[j, a]``) when both states are real, the 1 slot
+    where a dummy column c meets a = 0 (a dummy sends all its mass to action
+    0) and the 0 slot elsewhere.
+    """
+
+    sids: np.ndarray
+    parents: np.ndarray
+    gather: np.ndarray
+
+
+@dataclass(frozen=True)
 class Level:
     """The information sets at one depth of a plan's infoset forests, and their pairs.
 
-    ``blocks`` holds one (sequence ids (k, m), parent sequences (k,)) pair
-    per action count m.  The level's pairs are ``lo`` to ``hi`` of the
-    plan's pair layout: per infoset, one segment of m pairs (one per action)
-    for each trigger covering it.  Per pair, ``segment`` is its segment
-    (counted from 0 in the level), and ``up`` its parent pair (t, parent
-    sequence), or P, the root slot, when t is one of the infoset's own
-    sequences.  ``starts`` holds each segment's first pair, from ``lo``, and
-    ``parents`` each segment's parent pair, from the level above's ``lo``
-    (the level above's pair count for the root slot).
-    ``gathers`` holds one (k, m, m) array per block: entry (j, a, c) is the
-    pair (``sids[j, c]``, ``sids[j, a]``).
+    ``rows`` are the level's infosets of at most 3 actions, as a slice of
+    the plan's ``chains``; they are solved padded to ``width`` states, the
+    most actions among them, and ``mask`` is their (k, 1, width) column
+    mask, or None when none of them has a dummy state.  ``wide`` holds one
+    :class:`Chains` per action count of 4 or more.  Per pair of the level,
+    ``slot`` is its sequence's entry in the level's incoming-mass vector of
+    ``size`` entries: width j + a for action a of the level's j-th row of
+    ``chains``, then k m entries per block of ``wide`` in turn.  The
+    level's pairs are ``lo`` to ``hi`` of the plan's pair layout: per
+    infoset, one segment of m pairs (one per action) for each trigger
+    covering it.  Per pair, ``segment`` is its segment (counted from 0 in
+    the level), and ``up`` its parent pair (t, parent sequence), or P, the
+    root slot, when t is one of the infoset's own sequences.  ``starts``
+    holds each segment's first pair, from ``lo``, and ``parents`` each
+    segment's parent pair, from the level above's ``lo`` (the level above's
+    pair count for the root slot).
     """
 
-    blocks: tuple
-    gathers: tuple
+    rows: slice
+    width: int
+    mask: np.ndarray | None
+    wide: tuple
+    slot: np.ndarray
+    size: int
     lo: int
     hi: int
     segment: np.ndarray
@@ -112,6 +139,8 @@ class PlayerPlan:
     empty sequence and holds its ``sizes[k]`` sequences in their own order;
     ``owner[s]`` is the slot k of sequence s.  ``levels`` runs from the roots
     of the infoset forests down, merging the players' infosets by depth.
+    ``chains`` holds every infoset of at most 3 actions, level by level,
+    padded to 3 states.
     ``below`` is N x N, indexed (sequence, sequence) and block diagonal:
     ``below[s, t]`` is 1 when sequence t is at or below sequence s (every t
     of the block when s is its empty sequence).
@@ -132,6 +161,7 @@ class PlayerPlan:
     sizes: np.ndarray
     owner: np.ndarray
     levels: tuple[Level, ...]
+    chains: Chains
     below: np.ndarray
     pair_seq: np.ndarray
     pair_trigger: np.ndarray
@@ -148,6 +178,19 @@ class PlayerPlan:
     def subtree(self):
         """Row t is 1 on the sequences at or below trigger t's infoset (a copy)."""
         return self.dense(1.0)
+
+
+def _chains(groups, m, own, n, n_pairs):
+    """:class:`Chains` of (sequence ids, parent sequence) infosets padded to m states."""
+    sids = np.full((len(groups), m), n, dtype=np.int64)
+    gather = np.full((len(groups), m, m), n_pairs, dtype=np.int64)
+    for j, (seqs, _) in enumerate(groups):
+        d = len(seqs)
+        a = np.arange(d)
+        sids[j, :d] = seqs
+        gather[j, :d, :d] = own[seqs] + (a[:, None] - a)
+        gather[j, 0, d:] = n_pairs + 1
+    return Chains(sids, np.array([p for _, p in groups], dtype=np.int64), gather)
 
 
 class GameTree:
@@ -376,7 +419,9 @@ class GameTree:
             self.term_payoffs[row] = self.leaf_payoffs[k]
         self.n_terminals = z
         if z:
-            self._payoff_range = self.term_payoffs.max(axis=0) - self.term_payoffs.min(axis=0)
+            # A spread beyond the float range is inf, which run() rejects.
+            with np.errstate(over="ignore"):
+                self._payoff_range = self.term_payoffs.max(axis=0) - self.term_payoffs.min(axis=0)
         else:
             self._payoff_range = np.zeros(n_players)
 
@@ -534,10 +579,8 @@ class GameTree:
         ranges, n_segments = [], 0
         for depth in sorted(by_depth):
             lo = len(pair_seq)
-            blocks = []
-            for m, group in sorted(by_depth[depth].items()):
-                blocks.append((np.array([s for s, _ in group], dtype=np.int64),
-                               np.array([p for _, p in group], dtype=np.int64)))
+            groups = sorted(by_depth[depth].items())
+            for m, group in groups:
                 for sids, parent in group:
                     # The triggers covering an infoset: its parent's infoset's, then its own.
                     first, covers, pm, pa = home.get(parent, (0, (), 0, 0))
@@ -552,30 +595,45 @@ class GameTree:
                     for a, s in enumerate(sids):
                         home[s] = (base, triggers, m, a)
                         own[s] = base + (len(covers) + a) * m + a
-            ranges.append((lo, len(pair_seq), tuple(blocks)))
+            ranges.append((lo, len(pair_seq), groups))
         n_pairs = len(pair_seq)
         own[offsets] = n_pairs
+        pair_seq = np.array(pair_seq, dtype=np.int64)
         segment = np.array(segment, dtype=np.int64)
         up = np.array(up, dtype=np.int64)
         up[up < 0] = n_pairs
-        levels = []
+        levels, small = [], []
+        # sequence -> its entry in its level's incoming-mass vector
+        slot = np.zeros(n, dtype=np.int64)
         above = 0
-        for lo, hi, blocks in ranges:
+        for lo, hi, groups in ranges:
             rel = segment[lo:hi] - segment[lo]
             starts = np.flatnonzero(np.diff(rel, prepend=-1))
             heads = up[lo + starts]
-            gathers = []
-            for sids, _ in blocks:
-                a = np.arange(sids.shape[1])
-                gathers.append(own[sids][:, None, :] + (a[:, None] - a))
-            levels.append(Level(blocks, tuple(gathers), lo, hi, rel, up[lo:hi], starts,
+            narrow = [g for m, group in groups if m <= 3 for g in group]
+            counts = np.array([len(sids) for sids, _ in narrow], dtype=np.int64)
+            width = int(counts.max(initial=0))
+            for j, (sids, _) in enumerate(narrow):
+                slot[sids] = width * j + np.arange(len(sids))
+            size = width * len(narrow)
+            wide = []
+            for m, group in groups:
+                if m > 3:
+                    wide.append(_chains(group, m, own, n, n_pairs))
+                    slot[wide[-1].sids] = size + np.arange(len(group) * m).reshape(-1, m)
+                    size += len(group) * m
+            mask = (np.arange(width) < counts[:, None])[:, None, :] * 1.0
+            levels.append(Level(slice(len(small), len(small) + len(narrow)), width,
+                                mask if (counts < width).any() else None, tuple(wide),
+                                slot[pair_seq[lo:hi]], size, lo, hi, rel, up[lo:hi], starts,
                                 np.where(heads == n_pairs, lo, heads) - above))
+            small += narrow
             above = lo
         spans = tuple((p, a, a + k)
                       for p, a, k in zip(players, offsets.tolist(), sizes.tolist()))
         return PlayerPlan(spans, offsets, sizes,
-                          np.repeat(np.arange(len(players)), sizes), tuple(levels), below,
-                          np.array(pair_seq, dtype=np.int64),
+                          np.repeat(np.arange(len(players)), sizes), tuple(levels),
+                          _chains(small, 3, own, n, n_pairs), below, pair_seq,
                           np.array(pair_trigger, dtype=np.int64), segment, own)
 
     def payoff_range(self, player):

@@ -583,3 +583,162 @@ def test_fixed_point_calls_general_solver_only_for_four_or_more_actions(monkeypa
     # no closed form covers an infoset of four actions
     efce.run(_one_infoset_game(4), 8, 0, gap_every=8)
     assert calls and set(calls) == {4}
+
+
+def _chained_extends(game, phi):
+    """A one-player deviation's fixed point grown one infoset at a time with extend."""
+    x = np.zeros(game.num_sequences(phi.player))
+    x[efce.EMPTY_SEQ] = 1.0
+    trunk = set()
+    for gid in game.player_infosets(phi.player):
+        x = efce.extend(game, phi, trunk, gid, x)
+        trunk.add(gid)
+    return x
+
+
+def _player_part(game, phi, i, a, b):
+    """Player i's part (block a:b) of a group's deviation, on the player's own plan."""
+    one = game.player_plan(i)
+    conts = phi.C[a:b, a:b][one.pair_trigger, one.pair_seq]
+    return efce.ConvexTriggerDeviation.from_pairs(i, phi.lam[a:b].copy(), conts, one)
+
+
+def test_self_play_fixed_points_equal_chained_extends(monkeypatch):
+    # Every round's group deviation of 32 self-play rounds: the fixed point,
+    # batched by level and padded to the level's widest infoset, equals bit
+    # for bit each player's part grown one infoset at a time.
+    seen = []
+    solve = efce.trigger.fixed_point
+
+    def spy(game, phi, fp_tol=1e-10):
+        out = solve(game, phi, fp_tol)
+        seen.append((game, phi, out))
+        return out
+
+    monkeypatch.setattr(efce.trigger, "fixed_point", spy)
+    games = [efce.builtin_game("kuhn3")]
+    games += [efce.builtin_game("random-tree", seed=s) for s in range(64)]
+    for g in games:
+        efce.run(g, 32, 0, gap_every=32)
+    assert len(seen) == 32 * len(games)
+    checked = 0
+    for g, phi, out in seen:
+        for i, a, b in g.player_plan(phi.player).spans:
+            if b - a > 1:
+                assert np.array_equal(out[a:b], _chained_extends(g, _player_part(g, phi, i, a, b)))
+                checked += 1
+    assert checked >= 3000
+
+
+# Infosets of 1, 2, 3 and 4 actions at depth 1.
+_MIXED_LEVEL_GAME = """players 1; root r
+decision r player 1 infoset R { a -> n1 ; b -> n2 ; c -> n3 ; d -> n4 }
+decision n1 player 1 infoset A1 { a1 -> z1 }
+decision n2 player 1 infoset A2 { b1 -> z2 ; b2 -> z3 }
+decision n3 player 1 infoset A3 { c1 -> z4 ; c2 -> z5 ; c3 -> z6 }
+decision n4 player 1 infoset A4 { d1 -> z7 ; d2 -> z8 ; d3 -> z9 ; d4 -> z10 }
+leaf z1 {1}; leaf z2 {2}; leaf z3 {3}; leaf z4 {4}; leaf z5 {5}
+leaf z6 {6}; leaf z7 {7}; leaf z8 {8}; leaf z9 {9}; leaf z10 {10}
+"""
+
+
+def test_fixed_point_on_a_level_of_mixed_action_counts(monkeypatch):
+    g = efce.parse_game(_MIXED_LEVEL_GAME)
+    plan = g.player_plan(0)
+    level = plan.levels[1]
+    assert level.width == 3 and level.rows.stop - level.rows.start == 3
+    assert [w.sids.shape for w in level.wide] == [(1, 4)]
+    sizes = []
+    solve = efce.deviations.stationary_distribution
+
+    def counted(w, tol=1e-10):
+        sizes.append(w.shape)
+        return solve(w, tol)
+
+    monkeypatch.setattr(efce.deviations, "stationary_distribution", counted)
+    rng = random.Random(11)
+    for _ in range(40):
+        phi = random_deviation(g, 0, rng)
+        fp = efce.fixed_point(g, phi)
+        assert np.abs(efce.apply_deviation(g, phi, fp.values) - fp.values).max() <= 1e-10
+        assert np.array_equal(fp.values, _chained_extends(g, phi))
+    efce.run(g, 16, 0, gap_every=16)
+    assert sizes and set(sizes) == {(4, 4)}
+
+
+def test_degenerate_rows_reach_several_classes_only_with_flow(monkeypatch):
+    # Rows below a parent without mass, and identity chains, are solved in
+    # the kernel; only chains with flow between their states and several
+    # closed classes reach _several_classes.
+    rows = []
+    several = efce.deviations._several_classes
+
+    def spy(w, *rest):
+        rows.extend(w)
+        return several(w, *rest)
+
+    monkeypatch.setattr(efce.deviations, "_several_classes", spy)
+    for seed in range(64):
+        efce.run(efce.builtin_game("random-tree", seed=seed), 32, 0, gap_every=32)
+    assert rows
+    for w in rows:
+        assert (w[~np.eye(3, dtype=bool)] > 0.0).any()
+
+
+def test_massless_parent_with_closed_pair_needs_no_solver(monkeypatch):
+    # A's trigger x moves all its mass to y, so B's parent has none; B's own
+    # chain is a closed pair {q, s} beside an absorbing p.  B stays exactly 0
+    # and nothing reaches _several_classes or the general solver.
+    g = efce.parse_game("""players 1; root r
+        decision r player 1 infoset A { x -> b ; y -> z0 }
+        decision b player 1 infoset B { p -> z1 ; q -> z2 ; s -> z3 }
+        leaf z0 {0}; leaf z1 {1}; leaf z2 {2}; leaf z3 {3}""")
+    x, y = g.infoset(0, "A").seq_ids
+    p, q, s = g.infoset(0, "B").seq_ids
+
+    def cont(*sids):
+        c = np.zeros(g.num_sequences(0))
+        c[list(sids)] = 1.0
+        return c
+
+    calls = []
+    for name in ("_several_classes", "stationary_distribution"):
+        real = getattr(efce.deviations, name)
+        monkeypatch.setattr(efce.deviations, name,
+                            lambda *a, real=real, name=name, **k: (calls.append(name),
+                                                                   real(*a, **k))[1])
+    phi = efce.ConvexTriggerDeviation(0, [(x, 0.9, cont(y)), (q, 0.05, cont(s)),
+                                          (s, 0.05, cont(q))])
+    fp = efce.fixed_point(g, phi)
+    assert fp.values[x] == 0.0 and fp.values[y] == 1.0
+    assert np.array_equal(fp.values[[p, q, s]], np.zeros(3))
+    assert not np.signbit(fp.values).any()
+    assert calls == []
+
+
+def test_fixed_point_checks_raise_their_types():
+    # Continuations given in the pair layout are not validated up front, so
+    # the extension matrix checks catch them, in fixed_point and extend alike.
+    g = efce.builtin_game("fig1", seed=0)
+    plan = g.player_plan(0)
+    A = g.infoset(0, "A")
+    lam = np.zeros(plan.owner.size)
+    lam[A.seq_ids[0]] = 1.0
+    uniform = 1.0 / np.bincount(plan.segment).take(plan.segment)
+    bad = {}
+    # mass conservation: a continuation that sums to 2
+    bad[efce.NumericalError] = uniform * 2.0
+    # a negative entry, with the sum kept at 1
+    seg = plan.segment[plan.own[A.seq_ids[0]]]
+    at = np.flatnonzero(plan.segment == seg)
+    neg = uniform.copy()
+    neg[at] = [1.5, -0.5]
+    bad[ValueError] = neg
+    x0 = np.zeros(plan.owner.size)
+    x0[efce.EMPTY_SEQ] = 1.0
+    for error, conts in bad.items():
+        phi = efce.ConvexTriggerDeviation.from_pairs(0, lam, conts, plan)
+        with pytest.raises(error):
+            efce.fixed_point(g, phi)
+        with pytest.raises(error):
+            efce.extend(g, phi, set(), A.index, x0)

@@ -1,9 +1,11 @@
 import random
+import warnings
 
 import numpy as np
 import pytest
 
 import efce
+import efce.cli as cli
 from efce.dynamics import EmpiricalFrequency
 from conftest import brute_expected_payoffs, random_behavioral, random_deviation
 
@@ -499,3 +501,40 @@ def test_random_behavioral_helper_is_valid():
     for i in range(2):
         q = random_behavioral(g, i, rng)
         efce.validate_strategy(g, q)
+
+
+_OVERFLOW_GAME = """players 2; root a
+decision a player 1 infoset A { x -> b ; y -> c }
+decision b player 2 infoset B { l -> z1 ; r -> z2 }
+decision c player 2 infoset B { l -> z3 ; r -> z4 }
+leaf z1 {%s %s}; leaf z2 {0 0}; leaf z3 {0 0}; leaf z4 {1 -1}
+"""
+
+
+def test_payoff_overflow_fails_fast(tmp_path, capsys):
+    # 1e308 once overflowed the regret sums with a RuntimeWarning, logged inf
+    # bounds and a nan gap, and exited 0
+    text = _OVERFLOW_GAME % ("1e308", "-1e308")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="too large"):
+            efce.run(efce.parse_game(text), 50, 0)
+        p = tmp_path / "overflow.game"
+        p.write_text(text)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--game", str(p), "--iterations", "50", "--out", str(out)]) == 3
+        assert "too large" in capsys.readouterr().err
+        assert not out.exists()
+        # the number of rounds counts: 1e306 x 5 sequences overflows over 1000
+        # rounds, not over 10
+        g = efce.parse_game(_OVERFLOW_GAME % ("1e306", "-1e306"))
+        with pytest.raises(ValueError, match="too large"):
+            efce.run(g, 1000, 0)
+        log = efce.run(g, 10, 0, gap_every=5)
+        # one player's payoffs spanning more than the float range
+        g = efce.parse_game((_OVERFLOW_GAME % ("1e308", "0")).replace("{1 -1}", "{-1e308 0}"))
+        assert g.payoff_range(0) == np.inf
+        with pytest.raises(ValueError, match="too large"):
+            efce.run(g, 1, 0)
+    assert np.isfinite(log.final.eps)
+    assert all(np.isfinite(b) for b in log.meta["final_regret_bounds"])
