@@ -20,7 +20,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .game import EMPTY_SEQ, _chains
+from .game import EMPTY_SEQ
 from .strategies import SequenceFormStrategy, validate_strategy
 
 _WEIGHT_TOL = 1e-9
@@ -28,10 +28,6 @@ _ONE_BLOCK = np.zeros(1, dtype=np.int64)
 # Flat indices into a 3 x 3 matrix for each state a = 0, 1, 2 (columns) and
 # its two other states c < d: entries (a, c), (a, d), (c, d) and (d, c) (rows).
 _TREE = np.array([[1, 3, 6], [2, 5, 7], [5, 2, 1], [7, 6, 3]])
-# The slots that follow the pair array in a chain's gather, and the share
-# that a dummy state keeps.
-_SLOTS = np.array([0.0, 1.0])
-_ZERO = np.zeros(1)
 # The two other states c < d of each state a = 0, 1, 2.
 _PAIR_C = np.array([1, 0, 0])
 _PAIR_D = np.array([2, 2, 1])
@@ -298,78 +294,55 @@ def is_trunk(game, player, trunk):
     return True
 
 
-def _static_chains(ch, ext, keep):
-    """The parts of the chains' extension matrices that do not depend on x, as (k, m, m).
-
-    Entry (j, a, c) is ``ext`` (see :func:`_parts`) at the chains' gather:
-    the continuation at sequence a of infoset j's own trigger c, weighted
-    by the trigger's weight.  The diagonal adds ``keep[a]``, the share that
-    sequence a keeps.
-    """
-    k, m = ch.sids.shape
-    w = ext.take(ch.gather)
-    w.reshape(k, m * m)[:, ::m + 1] += keep.take(ch.sids)
-    return w
-
-
 def _parts(plan, phi):
     """The inputs of the chains that do not depend on x.
 
     Returns the weights and continuations of ``phi`` in the pair layout, the
-    cumulative weights, ``ext``, ``keep`` and whether an entry of an
-    extension matrix may be negative or not finite.  ``ext`` holds each pair's weighted
-    continuation, a 0 and a 1 slot, then ``keep``: the share ``1 - cum``
-    each sequence keeps, and 0 for the dummy states.
+    cumulative weights, each pair's continuation weighted by its trigger's
+    weight and the share ``1 - cum`` each sequence keeps.
     """
     lam, conts = _arrays(plan, phi)
     cum = lam @ plan.below
-    ext = np.concatenate((conts * lam.take(plan.pair_trigger), _SLOTS, 1.0 - cum, _ZERO))
+    moved = conts * lam.take(plan.pair_trigger)
     # A zero weight times a negative continuation is -0.0; adding 0.0 makes it
     # 0.0, as adding the incoming mass does below the roots.
-    ext += 0.0
-    # Finite nonnegative weighted continuations and kept shares make every
-    # entry finite and nonnegative.
-    suspect = not (ext.min() >= 0.0 and ext.max() < np.inf)
-    return lam, conts, cum, ext, ext[conts.size + 2:], suspect
+    moved += 0.0
+    return lam, conts, cum, moved, 1.0 - cum
 
 
-def _conserved(sums, xp):
-    """Raise NumericalError unless every column sum, weighted by its parent mass, is 1."""
-    if (np.abs(sums - 1.0) * xp[:, None]).max(initial=0.0) > 1e-9:
-        raise NumericalError("extension matrix lost mass conservation")
-
-
-def _solve(w0, r, xp, mask, sums, clip, fp_tol):
+def _solve(w0, r, xp, mask, fp_tol):
     """Fixed-point values of k infosets padded to m states each, as a (k, m) array.
 
     Row j is infoset j's parent mass ``xp[j]`` times the stationary
     distribution of its extension matrix: ``w0[j]`` (from
-    :func:`_static_chains`) plus ``r[j] / xp[j]`` (the mass that triggers
-    above the infoset send to its sequences; ``r`` is None for none) in
-    every real column, those where ``mask`` (None for all) is 1.  A dummy
-    column sends all its mass to action 0 and receives none, so the closed
-    form of m states (by the Markov chain tree theorem, for m = 2 and 3)
-    gives the answer of fewer real states bit for bit.  The column sums go
-    to ``sums`` for the caller to check with :func:`_conserved`; with
-    ``sums`` None they are checked here, before anything else.  ``clip``
-    says that an entry may be negative: one below -1e-12 raises ValueError
-    and the others are clipped to 0.  Rows whose closed form does not sum
-    to a positive total are solved by :func:`_degenerate`.
+    :meth:`~efce.game.Chains.static`) plus ``r[j] / xp[j]`` (the mass that
+    triggers above the infoset send to its sequences; ``r`` is None for
+    none) in every real column, those where ``mask`` (None for all) is 1.
+    A dummy column sends all its mass to action 0 and receives none, so the
+    closed form of m states (by the Markov chain tree theorem, for m = 2
+    and 3) gives the answer of fewer real states bit for bit.  A column
+    whose sum, weighted by its parent mass, is not 1 raises
+    :class:`NumericalError`, and an entry below -1e-12 ValueError; the
+    other negative entries are clipped to 0.  A row whose parent has no
+    mass is 0.  Other rows whose closed form does not sum to a positive
+    total are solved by :func:`_degenerate`.
     """
     k, m, _ = w0.shape
     w = w0
+    # A parent without mass leaves its children at zero: dividing its row by 1
+    # instead of 0 keeps that row's chain finite, and adding 1 to its total
+    # keeps the total positive.
+    massless = xp == 0.0
     if r is not None:
-        # A parent without mass leaves its children at zero; dividing its row by
-        # 1 instead of 0 keeps that row's chain finite.
-        rx = (r / (xp + (xp == 0.0))[:, None])[:, :, None]
+        rx = (r / (xp + massless)[:, None])[:, :, None]
         w = w0 + (rx if mask is None else rx * mask)
-    if sums is None:
-        sums = np.add.reduce(w, axis=1)
-        _conserved(sums, xp)
-    else:
-        np.add.reduce(w, axis=1, out=sums)
-    if clip:
-        if w.min() < -1e-12:
+    sums = np.add.reduce(w, axis=1)
+    # Compared entry by entry, so that a nan row does not hide another row's loss.
+    if (np.abs(sums - 1.0) * xp[:, None] > 1e-9).any():
+        raise NumericalError("extension matrix lost mass conservation")
+    low = w.min()
+    if not low >= 0.0:  # a nan entry may hide a negative one
+        if low < -1e-12:
             raise ValueError("extension matrix entries must be nonnegative")
         w = np.maximum(w, 0.0)
     # Columns of w sum to 1 exactly in real arithmetic; rounding from earlier
@@ -378,8 +351,7 @@ def _solve(w0, r, xp, mask, sums, clip, fp_tol):
     # away entirely is made a self-loop instead of being divided by zero.
     if not sums.min() > 0.0:  # a nan sum must not hide a zero one
         rows, cols = np.nonzero(sums <= 0.0)
-        # Copies: w may be the static part, and the sums are checked as they were.
-        w, sums = w.copy(), sums.copy()
+        w = w.copy()  # w may be the static part
         w[rows, :, cols] = 0.0
         w[rows, cols, cols] = 1.0
         sums[rows, cols] = 1.0
@@ -395,28 +367,25 @@ def _solve(w0, r, xp, mask, sums, clip, fp_tol):
         b = t[:, 0] * (t[:, 1] + t[:, 2]) + t[:, 3] * t[:, 1]
     else:
         b = np.zeros((k, m))
-    total = b.sum(axis=1)
+    total = b.sum(axis=1) + massless
     if not total.min() > 0.0:
-        _degenerate(w, b, total, xp, mask, fp_tol)
+        _degenerate(w, b, total, mask, fp_tol)
     return b * (xp / total)[:, None]
 
 
-def _degenerate(w, b, total, xp, mask, fp_tol):
+def _degenerate(w, b, total, mask, fp_tol):
     """Solve, in place, the rows of ``b`` whose closed-form ``total`` is not positive.
 
     Each row is solved as :func:`stationary_distribution` would solve its
-    real states, to the bit, and its total set to 1.  A row of a parent
-    without mass stays 0.  A chain with no flow between its real states
-    (the identity chain) gives each of them an equal share.
-    :func:`_several_classes` solves the other 3-state chains with several
-    closed classes.  Only the rows left (a closed form that underflowed on
+    real states, to the bit, and its total set to 1.  A chain with no flow
+    between its real states (the identity chain) gives each of them an
+    equal share.  :func:`_several_classes` solves the other 3-state chains
+    with several closed classes.  Only the rows left (a closed form that underflowed on
     a chain with one closed class, and rows of 4 or more actions) reach the
     general solver.
     """
     m = b.shape[1]
-    flat = total == 0.0  # so b's row is zero, and for m <= 3 w's is finite
-    total[flat & (xp == 0.0)] = 1.0
-    rows = np.flatnonzero(flat & (xp != 0.0))
+    rows = np.flatnonzero(total == 0.0)  # so b's row is zero, and for m <= 3 w's is finite
     if rows.size:
         v = w[rows]
         real = np.ones((rows.size, m), dtype=bool) if mask is None else mask[rows, 0] > 0.0
@@ -498,20 +467,18 @@ def extend(game, phi, trunk, j_star, x, fp_tol=1e-10):
                 f"immediate predecessor of '{js.label}'"
             )
     plan = game.player_plan(i)
-    lam, conts, _, ext, keep, _ = _parts(plan, phi)
+    lam, conts, _, moved, keep = _parts(plan, phi)
     sids = np.array(js.seq_ids, dtype=np.int64)
-    ch = _chains([(sids, js.parent_seq)], sids.size, plan.own, lam.size, conts.size)
     out = np.array(x, dtype=float)
     # Only triggers above the infoset send mass into it; its own sequences'
     # current values are not part of the trunk.
     above = out.copy()
     above[sids] = 0.0
     pairs = np.isin(plan.pair_seq, sids)
-    moved = conts[pairs] * (lam * above).take(plan.pair_trigger[pairs])
-    r = np.bincount(plan.pair_seq[pairs], moved, out.size)[sids]
-    # x is the caller's, so an entry may be negative.
-    out[sids] = _solve(_static_chains(ch, ext, keep), r[None], out[[js.parent_seq]], None, None,
-                       True, fp_tol)[0]
+    inflow = conts[pairs] * (lam * above).take(plan.pair_trigger[pairs])
+    r = np.bincount(plan.pair_seq[pairs], inflow, out.size)[sids]
+    w0 = plan.infoset_chains(sids, js.parent_seq).static(moved, keep)
+    out[sids] = _solve(w0, r[None], out[[js.parent_seq]], None, fp_tol)[0]
     return out
 
 
@@ -533,51 +500,32 @@ def fixed_point(game, phi, fp_tol=1e-10):
     for a group's combination the joint values array on the group's plan.
     """
     plan = game.player_plan(phi.player)
-    lam, conts, cum, ext, keep, suspect = _parts(plan, phi)
+    lam, conts, cum, moved, keep = _parts(plan, phi)
     chains = plan.chains
-    w0 = _static_chains(chains, ext, keep)
-    # The last slot takes the dummy states' zeros.
+    w0 = chains.static(moved, keep)
+    # The slot past the sequences takes the dummy states' zeros.
     x = np.zeros(lam.size + 1)
     x[plan.offsets] = 1.0
     xv = x[:-1]
-    # Column sums and parent masses of the chains' rows, checked after the loop.
-    sums = np.ones(chains.sids.shape)
-    xps = np.ones(chains.parents.size)
-    try:
-        for level in plan.levels:
-            rows, m = level.rows, level.width
-            k = rows.stop - rows.start
-            r, xp = None, xps[rows]  # the roots' parents hold 1, and nothing above sends mass
-            if level.lo:
-                pairs = slice(level.lo, level.hi)
-                moved = conts[pairs] * (lam * xv).take(plan.pair_trigger[pairs])
-                r = np.bincount(level.slot, moved, level.size)
-                np.take(x, chains.parents[rows], out=xp)
-            rk = None if r is None else r[:k * m].reshape(k, m)
-            if k and not suspect:
-                x[chains.sids[rows, :m]] = _solve(w0[rows, :m, :m], rk, xp, level.mask,
-                                                  sums[rows, :m], False, fp_tol)
-            elif k:
-                # Each action count apart, in turn, its checks before the next's.
-                d = np.full(k, m) if level.mask is None else level.mask.sum(axis=(1, 2))
-                for dj in np.unique(d).astype(int).tolist():
-                    j = np.flatnonzero(d == dj)
-                    g = rows.start + j
-                    x[chains.sids[g, :dj]] = _solve(
-                        w0[g, :dj, :dj], None if rk is None else rk[j, :dj],
-                        x.take(chains.parents[g]), None, None, True, fp_tol)
-            at = k * m
-            for ch in level.wide:
-                k, m = ch.sids.shape
-                x[ch.sids] = _solve(_static_chains(ch, ext, keep),
-                                    None if r is None else r[at:at + k * m].reshape(k, m),
-                                    x.take(ch.parents), None, None, suspect, fp_tol)
-                at += k * m
-    except (ValueError, NumericalError):
-        # A column sum that is not 1 is reported first, as its level would.
-        _conserved(sums, xps)
-        raise
-    _conserved(sums, xps)
+    for level in plan.levels:
+        rows, m = level.rows, level.width
+        k = rows.stop - rows.start
+        r = None  # nothing sends mass into the roots
+        if level.lo:
+            pairs = slice(level.lo, level.hi)
+            inflow = conts[pairs] * (lam * xv).take(plan.pair_trigger[pairs])
+            r = np.bincount(level.slot, inflow, level.size)
+        if k:
+            x[chains.sids[rows, :m]] = _solve(
+                w0[rows, :m, :m], None if r is None else r[:k * m].reshape(k, m),
+                x.take(chains.parents[rows]), level.mask, fp_tol)
+        at = k * m
+        for ch in level.wide:
+            k, m = ch.sids.shape
+            x[ch.sids] = _solve(ch.static(moved, keep),
+                                None if r is None else r[at:at + k * m].reshape(k, m),
+                                x.take(ch.parents), None, fp_tol)
+            at += k * m
     x = xv
     resid = float(np.max(np.abs(apply_deviation(game, phi, x, cum) - x)))
     if not resid <= 10.0 * fp_tol:

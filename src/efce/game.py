@@ -76,12 +76,19 @@ class InfoSet:
     seq_ids: tuple[int, ...]
 
 
+# The 0 and 1 slots after the pair array in a chain's gather, and the share a
+# dummy state keeps.
+_SLOTS = np.array([0.0, 1.0])
+_ZERO = np.zeros(1)
+
+
 @dataclass(frozen=True)
 class Chains:
     """Static arrays of k information sets whose fixed-point chains are solved together.
 
     Every infoset is padded to m states: ``sids[j]`` holds its sequence ids,
-    then N (the plan's sequence count) for each dummy state, and
+    then N (the plan's sequence count) for each dummy state, so a vector
+    that takes values at ``sids`` needs one slot past its N entries, and
     ``parents[j]`` its parent sequence.  ``gather[j, a, c]`` indexes the
     plan's pair array extended by a 0 slot (P) and a 1 slot (P + 1): the pair
     (``sids[j, c]``, ``sids[j, a]``) when both states are real, the 1 slot
@@ -92,6 +99,19 @@ class Chains:
     sids: np.ndarray
     parents: np.ndarray
     gather: np.ndarray
+
+    def static(self, moved, keep):
+        """The part of the chains' extension matrices that does not depend on x, as (k, m, m).
+
+        ``moved`` holds each pair's continuation weighted by its trigger's
+        weight, and ``keep`` each sequence's kept share.  Entry (j, a, c) is
+        the moved mass of the pair (``sids[j, c]``, ``sids[j, a]``), plus
+        ``keep[sids[j, a]]`` on the diagonal; a dummy state keeps nothing.
+        """
+        k, m = self.sids.shape
+        w = np.concatenate((moved, _SLOTS)).take(self.gather)
+        w.reshape(k, m * m)[:, ::m + 1] += np.concatenate((keep, _ZERO)).take(self.sids)
+        return w
 
 
 @dataclass(frozen=True)
@@ -178,6 +198,11 @@ class PlayerPlan:
     def subtree(self):
         """Row t is 1 on the sequences at or below trigger t's infoset (a copy)."""
         return self.dense(1.0)
+
+    def infoset_chains(self, sids, parent):
+        """:class:`Chains` of one infoset, from its sequence ids and parent sequence."""
+        return _chains([(sids, parent)], len(sids), self.own, self.owner.size,
+                       self.pair_seq.size)
 
 
 def _chains(groups, m, own, n, n_pairs):

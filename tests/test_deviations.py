@@ -742,3 +742,47 @@ def test_fixed_point_checks_raise_their_types():
             efce.fixed_point(g, phi)
         with pytest.raises(error):
             efce.extend(g, phi, set(), A.index, x0)
+
+
+def test_fixed_point_checks_raise_their_types_at_every_action_count():
+    # On a level of 1-, 2-, 3- and 4-action infosets, a fault in any one of
+    # them raises its own type, and a nan in one infoset does not hide
+    # another's lost mass.
+    g = efce.parse_game(_MIXED_LEVEL_GAME)
+    plan = g.player_plan(0)
+    R = g.infoset(0, "R")
+    isets = [g.infoset(0, label) for label in ("A1", "A2", "A3", "A4")]
+    uniform = 1.0 / np.bincount(plan.segment).take(plan.segment)
+
+    def own(js):
+        # Pairs of the segment of js's first sequence's own trigger.
+        return np.flatnonzero(plan.segment == plan.segment[plan.own[js.seq_ids[0]]])
+
+    def deviation(conts, *isets_):
+        lam = np.zeros(plan.owner.size)
+        lam[[js.seq_ids[0] for js in isets_]] = 1.0 / len(isets_)
+        return efce.ConvexTriggerDeviation.from_pairs(0, lam, conts, plan)
+
+    x0 = np.zeros(plan.owner.size)
+    x0[efce.EMPTY_SEQ] = 1.0
+    cases = []
+    for js in isets:
+        lost = uniform.copy()
+        lost[own(js)] *= 2.0
+        cases.append((efce.NumericalError, deviation(lost, js), js))
+        if len(js.seq_ids) > 1:
+            neg = uniform.copy()
+            neg[own(js)[:2]] = [1.5, -0.5]
+            neg[own(js)[2:]] = 0.0
+            cases.append((ValueError, deviation(neg, js), js))
+    both = uniform.copy()
+    both[own(isets[1])[0]] = np.nan
+    both[own(isets[2])] *= 2.0
+    cases.append((efce.NumericalError, deviation(both, isets[1], isets[2]), None))
+    for error, phi, js in cases:
+        with pytest.raises(error):
+            efce.fixed_point(g, phi)
+        if js is not None:
+            x = efce.extend(g, phi, set(), R.index, x0)
+            with pytest.raises(error):
+                efce.extend(g, phi, {R.index}, js.index, x)
