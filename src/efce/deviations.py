@@ -65,8 +65,9 @@ class ConvexTriggerDeviation:
     trigger t's continuation at sequence s, for the pair p = (t, s).  A
     combination built from entries is turned into the pair layout on its
     first use; that raises ValueError unless every continuation is finite,
-    nonnegative and zero off the subtree of its trigger's infoset.  ``C``,
-    with row s trigger s's continuation, is a triggers x sequences copy.
+    nonnegative and zero off the subtree of its trigger's infoset, as
+    :meth:`from_pairs` checks at once.  ``C``, with row s trigger s's
+    continuation, is a triggers x sequences copy.
     ``lam`` and ``C`` are empty for the empty combination.  A group's
     combination (from :meth:`from_pairs` with a tuple ``player``) is indexed
     by the group's plan: every player's weights sum to 1, or to 0 for a
@@ -98,6 +99,7 @@ class ConvexTriggerDeviation:
     @classmethod
     def from_pairs(cls, player, lam, conts, plan):
         """Wrap weights and continuations in ``plan``'s pair layout, with the same checks."""
+        _check_conts(conts)
         phi = cls.__new__(cls)
         phi._init(player, lam, plan.offsets)
         phi.conts, phi._plan, phi._rows = conts, plan, None
@@ -143,11 +145,16 @@ def _arrays(plan, phi):
         conts = C[plan.pair_trigger, plan.pair_seq]
         C[plan.pair_trigger, plan.pair_seq] = 0.0
         # The pair layout has no slot for an entry off the trigger infoset's subtree.
-        if C.any() or not np.isfinite(conts).all() or conts.min(initial=0.0) < 0.0:
-            raise ValueError("continuations must be finite, nonnegative and zero off "
-                             "the subtree of their trigger's information set")
+        _check_conts(conts, C.any())
         phi.conts, phi._plan = conts, plan
     return phi.lam, phi.conts
+
+
+def _check_conts(conts, off_subtree=False):
+    """Raise ValueError for a nan, infinite or negative continuation entry, or one ``off_subtree``."""
+    if off_subtree or not (conts.min(initial=0.0) >= 0.0 and conts.max(initial=0.0) < np.inf):
+        raise ValueError("continuations must be finite, nonnegative and zero off "
+                         "the subtree of their trigger's information set")
 
 
 def validate_deviation(game, phi):
@@ -192,11 +199,10 @@ def apply_trigger(game, dev, x):
 def cumulative_weights(game, phi):
     """For each sequence, the total deviation weight at or above it."""
     plan = game.player_plan(phi.player)
-    lam, _ = _arrays(plan, phi)
-    return lam @ plan.below
+    return plan.sum_above(_arrays(plan, phi)[0])
 
 
-def apply_deviation(game, phi, x, cum=None):
+def apply_deviation(game, phi, x):
     """Closed-form action of a convex trigger combination on a vector.
 
     Entry s keeps a (1 - total weight at or above s) share of x[s], plus, for
@@ -204,12 +210,9 @@ def apply_deviation(game, phi, x, cum=None):
     the weight and by x at the trigger.
     """
     plan = game.player_plan(phi.player)
-    lam, conts = _arrays(plan, phi)
+    _, _, moved, keep = _parts(plan, phi)
     x = np.asarray(x, dtype=float)
-    if cum is None:
-        cum = lam @ plan.below
-    moved = conts * (lam * x).take(plan.pair_trigger)
-    out = (1.0 - cum) * x + np.bincount(plan.pair_seq, moved, x.size)
+    out = keep * x + np.bincount(plan.pair_seq, moved * x.take(plan.pair_trigger), x.size)
     out[plan.offsets] = x[plan.offsets]
     return out
 
@@ -297,17 +300,16 @@ def is_trunk(game, player, trunk):
 def _parts(plan, phi):
     """The inputs of the chains that do not depend on x.
 
-    Returns the weights and continuations of ``phi`` in the pair layout, the
-    cumulative weights, each pair's continuation weighted by its trigger's
-    weight and the share ``1 - cum`` each sequence keeps.
+    Returns the weights and continuations of ``phi`` in the pair layout,
+    each pair's continuation weighted by its trigger's weight, and the share
+    each sequence keeps: 1 minus the weight at or above it.
     """
     lam, conts = _arrays(plan, phi)
-    cum = lam @ plan.below
     moved = conts * lam.take(plan.pair_trigger)
     # A zero weight times a negative continuation is -0.0; adding 0.0 makes it
     # 0.0, as adding the incoming mass does below the roots.
     moved += 0.0
-    return lam, conts, cum, moved, 1.0 - cum
+    return lam, conts, moved, 1.0 - plan.sum_above(lam)
 
 
 def _solve(w0, r, xp, mask, fp_tol):
@@ -467,7 +469,7 @@ def extend(game, phi, trunk, j_star, x, fp_tol=1e-10):
                 f"immediate predecessor of '{js.label}'"
             )
     plan = game.player_plan(i)
-    lam, conts, _, moved, keep = _parts(plan, phi)
+    lam, conts, moved, keep = _parts(plan, phi)
     sids = np.array(js.seq_ids, dtype=np.int64)
     out = np.array(x, dtype=float)
     # Only triggers above the infoset send mass into it; its own sequences'
@@ -500,7 +502,7 @@ def fixed_point(game, phi, fp_tol=1e-10):
     for a group's combination the joint values array on the group's plan.
     """
     plan = game.player_plan(phi.player)
-    lam, conts, cum, moved, keep = _parts(plan, phi)
+    lam, conts, moved, keep = _parts(plan, phi)
     chains = plan.chains
     w0 = chains.static(moved, keep)
     # The slot past the sequences takes the dummy states' zeros.
@@ -527,7 +529,7 @@ def fixed_point(game, phi, fp_tol=1e-10):
                                 x.take(ch.parents), None, fp_tol)
             at += k * m
     x = xv
-    resid = float(np.max(np.abs(apply_deviation(game, phi, x, cum) - x)))
+    resid = float(np.max(np.abs(apply_deviation(game, phi, x) - x)))
     if not resid <= 10.0 * fp_tol:
         raise NumericalError(f"fixed point residual {resid:g} exceeds tolerance")
     if isinstance(phi.player, Integral):

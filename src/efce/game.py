@@ -161,9 +161,6 @@ class PlayerPlan:
     of the infoset forests down, merging the players' infosets by depth.
     ``chains`` holds every infoset of at most 3 actions, level by level,
     padded to 3 states.
-    ``below`` is N x N, indexed (sequence, sequence) and block diagonal:
-    ``below[s, t]`` is 1 when sequence t is at or below sequence s (every t
-    of the block when s is its empty sequence).
 
     All per-trigger state is held in the pair layout: one entry per pair
     (t, s) of a trigger t (a non-empty sequence) and a sequence s at or
@@ -172,8 +169,11 @@ class PlayerPlan:
     trigger (the parent sequence's infoset's triggers, then the infoset's
     own), then by action, so each (infoset, trigger) segment of m pairs is
     contiguous; ``segment[p]`` numbers p's segment.  ``own[s]`` is the pair
-    (s, s), and P for an empty sequence.  :meth:`dense` and ``subtree``
-    give triggers x sequences copies.
+    (s, s), and P for an empty sequence.  ``ancestry`` (2 x A) holds the
+    sequence ancestry: the ancestor pairs (t, s), those whose sequence is
+    at or below the trigger itself, in pair order, then (empty sequence of
+    s's block, s) for every s.  :meth:`dense` and ``subtree`` give
+    triggers x sequences copies.
     """
 
     spans: tuple[tuple[int, int, int], ...]
@@ -182,11 +182,19 @@ class PlayerPlan:
     owner: np.ndarray
     levels: tuple[Level, ...]
     chains: Chains
-    below: np.ndarray
     pair_seq: np.ndarray
     pair_trigger: np.ndarray
     segment: np.ndarray
     own: np.ndarray
+    ancestry: np.ndarray
+
+    def sum_above(self, v):
+        """Per sequence s, the sum of ``v`` over the sequences at or above s."""
+        return np.bincount(self.ancestry[1], v.take(self.ancestry[0]), self.owner.size)
+
+    def sum_below(self, v):
+        """Per sequence s, the sum of ``v`` over the sequences at or below s."""
+        return np.bincount(self.ancestry[0], v.take(self.ancestry[1]), self.owner.size)
 
     def dense(self, pairs):
         """Triggers x sequences array holding ``pairs`` (one entry per pair), zero elsewhere."""
@@ -528,17 +536,18 @@ class GameTree:
         return self._seq_child_isets[player][sid]
 
     def subtree_infosets(self, gid):
-        """Infosets at or below ``gid`` in the owner's infoset forest."""
+        """Infosets at or below ``gid`` in the owner's infoset forest; ValueError for no such id."""
+        if not 0 <= gid < len(self.infosets):
+            raise ValueError(f"no information set with id {gid}")
         i = self.infosets[gid].player
         start = self._pre_index[gid]
         return self._player_isets[i][start:self._subtree_end[gid]]
 
     def subtree_seq_mask(self, gid):
         """Boolean array over the owner's sequences marking the subtree of ``gid``."""
-        js = self.infosets[gid]
-        plan = self.player_plan(js.player)
-        mask = np.zeros(plan.owner.size, dtype=bool)
-        mask[plan.pair_seq[plan.pair_trigger == js.seq_ids[0]]] = True
+        isets = self.subtree_infosets(gid)
+        mask = np.zeros(self._n_seq[self.infosets[gid].player], dtype=bool)
+        mask[[s for g in isets for s in self.infosets[g].seq_ids]] = True
         return mask
 
     def scope_infosets(self, player, root=None):
@@ -558,8 +567,11 @@ class GameTree:
         return np.flatnonzero(self.subtree_seq_mask(gid))
 
     def descendant_mask(self, player):
-        """Matrix D with D[s, t] true iff sequence t is at or below sequence s."""
-        return self.player_plan(player).below > 0.0
+        """Matrix D with D[s, t] true iff sequence t is at or below sequence s, built on each read."""
+        mask = np.eye(self._n_seq[player], dtype=bool)
+        for gid in self._player_isets[player]:  # parents first
+            mask[:, self.infosets[gid].seq_ids] |= mask[:, [self.infosets[gid].parent_seq]]
+        return mask
 
     def player_plan(self, players):
         """The :class:`PlayerPlan` of one player or a tuple of distinct players, built on first use.
@@ -583,21 +595,18 @@ class GameTree:
         n = int(sizes.sum())
         # depth -> action count -> (joint sequence ids, joint parent sequence) per infoset
         by_depth: dict[int, dict[int, list]] = {}
-        below = np.zeros((n, n))
-        below[offsets, offsets] = 1.0
+        seq_depth = {}  # non-empty sequence -> the depth of its infoset
         for player, off in zip(players, offsets.tolist()):
-            # Pre-order visits a parent sequence's infoset before its children's,
-            # so each infoset's columns can copy their parent sequence's column.
+            # Pre-order visits a parent sequence's infoset before its children's.
             for gid in self._player_isets[player]:
                 js = self.infosets[gid]
                 sids = [off + s for s in js.seq_ids]
                 parent = off + js.parent_seq
-                below[:, sids] = below[:, [parent]]
-                below[sids, sids] = 1.0
-                depth = int(below[:, parent].sum()) - 1
+                depth = seq_depth.get(parent, -1) + 1
+                seq_depth.update(dict.fromkeys(sids, depth))
                 by_depth.setdefault(depth, {}).setdefault(len(sids), []).append((sids, parent))
 
-        pair_seq, pair_trigger, segment, up = [], [], [], []
+        pair_seq, pair_trigger, segment, up, ancestor = [], [], [], [], []
         own = np.zeros(n, dtype=np.int64)
         # sequence -> (first pair of its infoset, the infoset's triggers, m, action)
         home = {}
@@ -614,6 +623,8 @@ class GameTree:
                     for q, t in enumerate(triggers):
                         pair_trigger += [t] * m
                         up += [first + q * pm + pa if q < len(covers) else -1] * m
+                        # (t, s) is an ancestor pair when s = t or its parent pair is one.
+                        ancestor += [ancestor[up[-1]] if q < len(covers) else s == t for s in sids]
                         segment += [n_segments] * m
                         n_segments += 1
                     pair_seq += sids * len(triggers)
@@ -624,6 +635,9 @@ class GameTree:
         n_pairs = len(pair_seq)
         own[offsets] = n_pairs
         pair_seq = np.array(pair_seq, dtype=np.int64)
+        pair_trigger = np.array(pair_trigger, dtype=np.int64)
+        ancestry = np.hstack((np.stack((pair_trigger, pair_seq))[:, np.array(ancestor, dtype=bool)],
+                              [np.repeat(offsets, sizes), np.arange(n)]))
         segment = np.array(segment, dtype=np.int64)
         up = np.array(up, dtype=np.int64)
         up[up < 0] = n_pairs
@@ -658,8 +672,8 @@ class GameTree:
                       for p, a, k in zip(players, offsets.tolist(), sizes.tolist()))
         return PlayerPlan(spans, offsets, sizes,
                           np.repeat(np.arange(len(players)), sizes), tuple(levels),
-                          _chains(small, 3, own, n, n_pairs), below, pair_seq,
-                          np.array(pair_trigger, dtype=np.int64), segment, own)
+                          _chains(small, 3, own, n, n_pairs), pair_seq, pair_trigger,
+                          segment, own, ancestry)
 
     def payoff_range(self, player):
         """Spread between the best and worst terminal payoff of one player."""
@@ -710,13 +724,18 @@ def sequence_precedes(game, seq_a, seq_b):
 
     Sequences are (player, sequence id) pairs and must belong to the same
     player.  The empty sequence precedes every non-empty one; a sequence never
-    precedes itself.
+    precedes itself.  A sequence id out of range raises ValueError.
     """
     pa, sa = seq_a
     pb, sb = seq_b
     if pa != pb:
         raise ValueError(f"cannot compare sequences of players {pa + 1} and {pb + 1}")
-    return sa != sb and bool(game.player_plan(pa).below[sa, sb] > 0.0)
+    parent = game.seq_parent(pa)
+    if not (0 <= sa < parent.size and 0 <= sb < parent.size):
+        raise ValueError(f"player {pa + 1} has sequence ids 0 to {parent.size - 1}, not {sa} and {sb}")
+    while sb > EMPTY_SEQ and parent[sb] != sa:
+        sb = parent[sb]
+    return bool(sb > EMPTY_SEQ)
 
 
 def sequences_at_or_below(game, gid):

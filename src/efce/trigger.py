@@ -117,7 +117,7 @@ class HullMinimizer:
         self._regrets += vals
 
         lq = ell * q
-        values = np.add.reduceat(lq, plan.offsets).take(plan.owner) - plan.below @ lq
+        values = np.add.reduceat(lq, plan.offsets).take(plan.owner) - plan.sum_below(lq)
         values += q * np.bincount(plan.pair_trigger, phi.conts * ell_pairs, n)
         values -= np.add.reduceat(values * phi.lam, plan.offsets).take(plan.owner)
         values[plan.offsets] = 0.0
@@ -245,7 +245,7 @@ class PhiRegretMeter:
         ell = np.asarray(ell, dtype=float)
         played = np.asarray(played, dtype=float)
         _check_round(self.follow.size, ell, played, "played point")
-        self.follow += plan.below.dot(ell * played)
+        self.follow += plan.sum_below(ell * played)
         self._tables += ell.take(plan.pair_seq) * played.take(plan.pair_trigger)
         self._pass = None
 

@@ -206,6 +206,27 @@ def test_continuations_off_their_subtree_fail_fast():
     assert np.abs(efce.apply_deviation(g, phi, fp.values) - fp.values).max() <= 1e-12
 
 
+def test_bad_continuations_raise_the_same_error_through_both_constructors():
+    # from_pairs once took nan, inf and -0.5, which fixed_point then rejected
+    # as a non-finite matrix entry or as lost mass conservation.
+    g = efce.builtin_game("fig1", seed=0)
+    plan = g.player_plan(0)
+    lam = np.zeros(plan.owner.size)
+    lam[1] = 1.0
+    for value in (np.nan, np.inf, -0.5):
+        cont = np.zeros(9)
+        cont[1] = cont[3] = cont[5] = 1.0
+        cont[5] = value
+        with pytest.raises(ValueError) as built:
+            efce.fixed_point(g, efce.ConvexTriggerDeviation(0, [(1, 1.0, cont)]))
+        conts = 1.0 / np.bincount(plan.segment).take(plan.segment)
+        conts[plan.own[5]] = value
+        with pytest.raises(ValueError) as wrapped:
+            efce.ConvexTriggerDeviation.from_pairs(0, lam, conts, plan)
+        assert str(wrapped.value) == str(built.value)
+        assert "continuations must be finite, nonnegative" in str(built.value)
+
+
 def test_cumulative_weights_worked_example():
     g = efce.builtin_game("fig1", seed=0)
     da, db, dc = fig1_deviations(g)
@@ -717,8 +738,8 @@ def test_massless_parent_with_closed_pair_needs_no_solver(monkeypatch):
 
 
 def test_fixed_point_checks_raise_their_types():
-    # Continuations given in the pair layout are not validated up front, so
-    # the extension matrix checks catch them, in fixed_point and extend alike.
+    # from_pairs rejects a negative continuation up front; set past it, the
+    # extension matrix checks catch it, in fixed_point and extend alike.
     g = efce.builtin_game("fig1", seed=0)
     plan = g.player_plan(0)
     A = g.infoset(0, "A")
@@ -736,8 +757,11 @@ def test_fixed_point_checks_raise_their_types():
     bad[ValueError] = neg
     x0 = np.zeros(plan.owner.size)
     x0[efce.EMPTY_SEQ] = 1.0
+    with pytest.raises(ValueError, match="continuations must be finite"):
+        efce.ConvexTriggerDeviation.from_pairs(0, lam, neg, plan)
     for error, conts in bad.items():
-        phi = efce.ConvexTriggerDeviation.from_pairs(0, lam, conts, plan)
+        phi = efce.ConvexTriggerDeviation.from_pairs(0, lam, uniform, plan)
+        phi.conts = conts
         with pytest.raises(error):
             efce.fixed_point(g, phi)
         with pytest.raises(error):
@@ -761,7 +785,10 @@ def test_fixed_point_checks_raise_their_types_at_every_action_count():
     def deviation(conts, *isets_):
         lam = np.zeros(plan.owner.size)
         lam[[js.seq_ids[0] for js in isets_]] = 1.0 / len(isets_)
-        return efce.ConvexTriggerDeviation.from_pairs(0, lam, conts, plan)
+        # Set past from_pairs, which rejects a negative or nan entry up front.
+        phi = efce.ConvexTriggerDeviation.from_pairs(0, lam, uniform, plan)
+        phi.conts = conts
+        return phi
 
     x0 = np.zeros(plan.owner.size)
     x0[efce.EMPTY_SEQ] = 1.0

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -249,6 +250,21 @@ def test_sequences_at_or_below():
     assert sorted(efce.sequences_at_or_below(g, D)) == [7, 8]
 
 
+def test_ancestry_queries_reject_ids_out_of_range():
+    # A negative id once wrapped around: (0, -2) read as sequence 7, and
+    # infoset -1 as D, whose subtree is [7, 8].
+    g = efce.builtin_game("fig1", seed=0)
+    for a, b in [(0, -2), (-1, 3), (1, 9), (9, 1)]:
+        with pytest.raises(ValueError, match="player 1 has sequence ids 0 to 8, not"):
+            efce.sequence_precedes(g, (0, a), (0, b))
+    for gid in (-1, len(g.infosets)):
+        for query in (lambda: efce.sequences_at_or_below(g, gid),
+                      lambda: g.subtree_infosets(gid),
+                      lambda: g.subtree_seq_mask(gid)):
+            with pytest.raises(ValueError, match=f"no information set with id {gid}"):
+                query()
+
+
 def test_descendant_mask():
     g = efce.builtin_game("fig1", seed=0)
     desc = g.descendant_mask(0)
@@ -281,8 +297,19 @@ def test_plan_matches_independent_ancestry():
                 assert set(g.subtree_sequences(gid).tolist()) == sub
                 subtree[np.ix_(g.infosets[gid].seq_ids, sorted(sub))] = 1.0
             plan = g.player_plan(i)
-            assert np.array_equal(plan.below, below)
+            assert np.array_equal(g.descendant_mask(i), below == 1.0)
+            # the ancestry is the layout's pairs (t, s) with s at or below
+            # trigger t, in pair order, then (empty sequence, s) for every s
+            pairs = list(zip(plan.pair_trigger.tolist(), plan.pair_seq.tolist()))
+            want = [p for p in pairs if below[p] == 1.0]
+            want += [(efce.EMPTY_SEQ, s) for s in range(n)]
+            assert list(zip(*plan.ancestry.tolist())) == want
+            assert len(want) == below.sum()
             assert np.array_equal(plan.subtree, subtree)
+            # the sums over it are the products with the ancestry
+            v = np.arange(1.0, n + 1.0)
+            assert np.allclose(plan.sum_below(v), below @ v)
+            assert np.allclose(plan.sum_above(v), v @ below)
             for a in range(n):
                 for b in range(n):
                     want = a != b and below[a, b] == 1.0
@@ -301,20 +328,31 @@ def test_group_plan_stacks_one_player_plans():
         mask = np.zeros((n, n), dtype=bool)
         # (trigger, sequence) -> the trigger's parent sequence, over every subtree entry
         want = {}
+        # (sequence, sequence at or below it), walked up seq_parent
+        ancestry = set()
+        v = np.arange(1.0, n + 1.0)
         for k, (i, a, b) in enumerate(plan.spans):
             one = g.player_plan(i)
             assert (i, a) == (players[k], plan.offsets[k])
             assert (plan.owner[a:b] == k).all()
-            for name in ("subtree", "below"):
-                assert np.array_equal(getattr(plan, name)[a:b, a:b], getattr(one, name))
+            assert np.array_equal(plan.subtree[a:b, a:b], one.subtree)
+            assert np.array_equal(plan.sum_below(v)[a:b], one.sum_below(v[a:b]))
+            assert np.array_equal(plan.sum_above(v)[a:b], one.sum_above(v[a:b]))
             mask[a:b, a:b] = True
             for gid in g.player_infosets(i):
                 for t in g.infosets[gid].seq_ids:
                     for g2 in g.subtree_infosets(gid):
                         for s in g.infosets[g2].seq_ids:
                             want[a + t, a + s] = a + g.infosets[g2].parent_seq
-        for name in ("subtree", "below"):
-            assert not getattr(plan, name)[~mask].any()
+            parent = g.seq_parent(i)
+            for s in range(b - a):
+                t = s
+                while t != -1:
+                    ancestry.add((a + t, a + s))
+                    t = parent[t]
+        assert not plan.subtree[~mask].any()
+        anc = list(zip(*plan.ancestry.tolist()))
+        assert len(anc) == len(ancestry) and set(anc) == ancestry
         # every pair's sequence lies in its trigger's subtree, and every
         # subtree entry has exactly one pair
         pairs = list(zip(plan.pair_trigger.tolist(), plan.pair_seq.tolist()))
@@ -341,6 +379,35 @@ def test_group_plan_stacks_one_player_plans():
             i, a, _ = plan.spans[plan.owner[s]]
             sids = g.infosets[g.seq_infoset(i)[s - a]].seq_ids
             assert pairs[lo:hi] == [(t, a + x) for x in sids]
+
+
+def _deals_game(k):
+    """A chance root over k deals; per deal, player 1 then player 2 pick one of two actions."""
+    p = repr(1.0 / k)
+    deals = " ; ".join(f"c{d}={p} -> a{d}" for d in range(k))
+    lines = ["game deals", "players 2", "root r", f"chance r {{ {deals} }}"]
+    for d in range(k):
+        lines.append(f"decision a{d} player 1 infoset A{d} {{ x -> b{d}x ; y -> b{d}y }}")
+        for x in "xy":
+            lines.append(f"decision b{d}{x} player 2 infoset B{d}{x} "
+                         f"{{ x -> l{d}{x}x ; y -> l{d}{x}y }}")
+            lines += [f"leaf l{d}{x}{y} {{ 1 -1 }}" for y in "xy"]
+    return "\n".join(lines) + "\n"
+
+
+def test_plan_holds_no_quadratic_array():
+    # The plan once held the n x n ancestry matrix: 8 n^2 bytes.
+    g = efce.parse_game(_deals_game(170))
+    n = g.num_sequences(0) + g.num_sequences(1)
+    assert n >= 1000
+    tracemalloc.start()
+    try:
+        plan = g.player_plan((0, 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert plan.owner.size == n
+    assert peak < n * n * 8 / 4
 
 
 def test_player_plan_rejects_bad_players():

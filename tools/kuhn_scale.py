@@ -1,0 +1,66 @@
+"""Print the set-up, plan memory and round time of N-card Kuhn poker, for a fixed protocol.
+
+One line per N = 24, 96 and 192 (``bench/kuhn.py``), with the joint
+sequence count and:
+
+- ``parse_s``: wall seconds of ``parse_game`` on the game text;
+- ``plan_peak_mb``: the tracemalloc peak, in MB, of building the players'
+  group plan (``player_plan((0, 1))``) on the parsed game;
+- ``ms_per_round``: wall ms per self-play round, the median of three
+  ``run()`` calls of 100 rounds at run seed 0 with one gap checkpoint at
+  the end, after a 10-round warm-up run.
+
+Run it from the repository root::
+
+    PYTHONPATH=src python3 tools/kuhn_scale.py
+"""
+
+from __future__ import annotations
+
+import statistics
+import sys
+import time
+import tracemalloc
+from pathlib import Path
+
+from efce import parse_game, run
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+from kuhn import kuhn_text  # noqa: E402
+
+CARDS = (24, 96, 192)
+ROUNDS = 100
+WARMUP = 10
+
+
+def measure(n_cards):
+    """(joint sequences, parse seconds, plan peak MB, ms per round) of one game."""
+    text = kuhn_text(n_cards)
+    start = time.perf_counter()
+    game = parse_game(text)
+    parse_s = time.perf_counter() - start
+    tracemalloc.start()
+    try:
+        plan = game.player_plan((0, 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    run(game, WARMUP, 0, gap_every=WARMUP)
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        run(game, ROUNDS, 0, gap_every=ROUNDS)
+        times.append((time.perf_counter() - start) * 1e3 / ROUNDS)
+    return plan.owner.size, parse_s, peak / 1e6, statistics.median(times)
+
+
+def main():
+    for n_cards in CARDS:
+        n, parse_s, peak_mb, ms = measure(n_cards)
+        print(f"kuhn{n_cards} sequences={n} parse_s={parse_s:.2f} "
+              f"plan_peak_mb={peak_mb:.2f} ms_per_round={ms:.2f}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
