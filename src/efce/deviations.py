@@ -211,7 +211,11 @@ def apply_deviation(game, phi, x):
     """
     plan = game.player_plan(phi.player)
     _, _, moved, keep = _parts(plan, phi)
-    x = np.asarray(x, dtype=float)
+    return _act(plan, moved, keep, np.asarray(x, dtype=float))
+
+
+def _act(plan, moved, keep, x):
+    """``apply_deviation`` on a float vector, from the ``moved`` and ``keep`` of :func:`_parts`."""
     out = keep * x + np.bincount(plan.pair_seq, moved * x.take(plan.pair_trigger), x.size)
     out[plan.offsets] = x[plan.offsets]
     return out
@@ -529,7 +533,7 @@ def fixed_point(game, phi, fp_tol=1e-10):
                                 x.take(ch.parents), None, fp_tol)
             at += k * m
     x = xv
-    resid = float(np.max(np.abs(apply_deviation(game, phi, x) - x)))
+    resid = float(np.max(np.abs(_act(plan, moved, keep, x) - x)))
     if not resid <= 10.0 * fp_tol:
         raise NumericalError(f"fixed point residual {resid:g} exceeds tolerance")
     if isinstance(phi.player, Integral):

@@ -499,41 +499,48 @@ class GameTree:
 
     def infoset(self, player, label):
         """Return the :class:`InfoSet` with the given owner and label."""
-        gid = self._iset_lookup.get((player, label))
+        gid = self._iset_lookup.get((self._player(player), label))
         if gid is None:
             raise KeyError(f"player {player + 1} has no information set '{label}'")
         return self.infosets[gid]
 
+    def _player(self, player):
+        """``player``; ValueError unless it is one of players 0 to ``n_players - 1``."""
+        if not 0 <= player < self.n_players:
+            raise ValueError(f"player {player} is not one of players 0 to {self.n_players - 1}")
+        return player
+
     def player_infosets(self, player):
         """Global infoset ids of one player, parents before children."""
-        return self._player_isets[player]
+        return self._player_isets[self._player(player)]
 
     def num_infosets(self, player):
-        return len(self._player_isets[player])
+        return len(self.player_infosets(player))
 
     def num_sequences(self, player):
         """Number of sequences including the empty one."""
-        return self._n_seq[player]
+        return self._n_seq[self._player(player)]
 
     def sequence_id(self, player, label, action):
         js = self.infoset(player, label)
         return js.seq_ids[js.actions.index(action)]
 
     def sequence_name(self, player, sid):
+        seq_infoset = self.seq_infoset(player)
         if sid == EMPTY_SEQ:
             return "(empty)"
-        js = self.infosets[self._seq_infoset[player][sid]]
+        js = self.infosets[seq_infoset[sid]]
         return f"{js.label}:{js.actions[self._seq_action[player][sid]]}"
 
     def seq_infoset(self, player):
-        return self._seq_infoset[player]
+        return self._seq_infoset[self._player(player)]
 
     def seq_parent(self, player):
-        return self._seq_parent[player]
+        return self._seq_parent[self._player(player)]
 
     def child_infosets(self, player, sid):
         """Infosets of ``player`` whose parent sequence is ``sid``."""
-        return self._seq_child_isets[player][sid]
+        return self._seq_child_isets[self._player(player)][sid]
 
     def subtree_infosets(self, gid):
         """Infosets at or below ``gid`` in the owner's infoset forest; ValueError for no such id."""
@@ -557,8 +564,8 @@ class GameTree:
         subtree of infoset ``root``, which must belong to ``player``.
         """
         if root is None:
-            return self._player_isets[player]
-        if self.infosets[root].player != player:
+            return self.player_infosets(player)
+        if self.infosets[root].player != self._player(player):
             raise ValueError("subtree root belongs to a different player")
         return self.subtree_infosets(root)
 
@@ -568,7 +575,7 @@ class GameTree:
 
     def descendant_mask(self, player):
         """Matrix D with D[s, t] true iff sequence t is at or below sequence s, built on each read."""
-        mask = np.eye(self._n_seq[player], dtype=bool)
+        mask = np.eye(self.num_sequences(player), dtype=bool)
         for gid in self._player_isets[player]:  # parents first
             mask[:, self.infosets[gid].seq_ids] |= mask[:, [self.infosets[gid].parent_seq]]
         return mask
@@ -677,11 +684,11 @@ class GameTree:
 
     def payoff_range(self, player):
         """Spread between the best and worst terminal payoff of one player."""
-        return float(self._payoff_range[player])
+        return float(self._payoff_range[self._player(player)])
 
     def pure_count(self, player):
         """Number of deterministic sequence-form strategies of one player."""
-        order = self._player_isets[player]
+        order = self.player_infosets(player)
         count: dict[int, int] = {}
         # Reverse pre-order counts every child infoset before its parent.
         for gid in reversed(order):
@@ -745,64 +752,50 @@ def sequences_at_or_below(game, gid):
 
 # -- text format -------------------------------------------------------------
 
-_TOKEN = re.compile(r"->|[{}=;]|(?:(?!->)[^{}\s=;#])+")
-
-
-@dataclass(frozen=True)
-class _Tok:
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(text):
-    toks = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        for m in _TOKEN.finditer(line):
-            toks.append(_Tok(m.group(), ln, m.start() + 1))
-    return toks
+# A token, or a comment that runs to the next line end (the ends
+# str.splitlines knows).
+_TOKEN = re.compile(r"->|[{}=;]|(?:(?!->)[^{}\s=;#])+"
+                    r"|#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*")
+_HEADER = {"game": "game name", "players": "player count", "root": "root node id"}
 
 
 class _Cursor:
-    def __init__(self, toks):
-        self.toks = toks
-        self.pos = 0
+    """The tokens of a game text, read in one pass with one token of lookahead.
 
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
+    Only the offsets of the last token read are kept.  An error's line and
+    column are computed from them when it is raised.
+    """
+
+    def __init__(self, text):
+        self.text = text
+        self.tokens = (m for m in _TOKEN.finditer(text) if m[0][0] != "#")
+        self.next = next(self.tokens, None)
+        self.start = self.end = 0
 
     def take(self, what="token"):
-        tok = self.peek()
-        if tok is None:
-            last = self.toks[-1] if self.toks else None
-            raise GameFormatError(
-                f"unexpected end of input, expected {what}",
-                last.line if last else 1,
-                (last.col + len(last.text)) if last else 1,
-            )
-        self.pos += 1
-        return tok
+        m = self.next
+        if m is None:
+            self.start = self.end
+            raise self.error(f"unexpected end of input, expected {what}")
+        self.start, self.end = m.span()
+        self.next = next(self.tokens, None)
+        return m[0]
 
     def expect(self, text):
         tok = self.take(f"'{text}'")
-        if tok.text != text:
-            raise GameFormatError(f"expected '{text}', found '{tok.text}'", tok.line, tok.col)
-        return tok
+        if tok != text:
+            raise self.error(f"expected '{text}', found '{tok}'")
 
+    def number(self, tok, what, kind=float):
+        try:
+            return kind(tok)
+        except ValueError:
+            raise self.error(f"expected {what}, found '{tok}'") from None
 
-def _parse_number(tok, what):
-    try:
-        return float(tok.text)
-    except ValueError:
-        raise GameFormatError(f"expected {what}, found '{tok.text}'", tok.line, tok.col) from None
-
-
-def _parse_int(tok, what):
-    try:
-        return int(tok.text)
-    except ValueError:
-        raise GameFormatError(f"expected {what}, found '{tok.text}'", tok.line, tok.col) from None
+    def error(self, message):
+        """A GameFormatError at the last token read, or at line 1, column 1."""
+        lines = (self.text[:self.start] + "^").splitlines()
+        return GameFormatError(message, len(lines), len(lines[-1]))
 
 
 def parse_game(text):
@@ -813,104 +806,68 @@ def parse_game(text):
     duplicate node ids, non-tree topology, infoset action mismatches, perfect
     recall violations, and bad chance probabilities.
     """
-    cur = _Cursor(_tokenize(text))
-    name = None
-    n_players = None
-    root_label = None
+    cur = _Cursor(text)
+    header = {}
     records = []
-    seen_labels = {}
+    seen_labels = set()
 
-    def node_label(tok):
-        if tok.text in seen_labels:
-            raise GameFormatError(f"duplicate node id '{tok.text}'", tok.line, tok.col)
-        seen_labels[tok.text] = tok
-        return tok.text
+    def node_label():
+        label = cur.take("node id")
+        if label in seen_labels:
+            raise cur.error(f"duplicate node id '{label}'")
+        seen_labels.add(label)
+        return label
 
-    while True:
-        tok = cur.peek()
-        if tok is None:
-            break
-        if tok.text == ";":
-            cur.take()
+    while cur.next is not None:
+        kw = cur.take()
+        if kw == ";":
             continue
-        if tok.text == "game":
-            cur.take()
-            if name is not None:
-                raise GameFormatError("repeated 'game' statement", tok.line, tok.col)
-            name = cur.take("game name").text
-        elif tok.text == "players":
-            cur.take()
-            if n_players is not None:
-                raise GameFormatError("repeated 'players' statement", tok.line, tok.col)
-            n_players = _parse_int(cur.take("player count"), "player count")
-        elif tok.text == "root":
-            cur.take()
-            if root_label is not None:
-                raise GameFormatError("repeated 'root' statement", tok.line, tok.col)
-            root_label = cur.take("root node id").text
-        elif tok.text == "chance":
-            cur.take()
-            label = node_label(cur.take("node id"))
+        if kw in _HEADER:
+            if kw in header:
+                raise cur.error(f"repeated '{kw}' statement")
+            header[kw] = cur.take(_HEADER[kw])
+            if kw == "players":
+                header[kw] = cur.number(header[kw], "player count", int)
+        elif kw == "chance":
+            label = node_label()
             cur.expect("{")
             entries = []
-            while True:
-                t = cur.take("chance entry or '}'")
-                if t.text == "}":
-                    break
-                if t.text == ";":
-                    continue
-                action = t.text
-                cur.expect("=")
-                prob = _parse_number(cur.take("probability"), "a probability")
-                cur.expect("->")
-                child = cur.take("child node id").text
-                entries.append((action, prob, child))
+            while (t := cur.take("chance entry or '}'")) != "}":
+                if t != ";":
+                    cur.expect("=")
+                    prob = cur.number(cur.take("probability"), "a probability")
+                    cur.expect("->")
+                    entries.append((t, prob, cur.take("child node id")))
             records.append((CHANCE, label, entries))
-        elif tok.text == "decision":
-            cur.take()
-            label = node_label(cur.take("node id"))
+        elif kw == "decision":
+            label = node_label()
             cur.expect("player")
-            player = _parse_int(cur.take("player number"), "a player number")
+            player = cur.number(cur.take("player number"), "a player number", int)
             cur.expect("infoset")
-            iset = cur.take("infoset label").text
+            iset = cur.take("infoset label")
             cur.expect("{")
             entries = []
-            while True:
-                t = cur.take("action entry or '}'")
-                if t.text == "}":
-                    break
-                if t.text == ";":
-                    continue
-                action = t.text
-                cur.expect("->")
-                child = cur.take("child node id").text
-                entries.append((action, child))
+            while (t := cur.take("action entry or '}'")) != "}":
+                if t != ";":
+                    cur.expect("->")
+                    entries.append((t, cur.take("child node id")))
             records.append((DECISION, label, (player, iset, entries)))
-        elif tok.text == "leaf":
-            cur.take()
-            label = node_label(cur.take("node id"))
+        elif kw == "leaf":
+            label = node_label()
             cur.expect("{")
             payoffs = []
-            while True:
-                t = cur.take("payoff or '}'")
-                if t.text == "}":
-                    break
-                payoff = _parse_number(t, "a payoff")
-                if not math.isfinite(payoff):
-                    raise GameFormatError(f"payoff must be finite, found '{t.text}'",
-                                          t.line, t.col)
-                payoffs.append(payoff)
+            while (t := cur.take("payoff or '}'")) != "}":
+                payoffs.append(cur.number(t, "a payoff"))
+                if not math.isfinite(payoffs[-1]):
+                    raise cur.error(f"payoff must be finite, found '{t}'")
             records.append((LEAF, label, payoffs))
         else:
-            raise GameFormatError(
-                f"expected a statement keyword, found '{tok.text}'", tok.line, tok.col
-            )
+            raise cur.error(f"expected a statement keyword, found '{kw}'")
 
-    if n_players is None:
-        raise GameFormatError("missing 'players' statement", 1, 1)
-    if root_label is None:
-        raise GameFormatError("missing 'root' statement", 1, 1)
-    return GameTree(name or "game", n_players, records, root_label)
+    for kw in ("players", "root"):
+        if kw not in header:
+            raise GameFormatError(f"missing '{kw}' statement", 1, 1)
+    return GameTree(header.get("game", "game"), header["players"], records, header["root"])
 
 
 def serialize_game(game):

@@ -173,6 +173,19 @@ def test_structural_errors_rejected(text, match):
     ("root z; leaf z {0}", "missing 'players'", 1, 1),
     ("players 1; leaf z {0}", "missing 'root'", 1, 1),
     ("players 1; root z\nnode z {0}", "statement keyword", 2, 1),
+    ("players 1; root z\r\nleaf z 0", "expected '{'", 2, 8),
+    ("players 1; root z\rleaf z 0", "expected '{'", 2, 8),
+    ("players 1; root z\fleaf z 0", "expected '{'", 2, 8),
+    ("players 1; root z\nleaf z {0}#c\nnode z", "statement keyword, found 'node'", 3, 1),
+    ("players 1; root a\ndecision a player 1 infoset A { a#b -> z }\nleaf z {0}",
+     "expected '->', found 'leaf'", 3, 1),
+    ("node z {0}", "statement keyword", 1, 1),
+    ("players 1; root c\nchance c { h=0.5 -> z",
+     "end of input, expected chance entry or '}'", 2, 22),
+    ("players 1; root a\ndecision a player 1 infoset A { x -> z",
+     "end of input, expected action entry or '}'", 2, 39),
+    ("players 1; root z\nleaf z { 0", "end of input, expected payoff or '}'", 2, 11),
+    ("players 1; root a\ndecision a player", "end of input, expected player number", 2, 18),
 ])
 def test_format_errors_report_position(text, match, line, col):
     with pytest.raises(efce.GameFormatError, match=match) as e:
@@ -263,6 +276,21 @@ def test_ancestry_queries_reject_ids_out_of_range():
                       lambda: g.subtree_seq_mask(gid)):
             with pytest.raises(ValueError, match=f"no information set with id {gid}"):
                 query()
+
+
+def test_player_queries_reject_ids_out_of_range():
+    # -1 once answered for player 2, and 2 raised IndexError
+    g = efce.builtin_game("fig1", seed=0)
+    profile = [efce.uniform_strategy(g, i) for i in range(2)]
+    for bad in (-1, 2):
+        for query in (g.num_sequences, g.num_infosets, g.player_infosets, g.seq_infoset,
+                      g.seq_parent, g.descendant_mask, g.payoff_range, g.pure_count,
+                      g.scope_infosets, lambda p: g.child_infosets(p, 0),
+                      lambda p: g.sequence_name(p, 0), lambda p: g.infoset(p, "A"),
+                      lambda p: efce.utility_vector(g, p, profile),
+                      lambda p: efce.sequence_precedes(g, (p, 1), (p, 3))):
+            with pytest.raises(ValueError, match=f"player {bad} is not one of players 0 to 1"):
+                query(bad)
 
 
 def test_descendant_mask():

@@ -4,6 +4,8 @@ One line per N = 24, 96 and 192 (``bench/kuhn.py``), with the joint
 sequence count and:
 
 - ``parse_s``: wall seconds of ``parse_game`` on the game text;
+- ``parse_peak_mb``: the tracemalloc peak, in MB, of another
+  ``parse_game`` call on the same text;
 - ``plan_peak_mb``: the tracemalloc peak, in MB, of building the players'
   group plan (``player_plan((0, 1))``) on the parsed game;
 - ``ms_per_round``: wall ms per self-play round, the median of three
@@ -34,31 +36,39 @@ WARMUP = 10
 
 
 def measure(n_cards):
-    """(joint sequences, parse seconds, plan peak MB, ms per round) of one game."""
+    """(joint sequences, parse seconds, parse and plan peak MB, ms per round) of one game."""
     text = kuhn_text(n_cards)
+    parse_peak = traced_peak(parse_game, text)
     start = time.perf_counter()
     game = parse_game(text)
     parse_s = time.perf_counter() - start
-    tracemalloc.start()
-    try:
-        plan = game.player_plan((0, 1))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    plan_peak = traced_peak(game.player_plan, (0, 1))
+    plan = game.player_plan((0, 1))
     run(game, WARMUP, 0, gap_every=WARMUP)
     times = []
     for _ in range(3):
         start = time.perf_counter()
         run(game, ROUNDS, 0, gap_every=ROUNDS)
         times.append((time.perf_counter() - start) * 1e3 / ROUNDS)
-    return plan.owner.size, parse_s, peak / 1e6, statistics.median(times)
+    return plan.owner.size, parse_s, parse_peak, plan_peak, statistics.median(times)
+
+
+def traced_peak(fn, arg):
+    """The tracemalloc peak, in MB, of the call ``fn(arg)``."""
+    tracemalloc.start()
+    try:
+        fn(arg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / 1e6
 
 
 def main():
     for n_cards in CARDS:
-        n, parse_s, peak_mb, ms = measure(n_cards)
-        print(f"kuhn{n_cards} sequences={n} parse_s={parse_s:.2f} "
-              f"plan_peak_mb={peak_mb:.2f} ms_per_round={ms:.2f}", flush=True)
+        n, parse_s, parse_mb, plan_mb, ms = measure(n_cards)
+        print(f"kuhn{n_cards} sequences={n} parse_s={parse_s:.2f} parse_peak_mb={parse_mb:.2f} "
+              f"plan_peak_mb={plan_mb:.2f} ms_per_round={ms:.2f}", flush=True)
     return 0
 
 
