@@ -293,7 +293,7 @@ def is_trunk(game, player, trunk):
     """Whether ``trunk`` is predecessor closed in the player's infoset forest."""
     seq_infoset = game.seq_infoset(player)
     for gid in trunk:
-        js = game.infosets[gid]
+        js = game._infoset(gid)
         if js.player != player:
             return False
         if js.parent_seq != EMPTY_SEQ and int(seq_infoset[js.parent_seq]) not in trunk:
@@ -456,9 +456,7 @@ def extend(game, phi, trunk, j_star, x, fp_tol=1e-10):
     coordinate untouched.
     """
     i = phi.player
-    if not 0 <= j_star < len(game.infosets):
-        raise ValueError(f"no information set with id {j_star}")
-    js = game.infosets[j_star]
+    js = game._infoset(j_star)
     if js.player != i:
         raise ValueError("information set belongs to a different player")
     if j_star in trunk:

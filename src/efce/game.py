@@ -229,101 +229,135 @@ def _chains(groups, m, own, n, n_pairs):
 class GameTree:
     """Immutable n-player perfect-recall game in extensive form.
 
-    Nodes are indexed densely in document order.  Player indices are 0-based
-    internally; the text format and all user-facing output use 1-based ids.
+    ``GameTree(text)`` reads and validates game text, raising what
+    :func:`parse_game` documents.  Nodes are indexed densely in document
+    order.  Player indices are 0-based internally; the text format and all
+    user-facing output use 1-based ids.
     """
 
-    def __init__(self, name, n_players, records, root_label):
-        # records: (kind, label, payload) in document order.  Payloads:
-        #   chance   -> [(action, prob, child_label), ...]
-        #   decision -> (player_1based, infoset_label, [(action, child_label), ...])
-        #   leaf     -> [payoff, ...]
+    def __init__(self, text):
+        ids, root_label = self._read(text)
+        n_players = self.n_players
         if n_players < 1:
             raise GameValidationError("player count must be at least 1")
-        self.name = name
-        self.n_players = n_players
-
-        label_to_id: dict[str, int] = {}
-        for k, (_, label, _) in enumerate(records):
-            if label in label_to_id:
-                raise GameValidationError(f"duplicate node id '{label}'")
-            label_to_id[label] = k
-        if root_label not in label_to_id:
+        if root_label not in ids:
             raise GameValidationError(f"root node '{root_label}' is not declared")
-
-        n = len(records)
-        self.n_nodes = n
-        self.root = label_to_id[root_label]
-        self.node_kind = [r[0] for r in records]
-        self.node_label = [r[1] for r in records]
-        self.node_children: list[tuple[int, ...]] = [()] * n
-        self.node_actions: list[tuple[str, ...]] = [()] * n
-        self.node_player = [-1] * n
-        self.node_infoset = [-1] * n
-        self.chance_probs: list[tuple[float, ...]] = [()] * n
-        self.leaf_payoffs: list[tuple[float, ...] | None] = [None] * n
+        n = self.n_nodes = len(ids)
+        self.root = ids[root_label]
         parent = [-1] * n
-        iset_label_of_node = [None] * n
-
-        for k, (kind, label, payload) in enumerate(records):
+        for k, kind in enumerate(self.node_kind):
+            label = self.node_label[k]
             if kind == LEAF:
-                if len(payload) != n_players:
-                    raise GameValidationError(
-                        f"leaf '{label}' has {len(payload)} payoffs, expected {n_players}"
-                    )
-                self.leaf_payoffs[k] = tuple(float(u) for u in payload)
+                if len(self.leaf_payoffs[k]) != n_players:
+                    raise GameValidationError(f"leaf '{label}' has {len(self.leaf_payoffs[k])} "
+                                              f"payoffs, expected {n_players}")
                 continue
+            actions = self.node_actions[k]
             if kind == CHANCE:
-                entry_list = payload
-                probs = [float(p) for _, p, _ in entry_list]
-                for (a, _, _), p in zip(entry_list, probs):
+                probs = self.chance_probs[k]
+                for a, p in zip(actions, probs):
                     if not p > 0.0:
-                        raise GameValidationError(
-                            f"chance probability for action '{a}' of node '{label}' must be positive"
-                        )
+                        raise GameValidationError(f"chance probability for action '{a}' of "
+                                                  f"node '{label}' must be positive")
                 if abs(sum(probs) - 1.0) > _CHANCE_PROB_TOL:
                     raise GameValidationError(
-                        f"chance probabilities at node '{label}' sum to {sum(probs)!r}, not 1"
-                    )
-                self.chance_probs[k] = tuple(probs)
-            else:
-                player_1b, iset_label, entry_list = payload
-                if not 1 <= player_1b <= n_players:
-                    raise GameValidationError(
-                        f"node '{label}' belongs to player {player_1b}, but the game has {n_players} players"
-                    )
-                self.node_player[k] = player_1b - 1
-                iset_label_of_node[k] = iset_label
-            actions = [e[0] for e in entry_list]
+                        f"chance probabilities at node '{label}' sum to {sum(probs)!r}, not 1")
+            elif not 0 <= self.node_player[k] < n_players:
+                raise GameValidationError(
+                    f"node '{label}' belongs to player {self.node_player[k] + 1}, "
+                    f"but the game has {n_players} players")
             if len(set(actions)) != len(actions):
                 raise GameValidationError(f"node '{label}' repeats an action name")
             if not actions:
                 raise GameValidationError(f"node '{label}' has no actions")
-            self.node_actions[k] = tuple(actions)
             kids = []
-            for e in entry_list:
-                child_label = e[-1]
-                if child_label not in label_to_id:
+            for child_label in self.node_children[k]:
+                c = ids.get(child_label)
+                if c is None:
                     raise GameValidationError(
-                        f"node '{label}' references undeclared child '{child_label}'"
-                    )
-                c = label_to_id[child_label]
+                        f"node '{label}' references undeclared child '{child_label}'")
                 if c == self.root:
                     raise GameValidationError(
-                        f"root node '{child_label}' appears as a child of '{label}'"
-                    )
+                        f"root node '{child_label}' appears as a child of '{label}'")
                 if parent[c] != -1:
-                    raise GameValidationError(
-                        f"node '{child_label}' has more than one parent"
-                    )
+                    raise GameValidationError(f"node '{child_label}' has more than one parent")
                 parent[c] = k
                 kids.append(c)
             self.node_children[k] = tuple(kids)
 
         self._check_reachable()
-        self._group_infosets(iset_label_of_node)
-        self._walk_and_index()
+        self._walk_and_index(self._group_infosets())
         self._build_orders()
+
+    def _read(self, text):
+        """Read game text into the node lists; returns (node id -> index, root node id).
+
+        Raises only :class:`GameFormatError`.  Until linking, ``node_children``
+        holds each node's child ids as text, and ``node_infoset`` each
+        decision node's infoset label.
+        """
+        cur = _Cursor(text)
+        header = {}
+        ids: dict[str, int] = {}
+        self.node_kind, self.node_label, self.node_player, self.node_infoset = [], [], [], []
+        self.node_actions, self.node_children, self.chance_probs, self.leaf_payoffs = [], [], [], []
+        while cur.next is not None:
+            kw = cur.take()
+            if kw == ";":
+                continue
+            if kw in _HEADER:
+                if kw in header:
+                    raise cur.error(f"repeated '{kw}' statement")
+                header[kw] = cur.take(_HEADER[kw])
+                if kw == "players":
+                    header[kw] = cur.number(header[kw], "player count", int)
+                continue
+            kind = _KINDS.get(kw)
+            if kind is None:
+                raise cur.error(f"expected a statement keyword, found '{kw}'")
+            label = cur.take("node id")
+            if label in ids:
+                raise cur.error(f"duplicate node id '{label}'")
+            ids[label] = len(ids)
+            player, iset, actions, probs, children, payoffs = -1, -1, [], [], [], None
+            if kind == DECISION:
+                cur.expect("player")
+                player = cur.number(cur.take("player number"), "a player number", int) - 1
+                cur.expect("infoset")
+                iset = cur.take("infoset label")
+            cur.expect("{")
+            if kind == LEAF:
+                payoffs = []
+                while (t := cur.take("payoff or '}'")) != "}":
+                    payoffs.append(cur.number(t, "a payoff"))
+                    if not math.isfinite(payoffs[-1]):
+                        raise cur.error(f"payoff must be finite, found '{t}'")
+                payoffs = tuple(payoffs)
+            else:
+                what = "chance entry or '}'" if kind == CHANCE else "action entry or '}'"
+                while (t := cur.take(what)) != "}":
+                    if t != ";":
+                        actions.append(t)
+                        if kind == CHANCE:
+                            cur.expect("=")
+                            probs.append(cur.number(cur.take("probability"), "a probability"))
+                        cur.expect("->")
+                        children.append(cur.take("child node id"))
+            self.node_kind.append(kind)
+            self.node_label.append(label)
+            self.node_player.append(player)
+            self.node_infoset.append(iset)
+            self.node_actions.append(tuple(actions))
+            self.node_children.append(tuple(children))
+            self.chance_probs.append(tuple(probs))
+            self.leaf_payoffs.append(payoffs)
+
+        for kw in ("players", "root"):
+            if kw not in header:
+                raise GameFormatError(f"missing '{kw}' statement", 1, 1)
+        self.name = header.get("game", "game")
+        self.n_players = header["players"]
+        return ids, header["root"]
 
     # -- construction helpers ------------------------------------------------
 
@@ -336,26 +370,20 @@ class GameTree:
             for c in self.node_children[k]:
                 seen[c] = True
                 stack.append(c)
-        for k, ok in enumerate(seen):
-            if not ok:
-                raise GameValidationError(
-                    f"node '{self.node_label[k]}' is not reachable from the root"
-                )
+        if not all(seen):
+            raise GameValidationError(
+                f"node '{self.node_label[seen.index(False)]}' is not reachable from the root")
 
-    def _group_infosets(self, iset_label_of_node):
-        self.infosets: list[InfoSet] = []
+    def _group_infosets(self):
+        """Replace each decision node's infoset label by its infoset id; returns each id's nodes."""
         self._iset_lookup: dict[tuple[int, str], int] = {}
-        self._iset_labels: list[str] = []
         members: list[list[int]] = []
-        for k in range(self.n_nodes):
-            if self.node_kind[k] != DECISION:
+        for k, kind in enumerate(self.node_kind):
+            if kind != DECISION:
                 continue
-            key = (self.node_player[k], iset_label_of_node[k])
-            gid = self._iset_lookup.get(key)
-            if gid is None:
-                gid = len(members)
-                self._iset_lookup[key] = gid
-                self._iset_labels.append(key[1])
+            key = (self.node_player[k], self.node_infoset[k])
+            gid = self._iset_lookup.setdefault(key, len(members))
+            if gid == len(members):
                 members.append([k])
             else:
                 first = members[gid][0]
@@ -367,15 +395,17 @@ class GameTree:
                     )
                 members[gid].append(k)
             self.node_infoset[k] = gid
-        self._iset_members = members
+        return members
 
-    def _walk_and_index(self):
+    def _walk_and_index(self, members):
         n_players = self.n_players
+        # The lookup's keys are (player, label) in id order.
+        labels = [label for _, label in self._iset_lookup]
         # Dense per-player sequence ids: 0 is the empty sequence, then one id
         # per (infoset, action) in document order of the infoset.
         n_seq = [1] * n_players
         iset_seq_ids = []
-        for nodes in self._iset_members:
+        for nodes in members:
             p = self.node_player[nodes[0]]
             m = len(self.node_actions[nodes[0]])
             iset_seq_ids.append(tuple(range(n_seq[p], n_seq[p] + m)))
@@ -403,9 +433,8 @@ class GameTree:
                 p = self.node_player[k]
                 gid = self.node_infoset[k]
                 if parent_of.setdefault(gid, last[p]) != last[p]:
-                    lab = self.infoset_label(gid)
                     raise GameValidationError(
-                        f"perfect recall violated at information set '{lab}' of "
+                        f"perfect recall violated at information set '{labels[gid]}' of "
                         f"player {p + 1}: its nodes are reached with different "
                         f"histories of that player's own actions"
                     )
@@ -422,41 +451,26 @@ class GameTree:
         self._seq_parent = [np.full(n_seq[i], -1, dtype=np.int64) for i in range(n_players)]
 
         finished = []
-        for gid, nodes in enumerate(self._iset_members):
+        for gid, nodes in enumerate(members):
             first = nodes[0]
             p = self.node_player[first]
             parent_seq = parent_of[gid]
-            finished.append(
-                InfoSet(
-                    index=gid,
-                    player=p,
-                    label=self.infoset_label(gid),
-                    actions=self.node_actions[first],
-                    nodes=tuple(nodes),
-                    parent_seq=parent_seq,
-                    seq_ids=iset_seq_ids[gid],
-                )
-            )
+            finished.append(InfoSet(gid, p, labels[gid], self.node_actions[first], tuple(nodes),
+                                    parent_seq, iset_seq_ids[gid]))
             for a_idx, sid in enumerate(iset_seq_ids[gid]):
                 self._seq_infoset[p][sid] = gid
                 self._seq_action[p][sid] = a_idx
                 self._seq_parent[p][sid] = parent_seq
         self.infosets = finished
 
-        self.terminals = term_nodes
-        z = len(term_nodes)
+        # A finite tree has a leaf, so each array has one row per terminal.
+        self.n_terminals = len(term_nodes)
         self.term_chance = np.asarray(term_pc, dtype=float)
-        self.term_payoffs = np.zeros((z, n_players))
-        self.term_seq = np.array(term_seq, dtype=np.int64).reshape(z, n_players)
-        for row, k in enumerate(term_nodes):
-            self.term_payoffs[row] = self.leaf_payoffs[k]
-        self.n_terminals = z
-        if z:
-            # A spread beyond the float range is inf, which run() rejects.
-            with np.errstate(over="ignore"):
-                self._payoff_range = self.term_payoffs.max(axis=0) - self.term_payoffs.min(axis=0)
-        else:
-            self._payoff_range = np.zeros(n_players)
+        self.term_payoffs = np.array([self.leaf_payoffs[k] for k in term_nodes])
+        self.term_seq = np.array(term_seq, dtype=np.int64)
+        # A spread beyond the float range is inf, which run() rejects.
+        with np.errstate(over="ignore"):
+            self._payoff_range = self.term_payoffs.max(axis=0) - self.term_payoffs.min(axis=0)
 
     def _build_orders(self):
         n_players = self.n_players
@@ -495,7 +509,7 @@ class GameTree:
     # -- counts and lookups --------------------------------------------------
 
     def infoset_label(self, gid):
-        return self._iset_labels[gid]
+        return self._infoset(gid).label
 
     def infoset(self, player, label):
         """Return the :class:`InfoSet` with the given owner and label."""
@@ -521,15 +535,24 @@ class GameTree:
         """Number of sequences including the empty one."""
         return self._n_seq[self._player(player)]
 
+    def _sequence(self, player, sid):
+        """``sid``; ValueError unless it is one of ``player``'s sequence ids."""
+        n = self.num_sequences(player)
+        if not 0 <= sid < n:
+            raise ValueError(f"player {player + 1} has sequence ids 0 to {n - 1}, not {sid}")
+        return sid
+
     def sequence_id(self, player, label, action):
         js = self.infoset(player, label)
+        if action not in js.actions:
+            raise KeyError(f"information set '{label}' of player {player + 1} "
+                           f"has no action '{action}'")
         return js.seq_ids[js.actions.index(action)]
 
     def sequence_name(self, player, sid):
-        seq_infoset = self.seq_infoset(player)
-        if sid == EMPTY_SEQ:
+        if self._sequence(player, sid) == EMPTY_SEQ:
             return "(empty)"
-        js = self.infosets[seq_infoset[sid]]
+        js = self.infosets[self._seq_infoset[player][sid]]
         return f"{js.label}:{js.actions[self._seq_action[player][sid]]}"
 
     def seq_infoset(self, player):
@@ -540,15 +563,19 @@ class GameTree:
 
     def child_infosets(self, player, sid):
         """Infosets of ``player`` whose parent sequence is ``sid``."""
-        return self._seq_child_isets[self._player(player)][sid]
+        sid = self._sequence(player, sid)
+        return self._seq_child_isets[player][sid]
+
+    def _infoset(self, gid):
+        """The :class:`InfoSet` with id ``gid``; ValueError for no such id."""
+        if not 0 <= gid < len(self.infosets):
+            raise ValueError(f"no information set with id {gid}")
+        return self.infosets[gid]
 
     def subtree_infosets(self, gid):
         """Infosets at or below ``gid`` in the owner's infoset forest; ValueError for no such id."""
-        if not 0 <= gid < len(self.infosets):
-            raise ValueError(f"no information set with id {gid}")
-        i = self.infosets[gid].player
-        start = self._pre_index[gid]
-        return self._player_isets[i][start:self._subtree_end[gid]]
+        i = self._infoset(gid).player
+        return self._player_isets[i][self._pre_index[gid]:self._subtree_end[gid]]
 
     def subtree_seq_mask(self, gid):
         """Boolean array over the owner's sequences marking the subtree of ``gid``."""
@@ -565,7 +592,7 @@ class GameTree:
         """
         if root is None:
             return self.player_infosets(player)
-        if self.infosets[root].player != self._player(player):
+        if self._infoset(root).player != self._player(player):
             raise ValueError("subtree root belongs to a different player")
         return self.subtree_infosets(root)
 
@@ -737,9 +764,8 @@ def sequence_precedes(game, seq_a, seq_b):
     pb, sb = seq_b
     if pa != pb:
         raise ValueError(f"cannot compare sequences of players {pa + 1} and {pb + 1}")
+    sa, sb = game._sequence(pa, sa), game._sequence(pb, sb)
     parent = game.seq_parent(pa)
-    if not (0 <= sa < parent.size and 0 <= sb < parent.size):
-        raise ValueError(f"player {pa + 1} has sequence ids 0 to {parent.size - 1}, not {sa} and {sb}")
     while sb > EMPTY_SEQ and parent[sb] != sa:
         sb = parent[sb]
     return bool(sb > EMPTY_SEQ)
@@ -757,6 +783,8 @@ def sequences_at_or_below(game, gid):
 _TOKEN = re.compile(r"->|[{}=;]|(?:(?!->)[^{}\s=;#])+"
                     r"|#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*")
 _HEADER = {"game": "game name", "players": "player count", "root": "root node id"}
+# Statement keyword -> node kind, so that a node keeps the constant, not the token.
+_KINDS = {kind: kind for kind in (CHANCE, DECISION, LEAF)}
 
 
 class _Cursor:
@@ -801,73 +829,13 @@ class _Cursor:
 def parse_game(text):
     """Parse game text into a validated :class:`GameTree`.
 
-    Raises :class:`GameFormatError` for syntax problems (with line and column)
-    and :class:`GameValidationError` for structural ones: dangling child ids,
-    duplicate node ids, non-tree topology, infoset action mismatches, perfect
-    recall violations, and bad chance probabilities.
+    Raises :class:`GameFormatError` for syntax problems and duplicate node
+    ids (with line and column), and :class:`GameValidationError` for
+    structural ones: dangling child ids, non-tree topology, infoset action
+    mismatches, perfect recall violations, and bad chance probabilities.
+    Every format error in the text wins over any structural one.
     """
-    cur = _Cursor(text)
-    header = {}
-    records = []
-    seen_labels = set()
-
-    def node_label():
-        label = cur.take("node id")
-        if label in seen_labels:
-            raise cur.error(f"duplicate node id '{label}'")
-        seen_labels.add(label)
-        return label
-
-    while cur.next is not None:
-        kw = cur.take()
-        if kw == ";":
-            continue
-        if kw in _HEADER:
-            if kw in header:
-                raise cur.error(f"repeated '{kw}' statement")
-            header[kw] = cur.take(_HEADER[kw])
-            if kw == "players":
-                header[kw] = cur.number(header[kw], "player count", int)
-        elif kw == "chance":
-            label = node_label()
-            cur.expect("{")
-            entries = []
-            while (t := cur.take("chance entry or '}'")) != "}":
-                if t != ";":
-                    cur.expect("=")
-                    prob = cur.number(cur.take("probability"), "a probability")
-                    cur.expect("->")
-                    entries.append((t, prob, cur.take("child node id")))
-            records.append((CHANCE, label, entries))
-        elif kw == "decision":
-            label = node_label()
-            cur.expect("player")
-            player = cur.number(cur.take("player number"), "a player number", int)
-            cur.expect("infoset")
-            iset = cur.take("infoset label")
-            cur.expect("{")
-            entries = []
-            while (t := cur.take("action entry or '}'")) != "}":
-                if t != ";":
-                    cur.expect("->")
-                    entries.append((t, cur.take("child node id")))
-            records.append((DECISION, label, (player, iset, entries)))
-        elif kw == "leaf":
-            label = node_label()
-            cur.expect("{")
-            payoffs = []
-            while (t := cur.take("payoff or '}'")) != "}":
-                payoffs.append(cur.number(t, "a payoff"))
-                if not math.isfinite(payoffs[-1]):
-                    raise cur.error(f"payoff must be finite, found '{t}'")
-            records.append((LEAF, label, payoffs))
-        else:
-            raise cur.error(f"expected a statement keyword, found '{kw}'")
-
-    for kw in ("players", "root"):
-        if kw not in header:
-            raise GameFormatError(f"missing '{kw}' statement", 1, 1)
-    return GameTree(header.get("game", "game"), header["players"], records, header["root"])
+    return GameTree(text)
 
 
 def serialize_game(game):

@@ -293,6 +293,29 @@ def test_player_queries_reject_ids_out_of_range():
                 query(bad)
 
 
+def test_lookups_reject_ids_out_of_range():
+    # Sequence -1 once read as 'D:8' and had no child infosets, infoset 99
+    # raised IndexError, infoset -1 read as D, and an unknown action raised
+    # "tuple.index(x): x not in tuple".
+    g = efce.builtin_game("fig1", seed=0)
+    for sid in (-1, 9, 99):
+        for query in (lambda: g.sequence_name(0, sid), lambda: g.child_infosets(0, sid)):
+            with pytest.raises(ValueError, match=f"player 1 has sequence ids 0 to 8, not {sid}$"):
+                query()
+    for gid in (-1, 99):
+        for query in (lambda: g.scope_infosets(1, gid), lambda: g.infoset_label(gid),
+                      lambda: efce.uniform_strategy(g, 0, root=gid),
+                      lambda: efce.validate_strategy(
+                          g, efce.SequenceFormStrategy(0, np.zeros(9), gid)),
+                      lambda: efce.enumerate_pure(g, 0, root=gid),
+                      lambda: efce.CfrMinimizer(g, 1, root=gid),
+                      lambda: efce.is_trunk(g, 0, [gid])):
+            with pytest.raises(ValueError, match=f"no information set with id {gid}"):
+                query()
+    with pytest.raises(KeyError, match="information set 'A' of player 1 has no action 'zz'"):
+        g.sequence_id(0, "A", "zz")
+
+
 def test_descendant_mask():
     g = efce.builtin_game("fig1", seed=0)
     desc = g.descendant_mask(0)
@@ -436,6 +459,39 @@ def test_plan_holds_no_quadratic_array():
         tracemalloc.stop()
     assert plan.owner.size == n
     assert peak < n * n * 8 / 4
+
+
+def _kuhn_game(n):
+    """N-card Kuhn poker: a chance deal, then check or bet, and call or fold a bet."""
+    cards = [f"r{k:02d}" for k in range(n)]
+    deals = [(a, b) for a in cards for b in cards if a != b]
+    p = repr(1.0 / len(deals))
+    entries = " ; ".join(f"{a}{b}={p} -> d{a}{b}" for a, b in deals)
+    lines = ["players 2", "root deal", f"chance deal {{ {entries} }}"]
+    for a, b in deals:
+        d, win = f"d{a}{b}", 1 if a > b else -1
+        lines += [f"decision {d} player 1 infoset {a} {{ check -> {d}c ; bet -> {d}b }}",
+                  f"decision {d}c player 2 infoset {b}c {{ check -> {d}cc ; bet -> {d}cb }}",
+                  f"decision {d}b player 2 infoset {b}b {{ call -> {d}bc ; fold -> {d}bf }}",
+                  f"decision {d}cb player 1 infoset {a}cb {{ call -> {d}cbc ; fold -> {d}cbf }}",
+                  f"leaf {d}cc {{ {win} {-win} }}", f"leaf {d}cbc {{ {2 * win} {-2 * win} }}",
+                  f"leaf {d}cbf {{ -1 1 }}", f"leaf {d}bc {{ {2 * win} {-2 * win} }}",
+                  f"leaf {d}bf {{ 1 -1 }}"]
+    return "\n".join(lines) + "\n"
+
+
+def test_parse_keeps_no_second_copy_of_the_nodes():
+    # The parser once handed GameTree a list of per-node records, which
+    # peaked at twice the memory the tree keeps.
+    text = _kuhn_game(24)
+    tracemalloc.start()
+    try:
+        g = efce.parse_game(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.n_nodes == 24 * 23 * 9 + 1
+    assert peak <= 1.5 * kept
 
 
 def test_player_plan_rejects_bad_players():

@@ -1,16 +1,17 @@
 """Print the set-up, plan memory and round time of N-card Kuhn poker, for a fixed protocol.
 
 One line per N = 24, 96 and 192 (``bench/kuhn.py``), with the joint
-sequence count and:
+sequence count, the rounds of each timed run, and:
 
 - ``parse_s``: wall seconds of ``parse_game`` on the game text;
 - ``parse_peak_mb``: the tracemalloc peak, in MB, of another
   ``parse_game`` call on the same text;
 - ``plan_peak_mb``: the tracemalloc peak, in MB, of building the players'
   group plan (``player_plan((0, 1))``) on the parsed game;
-- ``ms_per_round``: wall ms per self-play round, the median of three
-  ``run()`` calls of 100 rounds at run seed 0 with one gap checkpoint at
-  the end, after a 10-round warm-up run.
+- ``ms_per_round``: wall ms per self-play round, the median of five
+  ``run()`` calls at run seed 0 with one gap checkpoint at the end, after
+  a 10-round warm-up run.  Each call runs ``ROUNDS[N]`` rounds, about a
+  second on a 2-core host, so that the median can tell two trees apart.
 
 Run it from the repository root::
 
@@ -30,12 +31,11 @@ from efce import parse_game, run
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 from kuhn import kuhn_text  # noqa: E402
 
-CARDS = (24, 96, 192)
-ROUNDS = 100
+ROUNDS = {24: 1600, 96: 500, 192: 200}
 WARMUP = 10
 
 
-def measure(n_cards):
+def measure(n_cards, rounds):
     """(joint sequences, parse seconds, parse and plan peak MB, ms per round) of one game."""
     text = kuhn_text(n_cards)
     parse_peak = traced_peak(parse_game, text)
@@ -46,10 +46,10 @@ def measure(n_cards):
     plan = game.player_plan((0, 1))
     run(game, WARMUP, 0, gap_every=WARMUP)
     times = []
-    for _ in range(3):
+    for _ in range(5):
         start = time.perf_counter()
-        run(game, ROUNDS, 0, gap_every=ROUNDS)
-        times.append((time.perf_counter() - start) * 1e3 / ROUNDS)
+        run(game, rounds, 0, gap_every=rounds)
+        times.append((time.perf_counter() - start) * 1e3 / rounds)
     return plan.owner.size, parse_s, parse_peak, plan_peak, statistics.median(times)
 
 
@@ -65,10 +65,10 @@ def traced_peak(fn, arg):
 
 
 def main():
-    for n_cards in CARDS:
-        n, parse_s, parse_mb, plan_mb, ms = measure(n_cards)
+    for n_cards, rounds in ROUNDS.items():
+        n, parse_s, parse_mb, plan_mb, ms = measure(n_cards, rounds)
         print(f"kuhn{n_cards} sequences={n} parse_s={parse_s:.2f} parse_peak_mb={parse_mb:.2f} "
-              f"plan_peak_mb={plan_mb:.2f} ms_per_round={ms:.2f}", flush=True)
+              f"plan_peak_mb={plan_mb:.2f} rounds={rounds} ms_per_round={ms:.2f}", flush=True)
     return 0
 
 
