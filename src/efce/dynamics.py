@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .game import EMPTY_SEQ
-from .strategies import SequenceFormStrategy, utility_vector
+from .strategies import SequenceFormStrategy, UtilityVector, _score
 from .trigger import PhiRegretMeter, PureTriggerMinimizer, _complete, split_rngs
 
 _PROFILE_KEEP_LIMIT = 200
@@ -47,8 +47,7 @@ class EmpiricalFrequency:
         self.game = game
         self.t = 0
         self.meter = PhiRegretMeter(game, tuple(range(game.n_players)))
-        # (player, root, shape) of each entry of a valid profile
-        self._profile_form = [(i, None, (b - a,)) for i, a, b in self.meter.plan.spans]
+        self._spans = [(span, game.payoff_range(span[0])) for span in self.meter.plan.spans]
         self.utility = None
         small = game.joint_profile_count() <= _PROFILE_KEEP_LIMIT
         self.profiles: list[list] | None = [] if small else None
@@ -66,26 +65,24 @@ class EmpiricalFrequency:
     def accumulate(self, profile):
         """Fold one joint profile into the summary; return each player's utility vector.
 
-        ``profile`` holds one full-tree strategy per player, in player order;
-        any other profile raises ValueError and leaves the summary unchanged.
+        ``profile`` holds one full-tree strategy per player, in player order,
+        with finite values; any other profile raises ValueError and leaves
+        the summary unchanged.
         """
-        game = self.game
-        if [(p.player, p.root, p.values.shape) for p in profile] != self._profile_form:
-            raise ValueError("profile must hold one full-tree strategy per player, "
-                             "in player order")
+        played, utility = _score(self.game, profile)
+        # record checks that both are finite before it changes the meter.
+        self.meter.record(utility, played)
         self.t += 1
+        self.utility = utility
         if self.profiles is not None:
-            key = b"".join(p.values.tobytes() for p in profile)
+            key = played.tobytes()
             entry = self._profile_index.get(key)
             if entry is None:
                 entry = [[p.values.copy() for p in profile], 0]
                 self._profile_index[key] = entry
                 self.profiles.append(entry)
             entry[1] += 1
-        utils = [utility_vector(game, i, profile) for i in range(game.n_players)]
-        self.utility = np.concatenate([u.coefficients for u in utils])
-        self.meter.record(self.utility, np.concatenate([p.values for p in profile]))
-        return utils
+        return [UtilityVector(i, utility[a:b], r) for (i, a, b), r in self._spans]
 
 
 @dataclass

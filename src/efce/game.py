@@ -29,6 +29,7 @@ import math
 import random
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from numbers import Integral
 
 import numpy as np
@@ -606,6 +607,23 @@ class GameTree:
         for gid in self._player_isets[player]:  # parents first
             mask[:, self.infosets[gid].seq_ids] |= mask[:, [self.infosets[gid].parent_seq]]
         return mask
+
+    @cached_property
+    def _scorer_tables(self):
+        """The utility scorer's tables (form, joint, others), built on first use.
+
+        ``form`` is the (player, root, shape) of each strategy of a valid
+        profile.  Row i of ``joint`` holds player i's sequence at each
+        terminal as a joint id (the players' id blocks end to end), and
+        ``others[k]`` the joint ids of the k-th other player, in player order.
+        """
+        form = [(i, None, (n,)) for i, n in enumerate(self._n_seq)]
+        ends = np.cumsum(self._n_seq)
+        joint = np.ascontiguousarray((self.term_seq + (ends - self._n_seq)).T)
+        # Column i of k: the players other than i, in increasing order.
+        k = np.arange(self.n_players - 1)[:, None]
+        k = k + (k >= np.arange(self.n_players))
+        return form, joint, joint[k]
 
     def player_plan(self, players):
         """The :class:`PlayerPlan` of one player or a tuple of distinct players, built on first use.

@@ -136,15 +136,16 @@ def sample_pure(game, strat, rng):
     if strat.root is not None:
         raise ValueError("can only sample from full-tree strategies")
     i = strat.player
-    q = strat.values
-    values = np.zeros_like(q)
+    n = game.num_sequences(i)
+    if strat.values.shape != (n,):
+        raise ValueError(f"strategy has shape {strat.values.shape}, expected ({n},)")
+    q = strat.values.tolist()
+    values = [0.0] * n
     values[EMPTY_SEQ] = 1.0
     for gid in game.player_infosets(i):
         js = game.infosets[gid]
-        if values[js.parent_seq] == 0.0:
-            continue
         denom = q[js.parent_seq]
-        if denom <= 0.0:
+        if values[js.parent_seq] == 0.0 or denom <= 0.0:
             continue
         x = rng.random() * denom
         acc = 0.0
@@ -187,22 +188,35 @@ def enumerate_pure(game, player, root=None):
     return rec(0)
 
 
+def _score(game, profile):
+    """The joint point of ``profile`` and every player's utility coefficients there, end to end.
+
+    Raises ValueError unless ``profile`` holds one full-tree strategy per
+    player, in player order.  One gather reads the other players' weights
+    at each terminal; they multiply into chance reach in player order, then
+    into the payoff, and one bincount adds the products per sequence, in
+    terminal order.
+    """
+    form, keys, others = game._scorer_tables
+    if [(p.player, p.root, p.values.shape) for p in profile] != form:
+        raise ValueError("profile must hold one full-tree strategy per player, in player order")
+    played = np.concatenate([p.values for p in profile])
+    reach = game.term_chance
+    for f in played.take(others):
+        reach = reach * f  # not in place: reach starts as the tree's own array
+    return played, np.bincount(keys.ravel(), (reach * game.term_payoffs.T).ravel(), played.size)
+
+
 def utility_vector(game, player, profile):
     """Coefficients of one player's expected utility, given the others.
 
     Entry s collects, over terminals whose last sequence of ``player`` is s,
     the payoff weighted by chance reach and the other players' realization
-    weights.  ``profile`` supplies one strategy per player; the entry for
-    ``player`` itself is ignored.
+    weights.  ``profile`` holds one full-tree strategy per player, in player
+    order (else ValueError); the values of ``player``'s own are ignored.
     """
-    reach = game.term_chance.copy()
-    for j in range(game.n_players):
-        if j == player:
-            continue
-        reach *= profile[j].values[game.term_seq[:, j]]
-    coeffs = np.zeros(game.num_sequences(player))
-    np.add.at(coeffs, game.term_seq[:, player],
-              game.term_payoffs[:, player] * reach)
+    start = sum(map(game.num_sequences, range(player)))
+    coeffs = _score(game, profile)[1][start:start + game.num_sequences(player)]
     return UtilityVector(player, coeffs, game.payoff_range(player))
 
 

@@ -87,3 +87,58 @@ def fig1_deviations(game):
         efce.TriggerDeviation(0, 2, yb),
         efce.TriggerDeviation(0, 3, yc),
     ]
+
+
+def reference_games():
+    """fig1 at game seeds 0-4, kuhn3 and random-tree 0-63 (1 to 3 players)."""
+    games = [efce.builtin_game("fig1", seed=s) for s in range(5)]
+    games.append(efce.builtin_game("kuhn3"))
+    return games + [efce.builtin_game("random-tree", seed=s) for s in range(64)]
+
+
+def mixed_point(game, player, rng):
+    """Random full-tree point whose infosets give their first action zero mass 30% of the time."""
+    local = {}
+    for gid in game.player_infosets(player):
+        raw = np.array([rng.random() + 1e-3 for _ in game.infosets[gid].actions])
+        if rng.random() < 0.3:
+            raw[0] = 0.0
+        local[gid] = raw / raw.sum()
+    return efce.sequence_from_behavioral(game, player, local)
+
+
+def reference_sample_pure(game, strat, rng):
+    """The per-infoset sampler walk over numpy scalars: the reference for ``sample_pure``."""
+    q = strat.values
+    values = np.zeros_like(q)
+    values[efce.EMPTY_SEQ] = 1.0
+    for gid in game.player_infosets(strat.player):
+        js = game.infosets[gid]
+        if values[js.parent_seq] == 0.0:
+            continue
+        denom = q[js.parent_seq]
+        if denom <= 0.0:
+            continue
+        x = rng.random() * denom
+        acc = 0.0
+        chosen = None
+        for sid in js.seq_ids:
+            if q[sid] > 0.0:
+                chosen = sid
+                acc += q[sid]
+                if x < acc:
+                    break
+        if chosen is not None:
+            values[chosen] = 1.0
+    return values
+
+
+def reference_utility_vector(game, player, profile):
+    """One player's utility coefficients by one ``np.add.at``: the reference scorer."""
+    reach = game.term_chance.copy()
+    for j in range(game.n_players):
+        if j != player:
+            reach *= profile[j].values[game.term_seq[:, j]]
+    coeffs = np.zeros(game.num_sequences(player))
+    np.add.at(coeffs, game.term_seq[:, player], game.term_payoffs[:, player] * reach)
+    return coeffs

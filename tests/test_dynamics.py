@@ -7,7 +7,8 @@ import pytest
 import efce
 import efce.cli as cli
 from efce.dynamics import EmpiricalFrequency
-from conftest import brute_expected_payoffs, random_behavioral, random_deviation
+from conftest import (brute_expected_payoffs, mixed_point, random_behavioral, random_deviation,
+                      reference_games, reference_utility_vector)
 
 
 def _pure(game, player, *sids):
@@ -114,6 +115,37 @@ def test_accumulate_rejects_bad_profiles():
     assert not freq.meter.tables.any()
     freq.accumulate([p1, p2])
     assert freq.t == 1
+
+
+def test_accumulate_rejects_non_finite_profile_unchanged():
+    # A NaN entry once raised only after the round was counted and its
+    # profile and utility stored, so the gap divided by the wrong t.
+    g = efce.builtin_game("fig1", seed=0)
+    freq = EmpiricalFrequency(g)
+    p1, p2 = _pure(g, 0, 1, 3, 5), _pure(g, 1, 1, 3)
+    bad = p1.copy()
+    bad.values[3] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        freq.accumulate([bad, p2])
+    assert freq.t == 0 and freq.utility is None and freq.profiles == []
+    assert not freq.meter.tables.any() and not freq.meter.follow.any()
+    freq.accumulate([p1, p2])
+    fresh = EmpiricalFrequency(g)
+    fresh.accumulate([p1, p2])
+    assert freq.t == 1 and efce.efce_gap(freq).per_player == efce.efce_gap(fresh).per_player
+
+
+def test_accumulate_matches_reference_scorer():
+    rng = random.Random(31)
+    for g in reference_games():
+        freq = EmpiricalFrequency(g)
+        for _ in range(3):
+            profile = [mixed_point(g, i, rng) for i in range(g.n_players)]
+            utils = freq.accumulate(profile)
+            for i, util in enumerate(utils):
+                assert util.player == i and util.range_bound == g.payoff_range(i)
+                assert np.array_equal(util.coefficients, reference_utility_vector(g, i, profile))
+                assert np.shares_memory(util.coefficients, freq.utility)
 
 
 def test_frequency_accumulates_tables_and_follow():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import efce
-from conftest import brute_expected_payoffs, random_behavioral
+from conftest import (brute_expected_payoffs, mixed_point, random_behavioral, reference_games,
+                      reference_sample_pure, reference_utility_vector)
 
 
 def test_uniform_full_tree():
@@ -200,6 +201,63 @@ def test_sampling_deterministic_strategy_is_identity():
     for p in efce.enumerate_pure(g, 0):
         out = efce.sample_pure(g, p, rng)
         assert np.array_equal(out.values, p.values)
+
+
+def test_sampling_matches_reference_walk():
+    # Same vectors and the same draws as the per-infoset walk, also on points
+    # off the polytope: an infoset whose actions all lack mass, a scaled point,
+    # and one without mass on the empty sequence.
+    rng = random.Random(23)
+    for g in reference_games():
+        for i in range(g.n_players):
+            points = [mixed_point(g, i, rng).values for _ in range(4)]
+            isets = g.player_infosets(i)
+            if isets:
+                points.append(points[0].copy())
+                points[-1][list(g.infosets[rng.choice(isets)].seq_ids)] = 0.0
+            points += [0.5 * points[1], points[2].copy()]
+            points[-1][efce.EMPTY_SEQ] = 0.0
+            for k, q in enumerate(points):
+                strat = efce.SequenceFormStrategy(i, q)
+                got_rng, want_rng = random.Random(k), random.Random(k)
+                for _ in range(3):
+                    got = efce.sample_pure(g, strat, got_rng)
+                    assert np.array_equal(got.values, reference_sample_pure(g, strat, want_rng))
+                    assert got_rng.getstate() == want_rng.getstate()
+
+
+def test_sampling_rejects_bad_lengths_and_players():
+    # A short vector raised IndexError, and a long one was sampled by its head.
+    g = efce.builtin_game("fig1", seed=0)
+    rng = random.Random(0)
+    for bad in (np.full(4, 0.5), np.full(12, 0.5), np.ones((1, 9))):
+        with pytest.raises(ValueError, match=r"expected \(9,\)"):
+            efce.sample_pure(g, efce.SequenceFormStrategy(0, bad), rng)
+    for p in (-1, 2):
+        with pytest.raises(ValueError, match=f"player {p} is not one of players 0 to 1"):
+            efce.sample_pure(g, efce.SequenceFormStrategy(p, np.ones(9)), rng)
+
+
+def test_utility_vector_matches_reference_scorer():
+    rng = random.Random(29)
+    for g in reference_games():
+        for _ in range(3):
+            profile = [mixed_point(g, i, rng) for i in range(g.n_players)]
+            for i in range(g.n_players):
+                want = reference_utility_vector(g, i, profile)
+                assert np.array_equal(efce.utility_vector(g, i, profile).coefficients, want)
+
+
+def test_utility_vector_rejects_bad_profiles():
+    # A swapped profile once scored player 1 against player 1's own strategy.
+    g = efce.builtin_game("fig1", seed=0)
+    p1, p2 = efce.uniform_strategy(g, 0), efce.uniform_strategy(g, 1)
+    scoped = efce.uniform_strategy(g, 0, root=g.infoset(0, "B").index)
+    short = efce.SequenceFormStrategy(0, np.ones(5))
+    for bad in ([p2, p1], [p1], [p1, p2, p2], [scoped, p2], [short, p2], [p1, short]):
+        for player in (0, 1):
+            with pytest.raises(ValueError, match="one full-tree strategy per player"):
+                efce.utility_vector(g, player, bad)
 
 
 def test_utility_vector_matches_tree_walk():
