@@ -9,8 +9,11 @@ by construction, a fixed point inside the sequence-form polytope.  The fixed
 point is grown top-down, one level of the player's infoset forest at a time;
 every infoset solves for a stationary distribution of a small
 column-stochastic matrix.  A level's infosets of at most 3 actions are
-solved in one kernel call, padded with dummy states to the level's widest;
-those of 4 or more take one call per action count.
+solved in closed form in one kernel call, padded with dummy states to the
+level's widest; those of 4 or more take one call per action count.  A chain
+without a closed-form answer (several closed classes, an underflow, or 4 or
+more states) is settled by one set of rules on its absorbing states, with
+:func:`stationary_distribution` as the fallback.
 """
 
 from __future__ import annotations
@@ -28,9 +31,6 @@ _ONE_BLOCK = np.zeros(1, dtype=np.int64)
 # Flat indices into a 3 x 3 matrix for each state a = 0, 1, 2 (columns) and
 # its two other states c < d: entries (a, c), (a, d), (c, d) and (d, c) (rows).
 _TREE = np.array([[1, 3, 6], [2, 5, 7], [5, 2, 1], [7, 6, 3]])
-# The two other states c < d of each state a = 0, 1, 2.
-_PAIR_C = np.array([1, 0, 0])
-_PAIR_D = np.array([2, 2, 1])
 
 
 class NumericalError(RuntimeError):
@@ -331,7 +331,8 @@ def _solve(w0, r, xp, mask, fp_tol):
     :class:`NumericalError`, and an entry below -1e-12 ValueError; the
     other negative entries are clipped to 0.  A row whose parent has no
     mass is 0.  Other rows whose closed form does not sum to a positive
-    total are solved by :func:`_degenerate`.
+    total, every row of 4 or more states among them, are solved by
+    :func:`_degenerate`.
     """
     k, m, _ = w0.shape
     w = w0
@@ -383,12 +384,20 @@ def _degenerate(w, b, total, mask, fp_tol):
     """Solve, in place, the rows of ``b`` whose closed-form ``total`` is not positive.
 
     Each row is solved as :func:`stationary_distribution` would solve its
-    real states, to the bit, and its total set to 1.  A chain with no flow
-    between its real states (the identity chain) gives each of them an
-    equal share.  :func:`_several_classes` solves the other 3-state chains
-    with several closed classes.  Only the rows left (a closed form that underflowed on
-    a chain with one closed class, and rows of 4 or more actions) reach the
-    general solver.
+    real states, to the bit, and its total set to 1.  A zero-total row's
+    absorbing states (real states with no flow to another) settle it by the
+    first rule that fits:
+
+    - at most one real state is not absorbing, so every closed class is an
+      absorbing state: they get equal shares (the identity chain of any
+      width, or two absorbing states beside a transient one);
+    - 3 states, an absorbing state a that nothing enters beside a closed
+      pair c < d: a gets 1/2, and the pair splits the other 1/2 as 1 : p
+      with p = w[d, c] / w[c, d] once the columns are rescaled by their
+      sums again;
+    - every other row (a closed form that underflowed on a chain with one
+      closed class, the other rows of 4 or more actions, and a nan row)
+      goes to :func:`stationary_distribution`.
     """
     m = b.shape[1]
     rows = np.flatnonzero(total == 0.0)  # so b's row is zero, and for m <= 3 w's is finite
@@ -397,53 +406,32 @@ def _degenerate(w, b, total, mask, fp_tol):
         real = np.ones((rows.size, m), dtype=bool) if mask is None else mask[rows, 0] > 0.0
         moves = (v > 0.0) & real[:, :, None] & real[:, None, :]
         moves.reshape(rows.size, m * m)[:, ::m + 1] = False
-        identity = ~moves.any(axis=(1, 2))
+        absorbing = real & ~moves.any(axis=1)
+        n_abs = absorbing.sum(axis=1)
+        n_real = real.sum(axis=1)
+        equal = n_abs >= n_real - 1
         if m > 3:
-            identity &= np.isfinite(v).all(axis=(1, 2))
-        b[rows[identity]] = real[identity] / real[identity].sum(axis=1, keepdims=True)
-        total[rows[identity]] = 1.0
-        if m == 3:
-            three = ~identity & real.all(axis=1)
-            if three.any():
-                solved, shares = _several_classes(v[three], moves[three])
-                b[rows[three][solved]] = shares[solved]
-                total[rows[three][solved]] = 1.0
+            equal &= np.isfinite(v).all(axis=(1, 2))
+        b[rows[equal]] = absorbing[equal] / n_abs[equal][:, None]
+        total[rows[equal]] = 1.0
+        pair = (n_abs == 1) & (n_real == 3) & (absorbing & ~moves.any(axis=2)).any(axis=1)
+        if pair.any():
+            j = np.arange(pair.sum())
+            c, d = np.nonzero(~absorbing[pair])[1].reshape(-1, 2).T
+            u = v[pair] / v[pair].sum(axis=1)[:, None, :]
+            p = u[j, d, c] / u[j, c, d]
+            s = 1.0 + p
+            shares = absorbing[pair] * 0.5
+            shares[j, c] = 1.0 / s / 2
+            shares[j, d] = p / s / 2
+            b[rows[pair]] = shares
+            total[rows[pair]] = 1.0
     for row in np.flatnonzero(~(total > 0.0)):
         d = m if mask is None else int(mask[row].sum())
         b[row] = 0.0
         # One state is its own answer, whatever its chain holds.
         b[row, :d] = 1.0 if d == 1 else stationary_distribution(w[row, :d, :d], tol=fp_tol)
         total[row] = 1.0
-
-
-def _several_classes(w, moves):
-    """Which 3-state chains have several closed classes, and their stationary distributions.
-
-    ``w`` holds chains whose columns are rescaled by their sums, with flow
-    between some of their states, and ``moves`` their positive off-diagonal
-    entries.  A chain with two absorbing states (the third is transient)
-    gives each an equal share, as :func:`stationary_distribution` does; so
-    does an absorbing state a that nothing enters beside a closed pair
-    c < d, which, after the columns are rescaled by their sums once more,
-    splits its share as 1 : p with p = w[d, c] / w[c, d].  Returns the
-    solved mask and the (k, 3) distributions, to the bit.
-    """
-    absorbing = ~moves.any(axis=1)
-    n_abs = absorbing.sum(axis=1)
-    shares = absorbing / np.maximum(n_abs, 1)[:, None]
-    # A closed pair beside an absorbing state a that nothing enters.
-    pair = (n_abs == 1) & (absorbing & ~moves.any(axis=2)).any(axis=1)
-    if pair.any():
-        i = np.flatnonzero(pair)
-        a = absorbing[i].argmax(axis=1)
-        c, d = _PAIR_C[a], _PAIR_D[a]
-        u = w[i] / w[i].sum(axis=1)[:, None, :]
-        p = u[np.arange(i.size), d, c] / u[np.arange(i.size), c, d]
-        s = 1.0 + p
-        shares[i, a] = 0.5
-        shares[i, c] = 1.0 / s / 2
-        shares[i, d] = p / s / 2
-    return (n_abs >= 2) | pair, shares
 
 
 def extend(game, phi, trunk, j_star, x, fp_tol=1e-10):

@@ -329,8 +329,6 @@ def run(game, iterations, seed, gap_every=100, delta=0.01, fp_tol=1e-10):
 
     learner = PureTriggerMinimizer(game, tuple(range(n)), split_rngs(seed, n), fp_tol)
     freq = EmpiricalFrequency(game)
-    checkpoints = set(range(gap_every, iterations + 1, gap_every))
-    checkpoints.add(iterations)
 
     log = RunLog(
         game_name=game.name,
@@ -352,7 +350,7 @@ def run(game, iterations, seed, gap_every=100, delta=0.01, fp_tol=1e-10):
 
         gaps = None
         gap_bound = None
-        if t in checkpoints:
+        if t % gap_every == 0 or t == iterations:
             report = efce_gap(freq)
             gaps = report.per_player
             gap_bound = gap_factor / math.sqrt(t)

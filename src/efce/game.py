@@ -286,7 +286,6 @@ class GameTree:
                 kids.append(c)
             self.node_children[k] = tuple(kids)
 
-        self._check_reachable()
         self._walk_and_index(self._group_infosets())
         self._build_orders()
 
@@ -362,19 +361,6 @@ class GameTree:
 
     # -- construction helpers ------------------------------------------------
 
-    def _check_reachable(self):
-        seen = [False] * self.n_nodes
-        stack = [self.root]
-        seen[self.root] = True
-        while stack:
-            k = stack.pop()
-            for c in self.node_children[k]:
-                seen[c] = True
-                stack.append(c)
-        if not all(seen):
-            raise GameValidationError(
-                f"node '{self.node_label[seen.index(False)]}' is not reachable from the root")
-
     def _group_infosets(self):
         """Replace each decision node's infoset label by its infoset id; returns each id's nodes."""
         self._iset_lookup: dict[tuple[int, str], int] = {}
@@ -421,9 +407,11 @@ class GameTree:
         term_pc: list[float] = []
         term_seq: list[tuple[int, ...]] = []
 
+        seen = [False] * self.n_nodes
         stack = [(self.root, (EMPTY_SEQ,) * n_players, 1.0)]
         while stack:
             k, last, pc = stack.pop()
+            seen[k] = True
             kind = self.node_kind[k]
             if kind == LEAF:
                 term_nodes.append(k)
@@ -446,9 +434,11 @@ class GameTree:
             else:
                 for prob, c in zip(self.chance_probs[k], self.node_children[k]):
                     stack.append((c, last, pc * prob))
+        if not all(seen):
+            raise GameValidationError(
+                f"node '{self.node_label[seen.index(False)]}' is not reachable from the root")
 
         self._seq_infoset = [np.full(n_seq[i], -1, dtype=np.int64) for i in range(n_players)]
-        self._seq_action = [np.full(n_seq[i], -1, dtype=np.int64) for i in range(n_players)]
         self._seq_parent = [np.full(n_seq[i], -1, dtype=np.int64) for i in range(n_players)]
 
         finished = []
@@ -458,9 +448,8 @@ class GameTree:
             parent_seq = parent_of[gid]
             finished.append(InfoSet(gid, p, labels[gid], self.node_actions[first], tuple(nodes),
                                     parent_seq, iset_seq_ids[gid]))
-            for a_idx, sid in enumerate(iset_seq_ids[gid]):
+            for sid in iset_seq_ids[gid]:
                 self._seq_infoset[p][sid] = gid
-                self._seq_action[p][sid] = a_idx
                 self._seq_parent[p][sid] = parent_seq
         self.infosets = finished
 
@@ -554,7 +543,7 @@ class GameTree:
         if self._sequence(player, sid) == EMPTY_SEQ:
             return "(empty)"
         js = self.infosets[self._seq_infoset[player][sid]]
-        return f"{js.label}:{js.actions[self._seq_action[player][sid]]}"
+        return f"{js.label}:{js.actions[sid - js.seq_ids[0]]}"
 
     def seq_infoset(self, player):
         return self._seq_infoset[self._player(player)]
@@ -940,8 +929,10 @@ def _random_tree_text(seed):
     n_players = rng.choice((1, 2, 2, 3))
     max_depth = rng.randint(2, 4)
     counter = [0]
+    # Decision nodes by depth, in creation order (a pre-order of the tree).
+    levels: dict[int, list[dict]] = {}
 
-    def build(depth):
+    def build(depth, paths):
         label = f"n{counter[0]}"
         counter[0] += 1
         if depth == max_depth or (depth > 0 and rng.random() < 0.3):
@@ -951,43 +942,30 @@ def _random_tree_text(seed):
             m = rng.randint(2, 3)
             weights = [rng.randint(1, 4) for _ in range(m)]
             node = {"kind": CHANCE, "label": label, "weights": weights}
+            below = [paths] * m
         else:
             m = rng.randint(2, 3)
-            node = {"kind": DECISION, "label": label,
-                    "player": rng.randrange(n_players), "m": m}
-        node["children"] = [build(depth + 1) for _ in range(m)]
+            p = rng.randrange(n_players)
+            # "hist": the owner's own (node, action) moves on the path to the node.
+            node = {"kind": DECISION, "label": label, "player": p, "m": m, "hist": paths[p]}
+            levels.setdefault(depth, []).append(node)
+            below = [paths[:p] + (paths[p] + ((node, idx),),) + paths[p + 1:] for idx in range(m)]
+        node["children"] = [build(depth + 1, kid_paths) for kid_paths in below]
         return node
 
-    root = build(0)
+    root = build(0, ((),) * n_players)
 
     # Group decision nodes into information sets, level by level.  Nodes may
     # share a set only when the owner reaches them with the same history of
     # own (infoset, action) moves, which preserves perfect recall.  A node's
     # own history refers to infosets at strictly smaller depth, so labels are
     # always assigned before they are needed as grouping keys.
-    levels: dict[int, list[dict]] = {}
-
-    def collect(node, depth, paths):
-        node["paths"] = paths
-        if node["kind"] == DECISION:
-            levels.setdefault(depth, []).append(node)
-        for idx, child in enumerate(node.get("children", ())):
-            if node["kind"] == DECISION:
-                p = node["player"]
-                new = list(paths)
-                new[p] = paths[p] + ((node, idx),)
-                collect(child, depth + 1, tuple(new))
-            else:
-                collect(child, depth + 1, paths)
-
-    collect(root, 0, tuple(() for _ in range(n_players)))
     iset_counter = [0]
     for depth in range(max_depth + 1):
         groups: dict[tuple, list[dict]] = {}
         for node in levels.get(depth, []):
-            p = node["player"]
-            hist = tuple((owner["iset"], idx) for owner, idx in node["paths"][p])
-            key = (p, hist, node["m"])
+            hist = tuple((owner["iset"], idx) for owner, idx in node["hist"])
+            key = (node["player"], hist, node["m"])
             groups.setdefault(key, []).append(node)
         for key, members in groups.items():
             while members:

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .game import EMPTY_SEQ
-from .strategies import SequenceFormStrategy
+from .strategies import sequence_from_behavioral
 
 
 class CallOrderError(RuntimeError):
@@ -85,19 +84,8 @@ class CfrMinimizer:
     def next_element(self):
         if self._last_dists is not None:
             raise CallOrderError("next_element called again before observe_utility")
-        game = self.game
-        values = np.zeros(game.num_sequences(self.player))
-        if self.root is None:
-            values[EMPTY_SEQ] = 1.0
-        dists = {}
-        for gid in self._isets:
-            js = game.infosets[gid]
-            dist = self._local[gid].next_element()
-            dists[gid] = dist
-            mass = 1.0 if gid == self.root else values[js.parent_seq]
-            values[self._seq_ids[gid]] = mass * dist
-        self._last_dists = dists
-        return SequenceFormStrategy(self.player, values, self.root)
+        self._last_dists = {gid: self._local[gid].next_element() for gid in self._isets}
+        return sequence_from_behavioral(self.game, self.player, self._last_dists, self.root)
 
     def observe_utility(self, coeffs):
         if self._last_dists is None:

@@ -687,29 +687,38 @@ def test_fixed_point_on_a_level_of_mixed_action_counts(monkeypatch):
     assert sizes and set(sizes) == {(4, 4)}
 
 
-def test_degenerate_rows_reach_several_classes_only_with_flow(monkeypatch):
-    # Rows below a parent without mass, and identity chains, are solved in
-    # the kernel; only chains with flow between their states and several
-    # closed classes reach _several_classes.
+def test_degenerate_rows_of_self_play_match_general_solver(monkeypatch):
+    # Every zero-total row that self-play hands to _degenerate comes out as
+    # stationary_distribution's answer on its real states, bit for bit.  Some
+    # of these chains have flow between their states and several closed
+    # classes: two absorbing states, or one that nothing enters.
     rows = []
-    several = efce.deviations._several_classes
+    settle = efce.deviations._degenerate
 
-    def spy(w, *rest):
-        rows.extend(w)
-        return several(w, *rest)
+    def spy(w, b, total, mask, fp_tol):
+        zero = np.flatnonzero(total == 0.0)
+        settle(w, b, total, mask, fp_tol)
+        for r in zero:
+            d = w.shape[1] if mask is None else int(mask[r].sum())
+            rows.append((w[r, :d, :d].copy(), b[r].copy()))
 
-    monkeypatch.setattr(efce.deviations, "_several_classes", spy)
+    monkeypatch.setattr(efce.deviations, "_degenerate", spy)
     for seed in range(64):
         efce.run(efce.builtin_game("random-tree", seed=seed), 32, 0, gap_every=32)
-    assert rows
-    for w in rows:
-        assert (w[~np.eye(3, dtype=bool)] > 0.0).any()
+    several = 0
+    for w, b in rows:
+        assert np.array_equal(b[:len(w)], efce.stationary_distribution(w))
+        assert not b[len(w):].any()
+        moves = (w > 0.0) & ~np.eye(len(w), dtype=bool)
+        absorbing = ~moves.any(axis=0)
+        several += moves.any() and (absorbing.sum() >= 2 or (absorbing & ~moves.any(axis=1)).any())
+    assert several
 
 
 def test_massless_parent_with_closed_pair_needs_no_solver(monkeypatch):
     # A's trigger x moves all its mass to y, so B's parent has none; B's own
     # chain is a closed pair {q, s} beside an absorbing p.  B stays exactly 0
-    # and nothing reaches _several_classes or the general solver.
+    # and nothing reaches _degenerate or the general solver.
     g = efce.parse_game("""players 1; root r
         decision r player 1 infoset A { x -> b ; y -> z0 }
         decision b player 1 infoset B { p -> z1 ; q -> z2 ; s -> z3 }
@@ -723,7 +732,7 @@ def test_massless_parent_with_closed_pair_needs_no_solver(monkeypatch):
         return c
 
     calls = []
-    for name in ("_several_classes", "stationary_distribution"):
+    for name in ("_degenerate", "stationary_distribution"):
         real = getattr(efce.deviations, name)
         monkeypatch.setattr(efce.deviations, name,
                             lambda *a, real=real, name=name, **k: (calls.append(name),

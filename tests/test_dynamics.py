@@ -135,6 +135,25 @@ def test_accumulate_rejects_non_finite_profile_unchanged():
     assert freq.t == 1 and efce.efce_gap(freq).per_player == efce.efce_gap(fresh).per_player
 
 
+def test_inf_profile_raises_value_error_before_any_product():
+    # An inf entry once reached the scorer's products, where 0 x inf warned
+    # "invalid value encountered in multiply" before any ValueError, so under
+    # warnings-as-errors the caller got the warning instead.
+    g = efce.builtin_game("fig1", seed=0)
+    freq = EmpiricalFrequency(g)
+    p1, p2 = _pure(g, 0, 1, 3, 5), _pure(g, 1, 1, 3)
+    bad1, bad2 = p1.copy(), p2.copy()
+    bad1.values[3] = bad2.values[3] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="non-finite"):
+            freq.accumulate([bad1, p2])
+        with pytest.raises(ValueError, match="non-finite"):
+            efce.utility_vector(g, 0, [p1, bad2])
+    assert freq.t == 0 and freq.utility is None and freq.profiles == []
+    assert not freq.meter.tables.any() and not freq.meter.follow.any()
+
+
 def test_accumulate_matches_reference_scorer():
     rng = random.Random(31)
     for g in reference_games():
@@ -492,6 +511,46 @@ def test_random_tree_sweep(monkeypatch):
             assert log.final.per_player == pytest.approx(slow.per_player, abs=1e-9), s
             brute_checked += 1
     assert brute_checked > 0
+
+
+# Player 1 opens with 4 actions and, after a and player 2's l or r, meets a
+# second 4-action infoset: 7 x 3 = 21 joint pure profiles.
+_WIDE_BRUTE_GAME = """players 2; root r
+decision r player 1 infoset A { a -> na ; b -> nb ; c -> nc ; d -> nd }
+decision na player 2 infoset R { l -> la ; m -> za ; r -> ra }
+decision nb player 2 infoset R { l -> zb0 ; m -> zb1 ; r -> zb2 }
+decision nc player 2 infoset R { l -> zc0 ; m -> zc1 ; r -> zc2 }
+decision nd player 2 infoset R { l -> zd0 ; m -> zd1 ; r -> zd2 }
+decision la player 1 infoset B { p -> z0 ; q -> z1 ; s -> z2 ; t -> z3 }
+decision ra player 1 infoset B { p -> z4 ; q -> z5 ; s -> z6 ; t -> z7 }
+leaf za {0 2}; leaf zb0 {3 -1}; leaf zb1 {-2 1}; leaf zb2 {1 0}
+leaf zc0 {-1 2}; leaf zc1 {2 -2}; leaf zc2 {0 1}
+leaf zd0 {1 1}; leaf zd1 {-3 2}; leaf zd2 {2 -1}
+leaf z0 {4 -2}; leaf z1 {-1 3}; leaf z2 {0 0}; leaf z3 {2 1}
+leaf z4 {-2 2}; leaf z5 {3 -3}; leaf z6 {1 2}; leaf z7 {-1 0}
+"""
+
+
+def test_gap_equals_brute_oracle_with_four_action_infosets(monkeypatch):
+    made = []
+
+    class Recording(EmpiricalFrequency):
+        def __init__(self, game):
+            super().__init__(game)
+            made.append(self)
+
+    monkeypatch.setattr(efce.dynamics, "EmpiricalFrequency", Recording)
+    g = efce.parse_game(_WIDE_BRUTE_GAME)
+    assert g.joint_profile_count() <= 200
+    assert sorted(len(js.actions) for js in g.infosets) == [3, 4, 4]
+    log = efce.run(g, iterations=60, seed=3, gap_every=1)
+    assert all(gap is not None for *_, gap, _ in log.rows)
+    (freq,) = made
+    slow = efce.efce_gap_brute(freq)
+    assert abs(log.final.eps - slow.eps) <= 1e-9
+    for i in range(g.n_players):
+        assert abs(log.final.per_player[i] - slow.per_player[i]) <= 1e-9
+        assert np.abs(log.final.trigger_gaps[i][1:] - slow.trigger_gaps[i][1:]).max() <= 1e-9
 
 
 def test_summary_mentions_key_facts():

@@ -1,3 +1,4 @@
+import hashlib
 import sys
 import tracemalloc
 
@@ -6,6 +7,7 @@ import pytest
 
 import efce
 import efce.cli as cli
+from efce.game import _fig1_text, _kuhn3_text, _random_tree_text
 
 
 def test_fig1_structure():
@@ -108,9 +110,23 @@ def test_two_parents_rejected():
 
 
 def test_unreachable_node_rejected():
-    text = "players 1; root a; leaf a {0}; leaf b {1}"
-    with pytest.raises(efce.GameValidationError, match="unreachable|not reachable"):
-        efce.parse_game(text)
+    cases = [
+        ("players 1; root a; leaf a {0}; leaf b {1}", "b"),
+        # a cycle of two decision nodes that nothing else reaches
+        ("players 1; root a; leaf a {0}\n"
+         "decision b player 1 infoset B { x -> c }\n"
+         "decision c player 1 infoset C { y -> b }", "b"),
+        # an unreachable decision node alone in its infoset
+        ("players 1; root r\n"
+         "decision r player 1 infoset R { x -> z1 }\n"
+         "leaf z1 {0}\n"
+         "decision u player 1 infoset U { y -> z2 }\n"
+         "leaf z2 {1}", "u"),
+    ]
+    for text, first in cases:
+        with pytest.raises(efce.GameValidationError,
+                           match=f"^node '{first}' is not reachable from the root$"):
+            efce.parse_game(text)
 
 
 def test_chance_probabilities_must_sum_to_one():
@@ -566,6 +582,20 @@ def test_random_trees_are_valid_and_varied():
         assert (g.term_chance > 0).all()
         assert (g.term_chance <= 1 + 1e-12).all()
     assert len(player_counts) >= 2
+
+
+def test_builtin_texts_are_pinned():
+    # The generators' bytes feed every built-in game, so a changed draw order
+    # or format shows here, not only in an offline digest diff.
+    def digest(texts):
+        return hashlib.sha256("".join(texts).encode()).hexdigest()
+
+    assert digest(_fig1_text(s) for s in range(5)) == (
+        "766830c0673dca0f7cc6bda3360fa134e6b7b5ff005ed09803b28bcbe125ef6f")
+    assert digest([_kuhn3_text()]) == (
+        "2ff15385f28d08c7bbd29c1fec9fb5b51d9d6226ab86131c7c5f689331915570")
+    assert digest(_random_tree_text(s) for s in range(64)) == (
+        "3a42a64dbc2899028433d59831c5631f4d313c46a2460e0e106733725a9cb22e")
 
 
 def test_unknown_builtin_rejected():
