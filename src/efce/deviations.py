@@ -8,12 +8,13 @@ Convex combinations of such deviations admit a closed-form linear action and,
 by construction, a fixed point inside the sequence-form polytope.  The fixed
 point is grown top-down, one level of the player's infoset forest at a time;
 every infoset solves for a stationary distribution of a small
-column-stochastic matrix.  A level's infosets of at most 3 actions are
-solved in closed form in one kernel call, padded with dummy states to the
-level's widest; those of 4 or more take one call per action count.  A chain
-without a closed-form answer (several closed classes, an underflow, or 4 or
-more states) is settled by one set of rules on its absorbing states, with
-:func:`stationary_distribution` as the fallback.
+column-stochastic matrix.  The plan groups each level's infosets into
+blocks, one kernel call each: those of at most 3 actions, solved in closed
+form and padded with dummy states to the widest of them, then one block per
+action count of 4 or more.  A chain without a closed-form answer (several
+closed classes, an underflow, or 4 or more states) is settled by one set of
+rules on its absorbing states, with :func:`stationary_distribution` as the
+fallback.
 """
 
 from __future__ import annotations
@@ -479,44 +480,35 @@ def fixed_point(game, phi, fp_tol=1e-10):
 
     Starts from the vector with mass only on the empty sequence (of every
     player of a group's combination) and extends it one level of the infoset
-    forests at a time.  What does not depend on x is built once, for all
-    the plan's ``chains`` together.  An infoset's incoming mass depends only
-    on shallower entries, so a whole level's is one product over its pairs,
-    and one kernel call solves its infosets of at most 3 actions (one call
-    per action count those of 4 or more).  The result is checked against
-    the closed-form action; residuals above 10 * fp_tol raise
-    :class:`NumericalError`, as does an extension matrix column that does
-    not sum to 1.
+    forests at a time.  An infoset's incoming mass depends only on
+    shallower entries, so a whole level's is one product over its pairs,
+    and one kernel call solves each of the level's ``blocks``: its infosets
+    of at most 3 actions together, and those of each larger action count
+    together.  The result is checked against the closed-form action;
+    residuals above 10 * fp_tol raise :class:`NumericalError`, as does an
+    extension matrix column that does not sum to 1.
 
     Returns one player's :class:`~efce.strategies.SequenceFormStrategy`, or
     for a group's combination the joint values array on the group's plan.
     """
     plan = game.player_plan(phi.player)
     lam, conts, moved, keep = _parts(plan, phi)
-    chains = plan.chains
-    w0 = chains.static(moved, keep)
     # The slot past the sequences takes the dummy states' zeros.
     x = np.zeros(lam.size + 1)
     x[plan.offsets] = 1.0
     xv = x[:-1]
     for level in plan.levels:
-        rows, m = level.rows, level.width
-        k = rows.stop - rows.start
         r = None  # nothing sends mass into the roots
         if level.lo:
             pairs = slice(level.lo, level.hi)
             inflow = conts[pairs] * (lam * xv).take(plan.pair_trigger[pairs])
             r = np.bincount(level.slot, inflow, level.size)
-        if k:
-            x[chains.sids[rows, :m]] = _solve(
-                w0[rows, :m, :m], None if r is None else r[:k * m].reshape(k, m),
-                x.take(chains.parents[rows]), level.mask, fp_tol)
-        at = k * m
-        for ch in level.wide:
+        at = 0
+        for ch in level.blocks:
             k, m = ch.sids.shape
             x[ch.sids] = _solve(ch.static(moved, keep),
                                 None if r is None else r[at:at + k * m].reshape(k, m),
-                                x.take(ch.parents), None, fp_tol)
+                                x.take(ch.parents), ch.mask, fp_tol)
             at += k * m
     x = xv
     resid = float(np.max(np.abs(_act(plan, moved, keep, x) - x)))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -289,10 +290,10 @@ def check_run_args(iterations, gap_every, delta, fp_tol):
 
     Each message starts with the argument's command-line name.
     """
-    if iterations < 1:
-        raise ValueError("iterations must be at least 1")
-    if gap_every < 1:
-        raise ValueError("gap-every must be at least 1")
+    if not (isinstance(iterations, Integral) and iterations >= 1):
+        raise ValueError("iterations must be an integer of at least 1")
+    if not (isinstance(gap_every, Integral) and gap_every >= 1):
+        raise ValueError("gap-every must be an integer of at least 1")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie strictly between 0 and 1")
     if not 0.0 < fp_tol < math.inf:

@@ -94,12 +94,14 @@ class Chains:
     plan's pair array extended by a 0 slot (P) and a 1 slot (P + 1): the pair
     (``sids[j, c]``, ``sids[j, a]``) when both states are real, the 1 slot
     where a dummy column c meets a = 0 (a dummy sends all its mass to action
-    0) and the 0 slot elsewhere.
+    0) and the 0 slot elsewhere.  ``mask`` is the (k, 1, m) column mask, 1
+    at a real state and 0 at a dummy, or None when no infoset is padded.
     """
 
     sids: np.ndarray
     parents: np.ndarray
     gather: np.ndarray
+    mask: np.ndarray | None
 
     def static(self, moved, keep):
         """The part of the chains' extension matrices that does not depend on x, as (k, m, m).
@@ -119,15 +121,14 @@ class Chains:
 class Level:
     """The information sets at one depth of a plan's infoset forests, and their pairs.
 
-    ``rows`` are the level's infosets of at most 3 actions, as a slice of
-    the plan's ``chains``; they are solved padded to ``width`` states, the
-    most actions among them, and ``mask`` is their (k, 1, width) column
-    mask, or None when none of them has a dummy state.  ``wide`` holds one
-    :class:`Chains` per action count of 4 or more.  Per pair of the level,
-    ``slot`` is its sequence's entry in the level's incoming-mass vector of
-    ``size`` entries: width j + a for action a of the level's j-th row of
-    ``chains``, then k m entries per block of ``wide`` in turn.  The
-    level's pairs are ``lo`` to ``hi`` of the plan's pair layout: per
+    ``blocks`` holds one :class:`Chains` per kernel call: first the
+    level's infosets of at most 3 actions, padded to the most actions among
+    them (when there are any), then one block per action count of 4 or
+    more, in increasing order.  Per pair of the level, ``slot`` is its
+    sequence's entry in the level's incoming-mass vector of ``size``
+    entries, the blocks' k x m state grids in turn: a block's entry for
+    action a of its j-th infoset is its start plus m j + a.  The level's
+    pairs are ``lo`` to ``hi`` of the plan's pair layout: per
     infoset, one segment of m pairs (one per action) for each trigger
     covering it.  Per pair, ``segment`` is its segment (counted from 0 in
     the level), and ``up`` its parent pair (t, parent sequence), or P, the
@@ -137,10 +138,7 @@ class Level:
     pair count for the root slot).
     """
 
-    rows: slice
-    width: int
-    mask: np.ndarray | None
-    wide: tuple
+    blocks: tuple[Chains, ...]
     slot: np.ndarray
     size: int
     lo: int
@@ -160,8 +158,6 @@ class PlayerPlan:
     empty sequence and holds its ``sizes[k]`` sequences in their own order;
     ``owner[s]`` is the slot k of sequence s.  ``levels`` runs from the roots
     of the infoset forests down, merging the players' infosets by depth.
-    ``chains`` holds every infoset of at most 3 actions, level by level,
-    padded to 3 states.
 
     All per-trigger state is held in the pair layout: one entry per pair
     (t, s) of a trigger t (a non-empty sequence) and a sequence s at or
@@ -182,7 +178,6 @@ class PlayerPlan:
     sizes: np.ndarray
     owner: np.ndarray
     levels: tuple[Level, ...]
-    chains: Chains
     pair_seq: np.ndarray
     pair_trigger: np.ndarray
     segment: np.ndarray
@@ -224,7 +219,9 @@ def _chains(groups, m, own, n, n_pairs):
         sids[j, :d] = seqs
         gather[j, :d, :d] = own[seqs] + (a[:, None] - a)
         gather[j, 0, d:] = n_pairs + 1
-    return Chains(sids, np.array([p for _, p in groups], dtype=np.int64), gather)
+    real = sids < n
+    return Chains(sids, np.array([p for _, p in groups], dtype=np.int64), gather,
+                  None if real.all() else real[:, None, :] * 1.0)
 
 
 class GameTree:
@@ -617,14 +614,15 @@ class GameTree:
     def player_plan(self, players):
         """The :class:`PlayerPlan` of one player or a tuple of distinct players, built on first use.
 
-        Raises ValueError for a player outside 0 to ``n_players - 1`` or a
-        repeated player.
+        Raises ValueError for an empty tuple, a player that is not an integer
+        from 0 to ``n_players - 1``, or a repeated player.
         """
         key = (int(players),) if isinstance(players, Integral) else tuple(players)
         plan = self._plan_cache.get(key)
         if plan is None:
-            if len(set(key)) != len(key) or not all(0 <= p < self.n_players for p in key):
-                raise ValueError(f"players {key} are not distinct players "
+            if not key or len(set(key)) != len(key) or not all(
+                    isinstance(p, Integral) and 0 <= p < self.n_players for p in key):
+                raise ValueError(f"players {key} are not one or more distinct players "
                                  f"0 to {self.n_players - 1}")
             plan = self._build_plan(key)
             self._plan_cache[key] = plan
@@ -682,39 +680,32 @@ class GameTree:
         segment = np.array(segment, dtype=np.int64)
         up = np.array(up, dtype=np.int64)
         up[up < 0] = n_pairs
-        levels, small = [], []
-        # sequence -> its entry in its level's incoming-mass vector
-        slot = np.zeros(n, dtype=np.int64)
+        levels = []
+        # sequence -> its entry in its level's incoming-mass vector; the slot
+        # past the sequences takes the dummy states' entries
+        slot = np.zeros(n + 1, dtype=np.int64)
         above = 0
         for lo, hi, groups in ranges:
             rel = segment[lo:hi] - segment[lo]
             starts = np.flatnonzero(np.diff(rel, prepend=-1))
             heads = up[lo + starts]
             narrow = [g for m, group in groups if m <= 3 for g in group]
-            counts = np.array([len(sids) for sids, _ in narrow], dtype=np.int64)
-            width = int(counts.max(initial=0))
-            for j, (sids, _) in enumerate(narrow):
-                slot[sids] = width * j + np.arange(len(sids))
-            size = width * len(narrow)
-            wide = []
-            for m, group in groups:
-                if m > 3:
-                    wide.append(_chains(group, m, own, n, n_pairs))
-                    slot[wide[-1].sids] = size + np.arange(len(group) * m).reshape(-1, m)
-                    size += len(group) * m
-            mask = (np.arange(width) < counts[:, None])[:, None, :] * 1.0
-            levels.append(Level(slice(len(small), len(small) + len(narrow)), width,
-                                mask if (counts < width).any() else None, tuple(wide),
-                                slot[pair_seq[lo:hi]], size, lo, hi, rel, up[lo:hi], starts,
-                                np.where(heads == n_pairs, lo, heads) - above))
-            small += narrow
+            # The groups run by action count, so the last narrow infoset is the widest.
+            calls = [(len(narrow[-1][0]), narrow)] if narrow else []
+            calls += [(m, group) for m, group in groups if m > 3]
+            blocks = tuple(_chains(group, m, own, n, n_pairs) for m, group in calls)
+            size = 0
+            for ch in blocks:
+                slot[ch.sids] = size + np.arange(ch.sids.size).reshape(ch.sids.shape)
+                size += ch.sids.size
+            levels.append(Level(blocks, slot[pair_seq[lo:hi]], size, lo, hi, rel, up[lo:hi],
+                                starts, np.where(heads == n_pairs, lo, heads) - above))
             above = lo
         spans = tuple((p, a, a + k)
                       for p, a, k in zip(players, offsets.tolist(), sizes.tolist()))
         return PlayerPlan(spans, offsets, sizes,
                           np.repeat(np.arange(len(players)), sizes), tuple(levels),
-                          _chains(small, 3, own, n, n_pairs), pair_seq, pair_trigger,
-                          segment, own, ancestry)
+                          pair_seq, pair_trigger, segment, own, ancestry)
 
     def payoff_range(self, player):
         """Spread between the best and worst terminal payoff of one player."""

@@ -171,21 +171,30 @@ def enumerate_pure(game, player, root=None):
     if root is None:
         values[EMPTY_SEQ] = 1.0
 
-    def rec(k):
-        if k == len(order):
+    def walk():
+        stack = []  # (position in order, action index) of each reached infoset
+        k = 0
+        while True:
+            for k in range(k, len(order)):
+                js = game.infosets[order[k]]
+                if js.index == root or values[js.parent_seq] != 0.0:
+                    values[js.seq_ids[0]] = 1.0
+                    stack.append((k, 0))
             yield SequenceFormStrategy(player, values.copy(), root)
-            return
-        js = game.infosets[order[k]]
-        mass = 1.0 if order[k] == root else values[js.parent_seq]
-        if mass == 0.0:
-            yield from rec(k + 1)
-            return
-        for sid in js.seq_ids:
-            values[sid] = 1.0
-            yield from rec(k + 1)
-            values[sid] = 0.0
+            # The deepest reached infoset with an action left moves on to it.
+            while stack:
+                k, a = stack.pop()
+                sids = game.infosets[order[k]].seq_ids
+                values[sids[a]] = 0.0
+                if a + 1 < len(sids):
+                    values[sids[a + 1]] = 1.0
+                    stack.append((k, a + 1))
+                    k += 1
+                    break
+            else:
+                return
 
-    return rec(0)
+    return walk()
 
 
 def _score(game, profile):

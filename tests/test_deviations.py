@@ -667,8 +667,8 @@ def test_fixed_point_on_a_level_of_mixed_action_counts(monkeypatch):
     g = efce.parse_game(_MIXED_LEVEL_GAME)
     plan = g.player_plan(0)
     level = plan.levels[1]
-    assert level.width == 3 and level.rows.stop - level.rows.start == 3
-    assert [w.sids.shape for w in level.wide] == [(1, 4)]
+    assert level.blocks[0].sids.shape == (3, 3)
+    assert [ch.sids.shape for ch in level.blocks[1:]] == [(1, 4)]
     sizes = []
     solve = efce.deviations.stationary_distribution
 
@@ -685,6 +685,33 @@ def test_fixed_point_on_a_level_of_mixed_action_counts(monkeypatch):
         assert np.array_equal(fp.values, _chained_extends(g, phi))
     efce.run(g, 16, 0, gap_every=16)
     assert sizes and set(sizes) == {(4, 4)}
+
+
+# _MIXED_LEVEL_GAME plus a 5-action infoset at depth 1.
+_TWO_WIDE_BLOCKS_GAME = _MIXED_LEVEL_GAME.replace("d -> n4 }", "d -> n4 ; e -> n5 }") + (
+    "decision n5 player 1 infoset A5 "
+    "{ e1 -> z11 ; e2 -> z12 ; e3 -> z13 ; e4 -> z14 ; e5 -> z15 }\n"
+    "leaf z11 {3}; leaf z12 {7}; leaf z13 {1}; leaf z14 {9}; leaf z15 {5}\n")
+
+
+def test_fixed_point_on_a_level_of_two_wide_blocks(monkeypatch):
+    # The 5-action block's incoming mass starts past the 4-action block's.
+    g = efce.parse_game(_TWO_WIDE_BLOCKS_GAME)
+    level = g.player_plan(0).levels[1]
+    assert [ch.sids.shape for ch in level.blocks] == [(3, 3), (1, 4), (1, 5)]
+    sizes = []
+    solve = efce.deviations.stationary_distribution
+
+    def counted(w, tol=1e-10):
+        sizes.append(w.shape)
+        return solve(w, tol)
+
+    monkeypatch.setattr(efce.deviations, "stationary_distribution", counted)
+    rng = random.Random(5)
+    for _ in range(40):
+        phi = random_deviation(g, 0, rng)
+        assert np.array_equal(efce.fixed_point(g, phi).values, _chained_extends(g, phi))
+    assert set(sizes) == {(4, 4), (5, 5)}
 
 
 def test_degenerate_rows_of_self_play_match_general_solver(monkeypatch):

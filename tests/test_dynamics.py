@@ -292,6 +292,21 @@ def test_gap_fast_matches_brute_on_random_play():
                                    slow.trigger_gaps[i][1:], atol=1e-9)
 
 
+def test_brute_oracle_walks_a_chain_deeper_than_the_recursion_limit():
+    # enumerate_pure once recursed per infoset, and raised RecursionError
+    # at its first draw on a scope of more than about 1000 infosets.
+    depth = 1200
+    lines = ["players 1", "root d0"]
+    lines += [f"decision d{k} player 1 infoset I{k} {{ x -> d{k + 1} }}" for k in range(depth)]
+    lines.append(f"leaf d{depth} {{ 1 }}")
+    g = efce.parse_game("\n".join(lines))
+    pures = list(efce.enumerate_pure(g, 0))
+    assert len(pures) == 1
+    freq = EmpiricalFrequency(g)
+    freq.accumulate(pures)
+    assert abs(efce.efce_gap_brute(freq).eps - efce.efce_gap(freq).eps) <= 1e-9
+
+
 def test_gap_brute_matches_fast_on_mixed_profiles():
     # the library quick start: the brute oracle weights a stored mixed
     # profile by its played mass at the trigger, as the trigger's linear
@@ -426,6 +441,11 @@ def test_run_rejects_bad_arguments():
         efce.run(g, iterations=5, seed=0, delta=0.0)
     with pytest.raises(ValueError):
         efce.run(g, iterations=5, seed=0, delta=1.0)
+    # 3.5 once failed in range with TypeError, and 1.5 ran, logging "gap-every: 1.5"
+    with pytest.raises(ValueError, match="^iterations"):
+        efce.run(g, iterations=3.5, seed=0)
+    with pytest.raises(ValueError, match="^gap-every"):
+        efce.run(g, iterations=5, seed=0, gap_every=1.5)
 
 
 def test_run_rejects_bad_fp_tol():

@@ -448,6 +448,50 @@ def test_group_plan_stacks_one_player_plans():
             assert pairs[lo:hi] == [(t, a + x) for x in sids]
 
 
+def test_level_blocks_hold_each_infoset_once_narrow_first():
+    games = [efce.builtin_game("kuhn3"), efce.builtin_game("fig1", seed=0)]
+    games += [efce.builtin_game("random-tree", seed=s) for s in range(64)]
+    masks = set()
+    for g in games:
+        plan = g.player_plan(tuple(range(g.n_players)))
+        n = plan.owner.size
+        # depth -> (joint sequence ids, joint parent sequence) of its infosets
+        want = {}
+        for i, a, _ in plan.spans:
+            depth = {}
+            for gid in g.player_infosets(i):
+                js = g.infosets[gid]
+                d = depth[int(g.seq_infoset(i)[js.parent_seq])] + 1 if js.parent_seq else 0
+                depth[gid] = d
+                want.setdefault(d, []).append((tuple(a + s for s in js.seq_ids),
+                                               a + js.parent_seq))
+        assert len(plan.levels) == len(want)
+        for d, level in enumerate(plan.levels):
+            blocks = level.blocks
+            got = [(tuple(s for s in row if s < n), parent) for ch in blocks
+                   for row, parent in zip(ch.sids.tolist(), ch.parents.tolist())]
+            assert sorted(got) == sorted(want[d])
+            real = [ch.sids < n for ch in blocks]
+            widths = [ch.sids.shape[1] for ch in blocks]
+            narrow = real[0].sum(axis=1).max() <= 3
+            if narrow:
+                # padded to its widest member, and masked exactly where padded
+                assert real[0].sum(axis=1).max() == widths[0]
+                masks.add(blocks[0].mask is None)
+                if real[0].all():
+                    assert blocks[0].mask is None
+                else:
+                    assert np.array_equal(blocks[0].mask, real[0][:, None, :] * 1.0)
+            # then one unpadded block per action count of 4 or more, increasing
+            rest = slice(1 if narrow else 0, None)
+            assert all(r.all() and ch.mask is None for r, ch in zip(real[rest], blocks[rest]))
+            assert min(widths[rest], default=4) >= 4 and widths[rest] == sorted(set(widths[rest]))
+            grid = np.concatenate([ch.sids.ravel() for ch in blocks])
+            assert grid.size == level.size
+            assert np.array_equal(grid[level.slot], plan.pair_seq[level.lo:level.hi])
+    assert masks == {True, False}
+
+
 def _deals_game(k):
     """A chance root over k deals; per deal, player 1 then player 2 pick one of two actions."""
     p = repr(1.0 / k)
@@ -511,13 +555,15 @@ def test_parse_keeps_no_second_copy_of_the_nodes():
 
 
 def test_player_plan_rejects_bad_players():
-    # -1 once built player 2's plan labelled -1, 2 raised IndexError, and
-    # (0, 0) stacked player 0 twice
+    # -1 once built player 2's plan labelled -1, 2 raised IndexError,
+    # (0, 0) stacked player 0 twice, () built an empty plan and (0, 1.5)
+    # raised TypeError
     g = efce.builtin_game("fig1", seed=0)
-    for bad in (-1, 2, (0, 0), (0, 2), (-1, 0)):
+    for bad in (-1, 2, (0, 0), (0, 2), (-1, 0), (), (0, 1.5)):
         with pytest.raises(ValueError):
             g.player_plan(bad)
     for make in (lambda: efce.HullMinimizer(g, -1),
+                 lambda: efce.MixedTriggerMinimizer(g, ()),
                  lambda: efce.PhiRegretMeter(g, -1),
                  lambda: efce.subtree_best_response(g, -1, np.ones(5)),
                  lambda: efce.fixed_point(g, efce.ConvexTriggerDeviation(-1, []))):
