@@ -11,10 +11,9 @@ every infoset solves for a stationary distribution of a small
 column-stochastic matrix.  The plan groups each level's infosets into
 blocks, one kernel call each: those of at most 3 actions, solved in closed
 form and padded with dummy states to the widest of them, then one block per
-action count of 4 or more.  A chain without a closed-form answer (several
-closed classes, an underflow, or 4 or more states) is settled by one set of
-rules on its absorbing states, with :func:`stationary_distribution` as the
-fallback.
+action count of 4 or more.  The chains without a closed-form answer
+(several closed classes, an underflow, or 4 or more states) go to one
+batched solver, the one :func:`stationary_distribution` also calls.
 """
 
 from __future__ import annotations
@@ -225,69 +224,80 @@ def _act(plan, moved, keep, x):
 def stationary_distribution(w, tol=1e-10):
     """Probability vector b with w @ b = b, for column-stochastic w.
 
-    Finds the closed communicating classes of the chain by reachability and
-    solves each one's irreducible system by state reduction (Grassmann,
-    Taksar & Heyman), which never subtracts and so stays accurate on nearly
-    decoupled chains.  A chain with several closed classes gets their
-    stationary distributions in equal shares.  Raises :class:`NumericalError`
-    if the result leaves a residual above ``tol``.
+    The chain's closed classes share the mass equally, and its transient
+    states get 0; the fixed point's kernel solves its chains the same way,
+    with :func:`_stationary`.  Raises ValueError unless w is square,
+    non-empty, finite and nonnegative with columns that sum to 1 (within
+    1e-9), and :class:`NumericalError` if the solve underflows or leaves a
+    residual above ``tol``.
     """
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError("matrix must be square")
-    m = w.shape[0]
-    if m == 0:
+    if w.shape[0] == 0:
         raise ValueError("matrix must be non-empty")
     if not np.all(np.isfinite(w)):
         raise ValueError("matrix entries must be finite")
     if np.any(w < -1e-12):
         raise ValueError("matrix entries must be nonnegative")
-    colsums = w.sum(axis=0)
-    if np.any(np.abs(colsums - 1.0) > 1e-9):
+    if np.any(np.abs(w.sum(axis=0) - 1.0) > 1e-9):
         raise ValueError("matrix columns must sum to 1")
-    if m == 1:
-        return np.ones(1)
-    # Rescale away the (validated) column-sum drift: a true fixed point's
-    # residual is floored at that drift, which may exceed tol.
-    w = np.maximum(w, 0.0) / colsums
+    return _stationary(w[None], None, tol)[0]
 
-    # reach[a, c]: state a can be reached from state c.
+
+def _stationary(w, real, tol):
+    """Stationary distributions of k finite column-stochastic chains, as a (k, m) array.
+
+    Row j's chain is ``w[j]`` on the states where ``real[j]`` is set (a
+    (k, m) mask, None for all states); its other states get 0.  The closed
+    communicating classes, found by reachability, share the mass equally,
+    and the transient states get 0.  Each class is solved by state
+    reduction (Grassmann, Taksar & Heyman), which never subtracts and so
+    stays accurate on nearly decoupled chains.  A row comes out as it does
+    alone, bit for bit.  Raises :class:`NumericalError` if the reduction
+    underflows or a residual exceeds ``tol``.
+    """
+    m = w.shape[1]
+    if real is not None:
+        w = w * (real[:, :, None] & real[:, None, :])
+    sums = w.sum(axis=1)
+    if real is not None:
+        sums += ~real  # a padded column is all zero
+    # Rescale away the column-sum drift: a true fixed point's residual is
+    # floored at that drift, which may exceed tol.
+    w = np.maximum(w, 0.0) / sums[:, None, :]
+
+    # reach[j, a, c]: state a can be reached from state c.
     reach = (w > 0.0) | np.eye(m, dtype=bool)
     for _ in range(m.bit_length()):
         reach = (reach.astype(np.int64) @ reach) > 0
     # A state is recurrent when every state it reaches leads back to it; its
-    # closed class is then everything it reaches.
-    classes = []
-    seen = np.zeros(m, dtype=bool)
-    for c in range(m):
-        if not seen[c] and np.all(reach[c] >= reach[:, c]):
-            members = np.flatnonzero(reach[:, c])
-            seen[members] = True
-            classes.append(members)
-    b = np.zeros(m)
-    for members in classes:
-        b[members] += _reduce_states(w[np.ix_(members, members)]) / len(classes)
-    resid = float(np.max(np.abs(w @ b - b)))
+    # closed class is then everything it reaches, and its root the lowest.
+    recurrent = (reach.transpose(0, 2, 1) >= reach).all(axis=1)
+    if real is not None:
+        recurrent &= real
+    root = reach.argmax(axis=1)
+    roots = recurrent & (root == np.arange(m))
+    b = roots.astype(float)
+    if (roots != recurrent).any():  # a class of one state needs no reduction
+        same = recurrent[:, :, None] & recurrent[:, None, :] & (root[:, :, None] == root[:, None, :])
+        p = (w * same).transpose(0, 2, 1).copy()  # p[j, a, c]: moving from a to c, in a class
+        for s in range(m - 1, 0, -1):
+            out = p[:, s, :s].sum(axis=1)
+            cut = recurrent[:, s] & ~roots[:, s]
+            if not out[cut].min(initial=1.0) > 0.0:
+                raise NumericalError("stationary distribution underflowed")
+            p[:, :s, s] /= np.where(cut, out, 1.0)[:, None]
+            p[:, :s, :s] += p[:, :s, s, None] * p[:, None, s, :s]
+        for s in range(1, m):
+            b[:, s] += (b[:, :s] * p[:, :s, s]).sum(axis=1)
+        # A division, since multiplying by the reciprocal moves bits.
+        b /= np.where(same, b[:, :, None], 0.0).sum(axis=1) + ~recurrent
+    b /= roots.sum(axis=1)[:, None]
+    resid = float(np.abs((w * b[:, None, :]).sum(axis=2) - b).max())
     if not resid <= tol:
         raise NumericalError(f"stationary distribution residual {resid:g} exceeds tolerance")
     return b
-
-
-def _reduce_states(w):
-    """Stationary distribution of an irreducible column-stochastic matrix."""
-    p = w.T.copy()  # p[i, j]: probability of moving from i to j
-    m = p.shape[0]
-    for k in range(m - 1, 0, -1):
-        out = p[k, :k].sum()
-        if not out > 0.0:
-            raise NumericalError("stationary distribution underflowed")
-        p[:k, k] /= out
-        p[:k, :k] += np.outer(p[:k, k], p[k, :k])
-    b = np.zeros(m)
-    b[0] = 1.0
-    for k in range(1, m):
-        b[k] = b[:k] @ p[:k, k]
-    return b / b.sum()
 
 
 def is_trunk(game, player, trunk):
@@ -331,9 +341,10 @@ def _solve(w0, r, xp, mask, fp_tol):
     whose sum, weighted by its parent mass, is not 1 raises
     :class:`NumericalError`, and an entry below -1e-12 ValueError; the
     other negative entries are clipped to 0.  A row whose parent has no
-    mass is 0.  Other rows whose closed form does not sum to a positive
-    total, every row of 4 or more states among them, are solved by
-    :func:`_degenerate`.
+    mass is 0.  The other rows whose closed form does not sum to a
+    positive total, every row of 4 or more states among them, are solved
+    together by :func:`_stationary`, on their real states; a non-finite
+    entry in one of them raises ValueError.
     """
     k, m, _ = w0.shape
     w = w0
@@ -377,62 +388,13 @@ def _solve(w0, r, xp, mask, fp_tol):
         b = np.zeros((k, m))
     total = b.sum(axis=1) + massless
     if not total.min() > 0.0:
-        _degenerate(w, b, total, mask, fp_tol)
+        rows = np.flatnonzero(~(total > 0.0))
+        w = w[rows]
+        if not np.isfinite(w).all():
+            raise ValueError("extension matrix entries must be finite")
+        b[rows] = _stationary(w, None if mask is None else mask[rows, 0] > 0.0, fp_tol)
+        total[rows] = 1.0
     return b * (xp / total)[:, None]
-
-
-def _degenerate(w, b, total, mask, fp_tol):
-    """Solve, in place, the rows of ``b`` whose closed-form ``total`` is not positive.
-
-    Each row is solved as :func:`stationary_distribution` would solve its
-    real states, to the bit, and its total set to 1.  A zero-total row's
-    absorbing states (real states with no flow to another) settle it by the
-    first rule that fits:
-
-    - at most one real state is not absorbing, so every closed class is an
-      absorbing state: they get equal shares (the identity chain of any
-      width, or two absorbing states beside a transient one);
-    - 3 states, an absorbing state a that nothing enters beside a closed
-      pair c < d: a gets 1/2, and the pair splits the other 1/2 as 1 : p
-      with p = w[d, c] / w[c, d] once the columns are rescaled by their
-      sums again;
-    - every other row (a closed form that underflowed on a chain with one
-      closed class, the other rows of 4 or more actions, and a nan row)
-      goes to :func:`stationary_distribution`.
-    """
-    m = b.shape[1]
-    rows = np.flatnonzero(total == 0.0)  # so b's row is zero, and for m <= 3 w's is finite
-    if rows.size:
-        v = w[rows]
-        real = np.ones((rows.size, m), dtype=bool) if mask is None else mask[rows, 0] > 0.0
-        moves = (v > 0.0) & real[:, :, None] & real[:, None, :]
-        moves.reshape(rows.size, m * m)[:, ::m + 1] = False
-        absorbing = real & ~moves.any(axis=1)
-        n_abs = absorbing.sum(axis=1)
-        n_real = real.sum(axis=1)
-        equal = n_abs >= n_real - 1
-        if m > 3:
-            equal &= np.isfinite(v).all(axis=(1, 2))
-        b[rows[equal]] = absorbing[equal] / n_abs[equal][:, None]
-        total[rows[equal]] = 1.0
-        pair = (n_abs == 1) & (n_real == 3) & (absorbing & ~moves.any(axis=2)).any(axis=1)
-        if pair.any():
-            j = np.arange(pair.sum())
-            c, d = np.nonzero(~absorbing[pair])[1].reshape(-1, 2).T
-            u = v[pair] / v[pair].sum(axis=1)[:, None, :]
-            p = u[j, d, c] / u[j, c, d]
-            s = 1.0 + p
-            shares = absorbing[pair] * 0.5
-            shares[j, c] = 1.0 / s / 2
-            shares[j, d] = p / s / 2
-            b[rows[pair]] = shares
-            total[rows[pair]] = 1.0
-    for row in np.flatnonzero(~(total > 0.0)):
-        d = m if mask is None else int(mask[row].sum())
-        b[row] = 0.0
-        # One state is its own answer, whatever its chain holds.
-        b[row, :d] = 1.0 if d == 1 else stationary_distribution(w[row, :d, :d], tol=fp_tol)
-        total[row] = 1.0
 
 
 def extend(game, phi, trunk, j_star, x, fp_tol=1e-10):

@@ -617,12 +617,13 @@ class GameTree:
         Raises ValueError for an empty tuple, a player that is not an integer
         from 0 to ``n_players - 1``, or a repeated player.
         """
-        key = (int(players),) if isinstance(players, Integral) else tuple(players)
+        key = (int(players),) if isinstance(players, Integral) else (
+            tuple(players) if np.iterable(players) else None)
         plan = self._plan_cache.get(key)
         if plan is None:
             if not key or len(set(key)) != len(key) or not all(
                     isinstance(p, Integral) and 0 <= p < self.n_players for p in key):
-                raise ValueError(f"players {key} are not one or more distinct players "
+                raise ValueError(f"players {players!r} are not one or more distinct players "
                                  f"0 to {self.n_players - 1}")
             plan = self._build_plan(key)
             self._plan_cache[key] = plan

@@ -293,6 +293,67 @@ def test_stationary_distribution_input_validation():
         efce.stationary_distribution(np.array([[0.5, 0.5], [0.4, 0.5]]))
 
 
+def _reducible_chain(rng, d):
+    """A random d-state chain with 1 to 3 closed classes, and each state's class or -1."""
+    n = int(rng.integers(1, min(3, d) + 1))
+    label = rng.integers(-1, n, d)
+    label[rng.permutation(d)[:n]] = np.arange(n)
+    w = np.zeros((d, d))
+    for c in range(d):
+        if label[c] >= 0:
+            to = np.flatnonzero(label == label[c])
+            v = rng.random(to.size) * (rng.random(to.size) < 0.6)
+            v[(np.flatnonzero(to == c)[0] + 1) % to.size] += 0.1  # a cycle through the class
+        else:
+            to = np.arange(d)
+            v = rng.random(d) * (rng.random(d) < 0.6)
+            v[rng.choice(np.flatnonzero(label >= 0))] += 0.1  # a way out
+        w[to, c] = v / v.sum()
+    return w, label
+
+
+def test_stationary_batch_rows_match_chains_solved_alone():
+    # Every row of one batch is its chain solved alone, bit for bit, padded
+    # or not: whatever the padded entries hold, they get 0.
+    rng = np.random.default_rng(31)
+    rows = 0
+    for _ in range(300):
+        m = int(rng.integers(2, 9))
+        k = int(rng.integers(1, 8))
+        w = rng.random((k, m, m))  # the padded entries keep these
+        real = np.zeros((k, m), dtype=bool)
+        chains = []
+        for j in range(k):
+            d = int(rng.integers(1, m + 1))
+            chain, label = _reducible_chain(rng, d)
+            w[j, :d, :d] = chain
+            real[j, :d] = True
+            chains.append((chain, label))
+        padded = efce.deviations._stationary(w, real, 1e-10)
+        for j, (chain, label) in enumerate(chains):
+            d = len(chain)
+            alone = efce.stationary_distribution(chain)
+            assert np.array_equal(padded[j, :d], alone) and not padded[j, d:].any()
+            assert not alone[label < 0].any()
+            n = label.max() + 1
+            for c in range(n):
+                assert alone[label == c].sum() == pytest.approx(1.0 / n, abs=1e-14)
+            rows += 1
+    assert rows > 1000
+
+
+def test_stationary_distribution_underflow_raises():
+    # An irreducible chain (0 -> 1 -> 2 -> 0) on which eliminating state 2
+    # leaves state 1 a flow of 2e-200 * 1e-200 to state 0, which underflows.
+    w = np.array([[0.5, 0.0, 1e-200],
+                  [0.5, 1.0, 0.5],
+                  [0.0, 1e-200, 0.5]])
+    with pytest.raises(efce.NumericalError, match="underflowed"):
+        efce.stationary_distribution(w)
+    with pytest.raises(efce.NumericalError, match="underflowed"):
+        efce.deviations._stationary(np.stack([np.eye(3), w]), None, 1e-10)
+
+
 def test_is_trunk_classification():
     g = efce.builtin_game("fig1", seed=0)
     A = g.infoset(0, "A").index
@@ -490,7 +551,7 @@ def _one_infoset_fixed_point(lam, conts):
     return fp.values[1:], col
 
 
-def test_fixed_point_closed_forms_match_general_solver(monkeypatch):
+def test_fixed_point_closed_forms_match_general_solver():
     # one infoset of m actions: the fixed point is the stationary distribution
     # of col[a, c] = lam[c] * cont_c[a] + (1 - lam[c]) * [a == c], which the
     # fixed point solves in closed form for m = 2 and m = 3 (m = 4 takes the
@@ -516,12 +577,9 @@ def test_fixed_point_closed_forms_match_general_solver(monkeypatch):
             assert np.abs(fp.values[1:] - efce.stationary_distribution(col)).max() <= 1e-12
 
     # A chain with several closed classes has no spanning tree, so the closed
-    # forms sum to 0.  The fixed point then gives, without calling the general
-    # solver, its answer bit for bit: equal shares of the classes, and a
-    # closed pair split by its two crossing entries.
-    calls = []
-    monkeypatch.setattr(efce.deviations, "stationary_distribution", calls.append)
-
+    # forms sum to 0.  The fixed point then gives the general solver's answer
+    # bit for bit: equal shares of the classes, and a closed pair split by
+    # its two crossing entries.
     def split(states):
         cont = np.zeros(3)
         cont[states] = rng.random(len(states)) + 1e-3
@@ -563,47 +621,64 @@ def test_fixed_point_closed_forms_match_general_solver(monkeypatch):
     assert fp.values[1] == 0.0
     assert np.array_equal(fp.values[3:7], np.zeros(4))
     assert not np.signbit(fp.values[3:7]).any()
-    assert calls == []
+
+
+def _spy_stationary(monkeypatch):
+    """Record every (chains, real-state mask, answer) that ``_stationary`` sees."""
+    calls = []
+    solve = efce.deviations._stationary
+
+    def spy(w, real, tol):
+        b = solve(w, real, tol)
+        calls.append((w.copy(), real, b))
+        return b
+
+    monkeypatch.setattr(efce.deviations, "_stationary", spy)
+    return calls
+
+
+def _equal_shares(w, b):
+    """Whether ``b`` gives w's absorbing states equal shares and its other states 0."""
+    absorbing = ~((w > 0.0) & ~np.eye(len(w), dtype=bool)).any(axis=0)
+    return np.array_equal(b, absorbing / absorbing.sum())
 
 
 def test_fixed_point_underflowed_closed_form_reaches_general_solver(monkeypatch):
     # every pair of states communicates, so the chain has one closed class,
     # but its spanning-tree products (about 1e-341) underflow to 0
-    calls = []
-    solve = efce.deviations.stationary_distribution
-
-    def counted(w, tol=1e-10):
-        calls.append(w.copy())
-        return solve(w, tol)
-
-    monkeypatch.setattr(efce.deviations, "stationary_distribution", counted)
+    calls = _spy_stationary(monkeypatch)
+    solve = efce.stationary_distribution
     lam = np.array([0.25, 0.5, 0.25])
     conts = np.full((3, 3), 1e-170)
     conts[np.diag_indices(3)] = 1.0
     conts /= conts.sum(axis=1, keepdims=True)
     values, col = _one_infoset_fixed_point(lam, conts)
-    assert len(calls) == 1
-    assert np.array_equal(values, solve(calls[0]))
+    (w, real, _), = calls
+    assert w.shape == (1, 3, 3) and real is None
+    assert np.array_equal(values, solve(w[0]))
     assert np.abs(values - solve(col)).max() <= 1e-12
     assert values.min() > 0.0 and values.sum() == pytest.approx(1.0)
 
 
 def test_fixed_point_calls_general_solver_only_for_four_or_more_actions(monkeypatch):
-    calls = []
-    solve = efce.deviations.stationary_distribution
-
-    def counted(w, tol=1e-10):
-        calls.append(len(w))
-        return solve(w, tol)
-
-    monkeypatch.setattr(efce.deviations, "stationary_distribution", counted)
+    # In self-play of kuhn3 and the random trees, the closed forms settle
+    # every chain with one closed class; the solver sees only chains whose
+    # closed classes are absorbing states, which take no state reduction.
+    calls = _spy_stationary(monkeypatch)
     efce.run(efce.builtin_game("kuhn3"), 256, 0, gap_every=64)
     for seed in range(64):
         efce.run(efce.builtin_game("random-tree", seed=seed), 32, 0, gap_every=32)
-    assert calls == []
+    rows = 0
+    for w, real, b in calls:
+        for j in range(len(w)):
+            d = w.shape[1] if real is None else int(real[j].sum())
+            assert _equal_shares(w[j, :d, :d], b[j, :d]) and not b[j, d:].any()
+            rows += 1
+    assert rows
     # no closed form covers an infoset of four actions
+    calls.clear()
     efce.run(_one_infoset_game(4), 8, 0, gap_every=8)
-    assert calls and set(calls) == {4}
+    assert calls and {w.shape for w, _, _ in calls} == {(1, 4, 4)}
 
 
 def _chained_extends(game, phi):
@@ -669,14 +744,7 @@ def test_fixed_point_on_a_level_of_mixed_action_counts(monkeypatch):
     level = plan.levels[1]
     assert level.blocks[0].sids.shape == (3, 3)
     assert [ch.sids.shape for ch in level.blocks[1:]] == [(1, 4)]
-    sizes = []
-    solve = efce.deviations.stationary_distribution
-
-    def counted(w, tol=1e-10):
-        sizes.append(w.shape)
-        return solve(w, tol)
-
-    monkeypatch.setattr(efce.deviations, "stationary_distribution", counted)
+    calls = _spy_stationary(monkeypatch)
     rng = random.Random(11)
     for _ in range(40):
         phi = random_deviation(g, 0, rng)
@@ -684,7 +752,8 @@ def test_fixed_point_on_a_level_of_mixed_action_counts(monkeypatch):
         assert np.abs(efce.apply_deviation(g, phi, fp.values) - fp.values).max() <= 1e-10
         assert np.array_equal(fp.values, _chained_extends(g, phi))
     efce.run(g, 16, 0, gap_every=16)
-    assert sizes and set(sizes) == {(4, 4)}
+    # The 4-action infosets (R, and A4 below it) arrive one row a call, unpadded.
+    assert {(w.shape, real) for w, real, _ in calls if w.shape[1] == 4} == {((1, 4, 4), None)}
 
 
 # _MIXED_LEVEL_GAME plus a 5-action infoset at depth 1.
@@ -699,39 +768,28 @@ def test_fixed_point_on_a_level_of_two_wide_blocks(monkeypatch):
     g = efce.parse_game(_TWO_WIDE_BLOCKS_GAME)
     level = g.player_plan(0).levels[1]
     assert [ch.sids.shape for ch in level.blocks] == [(3, 3), (1, 4), (1, 5)]
-    sizes = []
-    solve = efce.deviations.stationary_distribution
-
-    def counted(w, tol=1e-10):
-        sizes.append(w.shape)
-        return solve(w, tol)
-
-    monkeypatch.setattr(efce.deviations, "stationary_distribution", counted)
+    calls = _spy_stationary(monkeypatch)
     rng = random.Random(5)
     for _ in range(40):
         phi = random_deviation(g, 0, rng)
         assert np.array_equal(efce.fixed_point(g, phi).values, _chained_extends(g, phi))
-    assert set(sizes) == {(4, 4), (5, 5)}
+    assert {w.shape for w, _, _ in calls if w.shape[1] > 3} == {(1, 4, 4), (1, 5, 5)}
 
 
 def test_degenerate_rows_of_self_play_match_general_solver(monkeypatch):
-    # Every zero-total row that self-play hands to _degenerate comes out as
-    # stationary_distribution's answer on its real states, bit for bit.  Some
-    # of these chains have flow between their states and several closed
-    # classes: two absorbing states, or one that nothing enters.
-    rows = []
-    settle = efce.deviations._degenerate
-
-    def spy(w, b, total, mask, fp_tol):
-        zero = np.flatnonzero(total == 0.0)
-        settle(w, b, total, mask, fp_tol)
-        for r in zero:
-            d = w.shape[1] if mask is None else int(mask[r].sum())
-            rows.append((w[r, :d, :d].copy(), b[r].copy()))
-
-    monkeypatch.setattr(efce.deviations, "_degenerate", spy)
+    # Every zero-total row that self-play hands to the solver, in a block of
+    # padded rows, comes out as stationary_distribution's answer on its real
+    # states alone, bit for bit.  Some of these chains have flow between
+    # their states and several closed classes: two absorbing states, or one
+    # that nothing enters.
+    calls = _spy_stationary(monkeypatch)
     for seed in range(64):
         efce.run(efce.builtin_game("random-tree", seed=seed), 32, 0, gap_every=32)
+    rows = []
+    for w, real, b in calls:
+        for r in range(len(w)):
+            d = w.shape[1] if real is None else int(real[r].sum())
+            rows.append((w[r, :d, :d], b[r]))
     several = 0
     for w, b in rows:
         assert np.array_equal(b[:len(w)], efce.stationary_distribution(w))
@@ -745,7 +803,7 @@ def test_degenerate_rows_of_self_play_match_general_solver(monkeypatch):
 def test_massless_parent_with_closed_pair_needs_no_solver(monkeypatch):
     # A's trigger x moves all its mass to y, so B's parent has none; B's own
     # chain is a closed pair {q, s} beside an absorbing p.  B stays exactly 0
-    # and nothing reaches _degenerate or the general solver.
+    # and nothing reaches the general solver.
     g = efce.parse_game("""players 1; root r
         decision r player 1 infoset A { x -> b ; y -> z0 }
         decision b player 1 infoset B { p -> z1 ; q -> z2 ; s -> z3 }
@@ -758,12 +816,7 @@ def test_massless_parent_with_closed_pair_needs_no_solver(monkeypatch):
         c[list(sids)] = 1.0
         return c
 
-    calls = []
-    for name in ("_degenerate", "stationary_distribution"):
-        real = getattr(efce.deviations, name)
-        monkeypatch.setattr(efce.deviations, name,
-                            lambda *a, real=real, name=name, **k: (calls.append(name),
-                                                                   real(*a, **k))[1])
+    calls = _spy_stationary(monkeypatch)
     phi = efce.ConvexTriggerDeviation(0, [(x, 0.9, cont(y)), (q, 0.05, cont(s)),
                                           (s, 0.05, cont(q))])
     fp = efce.fixed_point(g, phi)

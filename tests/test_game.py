@@ -557,9 +557,9 @@ def test_parse_keeps_no_second_copy_of_the_nodes():
 def test_player_plan_rejects_bad_players():
     # -1 once built player 2's plan labelled -1, 2 raised IndexError,
     # (0, 0) stacked player 0 twice, () built an empty plan and (0, 1.5)
-    # raised TypeError
+    # raised TypeError, as did 1.5 and None
     g = efce.builtin_game("fig1", seed=0)
-    for bad in (-1, 2, (0, 0), (0, 2), (-1, 0), (), (0, 1.5)):
+    for bad in (-1, 2, (0, 0), (0, 2), (-1, 0), (), (0, 1.5), 1.5, None):
         with pytest.raises(ValueError):
             g.player_plan(bad)
     for make in (lambda: efce.HullMinimizer(g, -1),

@@ -1,7 +1,9 @@
-"""Print the set-up, plan memory and round time of N-card Kuhn poker, for a fixed protocol.
+"""Print the set-up, plan memory and round time of N-card Kuhn poker and the wide game.
 
-One line per N = 24, 96 and 192 (``bench/kuhn.py``), with the joint
-sequence count, the rounds of each timed run, and:
+One line per N = 24, 96 and 192 (``bench/kuhn.py``), then one per wide
+game of m = 4, 5 and 6 actions at every infoset (``wide_text`` in
+``tools/log_digests.py``), with the joint sequence count, the rounds of
+each timed run, and:
 
 - ``parse_s``: wall seconds of ``parse_game`` on the game text;
 - ``parse_peak_mb``: the tracemalloc peak, in MB, of another
@@ -10,8 +12,9 @@ sequence count, the rounds of each timed run, and:
   group plan (``player_plan((0, 1))``) on the parsed game;
 - ``ms_per_round``: wall ms per self-play round, the median of five
   ``run()`` calls at run seed 0 with one gap checkpoint at the end, after
-  a 10-round warm-up run.  Each call runs ``ROUNDS[N]`` rounds, about a
-  second on a 2-core host, so that the median can tell two trees apart.
+  a 10-round warm-up run.  Each call runs ``ROUNDS[N]`` (``WIDE_ROUNDS[m]``)
+  rounds, about a second on a 2-core host, so that the median can tell
+  two trees apart.
 
 Run it from the repository root::
 
@@ -30,14 +33,15 @@ from efce import parse_game, run
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 from kuhn import kuhn_text  # noqa: E402
+from log_digests import wide_text  # noqa: E402
 
 ROUNDS = {24: 1600, 96: 500, 192: 200}
+WIDE_ROUNDS = {4: 1000, 5: 800, 6: 600}
 WARMUP = 10
 
 
-def measure(n_cards, rounds):
+def measure(text, rounds):
     """(joint sequences, parse seconds, parse and plan peak MB, ms per round) of one game."""
-    text = kuhn_text(n_cards)
     parse_peak = traced_peak(parse_game, text)
     start = time.perf_counter()
     game = parse_game(text)
@@ -65,9 +69,11 @@ def traced_peak(fn, arg):
 
 
 def main():
-    for n_cards, rounds in ROUNDS.items():
-        n, parse_s, parse_mb, plan_mb, ms = measure(n_cards, rounds)
-        print(f"kuhn{n_cards} sequences={n} parse_s={parse_s:.2f} parse_peak_mb={parse_mb:.2f} "
+    games = [(f"kuhn{n}", lambda n=n: kuhn_text(n), rounds) for n, rounds in ROUNDS.items()]
+    games += [(f"wide-m{m}", lambda m=m: wide_text(m), rounds) for m, rounds in WIDE_ROUNDS.items()]
+    for label, make_text, rounds in games:
+        n, parse_s, parse_mb, plan_mb, ms = measure(make_text(), rounds)
+        print(f"{label} sequences={n} parse_s={parse_s:.2f} parse_peak_mb={parse_mb:.2f} "
               f"plan_peak_mb={plan_mb:.2f} rounds={rounds} ms_per_round={ms:.2f}", flush=True)
     return 0
 
