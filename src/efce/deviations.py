@@ -339,12 +339,13 @@ def _solve(w0, r, xp, mask, fp_tol):
     closed form of m states (by the Markov chain tree theorem, for m = 2
     and 3) gives the answer of fewer real states bit for bit.  A column
     whose sum, weighted by its parent mass, is not 1 raises
-    :class:`NumericalError`, and an entry below -1e-12 ValueError; the
-    other negative entries are clipped to 0.  A row whose parent has no
-    mass is 0.  The other rows whose closed form does not sum to a
-    positive total, every row of 4 or more states among them, are solved
-    together by :func:`_stationary`, on their real states; a non-finite
-    entry in one of them raises ValueError.
+    :class:`NumericalError`, and a nan entry or one below -1e-12
+    ValueError, whatever the number of states; the other negative entries
+    are clipped to 0.  A row whose parent has no mass is 0.  The other
+    rows whose closed form does not sum to a positive total, every row of
+    4 or more states among them, are solved together by
+    :func:`_stationary`, on their real states; a non-finite entry in one
+    of them raises ValueError.
     """
     k, m, _ = w0.shape
     w = w0
@@ -360,9 +361,9 @@ def _solve(w0, r, xp, mask, fp_tol):
     if (np.abs(sums - 1.0) * xp[:, None] > 1e-9).any():
         raise NumericalError("extension matrix lost mass conservation")
     low = w.min()
-    if not low >= 0.0:  # a nan entry may hide a negative one
-        if low < -1e-12:
-            raise ValueError("extension matrix entries must be nonnegative")
+    if not low >= 0.0:
+        if not low >= -1e-12:  # a nan, or an entry below -1e-12
+            raise ValueError("extension matrix entries must be finite and nonnegative")
         w = np.maximum(w, 0.0)
     # Columns of w sum to 1 exactly in real arithmetic; rounding from earlier
     # levels leaves a small absolute drift that the division by a possibly

@@ -94,15 +94,44 @@ class GapReport:
     single trigger deviation; ``eps`` is the maximum over players.
     ``trigger_gaps[i][s]`` breaks the gain down per trigger sequence (minus
     infinity at the empty sequence).  ``witnesses[i]`` is the player's best
-    (trigger, continuation) pair, and ``argmax`` names the player and trigger
-    achieving ``eps``.
+    (trigger, continuation) pair, None for a player without triggers, and
+    ``argmax`` names the player and trigger achieving ``eps``.  Both are
+    built on first read, from the completed tables of the pass the gaps
+    came from (``source``: the game, its plan and those tables), so a
+    report read later still gives the witnesses of its own round.  A report
+    without a source, such as :func:`efce_gap_brute`'s, has no witnesses.
     """
 
     per_player: list[float]
     eps: float
     trigger_gaps: list[np.ndarray]
-    witnesses: list[tuple[int, SequenceFormStrategy] | None]
-    argmax: tuple[int, int] | None
+    source: tuple | None = field(default=None, repr=False)
+    _witnesses: list | None = field(default=None, init=False, repr=False)
+
+    @property
+    def witnesses(self) -> list[tuple[int, SequenceFormStrategy] | None]:
+        if self._witnesses is None:
+            witnesses = [None] * len(self.per_player)
+            if self.source is not None:
+                game, plan, completed = self.source
+                for (i, a, b), own in zip(plan.spans, self.trigger_gaps):
+                    if b - a > 1:
+                        sid = int(own.argmax())
+                        gid = int(game.seq_infoset(i)[sid])
+                        vertex = np.zeros(b - a)
+                        mine = plan.pair_trigger == a + sid
+                        column = dict(zip((plan.pair_seq[mine] - a).tolist(),
+                                          completed[mine].tolist()))
+                        _walk_best(game, i, column, gid, vertex)
+                        witnesses[i] = (sid, SequenceFormStrategy(i, vertex, gid))
+            self._witnesses = witnesses
+        return self._witnesses
+
+    @property
+    def argmax(self) -> tuple[int, int] | None:
+        top = self.per_player.index(self.eps)
+        witness = self.witnesses[top]
+        return None if witness is None else (top, witness[0])
 
 
 def _walk_best(game, player, completed, root, values):
@@ -138,41 +167,23 @@ def efce_gap(freq):
     """Trigger gap of the accumulated empirical distribution.
 
     Reads the meter's cached pass: the gap of trigger s is (best
-    continuation value - follow value) / t, and the witness continuation is
-    read top-down off the completed table column of the player's worst
-    trigger.
+    continuation value - follow value) / t, and a player's gap the largest
+    of its triggers', or 0 without triggers.  The report keeps the pass's
+    completed tables, off which it reads the witness continuation of each
+    player's worst trigger top-down when first asked.
     """
-    game = freq.game
     if freq.t == 0:
         raise ValueError("no profiles accumulated yet")
     meter = freq.meter
+    plan = meter.plan
     best, completed = meter.best_pass()
     gaps = (best - meter.follow) / freq.t
-    gaps[meter.plan.offsets] = -np.inf
-    per_player = []
-    trigger_gaps = []
-    witnesses = []
-    for i, a, b in meter.plan.spans:
-        own = gaps[a:b]
-        witness = None
-        eps_i = 0.0
-        if b - a > 1:
-            # The witness needs the argmax, so it also gives the player's gap.
-            sid = int(own.argmax())
-            eps_i = float(own[sid])
-            gid = int(game.seq_infoset(i)[sid])
-            vertex = np.zeros(b - a)
-            mine = meter.plan.pair_trigger == a + sid
-            column = dict(zip((meter.plan.pair_seq[mine] - a).tolist(), completed[mine].tolist()))
-            _walk_best(game, i, column, gid, vertex)
-            witness = (sid, SequenceFormStrategy(i, vertex, gid))
-        per_player.append(eps_i)
-        trigger_gaps.append(own)
-        witnesses.append(witness)
-    eps = max(per_player)
-    top = per_player.index(eps)
-    argmax = (top, witnesses[top][0]) if witnesses[top] is not None else None
-    return GapReport(per_player, eps, trigger_gaps, witnesses, argmax)
+    gaps[plan.offsets] = -np.inf
+    per_player = np.maximum.reduceat(gaps, plan.offsets)
+    per_player[plan.sizes == 1] = 0.0
+    per_player = per_player.tolist()
+    trigger_gaps = [gaps[a:b] for _, a, b in plan.spans]
+    return GapReport(per_player, max(per_player), trigger_gaps, (freq.game, plan, completed))
 
 
 def efce_gap_brute(freq):
@@ -221,8 +232,7 @@ def efce_gap_brute(freq):
         per_player.append(float(gaps[1:].max()) if n > 1 else 0.0)
         trigger_gaps.append(gaps)
     eps = max(per_player)
-    return GapReport(per_player, float(eps), trigger_gaps,
-                     [None] * game.n_players, None)
+    return GapReport(per_player, float(eps), trigger_gaps)
 
 
 @dataclass

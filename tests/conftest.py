@@ -1,8 +1,11 @@
 """Shared helpers for the test suite."""
 
+from types import SimpleNamespace
+
 import numpy as np
 
 import efce
+from efce.dynamics import _walk_best
 from efce.game import CHANCE, LEAF
 
 
@@ -142,3 +145,41 @@ def reference_utility_vector(game, player, profile):
     coeffs = np.zeros(game.num_sequences(player))
     np.add.at(coeffs, game.term_seq[:, player], game.term_payoffs[:, player] * reach)
     return coeffs
+
+
+def reference_gap(freq):
+    """The gap report with every witness built at once: the reference for ``efce_gap``.
+
+    Returns a namespace with the report's ``per_player``, ``eps``,
+    ``trigger_gaps``, ``witnesses`` and ``argmax``; each player's gap is
+    read at the argmax of its trigger gaps, off which its witness is walked.
+    """
+    game = freq.game
+    meter = freq.meter
+    best, completed = meter.best_pass()
+    gaps = (best - meter.follow) / freq.t
+    gaps[meter.plan.offsets] = -np.inf
+    per_player = []
+    trigger_gaps = []
+    witnesses = []
+    for i, a, b in meter.plan.spans:
+        own = gaps[a:b]
+        witness = None
+        eps_i = 0.0
+        if b - a > 1:
+            sid = int(own.argmax())
+            eps_i = float(own[sid])
+            gid = int(game.seq_infoset(i)[sid])
+            vertex = np.zeros(b - a)
+            mine = meter.plan.pair_trigger == a + sid
+            column = dict(zip((meter.plan.pair_seq[mine] - a).tolist(), completed[mine].tolist()))
+            _walk_best(game, i, column, gid, vertex)
+            witness = (sid, efce.SequenceFormStrategy(i, vertex, gid))
+        per_player.append(eps_i)
+        trigger_gaps.append(own)
+        witnesses.append(witness)
+    eps = max(per_player)
+    top = per_player.index(eps)
+    argmax = (top, witnesses[top][0]) if witnesses[top] is not None else None
+    return SimpleNamespace(per_player=per_player, eps=eps, trigger_gaps=trigger_gaps,
+                           witnesses=witnesses, argmax=argmax)

@@ -902,3 +902,34 @@ def test_fixed_point_checks_raise_their_types_at_every_action_count():
             x = efce.extend(g, phi, set(), R.index, x0)
             with pytest.raises(error):
                 efce.extend(g, phi, {R.index}, js.index, x)
+
+
+def test_nan_continuation_on_a_one_action_infoset_raises():
+    # A 1-action infoset solved alone (by extend, or on a level of 1-action
+    # infosets only) has the answer 1 whatever its chain holds, so a nan
+    # chain once passed there and gave the parent's mass.
+    one_action_level = """players 1; root r
+decision r player 1 infoset R { a -> n1 ; b -> n2 }
+decision n1 player 1 infoset A1 { a1 -> z1 }
+decision n2 player 1 infoset B1 { b1 -> z2 }
+leaf z1 {1}; leaf z2 {2}
+"""
+    for text in (_MIXED_LEVEL_GAME, one_action_level):
+        g = efce.parse_game(text)
+        plan = g.player_plan(0)
+        R, A1 = g.infoset(0, "R"), g.infoset(0, "A1")
+        trigger = A1.seq_ids[0]
+        lam = np.zeros(plan.owner.size)
+        lam[trigger] = 1.0
+        uniform = 1.0 / np.bincount(plan.segment).take(plan.segment)
+        phi = efce.ConvexTriggerDeviation.from_pairs(0, lam, uniform, plan)
+        conts = uniform.copy()
+        conts[plan.pair_trigger == trigger] = np.nan
+        phi.conts = conts  # past from_pairs, which rejects a nan up front
+        with pytest.raises(ValueError, match="extension matrix entries"):
+            efce.fixed_point(g, phi)
+        x0 = np.zeros(plan.owner.size)
+        x0[efce.EMPTY_SEQ] = 1.0
+        x = efce.extend(g, phi, set(), R.index, x0)
+        with pytest.raises(ValueError, match="extension matrix entries"):
+            efce.extend(g, phi, {R.index}, A1.index, x)

@@ -8,7 +8,7 @@ import efce
 import efce.cli as cli
 from efce.dynamics import EmpiricalFrequency
 from conftest import (brute_expected_payoffs, mixed_point, random_behavioral, random_deviation,
-                      reference_games, reference_utility_vector)
+                      reference_games, reference_gap, reference_utility_vector)
 
 
 def _pure(game, player, *sids):
@@ -348,6 +348,83 @@ def test_gap_witness_achieves_reported_value():
             value = float(freq.tables[i][sid, sub] @ witness.values[sub])
             gap = (value - float(freq.follow[i][sid])) / freq.t
             assert gap == pytest.approx(report.per_player[i], abs=1e-12), (g.name, i)
+
+
+
+def _same_witnesses(a, b):
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        if x is None or y is None:
+            assert x is None and y is None
+            continue
+        assert x[0] == y[0]
+        assert np.array_equal(x[1].values, y[1].values) and x[1].root == y[1].root
+
+
+def test_gap_report_matches_eager_reference():
+    # Play with zero-mass first actions, so that ties between triggers and
+    # between actions come up.
+    rng = random.Random(9)
+    for g in reference_games():
+        n = g.n_players
+        freq = EmpiricalFrequency(g)
+        for t in range(1, 25):
+            points = [mixed_point(g, i, rng) for i in range(n)]
+            freq.accumulate([efce.sample_pure(g, p, rng) for p in points])
+            if t not in (1, 3, 8, 24):
+                continue
+            report = efce.efce_gap(freq)
+            ref = reference_gap(freq)
+            assert report.per_player == ref.per_player and report.eps == ref.eps, g.name
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(report.trigger_gaps, ref.trigger_gaps, strict=True))
+            _same_witnesses(report.witnesses, ref.witnesses)
+            assert report.argmax == ref.argmax
+
+
+def _spy_walk_best(monkeypatch):
+    calls = []
+    walk = efce.dynamics._walk_best
+
+    def spy(*args):
+        calls.append(args[1])
+        return walk(*args)
+
+    monkeypatch.setattr(efce.dynamics, "_walk_best", spy)
+    return calls
+
+
+def test_run_builds_no_witness_until_one_is_read(monkeypatch):
+    calls = _spy_walk_best(monkeypatch)
+    log = efce.run(efce.builtin_game("kuhn3"), 64, 0, gap_every=2)
+    assert calls == []
+    assert log.final.argmax is not None
+    assert calls == [0, 1]
+    log.final.witnesses
+    assert calls == [0, 1]  # built once
+
+
+def test_report_read_late_gives_its_own_rounds_witnesses(monkeypatch):
+    g = efce.builtin_game("kuhn3")
+    rng = random.Random(5)
+    freq = EmpiricalFrequency(g)
+
+    def play(rounds):
+        for _ in range(rounds):
+            freq.accumulate([efce.sample_pure(g, mixed_point(g, i, rng), rng)
+                             for i in range(g.n_players)])
+
+    play(20)
+    first = efce.efce_gap(freq).witnesses
+    calls = _spy_walk_best(monkeypatch)
+    second = efce.efce_gap(freq)
+    play(10)
+    assert calls == []
+    _same_witnesses(second.witnesses, first)
+    assert calls == [0, 1]
+    # The later rounds do move the witnesses.
+    assert any(not np.array_equal(a[1].values, b[1].values) or a[0] != b[0]
+               for a, b in zip(efce.efce_gap(freq).witnesses, first))
 
 
 def test_run_log_row_layout():

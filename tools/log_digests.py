@@ -1,8 +1,11 @@
 """Print one digest per self-play run of a fixed protocol, to spot moved logs.
 
-Each line is ``label sha256`` with the sha256 of the run's ``log.csv`` text
-followed by its ``summary.txt`` text, or ``label <exception type>`` for a
-run that raises.  The protocol is 274 runs:
+Each line is ``label sha256 sha256``: the sha256 of the run's ``log.csv``
+text followed by its ``summary.txt`` text, then the sha256 of the final gap
+report's ``argmax`` and of each player's witness (its trigger and its
+:func:`~efce.format_strategy` text), which the report builds on first
+read.  A run that raises gives ``label <exception type>``.  The protocol is
+274 runs:
 
 - ``kuhn3`` at run seeds 0-63, 256 rounds, a gap checkpoint every 2 rounds;
 - random-tree 0-63 at run seeds 0, 7 and 42, 32 rounds, a gap every round;
@@ -14,6 +17,9 @@ run that raises.  The protocol is 274 runs:
 Run it from the repository root on two trees and diff the outputs::
 
     PYTHONPATH=src python3 tools/log_digests.py > after.txt
+
+It digests the ``efce`` package on the path, so the same script can digest
+another tree's ``src`` as well.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import hashlib
 import random
 import sys
 
-from efce import builtin_game, parse_game, run
+from efce import builtin_game, format_strategy, parse_game, run
 
 #: One player; under a 5-action root, one infoset each of 1 to 5 actions.
 MIXED_LEVEL = """players 1; root r
@@ -80,12 +86,17 @@ def protocol():
 
 
 def digest(make, seed, rounds, gap_every):
-    """sha256 of a run's log.csv and summary.txt text, or the type of what it raised."""
+    """sha256 of a run's logs and of its final witnesses, or the type of what it raised."""
     try:
-        log = run(make(), rounds, seed, gap_every=gap_every)
+        game = make()
+        log = run(game, rounds, seed, gap_every=gap_every)
     except Exception as exc:  # the type is the result
         return type(exc).__name__
-    return hashlib.sha256((log.csv_text() + log.summary_text()).encode()).hexdigest()
+    final = log.final
+    witnesses = [f"{w[0]} {format_strategy(game, w[1])}" if w else "None"
+                 for w in final.witnesses]
+    return " ".join(hashlib.sha256(text.encode()).hexdigest() for text in (
+        log.csv_text() + log.summary_text(), "\n".join([repr(final.argmax)] + witnesses)))
 
 
 def main():
