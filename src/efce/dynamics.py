@@ -67,12 +67,13 @@ class EmpiricalFrequency:
         """Fold one joint profile into the summary; return each player's utility vector.
 
         ``profile`` holds one full-tree strategy per player, in player order,
-        with finite values; any other profile raises ValueError and leaves
-        the summary unchanged.
+        with values within 1e-9 of [0, 1]; any other profile, or one whose
+        utility overflows, raises ValueError and leaves the summary unchanged.
         """
         played, utility = _score(self.game, profile)
-        # record checks that both are finite before it changes the meter.
-        self.meter.record(utility, played)
+        if np.count_nonzero(np.isfinite(utility)) != utility.size:
+            raise ValueError("utility has a non-finite entry")
+        self.meter._add(utility, played)
         self.t += 1
         self.utility = utility
         if self.profiles is not None:

@@ -293,11 +293,11 @@ class GameTree:
         holds each node's child ids as text, and ``node_infoset`` each
         decision node's infoset label.
         """
-        cur = _Cursor(text)
         header = {}
         ids: dict[str, int] = {}
         self.node_kind, self.node_label, self.node_player, self.node_infoset = [], [], [], []
         self.node_actions, self.node_children, self.chance_probs, self.leaf_payoffs = [], [], [], []
+        cur = _Cursor(text, self._read_statements(text, header, ids))
         while cur.next is not None:
             kw = cur.take()
             if kw == ";":
@@ -315,7 +315,6 @@ class GameTree:
             label = cur.take("node id")
             if label in ids:
                 raise cur.error(f"duplicate node id '{label}'")
-            ids[label] = len(ids)
             player, iset, actions, probs, children, payoffs = -1, -1, [], [], [], None
             if kind == DECISION:
                 cur.expect("player")
@@ -340,14 +339,8 @@ class GameTree:
                             probs.append(cur.number(cur.take("probability"), "a probability"))
                         cur.expect("->")
                         children.append(cur.take("child node id"))
-            self.node_kind.append(kind)
-            self.node_label.append(label)
-            self.node_player.append(player)
-            self.node_infoset.append(iset)
-            self.node_actions.append(tuple(actions))
-            self.node_children.append(tuple(children))
-            self.chance_probs.append(tuple(probs))
-            self.leaf_payoffs.append(payoffs)
+            self._add_node(ids, kind, label, player, iset, tuple(actions), tuple(children),
+                           tuple(probs), payoffs)
 
         for kw in ("players", "root"):
             if kw not in header:
@@ -355,6 +348,51 @@ class GameTree:
         self.name = header.get("game", "game")
         self.n_players = header["players"]
         return ids, header["root"]
+
+    def _read_statements(self, text, header, ids):
+        """Read statements up to the first that it cannot read as the token reader would.
+
+        Returns that statement's offset, and never raises: a statement that
+        the token reader would reject stops it too, so that the token reader
+        reports the error at its place.  :data:`_STATEMENT` also matches
+        empty, so each match starts where the last one ended.
+        """
+        for m in _STATEMENT.finditer(text):
+            key, value, kind, label, player, iset, body = m.groups()
+            try:
+                if key and key not in header:
+                    header[key] = int(value) if key == "players" else value
+                elif kind == LEAF and player is None and label not in ids:
+                    payoffs = tuple(map(float, body.split()))
+                    if not all(map(math.isfinite, payoffs)):
+                        break
+                    self._add_node(ids, LEAF, label, -1, -1, (), (), (), payoffs)
+                elif (kind in _BODY and (player is None) == (kind == CHANCE)
+                      and label not in ids and _BODY[kind].fullmatch(body)):
+                    words = body.replace("->", " ").replace("=", " ").replace(";", " ").split()
+                    if kind == CHANCE:
+                        self._add_node(ids, CHANCE, label, -1, -1, tuple(words[::3]),
+                                       tuple(words[2::3]), tuple(map(float, words[1::3])), None)
+                    else:
+                        self._add_node(ids, DECISION, label, int(player) - 1, iset,
+                                       tuple(words[::2]), tuple(words[1::2]), (), None)
+                elif key or kind or m.end() == m.start():
+                    break
+            except ValueError:
+                break
+        return m.start()
+
+    def _add_node(self, ids, kind, label, player, iset, actions, children, probs, payoffs):
+        """Append one node to the node lists, under node id ``label``."""
+        ids[label] = len(ids)
+        self.node_kind.append(kind)
+        self.node_label.append(label)
+        self.node_player.append(player)
+        self.node_infoset.append(iset)
+        self.node_actions.append(actions)
+        self.node_children.append(children)
+        self.chance_probs.append(probs)
+        self.leaf_payoffs.append(payoffs)
 
     # -- construction helpers ------------------------------------------------
 
@@ -777,11 +815,22 @@ def sequences_at_or_below(game, gid):
 
 # -- text format -------------------------------------------------------------
 
-# A token, or a comment that runs to the next line end (the ends
-# str.splitlines knows).
-_TOKEN = re.compile(r"->|[{}=;]|(?:(?!->)[^{}\s=;#])+"
-                    r"|#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*")
+# A comment runs to the next line end (the ends str.splitlines knows).
+_COMMENT = r"#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*"
+_TOKEN = re.compile(rf"->|[{{}}=;]|(?:(?!->)[^{{}}\s=;#])+|{_COMMENT}")
 _HEADER = {"game": "game name", "players": "player count", "root": "root node id"}
+# The statement reader's words hold no '>'.  Each one below ends where a
+# token word ends: before a character no word holds, or before '->'.
+_WORD = r"[^{}\s=;#>]+"
+# One statement of such words, or none; then the ';', spaces and comments
+# up to the next statement.  Chance and decision bodies are checked apart.
+_STATEMENT = re.compile(
+    rf"(?:(game|players|root)\s+({_WORD})(?![^{{}}\s=;#])|(leaf|chance|decision)\s+({_WORD})"
+    rf"(?:\s+player\s+({_WORD})\s+infoset\s+({_WORD}))?\s*\{{([^{{}}#]*)\}})?"
+    rf"[\s;]*(?:{_COMMENT}[\s;]*)*")
+_BODY = {kind: re.compile(rf"[\s;]*(?:{entry}(?:[\s;]+{entry})*[\s;]*)?")
+         for kind, entry in ((CHANCE, rf"{_WORD}\s*=\s*{_WORD}\s*->\s*{_WORD}"),
+                             (DECISION, rf"{_WORD}\s*->\s*{_WORD}"))}
 # Statement keyword -> node kind, so that a node keeps the constant, not the token.
 _KINDS = {kind: kind for kind in (CHANCE, DECISION, LEAF)}
 
@@ -793,11 +842,11 @@ class _Cursor:
     column are computed from them when it is raised.
     """
 
-    def __init__(self, text):
+    def __init__(self, text, start=0):
         self.text = text
-        self.tokens = (m for m in _TOKEN.finditer(text) if m[0][0] != "#")
+        self.tokens = (m for m in _TOKEN.finditer(text, start) if m[0][0] != "#")
         self.next = next(self.tokens, None)
-        self.start = self.end = 0
+        self.start = self.end = start
 
     def take(self, what="token"):
         m = self.next

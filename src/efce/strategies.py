@@ -201,18 +201,18 @@ def _score(game, profile):
     """The joint point of ``profile`` and every player's utility coefficients there, end to end.
 
     Raises ValueError unless ``profile`` holds one full-tree strategy per
-    player, in player order, with finite values.  One gather reads the
-    other players' weights at each terminal; they multiply into chance
-    reach in player order, then into the payoff, and one bincount adds the
-    products per sequence, in terminal order.
+    player, in player order, with values within 1e-9 of [0, 1].  One
+    gather reads the other players' weights at each terminal; they
+    multiply into chance reach in player order, then into the payoff, and
+    one bincount adds the products per sequence, in terminal order.
     """
     form, keys, others = game._scorer_tables
     if [(p.player, p.root, p.values.shape) for p in profile] != form:
         raise ValueError("profile must hold one full-tree strategy per player, in player order")
     played = np.concatenate([p.values for p in profile])
-    # Checked before the products, where 0 x inf would warn before any error.
-    if np.count_nonzero(np.isfinite(played)) != played.size:
-        raise ValueError("profile has a non-finite entry")
+    # Checked before the products, where 0 x inf or 1e200 x 1e200 would warn first.
+    if np.count_nonzero(np.abs(played - 0.5) <= 0.5 + 1e-9) != played.size:
+        raise ValueError("profile has a non-finite entry or one outside [0, 1]")
     reach = game.term_chance
     for f in played.take(others):
         reach = reach * f  # not in place: reach starts as the tree's own array
@@ -225,8 +225,8 @@ def utility_vector(game, player, profile):
     Entry s collects, over terminals whose last sequence of ``player`` is s,
     the payoff weighted by chance reach and the other players' realization
     weights.  ``profile`` holds one full-tree strategy per player, in player
-    order, with finite values (else ValueError); the values of ``player``'s
-    own are otherwise ignored.
+    order, with values within 1e-9 of [0, 1] (else ValueError); the values
+    of ``player``'s own are otherwise ignored.
     """
     start = sum(map(game.num_sequences, range(player)))
     coeffs = _score(game, profile)[1][start:start + game.num_sequences(player)]

@@ -26,13 +26,15 @@ from .strategies import SequenceFormStrategy, sample_pure
 
 
 def _check_round(n, ell, x, name):
-    """Raise ValueError unless the utility ``ell`` and the point ``x`` are finite n-vectors."""
+    """Raise ValueError unless ``ell`` is a finite n-vector and ``x`` one within 1e-9 of [0, 1]."""
     if ell.shape != (n,) or x.shape != (n,):
         raise ValueError(f"utility and {name} have shapes {ell.shape} and {x.shape}, "
                          f"expected ({n},)")
     # On vectors this short, count_nonzero costs about half of what .all() does.
-    if np.count_nonzero(np.isfinite(ell)) + np.count_nonzero(np.isfinite(x)) != 2 * n:
-        raise ValueError(f"utility or {name} has a non-finite entry")
+    # NaN and inf fail the range test; it runs before any product can overflow.
+    if (np.count_nonzero(np.isfinite(ell))
+            + np.count_nonzero(np.abs(x - 0.5) <= 0.5 + 1e-9) != 2 * n):
+        raise ValueError(f"utility has a non-finite entry or {name} an entry outside [0, 1]")
 
 
 class HullMinimizer:
@@ -99,8 +101,9 @@ class HullMinimizer:
         """Observe the rank-one utility ell ⊗ q: a deviation phi earns ell . phi(q).
 
         ``ell`` is the utility vector over the player's sequences and ``q``
-        the point the round's deviation was applied to.  Both must be
-        finite; a bad pair raises ValueError and leaves the round open.
+        the point the round's deviation was applied to.  ``ell`` must be
+        finite and every entry of ``q`` within 1e-9 of [0, 1]; a bad pair
+        raises ValueError and leaves the round open.
         """
         if self._phi is None:
             raise CallOrderError("observe_utility called before next_element")
@@ -240,11 +243,15 @@ class PhiRegretMeter:
         return self.plan.dense(self._tables)
 
     def record(self, ell, played):
-        """Add one round: the utility vector and the played point, both finite."""
-        plan = self.plan
+        """Add one round: a finite utility vector, and a played point within 1e-9 of [0, 1]."""
         ell = np.asarray(ell, dtype=float)
         played = np.asarray(played, dtype=float)
         _check_round(self.follow.size, ell, played, "played point")
+        self._add(ell, played)
+
+    def _add(self, ell, played):
+        """:meth:`record` on float arrays that passed its checks."""
+        plan = self.plan
         self.follow += plan.sum_below(ell * played)
         self._tables += ell.take(plan.pair_seq) * played.take(plan.pair_trigger)
         self._pass = None

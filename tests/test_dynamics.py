@@ -154,6 +154,46 @@ def test_inf_profile_raises_value_error_before_any_product():
     assert not freq.meter.tables.any() and not freq.meter.follow.any()
 
 
+def test_points_outside_unit_interval_raise_before_any_product():
+    # Entries of 1e200 once overflowed in the meter's products: accumulate
+    # counted the round with inf in meter.follow (under warnings-as-errors it
+    # raised the overflow warning instead), and the hull kept non-finite
+    # regrets.  A point is a realization plan, so its entries lie in [0, 1].
+    g = efce.builtin_game("fig1", seed=0)
+    big = [efce.SequenceFormStrategy(i, np.full(g.num_sequences(i), 1e200), None)
+           for i in range(2)]
+    p1, p2 = _pure(g, 0, 1, 3, 5), _pure(g, 1, 1, 3)
+    below, above = p1.copy(), p2.copy()
+    below.values[3] = -1e-6
+    above.values[1] = 1.0 + 1e-6
+    freq = EmpiricalFrequency(g)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for bad in (big, [below, p2], [p1, above]):
+            with pytest.raises(ValueError, match="outside"):
+                freq.accumulate(bad)
+            with pytest.raises(ValueError, match="outside"):
+                efce.utility_vector(g, 0, bad)
+        hull = efce.HullMinimizer(g, 0)
+        hull.next_element()
+        with pytest.raises(ValueError, match="outside"):
+            hull.observe_utility(np.full(9, 1e200), np.full(9, 1e200))
+        meter = efce.PhiRegretMeter(g, 0)
+        with pytest.raises(ValueError, match="outside"):
+            meter.record(np.ones(9), np.full(9, 2.0))
+    assert freq.t == 0 and freq.utility is None and freq.profiles == []
+    assert not freq.meter.tables.any() and not freq.meter.follow.any()
+    assert not hull.regrets.any() and not meter.tables.any()
+    # within 1e-9 of [0, 1] passes
+    near = p1.copy()
+    near.values[3] = 1.0 + 1e-10
+    near.values[2] = -1e-10
+    freq.accumulate([near, p2])
+    hull.observe_utility(np.ones(9), near.values)
+    meter.record(np.ones(9), near.values)
+    assert freq.t == 1 and np.isfinite(hull.regrets).all()
+
+
 def test_accumulate_matches_reference_scorer():
     rng = random.Random(31)
     for g in reference_games():

@@ -1,4 +1,5 @@
 import hashlib
+import random
 import sys
 import tracemalloc
 
@@ -7,7 +8,7 @@ import pytest
 
 import efce
 import efce.cli as cli
-from efce.game import _fig1_text, _kuhn3_text, _random_tree_text
+from efce.game import GameTree, _fig1_text, _kuhn3_text, _random_tree_text
 
 
 def test_fig1_structure():
@@ -202,6 +203,18 @@ def test_structural_errors_rejected(text, match):
      "end of input, expected action entry or '}'", 2, 39),
     ("players 1; root z\nleaf z { 0", "end of input, expected payoff or '}'", 2, 11),
     ("players 1; root a\ndecision a player", "end of input, expected player number", 2, 18),
+    # The bad statement follows statements that the statement reader reads.
+    ("players 1; root a\nleaf z {0}\ndecision a player 1 infoset A { x -> z # }\nleaf y {1}",
+     "expected '->', found 'y'", 4, 6),
+    ("players 1; root a\nleaf z {0}\ndecision a player 1 # c\ninfoset A { x -> z }\nnode y",
+     "statement keyword, found 'node'", 5, 1),
+    ("players 1; root z\nleaf y {1}\nleaf z { 0 ; }", "expected a payoff, found ';'", 3, 12),
+    ("game g\nroot z\nleaf z {0 0}\nplayers 2x", "expected player count, found '2x'", 4, 9),
+    ("players 1; root z\nleaf y {1}\nleaf z { 1e999 }", "payoff must be finite", 3, 10),
+    ("players 1; root z\nleaf z {0}\nleaf z {1}", "duplicate node id 'z'", 3, 6),
+    ("players 1\nroot z\nleaf z {0}\nroot z", "repeated 'root'", 4, 1),
+    ("players 1\r\nroot z\r\nleaf y {1}\r\nleaf z 0", "expected '{'", 4, 8),
+    ("players 1\u2028root z\u2028leaf y {1}\u2028leaf z 0", "expected '{'", 4, 8),
 ])
 def test_format_errors_report_position(text, match, line, col):
     with pytest.raises(efce.GameFormatError, match=match) as e:
@@ -538,6 +551,93 @@ def _kuhn_game(n):
                   f"leaf {d}cbf {{ -1 1 }}", f"leaf {d}bc {{ {2 * win} {-2 * win} }}",
                   f"leaf {d}bf {{ 1 -1 }}"]
     return "\n".join(lines) + "\n"
+
+
+_NODE_LISTS = ("node_kind", "node_label", "node_player", "node_infoset", "node_actions",
+               "node_children", "chance_probs", "leaf_payoffs")
+
+
+def _read_outcome(text):
+    """What GameTree._read makes of ``text``: the node lists, name and player
+    count, or the exception's type, message, line and column."""
+    g = GameTree.__new__(GameTree)
+    try:
+        ids, root = g._read(text)
+    except Exception as exc:  # the exception is the outcome
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "col", None)
+    return ids, root, g.name, g.n_players, [getattr(g, name) for name in _NODE_LISTS]
+
+
+def _mutants(text, rng, count):
+    """``count`` seeded mutations of ``text``: cuts, deletions, insertions,
+    glued comments and line-end swaps, one or two to a mutant."""
+    words = ("{", "}", ";", "=", "->", ">", "-", "#c", "leaf", "decision", "player", "x",
+             "0", "1e999", "nan", "2x", "a->b", "a=b")
+    ends = ("\r", "\r\n", "\f", "\v", "\x1c", "\x85", "\u2028")
+    out = []
+    for _ in range(count):
+        t = text
+        for _ in range(rng.randint(1, 2)):
+            at = rng.randrange(len(t) + 1)
+            kind = rng.randrange(5)
+            if kind == 0:
+                t = t[:at]
+            elif kind == 1:
+                t = t[:at] + t[at + rng.randint(1, 4):]
+            elif kind in (2, 3):
+                # at the end of the token that ends at or after the offset
+                while at < len(t) and not t[at].isspace():
+                    at += 1
+                pad = rng.choice(("", " "))
+                word = pad + rng.choice(words) + pad if kind == 2 else "#c"
+                t = t[:at] + word + t[at:]
+            else:
+                end = rng.choice(ends)
+                t = t.replace("\n", end) if rng.random() < 0.5 else t.replace("\n", end, 1)
+        out.append(t)
+    return out
+
+
+def test_statement_reader_agrees_with_token_reader(monkeypatch):
+    # The statement reader hands each statement it cannot read, and
+    # everything after it, to the token reader; both must accept the same
+    # language, with the same errors at the same places.
+    texts = [_fig1_text(s) for s in range(5)] + [_kuhn3_text()]
+    texts += [_random_tree_text(s) for s in range(64)]
+    rng = random.Random(20)
+    mutants = [m for t in texts for m in _mutants(t, rng, 6)]
+    big = _kuhn_game(24)
+    # Words next to '>' and '->', and entries that no space separates.
+    edges = ["players 1; root z>y; leaf z {0}", "players 1; root z->y; leaf z {0}",
+             "game g>h\nplayers 1\nroot z\nleaf z {0}",
+             "players 1; root a\ndecision a player 1 infoset A {x->z;y-->w}leaf z{0}leaf w-{1}",
+             "players 1; root a\ndecision a player 1 infoset A { x -> zy -> w }\nleaf zy {0}",
+             "players 1; root a\ndecision a player 1 infoset A { x>y -> z }\nleaf z {0}",
+             "players 1; root c\nchance c {h=1.0->z;;}leaf z{0}",
+             "players 1; root c\nchance c { h=1.0->zt=0->y }\nleaf z {0}",
+             "players 1; root z; leaf z {0;1}"]
+    cases = texts + [big] + edges + mutants + _mutants(big, rng, 4)
+    stops = []
+    read_statements = GameTree._read_statements
+
+    def spy(self, text, header, ids):
+        stop = read_statements(self, text, header, ids)
+        stops.append(stop / max(len(text), 1))
+        return stop
+
+    with monkeypatch.context() as m:
+        m.setattr(GameTree, "_read_statements", spy)
+        fast = [_read_outcome(t) for t in cases]
+    with monkeypatch.context() as m:
+        m.setattr(GameTree, "_read_statements", lambda self, text, header, ids: 0)
+        slow = [_read_outcome(t) for t in cases]
+    for text, a, b in zip(cases, fast, slow):
+        assert a == b, repr(text[:200])
+    # the unmutated texts are read by statement to the end; many mutants
+    # switch readers part way
+    assert stops[:len(texts) + 1] == [1.0] * (len(texts) + 1)
+    assert sum(0.1 < s < 1.0 for s in stops) >= len(mutants) // 4
+    assert sum(isinstance(o[0], type) for o in fast) >= len(mutants) // 4
 
 
 def test_parse_keeps_no_second_copy_of_the_nodes():

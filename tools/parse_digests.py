@@ -3,9 +3,10 @@
 Each line is ``label ok sha256`` for a text that parses, with the sha256 of
 ``serialize_game`` of the parsed game, or ``label <exception type> <line>
 <column> <message>`` for a text that raises (line and column are None for
-an error that carries no position).  The protocol is 5110 inputs: the
+an error that carries no position).  The protocol is 6790 inputs: the
 built-in texts of fig1 at seeds 0-4, kuhn3 and random-tree 0-63, each as
-written and in 72 seeded mutations.  A mutation applies one to three of:
+written and in 72 seeded mutations, then each in 24 seeded statement
+mutations.  A mutation applies one to three of:
 
 - ``cut``: truncate the text at a random offset;
 - ``del``: delete one token;
@@ -17,6 +18,15 @@ written and in 72 seeded mutations.  A mutation applies one to three of:
 - ``hash``: glue a ``#`` comment to the end of a token;
 - ``shuffle``: shuffle the lines;
 - ``dup``: duplicate a line.
+
+A statement mutation aims at what a reader of whole statements can get
+wrong, and applies one or two of:
+
+- ``comment``: put a ``#`` comment inside a statement, with or without a
+  line end after it;
+- ``glue``: take the spaces out around one ``->``, or around every one;
+- ``split``: turn a space inside a statement into a CR or FF line end;
+- ``semi``: put a ``;`` inside a pair of braces, with or without spaces.
 
 Run it from the repository root on two trees and diff the outputs::
 
@@ -34,6 +44,7 @@ from efce import parse_game, serialize_game
 from efce.game import _fig1_text, _kuhn3_text, _random_tree_text
 
 MUTATIONS_PER_TEXT = 72
+STATEMENT_MUTATIONS_PER_TEXT = 24
 _TOKEN = re.compile(r"->|[{}=;]|[^\s{}=;]+")
 _WORDS = ("{", "}", ";", "=", "->", "game", "players", "root", "chance", "decision", "leaf",
           "player", "infoset", "0", "1", "2", "3", "-1", "0.5", "1e999", "nan", "inf", "x")
@@ -86,6 +97,35 @@ def mutate(text, rng):
     return "+".join(names), text
 
 
+def mutate_statement(text, rng):
+    """(names, text) of one or two random statement mutations applied in turn."""
+    names = []
+    for _ in range(rng.randint(1, 2)):
+        name = rng.choice(("comment", "glue", "split", "semi"))
+        names.append(name)
+        if name == "glue":
+            text = re.sub(r"\s*->\s*", "->", text, count=rng.choice((0, 1)))
+            continue
+        if name == "semi":
+            # spaces inside braces
+            spots = [a for m in re.finditer(r"\{[^{}]*\}", text)
+                     for a in range(m.start() + 1, m.end()) if text[a] == " "]
+        else:
+            # spaces between two words of a statement
+            spots = [m.start() for m in re.finditer(r"(?<=\S) (?=\S)", text)]
+        if not spots:
+            continue
+        at = rng.choice(spots)
+        if name == "comment":
+            text = text[:at] + " #c" + rng.choice(("", "\n")) + text[at:]
+        elif name == "split":
+            text = text[:at] + rng.choice(("\r", "\f")) + text[at + 1:]
+        else:
+            pad = rng.choice(("", " "))
+            text = text[:at] + pad + ";" + pad + text[at:]
+    return "+".join(names), text
+
+
 def outcome(text):
     """``ok sha256`` of the serialized game, or the exception's type, line, column and message."""
     try:
@@ -103,6 +143,11 @@ def main():
         for k in range(MUTATIONS_PER_TEXT):
             names, mutated = mutate(text, rng)
             print(label, f"m{k}:{names}", outcome(mutated))
+    for label, text in texts():
+        rng = random.Random(f"{label}/statements")
+        for k in range(STATEMENT_MUTATIONS_PER_TEXT):
+            names, mutated = mutate_statement(text, rng)
+            print(label, f"s{k}:{names}", outcome(mutated))
     return 0
 
 
