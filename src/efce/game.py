@@ -289,14 +289,17 @@ class GameTree:
     def _read(self, text):
         """Read game text into the node lists; returns (node id -> index, root node id).
 
-        Raises only :class:`GameFormatError`.  Until linking, ``node_children``
-        holds each node's child ids as text, and ``node_infoset`` each
-        decision node's infoset label.
+        Each comment is first blanked to as many spaces: no word holds '#' and
+        no comment a line end, so every offset, line and column stays.  Raises
+        only :class:`GameFormatError`.  Until linking, ``node_children`` holds
+        each node's child ids as text, and ``node_infoset`` each decision
+        node's infoset label.
         """
         header = {}
         ids: dict[str, int] = {}
         self.node_kind, self.node_label, self.node_player, self.node_infoset = [], [], [], []
         self.node_actions, self.node_children, self.chance_probs, self.leaf_payoffs = [], [], [], []
+        text = _COMMENT.sub(lambda m: " " * len(m[0]), text)
         cur = _Cursor(text, self._read_statements(text, header, ids))
         while cur.next is not None:
             kw = cur.take()
@@ -352,10 +355,10 @@ class GameTree:
     def _read_statements(self, text, header, ids):
         """Read statements up to the first that it cannot read as the token reader would.
 
-        Returns that statement's offset, and never raises: a statement that
-        the token reader would reject stops it too, so that the token reader
-        reports the error at its place.  :data:`_STATEMENT` also matches
-        empty, so each match starts where the last one ended.
+        Returns that statement's offset and never raises: a statement the token
+        reader would reject stops it, so that reader reports the error there; on
+        valid text only a word holding '>' stops it.  :data:`_STATEMENT` matches
+        empty too, so each match starts where the last one ended.
         """
         for m in _STATEMENT.finditer(text):
             key, value, kind, label, player, iset, body = m.groups()
@@ -816,18 +819,17 @@ def sequences_at_or_below(game, gid):
 # -- text format -------------------------------------------------------------
 
 # A comment runs to the next line end (the ends str.splitlines knows).
-_COMMENT = r"#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*"
-_TOKEN = re.compile(rf"->|[{{}}=;]|(?:(?!->)[^{{}}\s=;#])+|{_COMMENT}")
+_COMMENT = re.compile(r"#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*")
+_TOKEN = re.compile(r"->|[{}=;]|(?:(?!->)[^{}\s=;])+")
 _HEADER = {"game": "game name", "players": "player count", "root": "root node id"}
 # The statement reader's words hold no '>'.  Each one below ends where a
 # token word ends: before a character no word holds, or before '->'.
-_WORD = r"[^{}\s=;#>]+"
-# One statement of such words, or none; then the ';', spaces and comments
-# up to the next statement.  Chance and decision bodies are checked apart.
+_WORD = r"[^{}\s=;>]+"
+# One statement of such words, or none; then the ';' and spaces up to the
+# next statement.  Chance and decision bodies are checked apart.
 _STATEMENT = re.compile(
-    rf"(?:(game|players|root)\s+({_WORD})(?![^{{}}\s=;#])|(leaf|chance|decision)\s+({_WORD})"
-    rf"(?:\s+player\s+({_WORD})\s+infoset\s+({_WORD}))?\s*\{{([^{{}}#]*)\}})?"
-    rf"[\s;]*(?:{_COMMENT}[\s;]*)*")
+    rf"(?:(game|players|root)\s+({_WORD})(?![^{{}}\s=;])|(leaf|chance|decision)\s+({_WORD})"
+    rf"(?:\s+player\s+({_WORD})\s+infoset\s+({_WORD}))?\s*\{{([^{{}}]*)\}})?[\s;]*")
 _BODY = {kind: re.compile(rf"[\s;]*(?:{entry}(?:[\s;]+{entry})*[\s;]*)?")
          for kind, entry in ((CHANCE, rf"{_WORD}\s*=\s*{_WORD}\s*->\s*{_WORD}"),
                              (DECISION, rf"{_WORD}\s*->\s*{_WORD}"))}
@@ -844,7 +846,7 @@ class _Cursor:
 
     def __init__(self, text, start=0):
         self.text = text
-        self.tokens = (m for m in _TOKEN.finditer(text, start) if m[0][0] != "#")
+        self.tokens = _TOKEN.finditer(text, start)
         self.next = next(self.tokens, None)
         self.start = self.end = start
 

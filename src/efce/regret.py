@@ -46,11 +46,15 @@ class RegretMatching:
         return out
 
     def observe_utility(self, utility):
+        """Observe the round's utility, a finite m-vector; a bad one raises
+        ValueError and leaves the round open."""
         if self._last is None:
             raise CallOrderError("observe_utility called before next_element")
         u = np.asarray(utility, dtype=float)
         if u.shape != self.regrets.shape:
             raise ValueError(f"utility has shape {u.shape}, expected {self.regrets.shape}")
+        if not np.isfinite(u).all():
+            raise ValueError("utility has a non-finite entry")
         self.regrets += u - float(u @ self._last)
         self._last = None
 
@@ -88,9 +92,16 @@ class CfrMinimizer:
         return sequence_from_behavioral(self.game, self.player, self._last_dists, self.root)
 
     def observe_utility(self, coeffs):
+        """Observe the round's utility, a finite vector over all of the
+        player's sequences; a bad one raises ValueError and leaves the round open."""
         if self._last_dists is None:
             raise CallOrderError("observe_utility called before next_element")
         coeffs = np.asarray(coeffs, dtype=float)
+        n = self.game.num_sequences(self.player)
+        if coeffs.shape != (n,):
+            raise ValueError(f"utility has shape {coeffs.shape}, expected ({n},)")
+        if not np.isfinite(coeffs).all():
+            raise ValueError("utility has a non-finite entry")
         value = {}
         for gid in reversed(self._isets):
             sids = self._seq_ids[gid]

@@ -160,6 +160,11 @@ class MixedTriggerMinimizer:
         return self.last_mixed
 
     def observe_utility(self, util):
+        """Observe the round's utility; another player's
+        :class:`~efce.strategies.UtilityVector` raises ValueError and leaves the round open."""
+        player = getattr(util, "player", self.player)
+        if player != self.player:
+            raise ValueError(f"utility vector is player {player + 1}'s, not this learner's")
         # Before the first round there is no point; the hull raises CallOrderError.
         self.hull.observe_utility(getattr(util, "coefficients", util), self._point)
 

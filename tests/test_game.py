@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 import sys
 import tracemalloc
 
@@ -598,12 +599,24 @@ def _mutants(text, rng, count):
     return out
 
 
+def _commented(text):
+    """Two commented copies of ``text``: ' #c' and a line end after the first
+    node statement's id, and '# x' and a line end after the first '{' and
+    the first ' -> '."""
+    at = re.search(r"^(?:leaf|chance|decision) \S+", text, re.M).end()
+    return [text[:at] + " #c\n" + text[at:],
+            text.replace("{", "{# x\n", 1).replace(" -> ", " -> # x\n", 1)]
+
+
 def test_statement_reader_agrees_with_token_reader(monkeypatch):
     # The statement reader hands each statement it cannot read, and
     # everything after it, to the token reader; both must accept the same
-    # language, with the same errors at the same places.
+    # language, with the same errors at the same places.  Comments are
+    # blanked before either reader runs, so a comment inside a statement
+    # does not stop the statement reader.
     texts = [_fig1_text(s) for s in range(5)] + [_kuhn3_text()]
     texts += [_random_tree_text(s) for s in range(64)]
+    commented = [c for t in texts for c in _commented(t)]
     rng = random.Random(20)
     mutants = [m for t in texts for m in _mutants(t, rng, 6)]
     big = _kuhn_game(24)
@@ -616,7 +629,7 @@ def test_statement_reader_agrees_with_token_reader(monkeypatch):
              "players 1; root c\nchance c {h=1.0->z;;}leaf z{0}",
              "players 1; root c\nchance c { h=1.0->zt=0->y }\nleaf z {0}",
              "players 1; root z; leaf z {0;1}"]
-    cases = texts + [big] + edges + mutants + _mutants(big, rng, 4)
+    cases = texts + [big] + commented + edges + mutants + _mutants(big, rng, 4)
     stops = []
     read_statements = GameTree._read_statements
 
@@ -633,9 +646,13 @@ def test_statement_reader_agrees_with_token_reader(monkeypatch):
         slow = [_read_outcome(t) for t in cases]
     for text, a, b in zip(cases, fast, slow):
         assert a == b, repr(text[:200])
-    # the unmutated texts are read by statement to the end; many mutants
-    # switch readers part way
-    assert stops[:len(texts) + 1] == [1.0] * (len(texts) + 1)
+    # the unmutated and commented texts are read by statement to the end;
+    # many mutants switch readers part way
+    whole = len(texts) + 1 + len(commented)
+    assert stops[:whole] == [1.0] * whole
+    for text, copies in zip(texts, zip(*[iter(commented)] * 2)):
+        plain = efce.serialize_game(efce.parse_game(text))
+        assert [efce.serialize_game(efce.parse_game(c)) for c in copies] == [plain] * 2
     assert sum(0.1 < s < 1.0 for s in stops) >= len(mutants) // 4
     assert sum(isinstance(o[0], type) for o in fast) >= len(mutants) // 4
 

@@ -44,6 +44,19 @@ def test_alternation_enforced():
     rm.next_element()
 
 
+def test_matching_rejects_bad_utility():
+    # a NaN once made every regret NaN, and every later round uniform
+    rm = efce.RegretMatching(2)
+    rm.next_element()
+    for bad in ([np.nan, 0.0], [np.inf, 0.0], [0.0], [0.0, 0.0, 0.0]):
+        with pytest.raises(ValueError):
+            rm.observe_utility(np.array(bad))
+    # the round stays open, and the state untouched
+    assert not rm.regrets.any()
+    rm.observe_utility(np.array([1.0, 0.0]))
+    assert np.allclose(rm.next_element(), [1.0, 0.0])
+
+
 def test_matching_external_regret_bound():
     rng = random.Random(0)
     m, T = 5, 1000
@@ -132,6 +145,22 @@ def test_cfr_converges_against_fixed_loss():
     avg = acc / T
     best, _ = subtree_best_response(g, 0, ell)
     assert float(ell @ avg) >= best - 0.05 * max(1.0, abs(best))
+
+
+def test_cfr_rejects_bad_utility():
+    # a 20-entry and an all-NaN vector were once taken silently, and a
+    # 5-entry one raised IndexError
+    g = efce.builtin_game("kuhn3")
+    n = g.num_sequences(1)
+    cfr = efce.CfrMinimizer(g, 1)
+    first = cfr.next_element().values
+    for bad in (np.zeros(20), np.zeros(5), np.full(n, np.nan), np.zeros((1, n))):
+        with pytest.raises(ValueError):
+            cfr.observe_utility(bad)
+    # the round stays open, and the state untouched
+    assert all(not rm.regrets.any() for rm in cfr._local.values())
+    cfr.observe_utility(np.zeros(n))
+    assert np.array_equal(cfr.next_element().values, first)
 
 
 def test_cfr_subtree_scope():

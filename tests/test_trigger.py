@@ -173,6 +173,21 @@ def test_mixed_accepts_utility_vector_objects():
     efce.validate_strategy(g, q)
 
 
+def test_mixed_rejects_another_players_utility_vector():
+    # on kuhn3 both players have 13 sequences, so player 2's vector was
+    # once taken by player 1's learner
+    g = efce.builtin_game("kuhn3")
+    mixed = efce.MixedTriggerMinimizer(g, 0)
+    mixed.next_element()
+    profile = [efce.uniform_strategy(g, i) for i in range(2)]
+    with pytest.raises(ValueError, match="player 2"):
+        mixed.observe_utility(efce.utility_vector(g, 1, profile))
+    # the round stays open, and the state untouched
+    assert not mixed.hull.regrets.any()
+    mixed.observe_utility(efce.utility_vector(g, 0, profile))
+    mixed.next_element()
+
+
 def test_pure_minimizer_plays_vertices():
     g = efce.builtin_game("kuhn3")
     rng = random.Random(1)

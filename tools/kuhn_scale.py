@@ -1,11 +1,15 @@
 """Print the set-up, plan memory and round time of N-card Kuhn poker and the wide game.
 
-One line per N = 24, 96 and 192 (``bench/kuhn.py``), then one per wide
-game of m = 4, 5 and 6 actions at every infoset (``wide_text`` in
-``tools/log_digests.py``), with the joint sequence count, the rounds of
-each timed run, and:
+One line per N = 24, 96 and 192 (``bench/kuhn.py``), with a
+``kuhn96-comment`` line after N = 96 for the same text with `` #c`` and a
+line end after the first decision's node id, so that a comment inside a
+statement shows in ``parse_s``; then one per wide game of m = 4, 5 and 6
+actions at every infoset (``wide_text`` in ``tools/log_digests.py``), with
+the joint sequence count, the rounds of each timed run, and:
 
-- ``parse_s``: wall seconds of ``parse_game`` on the game text;
+- ``parse_s``: wall seconds of ``parse_game`` on the game text, the median
+  of three calls (the first call on a fresh heap can read half again as
+  long);
 - ``parse_peak_mb``: the tracemalloc peak, in MB, of another
   ``parse_game`` call on the same text;
 - ``plan_peak_mb``: the tracemalloc peak, in MB, of building the players'
@@ -43,9 +47,12 @@ WARMUP = 10
 def measure(text, rounds):
     """(joint sequences, parse seconds, parse and plan peak MB, ms per round) of one game."""
     parse_peak = traced_peak(parse_game, text)
-    start = time.perf_counter()
-    game = parse_game(text)
-    parse_s = time.perf_counter() - start
+    parse_times = []
+    for _ in range(3):
+        game = None  # free the last game outside the timed call
+        start = time.perf_counter()
+        game = parse_game(text)
+        parse_times.append(time.perf_counter() - start)
     plan_peak = traced_peak(game.player_plan, (0, 1))
     plan = game.player_plan((0, 1))
     run(game, WARMUP, 0, gap_every=WARMUP)
@@ -54,7 +61,14 @@ def measure(text, rounds):
         start = time.perf_counter()
         run(game, rounds, 0, gap_every=rounds)
         times.append((time.perf_counter() - start) * 1e3 / rounds)
-    return plan.owner.size, parse_s, parse_peak, plan_peak, statistics.median(times)
+    return (plan.owner.size, statistics.median(parse_times), parse_peak, plan_peak,
+            statistics.median(times))
+
+
+def commented(text):
+    """``text`` with ' #c' and a line end after the first decision's node id."""
+    at = text.index(" ", text.index("\ndecision ") + len("\ndecision "))
+    return text[:at] + " #c\n" + text[at:]
 
 
 def traced_peak(fn, arg):
@@ -70,6 +84,7 @@ def traced_peak(fn, arg):
 
 def main():
     games = [(f"kuhn{n}", lambda n=n: kuhn_text(n), rounds) for n, rounds in ROUNDS.items()]
+    games.insert(2, ("kuhn96-comment", lambda: commented(kuhn_text(96)), ROUNDS[96]))
     games += [(f"wide-m{m}", lambda m=m: wide_text(m), rounds) for m, rounds in WIDE_ROUNDS.items()]
     for label, make_text, rounds in games:
         n, parse_s, parse_mb, plan_mb, ms = measure(make_text(), rounds)
