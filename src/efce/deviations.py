@@ -331,10 +331,11 @@ def _solve(w0, r, xp, mask, fp_tol):
     """Fixed-point values of k infosets padded to m states each, as a (k, m) array.
 
     Row j is infoset j's parent mass ``xp[j]`` times the stationary
-    distribution of its extension matrix: ``w0[j]`` (from
-    :meth:`~efce.game.Chains.static`) plus ``r[j] / xp[j]`` (the mass that
-    triggers above the infoset send to its sequences; ``r`` is None for
-    none) in every real column, those where ``mask`` (None for all) is 1.
+    distribution of its extension matrix: ``w0[j]`` (its chain's gather of
+    :meth:`~efce.game.PlayerPlan.chain_entries`) plus ``r[j] / xp[j]`` (the
+    mass that triggers above the infoset send to its sequences; ``r`` is
+    None for none) in every real column, those where ``mask`` (None for all)
+    is 1.
     A dummy column sends all its mass to action 0 and receives none, so the
     closed form of m states (by the Markov chain tree theorem, for m = 2
     and 3) gives the answer of fewer real states bit for bit.  A column
@@ -357,19 +358,19 @@ def _solve(w0, r, xp, mask, fp_tol):
         rx = (r / (xp + massless)[:, None])[:, :, None]
         w = w0 + (rx if mask is None else rx * mask)
     sums = np.add.reduce(w, axis=1)
-    # Compared entry by entry, so that a nan row does not hide another row's loss.
-    if (np.abs(sums - 1.0) * xp[:, None] > 1e-9).any():
+    # Counted entry by entry, which costs less than .any() or .min() here: a nan
+    # passes no comparison, and a nan row does not hide another row's loss.
+    if np.count_nonzero(np.abs(sums - 1.0) * xp[:, None] > 1e-9):
         raise NumericalError("extension matrix lost mass conservation")
-    low = w.min()
-    if not low >= 0.0:
-        if not low >= -1e-12:  # a nan, or an entry below -1e-12
+    if np.count_nonzero(w >= 0.0) != w.size:
+        if np.count_nonzero(w >= -1e-12) != w.size:  # a nan, or an entry below -1e-12
             raise ValueError("extension matrix entries must be finite and nonnegative")
         w = np.maximum(w, 0.0)
     # Columns of w sum to 1 exactly in real arithmetic; rounding from earlier
     # levels leaves a small absolute drift that the division by a possibly
     # tiny xp would blow up, so rescale here.  A column whose mass rounded
     # away entirely is made a self-loop instead of being divided by zero.
-    if not sums.min() > 0.0:  # a nan sum must not hide a zero one
+    if np.count_nonzero(sums > 0.0) != sums.size:  # a nan sum must not hide a zero one
         rows, cols = np.nonzero(sums <= 0.0)
         w = w.copy()  # w may be the static part
         w[rows, :, cols] = 0.0
@@ -387,8 +388,8 @@ def _solve(w0, r, xp, mask, fp_tol):
         b = t[:, 0] * (t[:, 1] + t[:, 2]) + t[:, 3] * t[:, 1]
     else:
         b = np.zeros((k, m))
-    total = b.sum(axis=1) + massless
-    if not total.min() > 0.0:
+    total = np.add.reduce(b, axis=1) + massless
+    if np.count_nonzero(total > 0.0) != k:
         rows = np.flatnonzero(~(total > 0.0))
         w = w[rows]
         if not np.isfinite(w).all():
@@ -433,7 +434,7 @@ def extend(game, phi, trunk, j_star, x, fp_tol=1e-10):
     pairs = np.isin(plan.pair_seq, sids)
     inflow = conts[pairs] * (lam * above).take(plan.pair_trigger[pairs])
     r = np.bincount(plan.pair_seq[pairs], inflow, out.size)[sids]
-    w0 = plan.infoset_chains(sids, js.parent_seq).static(moved, keep)
+    w0 = plan.chain_entries(moved, keep).take(plan.infoset_chains(sids, js.parent_seq).gather)
     out[sids] = _solve(w0, r[None], out[[js.parent_seq]], None, fp_tol)[0]
     return out
 
@@ -443,23 +444,27 @@ def fixed_point(game, phi, fp_tol=1e-10):
 
     Starts from the vector with mass only on the empty sequence (of every
     player of a group's combination) and extends it one level of the infoset
-    forests at a time.  An infoset's incoming mass depends only on
-    shallower entries, so a whole level's is one product over its pairs,
-    and one kernel call solves each of the level's ``blocks``: its infosets
-    of at most 3 actions together, and those of each larger action count
-    together.  The result is checked against the closed-form action;
-    residuals above 10 * fp_tol raise :class:`NumericalError`, as does an
-    extension matrix column that does not sum to 1.
+    forests at a time.  The parts of all blocks' chains that do not depend
+    on x are one gather, up front, of which each block reads a view.  An
+    infoset's incoming mass depends only on shallower entries, so a whole
+    level's is one product over its pairs, and one kernel call solves each
+    of the level's ``blocks``: its infosets of at most 3 actions together,
+    and those of each larger action count together.  The result is checked
+    against the closed-form action; residuals above 10 * fp_tol raise
+    :class:`NumericalError`, as does an extension matrix column that does
+    not sum to 1.
 
     Returns one player's :class:`~efce.strategies.SequenceFormStrategy`, or
     for a group's combination the joint values array on the group's plan.
     """
     plan = game.player_plan(phi.player)
     lam, conts, moved, keep = _parts(plan, phi)
+    static = plan.chain_entries(moved, keep).take(plan.gather)
     # The slot past the sequences takes the dummy states' zeros.
     x = np.zeros(lam.size + 1)
     x[plan.offsets] = 1.0
     xv = x[:-1]
+    done = 0  # the entries of static that earlier blocks read
     for level in plan.levels:
         r = None  # nothing sends mass into the roots
         if level.lo:
@@ -469,12 +474,13 @@ def fixed_point(game, phi, fp_tol=1e-10):
         at = 0
         for ch in level.blocks:
             k, m = ch.sids.shape
-            x[ch.sids] = _solve(ch.static(moved, keep),
+            x[ch.sids] = _solve(static[done:done + k * m * m].reshape(k, m, m),
                                 None if r is None else r[at:at + k * m].reshape(k, m),
                                 x.take(ch.parents), ch.mask, fp_tol)
             at += k * m
+            done += k * m * m
     x = xv
-    resid = float(np.max(np.abs(_act(plan, moved, keep, x) - x)))
+    resid = np.maximum.reduce(np.abs(_act(plan, moved, keep, x) - x))
     if not resid <= 10.0 * fp_tol:
         raise NumericalError(f"fixed point residual {resid:g} exceeds tolerance")
     if isinstance(phi.player, Integral):

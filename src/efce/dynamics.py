@@ -181,7 +181,7 @@ def efce_gap(freq):
     gaps = (best - meter.follow) / freq.t
     gaps[plan.offsets] = -np.inf
     per_player = np.maximum.reduceat(gaps, plan.offsets)
-    per_player[plan.sizes == 1] = 0.0
+    per_player[plan.triggerless] = 0.0
     per_player = per_player.tolist()
     trigger_gaps = [gaps[a:b] for _, a, b in plan.spans]
     return GapReport(per_player, max(per_player), trigger_gaps, (freq.game, plan, completed))

@@ -77,10 +77,9 @@ class InfoSet:
     seq_ids: tuple[int, ...]
 
 
-# The 0 and 1 slots after the pair array in a chain's gather, and the share a
-# dummy state keeps.
-_SLOTS = np.array([0.0, 1.0])
-_ZERO = np.zeros(1)
+# The slots after the pair array in a plan's chain entries: the empty
+# sequences' kept shares (read by no chain), then a 0 and a 1.
+_SLOTS = np.array([0.0, 0.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -91,11 +90,12 @@ class Chains:
     then N (the plan's sequence count) for each dummy state, so a vector
     that takes values at ``sids`` needs one slot past its N entries, and
     ``parents[j]`` its parent sequence.  ``gather[j, a, c]`` indexes the
-    plan's pair array extended by a 0 slot (P) and a 1 slot (P + 1): the pair
+    plan's P pairs and 3 slots (:meth:`PlayerPlan.chain_entries`): the pair
     (``sids[j, c]``, ``sids[j, a]``) when both states are real, the 1 slot
-    where a dummy column c meets a = 0 (a dummy sends all its mass to action
-    0) and the 0 slot elsewhere.  ``mask`` is the (k, 1, m) column mask, 1
-    at a real state and 0 at a dummy, or None when no infoset is padded.
+    (P + 2) where a dummy column c meets a = 0 (a dummy sends all its mass
+    to action 0) and the 0 slot (P + 1) elsewhere; a block's is a view of
+    the plan's ``gather``.  ``mask`` is the (k, 1, m) column mask, 1 at a
+    real state and 0 at a dummy, or None when no infoset is padded.
     """
 
     sids: np.ndarray
@@ -103,34 +103,21 @@ class Chains:
     gather: np.ndarray
     mask: np.ndarray | None
 
-    def static(self, moved, keep):
-        """The part of the chains' extension matrices that does not depend on x, as (k, m, m).
-
-        ``moved`` holds each pair's continuation weighted by its trigger's
-        weight, and ``keep`` each sequence's kept share.  Entry (j, a, c) is
-        the moved mass of the pair (``sids[j, c]``, ``sids[j, a]``), plus
-        ``keep[sids[j, a]]`` on the diagonal; a dummy state keeps nothing.
-        """
-        k, m = self.sids.shape
-        w = np.concatenate((moved, _SLOTS)).take(self.gather)
-        w.reshape(k, m * m)[:, ::m + 1] += np.concatenate((keep, _ZERO)).take(self.sids)
-        return w
-
 
 @dataclass(frozen=True)
 class Level:
     """The information sets at one depth of a plan's infoset forests, and their pairs.
 
-    ``blocks`` holds one :class:`Chains` per kernel call: first the
-    level's infosets of at most 3 actions, padded to the most actions among
-    them (when there are any), then one block per action count of 4 or
-    more, in increasing order.  Per pair of the level, ``slot`` is its
-    sequence's entry in the level's incoming-mass vector of ``size``
-    entries, the blocks' k x m state grids in turn: a block's entry for
-    action a of its j-th infoset is its start plus m j + a.  The level's
-    pairs are ``lo`` to ``hi`` of the plan's pair layout: per
-    infoset, one segment of m pairs (one per action) for each trigger
-    covering it.  Per pair, ``segment`` is its segment (counted from 0 in
+    ``blocks`` holds one :class:`Chains` per kernel call, their gathers
+    consecutive runs of the plan's ``gather``: first the level's infosets
+    of at most 3 actions, padded to the most actions among them (when there
+    are any), then one block per action count of 4 or more, in increasing
+    order.  Per pair of the level, ``slot`` is its sequence's entry in the
+    level's incoming-mass vector of ``size`` entries, the blocks' k x m
+    state grids in turn: a block's entry for action a of its j-th infoset
+    is its start plus m j + a.  The level's pairs are ``lo`` to ``hi`` of
+    the plan's pair layout: per infoset, one segment of m pairs (one per
+    action) for each trigger covering it.  Per pair, ``segment`` is its segment (counted from 0 in
     the level), and ``up`` its parent pair (t, parent sequence), or P, the
     root slot, when t is one of the infoset's own sequences.  ``starts``
     holds each segment's first pair, from ``lo``, and ``parents`` each
@@ -156,8 +143,10 @@ class PlayerPlan:
     The players' sequences share one index: the k-th player's block
     ``spans[k] = (player, start, stop)`` begins at ``offsets[k]`` with its
     empty sequence and holds its ``sizes[k]`` sequences in their own order;
-    ``owner[s]`` is the slot k of sequence s.  ``levels`` runs from the roots
-    of the infoset forests down, merging the players' infosets by depth.
+    ``owner[s]`` is the slot k of sequence s, and ``triggerless[k]`` is set
+    when the k-th player has no triggers (``sizes[k]`` is 1).  ``levels``
+    runs from the roots of the infoset forests down, merging the players'
+    infosets by depth; ``gather`` joins their blocks' gathers, in order.
 
     All per-trigger state is held in the pair layout: one entry per pair
     (t, s) of a trigger t (a non-empty sequence) and a sequence s at or
@@ -165,23 +154,27 @@ class PlayerPlan:
     The P pairs run by level, then by infoset in block order, then by
     trigger (the parent sequence's infoset's triggers, then the infoset's
     own), then by action, so each (infoset, trigger) segment of m pairs is
-    contiguous; ``segment[p]`` numbers p's segment.  ``own[s]`` is the pair
-    (s, s), and P for an empty sequence.  ``ancestry`` (2 x A) holds the
-    sequence ancestry: the ancestor pairs (t, s), those whose sequence is
-    at or below the trigger itself, in pair order, then (empty sequence of
-    s's block, s) for every s.  :meth:`dense` and ``subtree`` give
-    triggers x sequences copies.
+    contiguous; ``segment[p]`` numbers p's segment, and the S segments run
+    in the same order.  ``own[s]`` is the pair (s, s), and P for an empty
+    sequence; ``own_segment[s]`` is that pair's segment, and S for an
+    empty sequence.  ``ancestry`` (2 x A) holds the sequence ancestry: the
+    ancestor pairs (t, s), those whose sequence is at or below the trigger
+    itself, in pair order, then (empty sequence of s's block, s) for every
+    s.  :meth:`dense` and ``subtree`` give triggers x sequences copies.
     """
 
     spans: tuple[tuple[int, int, int], ...]
     offsets: np.ndarray
     sizes: np.ndarray
     owner: np.ndarray
+    triggerless: np.ndarray
     levels: tuple[Level, ...]
+    gather: np.ndarray
     pair_seq: np.ndarray
     pair_trigger: np.ndarray
     segment: np.ndarray
     own: np.ndarray
+    own_segment: np.ndarray
     ancestry: np.ndarray
 
     def sum_above(self, v):
@@ -203,23 +196,32 @@ class PlayerPlan:
         """Row t is 1 on the sequences at or below trigger t's infoset (a copy)."""
         return self.dense(1.0)
 
+    def chain_entries(self, moved, keep):
+        """What a :class:`Chains` gather reads: per pair its ``moved`` mass (its continuation
+        times its trigger's weight), plus ``keep[s]`` (s's kept share) at the pair (s, s),
+        then the three slots."""
+        entries = np.concatenate((moved, _SLOTS))
+        entries[self.own] += keep
+        return entries
+
     def infoset_chains(self, sids, parent):
         """:class:`Chains` of one infoset, from its sequence ids and parent sequence."""
         return _chains([(sids, parent)], len(sids), self.own, self.owner.size,
-                       self.pair_seq.size)
+                       self.pair_seq.size, np.empty((1, len(sids), len(sids)), dtype=np.int64))
 
 
-def _chains(groups, m, own, n, n_pairs):
-    """:class:`Chains` of (sequence ids, parent sequence) infosets padded to m states."""
+def _chains(groups, m, own, n, n_pairs, gather):
+    """:class:`Chains` of (sequence ids, parent) infosets padded to m states, filling ``gather``."""
     sids = np.full((len(groups), m), n, dtype=np.int64)
-    gather = np.full((len(groups), m, m), n_pairs, dtype=np.int64)
     for j, (seqs, _) in enumerate(groups):
-        d = len(seqs)
-        a = np.arange(d)
-        sids[j, :d] = seqs
-        gather[j, :d, :d] = own[seqs] + (a[:, None] - a)
-        gather[j, 0, d:] = n_pairs + 1
+        sids[j, :len(seqs)] = seqs
     real = sids < n
+    a = np.arange(m)
+    gather[...] = n_pairs + 1
+    # Between real states: the pair (c, c), moved a - c actions on in its segment.
+    np.copyto(gather, own.take(sids, mode="clip")[:, None, :] + (a[:, None] - a),
+              where=real[:, :, None] & real[:, None, :])
+    gather[:, 0][~real] = n_pairs + 2
     return Chains(sids, np.array([p for _, p in groups], dtype=np.int64), gather,
                   None if real.all() else real[:, None, :] * 1.0)
 
@@ -689,6 +691,7 @@ class GameTree:
 
         pair_seq, pair_trigger, segment, up, ancestor = [], [], [], [], []
         own = np.zeros(n, dtype=np.int64)
+        own_segment = np.zeros(n, dtype=np.int64)
         # sequence -> (first pair of its infoset, the infoset's triggers, m, action)
         home = {}
         ranges, n_segments = [], 0
@@ -712,9 +715,17 @@ class GameTree:
                     for a, s in enumerate(sids):
                         home[s] = (base, triggers, m, a)
                         own[s] = base + (len(covers) + a) * m + a
-            ranges.append((lo, len(pair_seq), groups))
+                        own_segment[s] = n_segments - m + a
+            # One kernel call for the narrow infosets, padded together, then one
+            # per action count of 4 or more.  The groups run by action count, so
+            # the last narrow infoset is the widest.
+            narrow = [g for m, group in groups if m <= 3 for g in group]
+            calls = [(len(narrow[-1][0]), narrow)] if narrow else []
+            calls += [(m, group) for m, group in groups if m > 3]
+            ranges.append((lo, len(pair_seq), calls))
         n_pairs = len(pair_seq)
         own[offsets] = n_pairs
+        own_segment[offsets] = n_segments
         pair_seq = np.array(pair_seq, dtype=np.int64)
         pair_trigger = np.array(pair_trigger, dtype=np.int64)
         ancestry = np.hstack((np.stack((pair_trigger, pair_seq))[:, np.array(ancestor, dtype=bool)],
@@ -722,32 +733,32 @@ class GameTree:
         segment = np.array(segment, dtype=np.int64)
         up = np.array(up, dtype=np.int64)
         up[up < 0] = n_pairs
+        gather = np.empty(sum(len(group) * m * m for _, _, calls in ranges
+                              for m, group in calls), dtype=np.int64)
         levels = []
         # sequence -> its entry in its level's incoming-mass vector; the slot
         # past the sequences takes the dummy states' entries
         slot = np.zeros(n + 1, dtype=np.int64)
-        above = 0
-        for lo, hi, groups in ranges:
+        above = at = 0
+        for lo, hi, calls in ranges:
             rel = segment[lo:hi] - segment[lo]
             starts = np.flatnonzero(np.diff(rel, prepend=-1))
             heads = up[lo + starts]
-            narrow = [g for m, group in groups if m <= 3 for g in group]
-            # The groups run by action count, so the last narrow infoset is the widest.
-            calls = [(len(narrow[-1][0]), narrow)] if narrow else []
-            calls += [(m, group) for m, group in groups if m > 3]
-            blocks = tuple(_chains(group, m, own, n, n_pairs) for m, group in calls)
-            size = 0
-            for ch in blocks:
+            blocks, size = [], 0
+            for m, group in calls:
+                view = gather[at:at + len(group) * m * m].reshape(len(group), m, m)
+                blocks.append(ch := _chains(group, m, own, n, n_pairs, view))
                 slot[ch.sids] = size + np.arange(ch.sids.size).reshape(ch.sids.shape)
                 size += ch.sids.size
-            levels.append(Level(blocks, slot[pair_seq[lo:hi]], size, lo, hi, rel, up[lo:hi],
-                                starts, np.where(heads == n_pairs, lo, heads) - above))
+                at += view.size
+            levels.append(Level(tuple(blocks), slot[pair_seq[lo:hi]], size, lo, hi, rel,
+                                up[lo:hi], starts, np.where(heads == n_pairs, lo, heads) - above))
             above = lo
         spans = tuple((p, a, a + k)
                       for p, a, k in zip(players, offsets.tolist(), sizes.tolist()))
         return PlayerPlan(spans, offsets, sizes,
-                          np.repeat(np.arange(len(players)), sizes), tuple(levels),
-                          pair_seq, pair_trigger, segment, own, ancestry)
+                          np.repeat(np.arange(len(players)), sizes), sizes == 1, tuple(levels),
+                          gather, pair_seq, pair_trigger, segment, own, own_segment, ancestry)
 
     def payoff_range(self, player):
         """Spread between the best and worst terminal payoff of one player."""

@@ -131,7 +131,8 @@ def sample_pure(game, strat, rng):
     Walks the infoset forest top-down, picking one action per reached infoset
     with probability proportional to the sequence weights.  Subtrees the
     sample does not reach, and subtrees where ``strat`` itself has no mass,
-    are left all-zero.
+    are left all-zero.  A reached infoset whose parent mass is nan, or
+    positive with no action of positive mass, raises ValueError.
     """
     if strat.root is not None:
         raise ValueError("can only sample from full-tree strategies")
@@ -156,8 +157,11 @@ def sample_pure(game, strat, rng):
                 acc += q[sid]
                 if x < acc:
                     break
-        if chosen is not None:
-            values[chosen] = 1.0
+        else:  # x is past every positive mass by rounding, or there is none, or x is nan
+            if not 0.0 < acc <= x:
+                raise ValueError(f"information set '{js.label}' of player {i + 1} is reached, "
+                                 f"but its weights are nan or give no action to sample")
+        values[chosen] = 1.0
     return SequenceFormStrategy(i, values, None)
 
 

@@ -24,6 +24,8 @@ from .deviations import ConvexTriggerDeviation, fixed_point
 from .regret import CallOrderError
 from .strategies import SequenceFormStrategy, sample_pure
 
+_ZERO = np.zeros(1)
+
 
 def _check_round(n, ell, x, name):
     """Raise ValueError unless ``ell`` is a finite n-vector and ``x`` one within 1e-9 of [0, 1]."""
@@ -116,7 +118,7 @@ class HullMinimizer:
         # Counterfactual values, completed bottom-up with child infoset values.
         ell_pairs = ell.take(plan.pair_seq)
         vals = ell_pairs * q.take(plan.pair_trigger)
-        vals -= _complete(plan, vals, self._local)
+        vals -= _complete(plan, vals, self._local).take(plan.segment)
         self._regrets += vals
 
         lq = ell * q
@@ -191,15 +193,15 @@ class PureTriggerMinimizer(MixedTriggerMinimizer):
 
 
 def _complete(plan, vals, local=None):
-    """Complete a pair-layout array bottom-up in place; return its infoset values.
+    """Complete a pair-layout array bottom-up in place; return its segment values.
 
     One pass over ``plan.levels``, deepest first: each (infoset, trigger)
     segment takes the max of its pairs' completed entries, or with
     ``local`` (local strategies in the same layout) their mean under it,
-    and adds it to its parent pair.  Entry p of the returned array holds the
-    value of pair p's segment.
+    and adds it to its parent pair.  Returns the segments' values in the
+    plan's segment order, then a 0 (an empty sequence's ``own_segment``).
     """
-    iset = np.empty(vals.size)
+    segs = [_ZERO]
     levels = plan.levels
     for i in range(len(levels) - 1, -1, -1):
         lev = levels[i]
@@ -209,12 +211,12 @@ def _complete(plan, vals, local=None):
         else:
             # bincount adds each segment's pairs in order, as a row sum would.
             seg = np.bincount(lev.segment, here * local[lev.lo:lev.hi])
-        iset[lev.lo:lev.hi] = seg.take(lev.segment)
+        segs.append(seg)
         if i:
             # The last slot collects the root segments, which have no parent.
             up = levels[i - 1]
             vals[up.lo:up.hi] += np.bincount(lev.parents, seg, up.hi - up.lo + 1)[:-1]
-    return iset
+    return np.concatenate(segs[::-1])
 
 
 class PhiRegretMeter:
@@ -262,12 +264,11 @@ class PhiRegretMeter:
         self._pass = None
 
     def best_pass(self):
-        """(best continuation value per trigger, completed tables in pair layout), cached."""
+        """(best continuation value per trigger, completed tables in pair layout), cached;
+        trigger s's value is that of its own segment, the pair (s, s)'s."""
         if self._pass is None:
             completed = self._tables.copy()
-            iset = _complete(self.plan, completed)
-            # The empty sequences read the trailing 0.
-            self._pass = (np.append(iset, 0.0).take(self.plan.own), completed)
+            self._pass = (_complete(self.plan, completed).take(self.plan.own_segment), completed)
         return self._pass
 
     def regret(self):
@@ -281,7 +282,7 @@ class PhiRegretMeter:
         gaps = values - self.follow
         gaps[plan.offsets] = -np.inf
         out = np.maximum.reduceat(gaps, plan.offsets)
-        out[plan.sizes == 1] = 0.0
+        out[plan.triggerless] = 0.0
         return float(out[0]) if isinstance(self.player, Integral) else out.tolist()
 
 

@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
 
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,6 +9,9 @@ import numpy as np
 import efce
 from efce.dynamics import _walk_best
 from efce.game import CHANCE, LEAF
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+from log_digests import MIXED_LEVEL, wide_text  # noqa: E402
 
 
 def brute_expected_payoffs(game, strategies):
@@ -99,6 +104,37 @@ def reference_games():
     return games + [efce.builtin_game("random-tree", seed=s) for s in range(64)]
 
 
+def kernel_games():
+    """kuhn3, random-tree 0-63, the wide game at m = 4, 5 and 6, and the MIXED_LEVEL game."""
+    games = [efce.builtin_game("kuhn3")]
+    games += [efce.builtin_game("random-tree", seed=s) for s in range(64)]
+    return games + [efce.parse_game(wide_text(m)) for m in (4, 5, 6)] + [
+        efce.parse_game(MIXED_LEVEL)]
+
+
+def reference_complete(plan, vals, local=None):
+    """The per-pair bottom-up pass: the reference for ``efce.trigger._complete``.
+
+    Completes ``vals`` in place as ``_complete`` does, in its max mode or,
+    with ``local``, its local-mean mode, and returns per pair the value of
+    the pair's segment.
+    """
+    iset = np.empty(vals.size)
+    levels = plan.levels
+    for i in range(len(levels) - 1, -1, -1):
+        lev = levels[i]
+        here = vals[lev.lo:lev.hi]
+        if local is None:
+            seg = np.maximum.reduceat(here, lev.starts)
+        else:
+            seg = np.bincount(lev.segment, here * local[lev.lo:lev.hi])
+        iset[lev.lo:lev.hi] = seg.take(lev.segment)
+        if i:
+            up = levels[i - 1]
+            vals[up.lo:up.hi] += np.bincount(lev.parents, seg, up.hi - up.lo + 1)[:-1]
+    return iset
+
+
 def mixed_point(game, player, rng):
     """Random full-tree point whose infosets give their first action zero mass 30% of the time."""
     local = {}
@@ -111,7 +147,11 @@ def mixed_point(game, player, rng):
 
 
 def reference_sample_pure(game, strat, rng):
-    """The per-infoset sampler walk over numpy scalars: the reference for ``sample_pure``."""
+    """The per-infoset sampler walk over numpy scalars: the reference for ``sample_pure``.
+
+    Raises ValueError where no action is chosen at an infoset it reaches
+    with positive or nan parent mass.
+    """
     q = strat.values
     values = np.zeros_like(q)
     values[efce.EMPTY_SEQ] = 1.0
@@ -131,8 +171,9 @@ def reference_sample_pure(game, strat, rng):
                 acc += q[sid]
                 if x < acc:
                     break
-        if chosen is not None:
-            values[chosen] = 1.0
+        if chosen is None or np.isnan(x):
+            raise ValueError(f"no action to sample at information set '{js.label}'")
+        values[chosen] = 1.0
     return values
 
 

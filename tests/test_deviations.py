@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import efce
-from conftest import fig1_deviations, random_behavioral, random_deviation
+from conftest import fig1_deviations, kernel_games, random_behavioral, random_deviation
+from efce.deviations import _parts
 
 
 def _vertex(n, *sids):
@@ -933,3 +934,44 @@ leaf z1 {1}; leaf z2 {2}
         x = efce.extend(g, phi, set(), R.index, x0)
         with pytest.raises(ValueError, match="extension matrix entries"):
             efce.extend(g, phi, {R.index}, A1.index, x)
+
+
+def test_block_chains_are_views_of_one_gather_and_match_a_per_block_gather():
+    # fixed_point gathers every block's static chains at once; each block's
+    # (k, m, m) view holds, bit for bit, the moved mass of the pair
+    # (sids[c], sids[a]) plus the kept share on the diagonal, 1 where a
+    # dummy column meets action 0, and 0 elsewhere.
+    rng = random.Random(13)
+    for g in kernel_games():
+        players = tuple(range(g.n_players))
+        plan = g.player_plan(players)
+        n = plan.owner.size
+        index = {pair: p for p, pair in enumerate(zip(plan.pair_trigger.tolist(),
+                                                      plan.pair_seq.tolist()))}
+        hull = efce.HullMinimizer(g, players)
+        for _ in range(3):
+            phi = hull.next_element()
+            _, _, moved, keep = _parts(plan, phi)
+            static = plan.chain_entries(moved, keep).take(plan.gather)
+            done = 0
+            for level in plan.levels:
+                for ch in level.blocks:
+                    k, m = ch.sids.shape
+                    assert np.shares_memory(ch.gather, plan.gather)
+                    want = np.zeros((k, m, m))
+                    for j, row in enumerate(ch.sids.tolist()):
+                        for a in range(m):
+                            for c in range(m):
+                                if row[a] < n and row[c] < n:
+                                    want[j, a, c] = moved[index[row[c], row[a]]]
+                                    if a == c:
+                                        want[j, a, c] += keep[row[a]]
+                                elif a == 0:
+                                    want[j, a, c] = 1.0
+                    got = static[done:done + k * m * m].reshape(k, m, m)
+                    assert np.array_equal(got, want)
+                    assert np.array_equal(plan.chain_entries(moved, keep).take(ch.gather), want)
+                    done += k * m * m
+            assert done == plan.gather.size == static.size
+            q = np.array([rng.random() for _ in range(n)])
+            hull.observe_utility(np.array([rng.uniform(-1.0, 1.0) for _ in range(n)]), q)

@@ -467,6 +467,31 @@ def test_report_read_late_gives_its_own_rounds_witnesses(monkeypatch):
                for a, b in zip(efce.efce_gap(freq).witnesses, first))
 
 
+def test_run_reaches_the_names_the_benchmark_times(monkeypatch):
+    # bench/run.py times each round at EmpiricalFrequency.accumulate and each
+    # checkpoint at the module's efce_gap, both looked up at call time, and
+    # reads the run's tables off accumulate's first argument.
+    accumulate, efce_gap = EmpiricalFrequency.accumulate, efce.dynamics.efce_gap
+    freqs, checkpoints = [], []
+
+    def spy_accumulate(freq, profile):
+        freqs.append(freq)
+        return accumulate(freq, profile)
+
+    def spy_gap(freq):
+        checkpoints.append(freq.t)
+        return efce_gap(freq)
+
+    monkeypatch.setattr(EmpiricalFrequency, "accumulate", spy_accumulate)
+    monkeypatch.setattr(efce.dynamics, "efce_gap", spy_gap)
+    log = efce.run(efce.builtin_game("kuhn3"), 10, 0, gap_every=3)
+    assert len(freqs) == 10 and isinstance(freqs[0], EmpiricalFrequency)
+    assert all(f is freqs[0] for f in freqs) and freqs[0].t == 10
+    assert checkpoints == [3, 6, 9, 10]
+    assert [row[4] is not None for row in log.rows[::2]] == [t in (3, 6, 9, 10)
+                                                            for t in range(1, 11)]
+
+
 def test_run_log_row_layout():
     g = efce.builtin_game("fig1", seed=0)
     log = efce.run(g, iterations=30, seed=2, gap_every=10)

@@ -205,9 +205,11 @@ def test_sampling_deterministic_strategy_is_identity():
 
 def test_sampling_matches_reference_walk():
     # Same vectors and the same draws as the per-infoset walk, also on points
-    # off the polytope: an infoset whose actions all lack mass, a scaled point,
-    # and one without mass on the empty sequence.
+    # off the polytope: an infoset whose actions all lack mass (both raise
+    # where a draw reaches it), a scaled point, and one without mass on the
+    # empty sequence.
     rng = random.Random(23)
+    raised = 0
     for g in reference_games():
         for i in range(g.n_players):
             points = [mixed_point(g, i, rng).values for _ in range(4)]
@@ -221,9 +223,50 @@ def test_sampling_matches_reference_walk():
                 strat = efce.SequenceFormStrategy(i, q)
                 got_rng, want_rng = random.Random(k), random.Random(k)
                 for _ in range(3):
-                    got = efce.sample_pure(g, strat, got_rng)
-                    assert np.array_equal(got.values, reference_sample_pure(g, strat, want_rng))
+                    try:
+                        want = reference_sample_pure(g, strat, want_rng)
+                    except ValueError:
+                        with pytest.raises(ValueError, match="give no action to sample"):
+                            efce.sample_pure(g, strat, got_rng)
+                        raised += 1
+                    else:
+                        assert np.array_equal(efce.sample_pure(g, strat, got_rng).values, want)
                     assert got_rng.getstate() == want_rng.getstate()
+    assert raised
+
+
+def test_sampling_rejects_a_reached_infoset_without_a_choice():
+    # Player 1's uniform kuhn3 strategy with nan actions at an infoset below
+    # the root: a draw that reached it played no action there and returned a
+    # strategy off the polytope.  A nan on the empty sequence sampled from
+    # the remaining masses.  Each draw now raises, or gives a valid strategy.
+    g = efce.builtin_game("kuhn3")
+    uniform = efce.uniform_strategy(g, 0)
+    deep = next(gid for gid in g.player_infosets(0) if g.infosets[gid].parent_seq)
+    label = g.infosets[deep].label
+    q = uniform.values.copy()
+    q[list(g.infosets[deep].seq_ids)] = np.nan
+    raised = 0
+    for seed in range(50):
+        try:
+            out = efce.sample_pure(g, efce.SequenceFormStrategy(0, q), random.Random(seed))
+        except ValueError as exc:
+            assert f"information set '{label}' of player 1 is reached" in str(exc)
+            raised += 1
+        else:
+            assert efce.is_valid_strategy(g, out)
+    assert 0 < raised < 50
+    root = uniform.values.copy()
+    root[efce.EMPTY_SEQ] = np.nan
+    with pytest.raises(ValueError, match="weights are nan or give no action to sample"):
+        efce.sample_pure(g, efce.SequenceFormStrategy(0, root), random.Random(0))
+    # A parent without mass still leaves its subtree at zero.
+    zero = uniform.values.copy()
+    zero[g.infosets[deep].parent_seq] = 0.0
+    zero[list(g.infosets[deep].seq_ids)] = 0.0
+    for seed in range(20):
+        out = efce.sample_pure(g, efce.SequenceFormStrategy(0, zero), random.Random(seed))
+        assert not out.values[list(g.infosets[deep].seq_ids)].any()
 
 
 def test_sampling_rejects_bad_lengths_and_players():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import efce
-from conftest import random_behavioral
+from conftest import kernel_games, random_behavioral, reference_complete
+from efce.trigger import _complete
 
 
 def test_split_rngs_deterministic_and_independent():
@@ -391,3 +392,42 @@ def test_per_trigger_state_holds_one_entry_per_pair():
     assert sizes(efce.builtin_game("kuhn3")) == (60, 60, 60)
     totals = np.sum([sizes(efce.builtin_game("random-tree", seed=s)) for s in range(64)], axis=0)
     assert totals.tolist() == [3511] * 3
+
+
+def test_segment_values_match_per_pair_reference():
+    # _complete returns one value per (infoset, trigger) segment and a
+    # trailing 0; taken at each pair's segment, they are the per-pair
+    # values the reference scatters, bit for bit, in both modes.
+    rng = np.random.default_rng(7)
+    for g in kernel_games():
+        plan = g.player_plan(tuple(range(g.n_players)))
+        n_segments = plan.segment[-1] + 1 if plan.segment.size else 0
+        for _ in range(3):
+            vals = rng.normal(size=plan.pair_seq.size)
+            local = rng.uniform(size=plan.pair_seq.size)
+            for mode in (None, local):
+                got_vals, want_vals = vals.copy(), vals.copy()
+                segs = _complete(plan, got_vals, mode)
+                want = reference_complete(plan, want_vals, mode)
+                assert segs.shape == (n_segments + 1,) and segs[-1] == 0.0
+                assert np.array_equal(segs.take(plan.segment), want)
+                assert np.array_equal(got_vals, want_vals)
+
+
+def test_best_pass_matches_per_pair_reference():
+    # The meter reads each trigger's value at its own segment; the former
+    # pass read it at the pair (s, s) of the per-pair values.
+    rng = random.Random(3)
+    for g in kernel_games():
+        players = tuple(range(g.n_players))
+        plan = g.player_plan(players)
+        meter = efce.PhiRegretMeter(g, players)
+        n = plan.owner.size
+        for _ in range(4):
+            played = np.concatenate([random_behavioral(g, i, rng).values for i in players])
+            meter.record(np.array([rng.uniform(-1.0, 1.0) for _ in range(n)]), played)
+            values, completed = meter.best_pass()
+            want_completed = meter._tables.copy()
+            want = np.append(reference_complete(plan, want_completed), 0.0).take(plan.own)
+            assert np.array_equal(values, want)
+            assert np.array_equal(completed, want_completed)

@@ -1,0 +1,149 @@
+"""Compare two trees' self-play rounds in one process, in alternating pairs.
+
+Loads the ``efce`` package of each ``src`` directory under its own module
+name, then times PAIRS pairs of passes per workload, the two trees taking
+turns to go first:
+
+- ``kuhn3``: the built-in three-card Kuhn poker at run seeds 0, 16, 32 and
+  48, 256 rounds each, a gap checkpoint every 2 rounds;
+- ``random-trees``: each random-tree game of seeds 0-63 that completes on
+  every run seed (the benchmark's timed games), parsed afresh before its
+  run, at run seed 0, 32 rounds, a gap checkpoint every round.
+
+Per pass it prints rounds/s (run wall time only, so a plan built in the run
+counts) and the median latency of the module's ``efce_gap`` over the
+pass's checkpoints; per pair, the change's ratio to the parent.  Then, per
+workload, the medians and the pairs the change won, and the C calls per
+round of one more pass of each tree, counted with ``sys.setprofile`` after
+each game's plan is built.
+One process sees the same host for both trees; the host's speed swings,
+and timings from separate processes disagree by more than the effects.
+
+Run it from the repository root::
+
+    python3 tools/round_ab.py PARENT_SRC CHANGE_SRC
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import statistics
+import sys
+import time
+from pathlib import Path
+
+PAIRS = 10
+KUHN_SEEDS = (0, 16, 32, 48)
+# The random-tree games that fail on some run seed, left out as the benchmark does.
+RANDOM_TREE_FAILING = frozenset({21, 34, 51, 53, 54})
+
+
+def load(src, name):
+    """The ``efce`` package under ``src``, imported as module ``name``."""
+    root = Path(src) / "efce"
+    spec = importlib.util.spec_from_file_location(name, root / "__init__.py",
+                                                  submodule_search_locations=[str(root)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def runs(efce, workload):
+    """(game factory, run seed, rounds, gap every) per run of one pass."""
+    if workload == "kuhn3":
+        game = efce.builtin_game("kuhn3")
+        return [(lambda: game, seed, 256, 2) for seed in KUHN_SEEDS]
+    return [(lambda s=s: efce.builtin_game("random-tree", seed=s), 0, 32, 1)
+            for s in range(64) if s not in RANDOM_TREE_FAILING]
+
+
+def timed_pass(efce, workload):
+    """(rounds/s, median efce_gap seconds) of one pass."""
+    dyn = efce.dynamics
+    efce_gap = dyn.efce_gap
+    latencies = []
+
+    def timed_gap(freq):
+        t0 = time.perf_counter()
+        out = efce_gap(freq)
+        latencies.append(time.perf_counter() - t0)
+        return out
+
+    rounds = 0
+    elapsed = 0.0
+    dyn.efce_gap = timed_gap
+    try:
+        for make, seed, n, gap_every in runs(efce, workload):
+            game = make()
+            t0 = time.perf_counter()
+            dyn.run(game, n, seed, gap_every=gap_every)
+            elapsed += time.perf_counter() - t0
+            rounds += n
+    finally:
+        dyn.efce_gap = efce_gap
+    return rounds / elapsed, statistics.median(latencies)
+
+
+def calls_per_round(efce, workload):
+    """C calls per round of one pass, counted over the runs only.
+
+    Each game first plays one round unprofiled, which builds its plan and
+    scorer tables, so the count is of the rounds' own work.
+    """
+    count = 0
+    rounds = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "c_call":
+            count += 1
+
+    for make, seed, n, gap_every in runs(efce, workload):
+        game = make()
+        efce.run(game, 1, seed)
+        sys.setprofile(profile)
+        try:
+            efce.run(game, n, seed, gap_every=gap_every)
+        finally:
+            sys.setprofile(None)
+        rounds += n
+    return count / rounds
+
+
+def main(argv):
+    if len(argv) != 3:
+        print(__doc__.strip().splitlines()[-1].strip(), file=sys.stderr)
+        return 2
+    trees = {"parent": load(argv[1], "efce_parent"), "change": load(argv[2], "efce_change")}
+    for workload in ("kuhn3", "random-trees"):
+        for efce in trees.values():
+            timed_pass(efce, workload)  # warm-up
+        rates = {name: [] for name in trees}
+        gaps = {name: [] for name in trees}
+        for pair in range(PAIRS):
+            order = list(trees) if pair % 2 == 0 else list(trees)[::-1]
+            for name in order:
+                rate, gap = timed_pass(trees[name], workload)
+                rates[name].append(rate)
+                gaps[name].append(gap)
+            print(f"{workload} pair {pair + 1}: rounds/s parent {rates['parent'][-1]:.1f} "
+                  f"change {rates['change'][-1]:.1f} ratio "
+                  f"{rates['change'][-1] / rates['parent'][-1]:.3f}; gap_us parent "
+                  f"{gaps['parent'][-1] * 1e6:.2f} change {gaps['change'][-1] * 1e6:.2f} ratio "
+                  f"{gaps['change'][-1] / gaps['parent'][-1]:.3f}", flush=True)
+        faster = sum(c > p for p, c in zip(rates["parent"], rates["change"]))
+        quicker = sum(c < p for p, c in zip(gaps["parent"], gaps["change"]))
+        calls = {name: calls_per_round(efce, workload) for name, efce in trees.items()}
+        print(f"{workload} median rounds/s parent {statistics.median(rates['parent']):.1f} "
+              f"change {statistics.median(rates['change']):.1f} (change faster in "
+              f"{faster}/{PAIRS}); median gap_us parent "
+              f"{statistics.median(gaps['parent']) * 1e6:.2f} change "
+              f"{statistics.median(gaps['change']) * 1e6:.2f} (change quicker in "
+              f"{quicker}/{PAIRS}); C calls/round parent {calls['parent']:.2f} "
+              f"change {calls['change']:.2f}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
