@@ -10,10 +10,12 @@ point is grown top-down, one level of the player's infoset forest at a time;
 every infoset solves for a stationary distribution of a small
 column-stochastic matrix.  The plan groups each level's infosets into
 blocks, one kernel call each: those of at most 3 actions, solved in closed
-form and padded with dummy states to the widest of them, then one block per
-action count of 4 or more.  The chains without a closed-form answer
-(several closed classes, an underflow, or 4 or more states) go to one
-batched solver, the one :func:`stationary_distribution` also calls.
+form and padded to the widest of them with dummy states, which send all
+their mass to action 0 and receive none, then one block per action count
+of 4 or more.  The chains without a closed-form answer (several closed
+classes, an underflow, or 4 or more states) go to one batched solver, the
+one :func:`stationary_distribution` also calls, where a dummy state is
+transient and so gets 0.
 """
 
 from __future__ import annotations
@@ -221,6 +223,13 @@ def _act(plan, moved, keep, x):
     return out
 
 
+def _check_tol(tol, name):
+    """``tol``; ValueError, naming it ``name``, unless it is positive and finite."""
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"{name} must be positive and finite")
+    return tol
+
+
 def stationary_distribution(w, tol=1e-10):
     """Probability vector b with w @ b = b, for column-stochastic w.
 
@@ -229,8 +238,10 @@ def stationary_distribution(w, tol=1e-10):
     with :func:`_stationary`.  Raises ValueError unless w is square,
     non-empty, finite and nonnegative with columns that sum to 1 (within
     1e-9), and :class:`NumericalError` if the solve underflows or leaves a
-    residual above ``tol``.
+    residual above ``tol``, and ValueError unless ``tol`` is positive and
+    finite.
     """
+    _check_tol(tol, "tol")
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError("matrix must be square")
@@ -242,27 +253,24 @@ def stationary_distribution(w, tol=1e-10):
         raise ValueError("matrix entries must be nonnegative")
     if np.any(np.abs(w.sum(axis=0) - 1.0) > 1e-9):
         raise ValueError("matrix columns must sum to 1")
-    return _stationary(w[None], None, tol)[0]
+    return _stationary(w[None], tol)[0]
 
 
-def _stationary(w, real, tol):
+def _stationary(w, tol):
     """Stationary distributions of k finite column-stochastic chains, as a (k, m) array.
 
-    Row j's chain is ``w[j]`` on the states where ``real[j]`` is set (a
-    (k, m) mask, None for all states); its other states get 0.  The closed
-    communicating classes, found by reachability, share the mass equally,
-    and the transient states get 0.  Each class is solved by state
-    reduction (Grassmann, Taksar & Heyman), which never subtracts and so
-    stays accurate on nearly decoupled chains.  A row comes out as it does
-    alone, bit for bit.  Raises :class:`NumericalError` if the reduction
-    underflows or a residual exceeds ``tol``.
+    Row j's chain is ``w[j]``.  The closed communicating classes, found by
+    reachability, share the mass equally, and the transient states get 0.
+    Each class is solved by state reduction (Grassmann, Taksar & Heyman),
+    which never subtracts and so stays accurate on nearly decoupled chains.
+    A chain padded with dummy states, each with column e_0 (all its mass
+    to state 0) and row 0 (no mass in), comes out as it does alone, bit for
+    bit: a dummy state is transient and gets 0.  Raises
+    :class:`NumericalError` if the reduction underflows or a residual
+    exceeds ``tol``.
     """
     m = w.shape[1]
-    if real is not None:
-        w = w * (real[:, :, None] & real[:, None, :])
     sums = w.sum(axis=1)
-    if real is not None:
-        sums += ~real  # a padded column is all zero
     # Rescale away the column-sum drift: a true fixed point's residual is
     # floored at that drift, which may exceed tol.
     w = np.maximum(w, 0.0) / sums[:, None, :]
@@ -274,8 +282,6 @@ def _stationary(w, real, tol):
     # A state is recurrent when every state it reaches leads back to it; its
     # closed class is then everything it reaches, and its root the lowest.
     recurrent = (reach.transpose(0, 2, 1) >= reach).all(axis=1)
-    if real is not None:
-        recurrent &= real
     root = reach.argmax(axis=1)
     roots = recurrent & (root == np.arange(m))
     b = roots.astype(float)
@@ -333,20 +339,20 @@ def _solve(w0, r, xp, mask, fp_tol):
     Row j is infoset j's parent mass ``xp[j]`` times the stationary
     distribution of its extension matrix: ``w0[j]`` (its chain's gather of
     :meth:`~efce.game.PlayerPlan.chain_entries`) plus ``r[j] / xp[j]`` (the
-    mass that triggers above the infoset send to its sequences; ``r`` is
-    None for none) in every real column, those where ``mask`` (None for all)
-    is 1.
-    A dummy column sends all its mass to action 0 and receives none, so the
-    closed form of m states (by the Markov chain tree theorem, for m = 2
-    and 3) gives the answer of fewer real states bit for bit.  A column
+    mass that triggers above the infoset send to its sequences, 0 at a
+    dummy state; ``r`` is None for none) in every real column, those where
+    ``mask`` (None for all) is 1.  A dummy column sends all its mass to
+    action 0 and receives none, so the closed form of m states (by the
+    Markov chain tree theorem, for m = 2 and 3), and :func:`_stationary`,
+    give the answer of fewer real states bit for bit.  A column
     whose sum, weighted by its parent mass, is not 1 raises
     :class:`NumericalError`, and a nan entry or one below -1e-12
     ValueError, whatever the number of states; the other negative entries
     are clipped to 0.  A row whose parent has no mass is 0.  The other
     rows whose closed form does not sum to a positive total, every row of
     4 or more states among them, are solved together by
-    :func:`_stationary`, on their real states; a non-finite entry in one
-    of them raises ValueError.
+    :func:`_stationary`; a non-finite entry in one of them raises
+    ValueError.
     """
     k, m, _ = w0.shape
     w = w0
@@ -394,7 +400,7 @@ def _solve(w0, r, xp, mask, fp_tol):
         w = w[rows]
         if not np.isfinite(w).all():
             raise ValueError("extension matrix entries must be finite")
-        b[rows] = _stationary(w, None if mask is None else mask[rows, 0] > 0.0, fp_tol)
+        b[rows] = _stationary(w, fp_tol)
         total[rows] = 1.0
     return b * (xp / total)[:, None]
 
@@ -406,8 +412,10 @@ def extend(game, phi, trunk, j_star, x, fp_tol=1e-10):
     must contain the infoset owning ``j_star``'s parent sequence (when there
     is one).  ``x`` is a partial fixed point over the trunk; the returned
     vector extends it with values at ``j_star``'s sequences, every other
-    coordinate untouched.
+    coordinate untouched.  Raises ValueError unless ``fp_tol`` is positive
+    and finite.
     """
+    _check_tol(fp_tol, "fp_tol")
     i = phi.player
     js = game._infoset(j_star)
     if js.player != i:
@@ -434,7 +442,7 @@ def extend(game, phi, trunk, j_star, x, fp_tol=1e-10):
     pairs = np.isin(plan.pair_seq, sids)
     inflow = conts[pairs] * (lam * above).take(plan.pair_trigger[pairs])
     r = np.bincount(plan.pair_seq[pairs], inflow, out.size)[sids]
-    w0 = plan.chain_entries(moved, keep).take(plan.infoset_chains(sids, js.parent_seq).gather)
+    w0 = plan.chain_entries(moved, keep).take(plan.infoset_gather(sids))
     out[sids] = _solve(w0, r[None], out[[js.parent_seq]], None, fp_tol)[0]
     return out
 
@@ -447,20 +455,24 @@ def fixed_point(game, phi, fp_tol=1e-10):
     forests at a time.  The parts of all blocks' chains that do not depend
     on x are one gather, up front, of which each block reads a view.  An
     infoset's incoming mass depends only on shallower entries, so a whole
-    level's is one product over its pairs, and one kernel call solves each
+    level's is one product over its pairs, summed per sequence as
+    :func:`extend` sums it, and each block reads it at its states (a dummy
+    reads the 0 past the sequences).  One kernel call solves each
     of the level's ``blocks``: its infosets of at most 3 actions together,
     and those of each larger action count together.  The result is checked
     against the closed-form action; residuals above 10 * fp_tol raise
     :class:`NumericalError`, as does an extension matrix column that does
-    not sum to 1.
+    not sum to 1, and a tolerance that is not positive and finite
+    ValueError.
 
     Returns one player's :class:`~efce.strategies.SequenceFormStrategy`, or
     for a group's combination the joint values array on the group's plan.
     """
+    _check_tol(fp_tol, "fp_tol")
     plan = game.player_plan(phi.player)
     lam, conts, moved, keep = _parts(plan, phi)
     static = plan.chain_entries(moved, keep).take(plan.gather)
-    # The slot past the sequences takes the dummy states' zeros.
+    # The slot past the sequences takes the dummy states' values, all 0.
     x = np.zeros(lam.size + 1)
     x[plan.offsets] = 1.0
     xv = x[:-1]
@@ -470,14 +482,12 @@ def fixed_point(game, phi, fp_tol=1e-10):
         if level.lo:
             pairs = slice(level.lo, level.hi)
             inflow = conts[pairs] * (lam * xv).take(plan.pair_trigger[pairs])
-            r = np.bincount(level.slot, inflow, level.size)
-        at = 0
+            r = np.bincount(plan.pair_seq[pairs], inflow, x.size)
         for ch in level.blocks:
             k, m = ch.sids.shape
             x[ch.sids] = _solve(static[done:done + k * m * m].reshape(k, m, m),
-                                None if r is None else r[at:at + k * m].reshape(k, m),
+                                None if r is None else r.take(ch.sids),
                                 x.take(ch.parents), ch.mask, fp_tol)
-            at += k * m
             done += k * m * m
     x = xv
     resid = np.maximum.reduce(np.abs(_act(plan, moved, keep, x) - x))

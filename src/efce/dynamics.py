@@ -20,6 +20,7 @@ from numbers import Integral
 
 import numpy as np
 
+from .deviations import _check_tol
 from .game import EMPTY_SEQ
 from .strategies import SequenceFormStrategy, UtilityVector, _score
 from .trigger import PhiRegretMeter, PureTriggerMinimizer, _complete, split_rngs
@@ -307,8 +308,7 @@ def check_run_args(iterations, gap_every, delta, fp_tol):
         raise ValueError("gap-every must be an integer of at least 1")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie strictly between 0 and 1")
-    if not 0.0 < fp_tol < math.inf:
-        raise ValueError("fp-tol must be positive and finite")
+    _check_tol(fp_tol, "fp-tol")
 
 
 def run(game, iterations, seed, gap_every=100, delta=0.01, fp_tol=1e-10):

@@ -88,19 +88,16 @@ class Chains:
 
     Every infoset is padded to m states: ``sids[j]`` holds its sequence ids,
     then N (the plan's sequence count) for each dummy state, so a vector
-    that takes values at ``sids`` needs one slot past its N entries, and
-    ``parents[j]`` its parent sequence.  ``gather[j, a, c]`` indexes the
-    plan's P pairs and 3 slots (:meth:`PlayerPlan.chain_entries`): the pair
-    (``sids[j, c]``, ``sids[j, a]``) when both states are real, the 1 slot
-    (P + 2) where a dummy column c meets a = 0 (a dummy sends all its mass
-    to action 0) and the 0 slot (P + 1) elsewhere; a block's is a view of
-    the plan's ``gather``.  ``mask`` is the (k, 1, m) column mask, 1 at a
-    real state and 0 at a dummy, or None when no infoset is padded.
+    that takes values at ``sids`` needs one slot past its N entries (a 0,
+    for the dummies to read), and ``parents[j]`` its parent sequence.  The
+    block's chains are a run of the plan's ``gather``, in which a dummy
+    state's column is e_0 (all its mass to action 0) and its row is 0.
+    ``mask`` is the (k, 1, m) column mask, 1 at a real state and 0 at a
+    dummy, or None when no infoset is padded.
     """
 
     sids: np.ndarray
     parents: np.ndarray
-    gather: np.ndarray
     mask: np.ndarray | None
 
 
@@ -108,26 +105,21 @@ class Chains:
 class Level:
     """The information sets at one depth of a plan's infoset forests, and their pairs.
 
-    ``blocks`` holds one :class:`Chains` per kernel call, their gathers
+    ``blocks`` holds one :class:`Chains` per kernel call, their chains
     consecutive runs of the plan's ``gather``: first the level's infosets
     of at most 3 actions, padded to the most actions among them (when there
     are any), then one block per action count of 4 or more, in increasing
-    order.  Per pair of the level, ``slot`` is its sequence's entry in the
-    level's incoming-mass vector of ``size`` entries, the blocks' k x m
-    state grids in turn: a block's entry for action a of its j-th infoset
-    is its start plus m j + a.  The level's pairs are ``lo`` to ``hi`` of
-    the plan's pair layout: per infoset, one segment of m pairs (one per
-    action) for each trigger covering it.  Per pair, ``segment`` is its segment (counted from 0 in
-    the level), and ``up`` its parent pair (t, parent sequence), or P, the
-    root slot, when t is one of the infoset's own sequences.  ``starts``
+    order.  The level's pairs are ``lo`` to ``hi`` of the plan's pair
+    layout: per infoset, one segment of m pairs (one per action) for each
+    trigger covering it.  Per pair, ``segment`` is its segment (counted
+    from 0 in the level), and ``up`` its parent pair (t, parent sequence),
+    or P, the root slot, when t is one of the infoset's own sequences.  ``starts``
     holds each segment's first pair, from ``lo``, and ``parents`` each
     segment's parent pair, from the level above's ``lo`` (the level above's
     pair count for the root slot).
     """
 
     blocks: tuple[Chains, ...]
-    slot: np.ndarray
-    size: int
     lo: int
     hi: int
     segment: np.ndarray
@@ -146,7 +138,11 @@ class PlayerPlan:
     ``owner[s]`` is the slot k of sequence s, and ``triggerless[k]`` is set
     when the k-th player has no triggers (``sizes[k]`` is 1).  ``levels``
     runs from the roots of the infoset forests down, merging the players'
-    infosets by depth; ``gather`` joins their blocks' gathers, in order.
+    infosets by depth.  ``gather`` holds, block after block in level order,
+    each block's (k, m, m) chains as indices into :meth:`chain_entries`:
+    ``gather[j, a, c]`` is the pair (``sids[j, c]``, ``sids[j, a]``) when
+    both states are real, the 1 slot (P + 2) where a dummy column c meets
+    a = 0, and the 0 slot (P + 1) elsewhere.
 
     All per-trigger state is held in the pair layout: one entry per pair
     (t, s) of a trigger t (a non-empty sequence) and a sequence s at or
@@ -197,33 +193,38 @@ class PlayerPlan:
         return self.dense(1.0)
 
     def chain_entries(self, moved, keep):
-        """What a :class:`Chains` gather reads: per pair its ``moved`` mass (its continuation
+        """What ``gather`` reads: per pair its ``moved`` mass (its continuation
         times its trigger's weight), plus ``keep[s]`` (s's kept share) at the pair (s, s),
         then the three slots."""
         entries = np.concatenate((moved, _SLOTS))
         entries[self.own] += keep
         return entries
 
-    def infoset_chains(self, sids, parent):
-        """:class:`Chains` of one infoset, from its sequence ids and parent sequence."""
-        return _chains([(sids, parent)], len(sids), self.own, self.owner.size,
-                       self.pair_seq.size, np.empty((1, len(sids), len(sids)), dtype=np.int64))
+    def infoset_gather(self, sids):
+        """The (1, m, m) gather of one infoset's chain, from its m sequence ids."""
+        return _gather(np.array([sids], dtype=np.int64), self.own, self.pair_seq.size)
 
 
-def _chains(groups, m, own, n, n_pairs, gather):
-    """:class:`Chains` of (sequence ids, parent) infosets padded to m states, filling ``gather``."""
+def _chains(groups, m, n):
+    """:class:`Chains` of (sequence ids, parent) infosets padded to m states."""
     sids = np.full((len(groups), m), n, dtype=np.int64)
     for j, (seqs, _) in enumerate(groups):
         sids[j, :len(seqs)] = seqs
     real = sids < n
-    a = np.arange(m)
-    gather[...] = n_pairs + 1
+    return Chains(sids, np.array([p for _, p in groups], dtype=np.int64),
+                  None if real.all() else real[:, None, :] * 1.0)
+
+
+def _gather(sids, own, n_pairs):
+    """The (k, m, m) gather of the chains of k infosets padded to ``sids``' (k, m) states."""
+    real = sids < own.size
+    a = np.arange(sids.shape[1])
+    gather = np.full(sids.shape + sids.shape[1:], n_pairs + 1, dtype=np.int64)
     # Between real states: the pair (c, c), moved a - c actions on in its segment.
     np.copyto(gather, own.take(sids, mode="clip")[:, None, :] + (a[:, None] - a),
               where=real[:, :, None] & real[:, None, :])
     gather[:, 0][~real] = n_pairs + 2
-    return Chains(sids, np.array([p for _, p in groups], dtype=np.int64), gather,
-                  None if real.all() else real[:, None, :] * 1.0)
+    return gather
 
 
 class GameTree:
@@ -549,8 +550,10 @@ class GameTree:
         return self.infosets[gid]
 
     def _player(self, player):
-        """``player``; ValueError unless it is one of players 0 to ``n_players - 1``."""
-        if not 0 <= player < self.n_players:
+        """``player``; ValueError unless it is an integer from 0 to ``n_players - 1``."""
+        # An exact int, what the per-round callers pass, skips the ABC check.
+        if not ((type(player) is int or isinstance(player, Integral))
+                and 0 <= player < self.n_players):
             raise ValueError(f"player {player} is not one of players 0 to {self.n_players - 1}")
         return player
 
@@ -566,9 +569,9 @@ class GameTree:
         return self._n_seq[self._player(player)]
 
     def _sequence(self, player, sid):
-        """``sid``; ValueError unless it is one of ``player``'s sequence ids."""
+        """``sid``; ValueError unless it is one of ``player``'s sequence ids, an integer."""
         n = self.num_sequences(player)
-        if not 0 <= sid < n:
+        if not (isinstance(sid, Integral) and 0 <= sid < n):
             raise ValueError(f"player {player + 1} has sequence ids 0 to {n - 1}, not {sid}")
         return sid
 
@@ -597,8 +600,8 @@ class GameTree:
         return self._seq_child_isets[player][sid]
 
     def _infoset(self, gid):
-        """The :class:`InfoSet` with id ``gid``; ValueError for no such id."""
-        if not 0 <= gid < len(self.infosets):
+        """The :class:`InfoSet` with id ``gid``; ValueError for no such integer id."""
+        if not (isinstance(gid, Integral) and 0 <= gid < len(self.infosets)):
             raise ValueError(f"no information set with id {gid}")
         return self.infosets[gid]
 
@@ -733,27 +736,17 @@ class GameTree:
         segment = np.array(segment, dtype=np.int64)
         up = np.array(up, dtype=np.int64)
         up[up < 0] = n_pairs
-        gather = np.empty(sum(len(group) * m * m for _, _, calls in ranges
-                              for m, group in calls), dtype=np.int64)
         levels = []
-        # sequence -> its entry in its level's incoming-mass vector; the slot
-        # past the sequences takes the dummy states' entries
-        slot = np.zeros(n + 1, dtype=np.int64)
-        above = at = 0
+        above = 0
         for lo, hi, calls in ranges:
             rel = segment[lo:hi] - segment[lo]
             starts = np.flatnonzero(np.diff(rel, prepend=-1))
             heads = up[lo + starts]
-            blocks, size = [], 0
-            for m, group in calls:
-                view = gather[at:at + len(group) * m * m].reshape(len(group), m, m)
-                blocks.append(ch := _chains(group, m, own, n, n_pairs, view))
-                slot[ch.sids] = size + np.arange(ch.sids.size).reshape(ch.sids.shape)
-                size += ch.sids.size
-                at += view.size
-            levels.append(Level(tuple(blocks), slot[pair_seq[lo:hi]], size, lo, hi, rel,
+            levels.append(Level(tuple(_chains(group, m, n) for m, group in calls), lo, hi, rel,
                                 up[lo:hi], starts, np.where(heads == n_pairs, lo, heads) - above))
             above = lo
+        gather = np.concatenate([np.empty(0, dtype=np.int64)] + [
+            _gather(ch.sids, own, n_pairs).ravel() for level in levels for ch in level.blocks])
         spans = tuple((p, a, a + k)
                       for p, a, k in zip(players, offsets.tolist(), sizes.tolist()))
         return PlayerPlan(spans, offsets, sizes,

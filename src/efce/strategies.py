@@ -232,8 +232,9 @@ def utility_vector(game, player, profile):
     order, with values within 1e-9 of [0, 1] (else ValueError); the values
     of ``player``'s own are otherwise ignored.
     """
+    n = game.num_sequences(player)  # checks player before the blocks in front of it
     start = sum(map(game.num_sequences, range(player)))
-    coeffs = _score(game, profile)[1][start:start + game.num_sequences(player)]
+    coeffs = _score(game, profile)[1][start:start + n]
     return UtilityVector(player, coeffs, game.payoff_range(player))
 
 

@@ -20,7 +20,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .deviations import ConvexTriggerDeviation, fixed_point
+from .deviations import ConvexTriggerDeviation, _check_tol, fixed_point
 from .regret import CallOrderError
 from .strategies import SequenceFormStrategy, sample_pure
 
@@ -143,13 +143,14 @@ class MixedTriggerMinimizer:
     views of the joint fixed point, and :meth:`observe_utility` takes the
     players' utility vectors concatenated in the order of the group's plan
     (as :attr:`efce.dynamics.EmpiricalFrequency.utility` holds them).
-    ``last_mixed`` is what :meth:`next_element` last returned.
+    ``last_mixed`` is what :meth:`next_element` last returned.  An
+    ``fp_tol`` that is not positive and finite raises ValueError.
     """
 
     def __init__(self, game, player, fp_tol=1e-10):
         self.game = game
         self.player = player
-        self.fp_tol = fp_tol
+        self.fp_tol = _check_tol(fp_tol, "fp_tol")
         self.hull = HullMinimizer(game, player)
         self.last_mixed = None
         self._point = None

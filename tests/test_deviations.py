@@ -1,5 +1,6 @@
 import functools
 import random
+import sys
 import time
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 import efce
 from conftest import fig1_deviations, kernel_games, random_behavioral, random_deviation
 from efce.deviations import _parts
+from efce.game import _gather
 
 
 def _vertex(n, *sids):
@@ -315,22 +317,21 @@ def _reducible_chain(rng, d):
 
 def test_stationary_batch_rows_match_chains_solved_alone():
     # Every row of one batch is its chain solved alone, bit for bit, padded
-    # or not: whatever the padded entries hold, they get 0.
+    # or not: the kernel's dummy states (column e_0, row 0) get 0.
     rng = np.random.default_rng(31)
     rows = 0
     for _ in range(300):
         m = int(rng.integers(2, 9))
         k = int(rng.integers(1, 8))
-        w = rng.random((k, m, m))  # the padded entries keep these
-        real = np.zeros((k, m), dtype=bool)
+        w = np.zeros((k, m, m))
         chains = []
         for j in range(k):
             d = int(rng.integers(1, m + 1))
             chain, label = _reducible_chain(rng, d)
             w[j, :d, :d] = chain
-            real[j, :d] = True
+            w[j, 0, d:] = 1.0
             chains.append((chain, label))
-        padded = efce.deviations._stationary(w, real, 1e-10)
+        padded = efce.deviations._stationary(w, 1e-10)
         for j, (chain, label) in enumerate(chains):
             d = len(chain)
             alone = efce.stationary_distribution(chain)
@@ -352,7 +353,7 @@ def test_stationary_distribution_underflow_raises():
     with pytest.raises(efce.NumericalError, match="underflowed"):
         efce.stationary_distribution(w)
     with pytest.raises(efce.NumericalError, match="underflowed"):
-        efce.deviations._stationary(np.stack([np.eye(3), w]), None, 1e-10)
+        efce.deviations._stationary(np.stack([np.eye(3), w]), 1e-10)
 
 
 def test_is_trunk_classification():
@@ -414,6 +415,26 @@ def test_extend_precondition_errors():
     phi2 = efce.ConvexTriggerDeviation(1, [])
     with pytest.raises(ValueError):
         efce.extend(g, phi2, set(), A, x0)  # player mismatch
+
+
+def test_tolerances_must_be_positive_and_finite():
+    # A tolerance of -1 once failed only at the fixed point's residual check,
+    # "residual 0 exceeds tolerance"; nan raised NumericalError from
+    # stationary_distribution, and extend returned a vector for 0.
+    g = efce.builtin_game("fig1", seed=0)
+    phi = _worked_phi(g)
+    x0 = np.zeros(9)
+    x0[efce.EMPTY_SEQ] = 1.0
+    A = g.infoset(0, "A").index
+    for bad in (0.0, -1.0, np.nan, np.inf, -np.inf):
+        for name, call in (
+                ("fp_tol", lambda: efce.fixed_point(g, phi, bad)),
+                ("fp_tol", lambda: efce.extend(g, phi, set(), A, x0, fp_tol=bad)),
+                ("tol", lambda: efce.stationary_distribution(np.eye(2), tol=bad)),
+                ("fp_tol", lambda: efce.MixedTriggerMinimizer(g, 0, bad)),
+                ("fp_tol", lambda: efce.PureTriggerMinimizer(g, 0, random.Random(0), bad))):
+            with pytest.raises(ValueError, match=f"^{name} must be positive and finite$"):
+                call()
 
 
 def test_extend_zero_mass_parent_gives_zero_children():
@@ -625,13 +646,20 @@ def test_fixed_point_closed_forms_match_general_solver():
 
 
 def _spy_stationary(monkeypatch):
-    """Record every (chains, real-state mask, answer) that ``_stationary`` sees."""
+    """Record every (chains, real-state mask, answer) that ``_stationary`` sees.
+
+    The mask comes from the rows' block, not from the padded chains: it is
+    the calling ``_solve``'s ``mask`` at the ``rows`` it hands over, or None
+    when every state is real.
+    """
     calls = []
     solve = efce.deviations._stationary
 
-    def spy(w, real, tol):
-        b = solve(w, real, tol)
-        calls.append((w.copy(), real, b))
+    def spy(w, tol):
+        b = solve(w, tol)
+        caller = sys._getframe(1).f_locals
+        mask = caller.get("mask")
+        calls.append((w.copy(), None if mask is None else mask[caller["rows"], 0] > 0.0, b))
         return b
 
     monkeypatch.setattr(efce.deviations, "_stationary", spy)
@@ -940,7 +968,8 @@ def test_block_chains_are_views_of_one_gather_and_match_a_per_block_gather():
     # fixed_point gathers every block's static chains at once; each block's
     # (k, m, m) view holds, bit for bit, the moved mass of the pair
     # (sids[c], sids[a]) plus the kept share on the diagonal, 1 where a
-    # dummy column meets action 0, and 0 elsewhere.
+    # dummy column meets action 0, and 0 elsewhere.  A block's own gather,
+    # and extend's gather of each of its infosets, read the same entries.
     rng = random.Random(13)
     for g in kernel_games():
         players = tuple(range(g.n_players))
@@ -952,12 +981,12 @@ def test_block_chains_are_views_of_one_gather_and_match_a_per_block_gather():
         for _ in range(3):
             phi = hull.next_element()
             _, _, moved, keep = _parts(plan, phi)
-            static = plan.chain_entries(moved, keep).take(plan.gather)
+            entries = plan.chain_entries(moved, keep)
+            static = entries.take(plan.gather)
             done = 0
             for level in plan.levels:
                 for ch in level.blocks:
                     k, m = ch.sids.shape
-                    assert np.shares_memory(ch.gather, plan.gather)
                     want = np.zeros((k, m, m))
                     for j, row in enumerate(ch.sids.tolist()):
                         for a in range(m):
@@ -969,8 +998,13 @@ def test_block_chains_are_views_of_one_gather_and_match_a_per_block_gather():
                                 elif a == 0:
                                     want[j, a, c] = 1.0
                     got = static[done:done + k * m * m].reshape(k, m, m)
-                    assert np.array_equal(got, want)
-                    assert np.array_equal(plan.chain_entries(moved, keep).take(ch.gather), want)
+                    assert np.shares_memory(got, static) and np.array_equal(got, want)
+                    gather = _gather(ch.sids, plan.own, plan.pair_seq.size)
+                    assert np.array_equal(entries.take(gather), want)
+                    for j, row in enumerate(ch.sids.tolist()):
+                        d = sum(s < n for s in row)
+                        assert np.array_equal(entries.take(plan.infoset_gather(row[:d])),
+                                              want[j:j + 1, :d, :d])
                     done += k * m * m
             assert done == plan.gather.size == static.size
             q = np.array([rng.random() for _ in range(n)])

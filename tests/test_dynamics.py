@@ -593,7 +593,7 @@ def test_run_rejects_bad_arguments():
 def test_run_rejects_bad_fp_tol():
     g = efce.builtin_game("fig1", seed=0)
     for bad in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^fp-tol must be positive and finite$"):
             efce.run(g, iterations=5, seed=0, fp_tol=bad)
 
 

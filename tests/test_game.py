@@ -295,12 +295,13 @@ def test_sequences_at_or_below():
 
 def test_ancestry_queries_reject_ids_out_of_range():
     # A negative id once wrapped around: (0, -2) read as sequence 7, and
-    # infoset -1 as D, whose subtree is [7, 8].
+    # infoset -1 as D, whose subtree is [7, 8].  A sequence 1.5 once
+    # preceded nothing, and infoset 1.5 raised TypeError.
     g = efce.builtin_game("fig1", seed=0)
-    for a, b in [(0, -2), (-1, 3), (1, 9), (9, 1)]:
+    for a, b in [(0, -2), (-1, 3), (1, 9), (9, 1), (1.5, 3), (0, 2.0)]:
         with pytest.raises(ValueError, match="player 1 has sequence ids 0 to 8, not"):
             efce.sequence_precedes(g, (0, a), (0, b))
-    for gid in (-1, len(g.infosets)):
+    for gid in (-1, len(g.infosets), 1.5):
         for query in (lambda: efce.sequences_at_or_below(g, gid),
                       lambda: g.subtree_infosets(gid),
                       lambda: g.subtree_seq_mask(gid)):
@@ -309,10 +310,11 @@ def test_ancestry_queries_reject_ids_out_of_range():
 
 
 def test_player_queries_reject_ids_out_of_range():
-    # -1 once answered for player 2, and 2 raised IndexError
+    # -1 once answered for player 2, 2 raised IndexError, 1.5 raised
+    # TypeError, and utility_vector named player 2 for players 3 and 5.
     g = efce.builtin_game("fig1", seed=0)
     profile = [efce.uniform_strategy(g, i) for i in range(2)]
-    for bad in (-1, 2):
+    for bad in (-1, 2, 3, 5, 1.5):
         for query in (g.num_sequences, g.num_infosets, g.player_infosets, g.seq_infoset,
                       g.seq_parent, g.descendant_mask, g.payoff_range, g.pure_count,
                       g.scope_infosets, lambda p: g.child_infosets(p, 0),
@@ -324,15 +326,15 @@ def test_player_queries_reject_ids_out_of_range():
 
 
 def test_lookups_reject_ids_out_of_range():
-    # Sequence -1 once read as 'D:8' and had no child infosets, infoset 99
-    # raised IndexError, infoset -1 read as D, and an unknown action raised
-    # "tuple.index(x): x not in tuple".
+    # Sequence -1 once read as 'D:8' and had no child infosets, sequence 1.5
+    # raised IndexError, infoset 99 raised IndexError, infoset -1 read as D,
+    # and an unknown action raised "tuple.index(x): x not in tuple".
     g = efce.builtin_game("fig1", seed=0)
-    for sid in (-1, 9, 99):
+    for sid in (-1, 9, 99, 1.5):
         for query in (lambda: g.sequence_name(0, sid), lambda: g.child_infosets(0, sid)):
             with pytest.raises(ValueError, match=f"player 1 has sequence ids 0 to 8, not {sid}$"):
                 query()
-    for gid in (-1, 99):
+    for gid in (-1, 99, 1.5):
         for query in (lambda: g.scope_infosets(1, gid), lambda: g.infoset_label(gid),
                       lambda: efce.uniform_strategy(g, 0, root=gid),
                       lambda: efce.validate_strategy(
@@ -500,9 +502,10 @@ def test_level_blocks_hold_each_infoset_once_narrow_first():
             rest = slice(1 if narrow else 0, None)
             assert all(r.all() and ch.mask is None for r, ch in zip(real[rest], blocks[rest]))
             assert min(widths[rest], default=4) >= 4 and widths[rest] == sorted(set(widths[rest]))
+            # the level's pairs' sequences are its blocks' real states, each once
             grid = np.concatenate([ch.sids.ravel() for ch in blocks])
-            assert grid.size == level.size
-            assert np.array_equal(grid[level.slot], plan.pair_seq[level.lo:level.hi])
+            assert np.array_equal(np.sort(grid[grid < n]),
+                                  np.unique(plan.pair_seq[level.lo:level.hi]))
     assert masks == {True, False}
 
 

@@ -136,18 +136,24 @@ def outcome(text):
     return "ok " + hashlib.sha256(serialize_game(game).encode()).hexdigest()
 
 
-def main():
+def protocol():
+    """(label, input name, text) per input, in output order."""
     for label, text in texts():
-        print(label, "as-written", outcome(text))
+        yield label, "as-written", text
         rng = random.Random(label)
         for k in range(MUTATIONS_PER_TEXT):
             names, mutated = mutate(text, rng)
-            print(label, f"m{k}:{names}", outcome(mutated))
+            yield label, f"m{k}:{names}", mutated
     for label, text in texts():
         rng = random.Random(f"{label}/statements")
         for k in range(STATEMENT_MUTATIONS_PER_TEXT):
             names, mutated = mutate_statement(text, rng)
-            print(label, f"s{k}:{names}", outcome(mutated))
+            yield label, f"s{k}:{names}", mutated
+
+
+def main():
+    for label, name, text in protocol():
+        print(label, name, outcome(text))
     return 0
 
 
