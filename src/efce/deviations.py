@@ -29,7 +29,6 @@ from .game import EMPTY_SEQ
 from .strategies import SequenceFormStrategy, validate_strategy
 
 _WEIGHT_TOL = 1e-9
-_ONE_BLOCK = np.zeros(1, dtype=np.int64)
 # Flat indices into a 3 x 3 matrix for each state a = 0, 1, 2 (columns) and
 # its two other states c < d: entries (a, c), (a, d), (c, d) and (d, c) (rows).
 _TREE = np.array([[1, 3, 6], [2, 5, 7], [5, 2, 1], [7, 6, 3]])
@@ -66,9 +65,10 @@ class ConvexTriggerDeviation:
     layout the hull learns them in and the fixed point reads: entry p is
     trigger t's continuation at sequence s, for the pair p = (t, s).  A
     combination built from entries is turned into the pair layout on its
-    first use; that raises ValueError unless every continuation is finite,
-    nonnegative and zero off the subtree of its trigger's infoset, as
-    :meth:`from_pairs` checks at once.  ``C``, with row s trigger s's
+    first use with each plan; that raises ValueError unless every
+    continuation is finite, nonnegative and zero off the subtree of its
+    trigger's infoset, as :meth:`from_pairs` checks at once.  One from
+    :meth:`from_pairs` is read only with its own plan.  ``C``, with row s trigger s's
     continuation, is a triggers x sequences copy.
     ``lam`` and ``C`` are empty for the empty combination.  A group's
     combination (from :meth:`from_pairs` with a tuple ``player``) is indexed
@@ -95,28 +95,23 @@ class ConvexTriggerDeviation:
                 old = lam[sid]
                 rows[sid] = c if old == 0.0 else (old * rows[sid] + weight * c) / (old + weight)
                 lam[sid] = old + weight
-        self._init(player, lam, _ONE_BLOCK)
-        self.conts, self._plan, self._rows = None, None, rows
+        _check_weights(lam, [0])
+        self.player, self.lam, self.conts, self._plan, self._rows = player, lam, None, None, rows
 
     @classmethod
     def from_pairs(cls, player, lam, conts, plan):
-        """Wrap weights and continuations in ``plan``'s pair layout, with the same checks."""
+        """Wrap weights and continuations in ``plan``'s pair layout, with the same checks;
+        the result is read with ``plan`` only (another plan raises ValueError)."""
         _check_conts(conts)
-        phi = cls.__new__(cls)
-        phi._init(player, lam, plan.offsets)
-        phi.conts, phi._plan, phi._rows = conts, plan, None
-        return phi
+        _check_weights(lam, plan.offsets)
+        return cls._of_pairs(player, lam, conts, plan)
 
-    def _init(self, player, lam, offsets):
-        if lam.size:
-            if lam[offsets].any() or not lam.min() >= 0.0:
-                raise ValueError(
-                    "deviation weights must be nonnegative and off the empty sequence")
-            for total in np.add.reduceat(lam, offsets).tolist():
-                if total != 0.0 and not abs(total - 1.0) <= _WEIGHT_TOL:
-                    raise ValueError(f"deviation weights sum to {total!r}, not 1")
-        self.player = player
-        self.lam = lam
+    @classmethod
+    def _of_pairs(cls, player, lam, conts, plan):
+        """:meth:`from_pairs` on arrays that pass its checks by construction, unchecked."""
+        phi = cls.__new__(cls)
+        phi.player, phi.lam, phi.conts, phi._plan, phi._rows = player, lam, conts, plan, None
+        return phi
 
     @property
     def C(self):
@@ -135,14 +130,26 @@ class ConvexTriggerDeviation:
         return [(int(s), float(self.lam[s]), C[s]) for s in np.flatnonzero(self.lam)]
 
 
+def _check_weights(lam, offsets):
+    """Raise ValueError unless ``lam``'s blocks at ``offsets`` are >= 0, 0 first, sum 0 or 1."""
+    if lam.size:
+        if lam[offsets].any() or not lam.min() >= 0.0:
+            raise ValueError("deviation weights must be nonnegative and off the empty sequence")
+        for total in np.add.reduceat(lam, offsets).tolist():
+            if total != 0.0 and not abs(total - 1.0) <= _WEIGHT_TOL:
+                raise ValueError(f"deviation weights sum to {total!r}, not 1")
+
+
 def _arrays(plan, phi):
-    """The weights of ``phi`` and its continuations in ``plan``'s pair layout."""
+    """The weights of ``phi`` and its continuations in ``plan``'s pair layout (see the class)."""
     n = plan.owner.size
     if phi.lam.size == 0:
         return np.zeros(n), np.zeros(plan.pair_seq.size)
     if phi.lam.size != n:
         raise ValueError(f"deviation has {phi.lam.size} sequences, expected {n}")
-    if phi.conts is None:
+    if phi._plan is not plan:
+        if phi._rows is None:
+            raise ValueError("deviation was laid out in pairs for another plan")
         C = phi.C
         conts = C[plan.pair_trigger, plan.pair_seq]
         C[plan.pair_trigger, plan.pair_seq] = 0.0

@@ -661,10 +661,11 @@ class GameTree:
         """The :class:`PlayerPlan` of one player or a tuple of distinct players, built on first use.
 
         Raises ValueError for an empty tuple, a player that is not an integer
-        from 0 to ``n_players - 1``, or a repeated player.
+        from 0 to ``n_players - 1``, or a repeated player.  A tuple equal to a
+        key whose plan is built returns it before those checks run.
         """
-        key = (int(players),) if isinstance(players, Integral) else (
-            tuple(players) if np.iterable(players) else None)
+        key = players if type(players) is tuple else (int(players),) if isinstance(
+            players, Integral) else (tuple(players) if np.iterable(players) else None)
         plan = self._plan_cache.get(key)
         if plan is None:
             if not key or len(set(key)) != len(key) or not all(
@@ -804,9 +805,8 @@ def sequence_precedes(game, seq_a, seq_b):
     player.  The empty sequence precedes every non-empty one; a sequence never
     precedes itself.  A sequence id out of range raises ValueError.
     """
-    pa, sa = seq_a
-    pb, sb = seq_b
-    if pa != pb:
+    (pa, sa), (pb, sb) = seq_a, seq_b
+    if game._player(pa) != game._player(pb):
         raise ValueError(f"cannot compare sequences of players {pa + 1} and {pb + 1}")
     sa, sb = game._sequence(pa, sa), game._sequence(pb, sb)
     parent = game.seq_parent(pa)

@@ -81,6 +81,11 @@ class HullMinimizer:
         return self.plan.dense(self._regrets)
 
     def next_element(self):
+        """The round's deviation, unchecked: valid by construction, it skips ``from_pairs``' checks.
+
+        A non-finite regret, which only an overflow makes, gives a deviation that
+        ``fixed_point`` rejects.  CallOrderError if the last one was not observed.
+        """
         if self._phi is not None:
             raise CallOrderError("next_element called again before observe_utility")
         plan = self.plan
@@ -96,7 +101,7 @@ class HullMinimizer:
         s = np.add.reduceat(mpos, plan.offsets).take(plan.owner)
         lam = np.divide(mpos, s, out=self._even.copy(), where=s > 0.0)
         self._local = local
-        self._phi = ConvexTriggerDeviation.from_pairs(self.player, lam, conts[:-1], plan)
+        self._phi = ConvexTriggerDeviation._of_pairs(self.player, lam, conts[:-1], plan)
         return self._phi
 
     def observe_utility(self, ell, q):
@@ -152,14 +157,15 @@ class MixedTriggerMinimizer:
         self.player = player
         self.fp_tol = _check_tol(fp_tol, "fp_tol")
         self.hull = HullMinimizer(game, player)
+        self._spans = None if isinstance(player, Integral) else self.hull.plan.spans
         self.last_mixed = None
         self._point = None
 
     def next_element(self):
         point = fixed_point(self.game, self.hull.next_element(), self.fp_tol)
-        self._point = getattr(point, "values", point)
-        self.last_mixed = point if isinstance(self.player, Integral) else [
-            SequenceFormStrategy(p, point[a:b], None) for p, a, b in self.hull.plan.spans]
+        self._point = point.values if self._spans is None else point
+        self.last_mixed = point if self._spans is None else [
+            SequenceFormStrategy(p, point[a:b], None) for p, a, b in self._spans]
         return self.last_mixed
 
     def observe_utility(self, util):
@@ -175,18 +181,24 @@ class MixedTriggerMinimizer:
 class PureTriggerMinimizer(MixedTriggerMinimizer):
     """Mixed trigger minimizer plus per-round sampling of a pure strategy.
 
-    ``rng`` is one random stream, or one per player of a tuple ``player``;
-    each player's pure strategy is drawn from its own stream, in player order.
+    ``rng`` is one random stream, or a list or tuple of one per player of a
+    group ``player``; each player's pure strategy is drawn from its own
+    stream, in player order.  A group with another number of streams
+    raises ValueError.
     """
 
     def __init__(self, game, player, rng, fp_tol=1e-10):
         super().__init__(game, player, fp_tol)
+        if self._spans is not None and not (
+                isinstance(rng, (list, tuple)) and len(rng) == len(self._spans)):
+            raise ValueError(f"a group of {len(self._spans)} players needs one random "
+                             f"stream per player, in a list or tuple")
         self.rng = rng
         self.last_pure = None
 
     def next_element(self):
         mixed = super().next_element()
-        if isinstance(self.player, Integral):
+        if self._spans is None:
             self.last_pure = sample_pure(self.game, mixed, self.rng)
         else:
             self.last_pure = [sample_pure(self.game, m, rng) for m, rng in zip(mixed, self.rng)]

@@ -230,6 +230,42 @@ def test_bad_continuations_raise_the_same_error_through_both_constructors():
         assert "continuations must be finite, nonnegative" in str(built.value)
 
 
+def _outcome(fn):
+    """fn's values, or the type and message of the error it raises."""
+    try:
+        return fn().values.tolist()
+    except (ValueError, efce.NumericalError) as err:
+        return type(err), str(err)
+
+
+def test_a_deviation_is_read_only_in_the_pair_layout_of_its_plan():
+    # random-tree 2 and 55 both give player 0 six sequences and 13 pairs:
+    # 2's hull deviation was once read in 55's pair layout, and fixed_point
+    # returned [1, 1/3, 1/3, 1/3, 0.5, 0.5] without a word.  Other pairs of
+    # games with equal sequence counts raised numpy's broadcast ValueError,
+    # or NumericalError.
+    games = [efce.builtin_game("random-tree", seed=s) for s in range(64)]
+    games.append(efce.builtin_game("random-tree", seed=2))  # a second parse
+    checked = 0
+    for a in games:
+        phi = efce.HullMinimizer(a, 0).next_element()
+        entries = efce.ConvexTriggerDeviation(0, phi.terms)
+        fp = efce.fixed_point(a, entries).values.tolist()
+        assert efce.fixed_point(a, phi).values.tolist() == fp
+        for b in games:
+            if b is a or b.num_sequences(0) != a.num_sequences(0) or not phi.terms:
+                continue
+            with pytest.raises(ValueError, match="laid out in pairs for another plan"):
+                efce.fixed_point(b, phi)
+            # One built from entries is laid out again from its rows.
+            fresh = efce.ConvexTriggerDeviation(0, phi.terms)
+            assert (_outcome(lambda: efce.fixed_point(b, entries))
+                    == _outcome(lambda: efce.fixed_point(b, fresh)))
+            assert efce.fixed_point(a, entries).values.tolist() == fp
+            checked += 1
+    assert checked >= 200
+
+
 def test_cumulative_weights_worked_example():
     g = efce.builtin_game("fig1", seed=0)
     da, db, dc = fig1_deviations(g)

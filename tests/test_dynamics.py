@@ -1,5 +1,6 @@
 import random
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -484,12 +485,47 @@ def test_run_reaches_the_names_the_benchmark_times(monkeypatch):
 
     monkeypatch.setattr(EmpiricalFrequency, "accumulate", spy_accumulate)
     monkeypatch.setattr(efce.dynamics, "efce_gap", spy_gap)
+    # bench/tracer.py also hooks the learner's per-round steps at these names.
+    calls = Counter()
+
+    def spy(owner, name):
+        target = getattr(owner, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return target(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner, name in ((efce.trigger.HullMinimizer, "next_element"),
+                        (efce.trigger.HullMinimizer, "observe_utility"),
+                        (efce.trigger, "fixed_point"), (efce.trigger, "sample_pure")):
+        spy(owner, name)
     log = efce.run(efce.builtin_game("kuhn3"), 10, 0, gap_every=3)
     assert len(freqs) == 10 and isinstance(freqs[0], EmpiricalFrequency)
     assert all(f is freqs[0] for f in freqs) and freqs[0].t == 10
     assert checkpoints == [3, 6, 9, 10]
     assert [row[4] is not None for row in log.rows[::2]] == [t in (3, 6, 9, 10)
                                                             for t in range(1, 11)]
+    # Once per round, and sample_pure once per player per round.
+    assert calls == {"next_element": 10, "observe_utility": 10, "fixed_point": 10,
+                     "sample_pure": 20}
+
+
+def test_run_logs_the_same_bytes_with_a_list_of_players(monkeypatch):
+    # run() builds its learner on a tuple of players; a list must act alike.
+    g = efce.builtin_game("kuhn3")
+    want = efce.run(g, 16, 3, gap_every=4).csv_text()
+    pure = efce.dynamics.PureTriggerMinimizer
+    built = []
+
+    def with_list(game, players, *rest):
+        built.append(pure(game, list(players), *rest))
+        return built[-1]
+
+    monkeypatch.setattr(efce.dynamics, "PureTriggerMinimizer", with_list)
+    assert efce.run(g, 16, 3, gap_every=4).csv_text() == want
+    assert built[0].player == [0, 1]
 
 
 def test_run_log_row_layout():

@@ -283,6 +283,19 @@ def test_sequence_precedes():
         efce.sequence_precedes(g, (0, 1), (1, 1))
 
 
+def test_sequence_precedes_checks_each_player_before_comparing_them():
+    # On kuhn3, (5, 1) against (0, 1) once raised "cannot compare sequences
+    # of players 6 and 1", naming a player the game lacks.
+    g = efce.builtin_game("kuhn3")
+    for bad in (5, 1.5, -1, 2):
+        message = re.escape(f"player {bad} is not one of players 0 to 1")
+        for a, b in (((bad, 1), (0, 1)), ((0, 1), (bad, 1))):
+            with pytest.raises(ValueError, match=message):
+                efce.sequence_precedes(g, a, b)
+    with pytest.raises(ValueError, match="cannot compare sequences of players 1 and 2"):
+        efce.sequence_precedes(g, (0, 1), (1, 1))
+
+
 def test_sequences_at_or_below():
     g = efce.builtin_game("fig1", seed=0)
     A = g.infoset(0, "A").index

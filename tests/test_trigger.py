@@ -202,6 +202,62 @@ def test_pure_minimizer_plays_vertices():
         pure.observe_utility(ell)
 
 
+def test_group_pure_minimizer_needs_one_stream_per_player():
+    # A single stream once raised TypeError only at the first next_element,
+    # one stream in a list gave a one-strategy profile, and three streams
+    # for two players went unnoticed.
+    g = efce.builtin_game("kuhn3")
+    for rng in (random.Random(0), efce.split_rngs(0, 1), efce.split_rngs(0, 3)):
+        with pytest.raises(ValueError, match="one random stream per player"):
+            efce.PureTriggerMinimizer(g, (0, 1), rng)
+    # Groups given as lists keep working, as do streams given as a tuple.
+    pure = efce.PureTriggerMinimizer(g, [0, 1], tuple(efce.split_rngs(0, 2)))
+    assert [p.player for p in pure.next_element()] == [0, 1]
+
+
+def test_self_play_deviations_pass_the_checks_of_from_pairs(monkeypatch):
+    # The hull builds its deviations past from_pairs' checks, since its
+    # arrays are valid by construction; every one of them must pass them.
+    hull_next = efce.HullMinimizer.next_element
+    checked = []
+
+    def next_checked(hull):
+        phi = hull_next(hull)
+        efce.ConvexTriggerDeviation.from_pairs(phi.player, phi.lam, phi.conts, hull.plan)
+        checked.append(phi)
+        return phi
+
+    monkeypatch.setattr(efce.HullMinimizer, "next_element", next_checked)
+    games = kernel_games()
+    for g in games:
+        efce.run(g, 32, 0)
+    assert len(checked) == 32 * len(games)
+
+
+def test_non_finite_hull_state_still_raises_in_fixed_point():
+    # from_pairs once rejected the deviation of an overflowed hull inside
+    # next_element; unchecked, it must still be rejected by fixed_point.
+    g = efce.builtin_game("kuhn3")
+    for player in (0, (0, 1)):
+        for name in ("_regrets", "mixer_regrets"):
+            for entries in (slice(None), slice(1, 2)):
+                mixed = efce.MixedTriggerMinimizer(g, player)
+                for _ in range(2):
+                    mixed.next_element()
+                    mixed.observe_utility(np.ones(mixed.hull.plan.owner.size))
+                getattr(mixed.hull, name)[entries] = np.inf
+                with np.errstate(invalid="ignore"):
+                    phi = mixed.hull.next_element()
+                    with pytest.raises(ValueError):
+                        efce.ConvexTriggerDeviation.from_pairs(
+                            phi.player, phi.lam, phi.conts, mixed.hull.plan)
+                    with pytest.raises(ValueError, match="must be finite"):
+                        efce.fixed_point(g, phi)
+                    mixed.hull._phi = None
+                    with pytest.raises(ValueError, match="must be finite"):
+                        mixed.next_element()
+
+
 def test_meter_single_round_matches_hand_computation():
     g = efce.builtin_game("fig1", seed=0)
     meter = efce.PhiRegretMeter(g, 0)

@@ -15,7 +15,8 @@ counts) and the median latency of the module's ``efce_gap`` over the
 pass's checkpoints; per pair, the change's ratio to the parent.  Then, per
 workload, the medians and the pairs the change won, and the C calls per
 round of one more pass of each tree, counted with ``sys.setprofile`` after
-each game's plan is built.
+each game's plan is built, with the ten Python functions of that tree
+that make the most of them, each with its C calls per round.
 One process sees the same host for both trees; the host's speed swings,
 and timings from separate processes disagree by more than the effects.
 
@@ -30,6 +31,7 @@ import importlib.util
 import statistics
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 PAIRS = 10
@@ -86,18 +88,21 @@ def timed_pass(efce, workload):
 
 
 def calls_per_round(efce, workload):
-    """C calls per round of one pass, counted over the runs only.
+    """(C calls per round, the ten callers making most of them) of one pass.
 
-    Each game first plays one round unprofiled, which builds its plan and
-    scorer tables, so the count is of the rounds' own work.
+    Counted over the runs only: each game first plays one round
+    unprofiled, which builds its plan and scorer tables, so the count is
+    of the rounds' own work.  A caller is a Python function, named by its
+    file and qualified name (``trigger.HullMinimizer.next_element``), and
+    listed with its C calls per round.
     """
-    count = 0
+    callers = Counter()
     rounds = 0
 
     def profile(frame, event, arg):
-        nonlocal count
         if event == "c_call":
-            count += 1
+            code = frame.f_code
+            callers[f"{Path(code.co_filename).stem}.{code.co_qualname}"] += 1
 
     for make, seed, n, gap_every in runs(efce, workload):
         game = make()
@@ -108,7 +113,7 @@ def calls_per_round(efce, workload):
         finally:
             sys.setprofile(None)
         rounds += n
-    return count / rounds
+    return callers.total() / rounds, [(name, n / rounds) for name, n in callers.most_common(10)]
 
 
 def main(argv):
@@ -134,7 +139,8 @@ def main(argv):
                   f"{gaps['change'][-1] / gaps['parent'][-1]:.3f}", flush=True)
         faster = sum(c > p for p, c in zip(rates["parent"], rates["change"]))
         quicker = sum(c < p for p, c in zip(gaps["parent"], gaps["change"]))
-        calls = {name: calls_per_round(efce, workload) for name, efce in trees.items()}
+        counted = {name: calls_per_round(efce, workload) for name, efce in trees.items()}
+        calls = {name: per_round for name, (per_round, _) in counted.items()}
         print(f"{workload} median rounds/s parent {statistics.median(rates['parent']):.1f} "
               f"change {statistics.median(rates['change']):.1f} (change faster in "
               f"{faster}/{PAIRS}); median gap_us parent "
@@ -142,6 +148,9 @@ def main(argv):
               f"{statistics.median(gaps['change']) * 1e6:.2f} (change quicker in "
               f"{quicker}/{PAIRS}); C calls/round parent {calls['parent']:.2f} "
               f"change {calls['change']:.2f}", flush=True)
+        for name, (_, top) in counted.items():
+            print(f"{workload} {name} top C callers per round: "
+                  + ", ".join(f"{caller} {n:.2f}" for caller, n in top), flush=True)
     return 0
 
 
