@@ -8,13 +8,12 @@ Convex combinations of such deviations admit a closed-form linear action and,
 by construction, a fixed point inside the sequence-form polytope.  The fixed
 point is grown top-down, one level of the player's infoset forest at a time;
 every infoset solves for a stationary distribution of a small
-column-stochastic matrix.  The plan groups each level's infosets into
-blocks, one kernel call each: those of at most 3 actions, solved in closed
-form and padded to the widest of them with dummy states, which send all
-their mass to action 0 and receive none, then one block per action count
-of 4 or more.  The chains without a closed-form answer (several closed
-classes, an underflow, or 4 or more states) go to one batched solver, the
-one :func:`stationary_distribution` also calls, where a dummy state is
+column-stochastic matrix.  Each level is one kernel call: its infosets are
+padded to the widest of them with dummy states, which send all their mass
+to action 0 and receive none.  A chain of at most 3 real states is solved
+in closed form; the others (several closed classes, an underflow, or 4 or
+more real states) go to one batched solver, the one
+:func:`stationary_distribution` also calls, where a dummy state is
 transient and so gets 0.
 """
 
@@ -340,6 +339,13 @@ def _parts(plan, phi):
     return lam, conts, moved, 1.0 - plan.sum_above(lam)
 
 
+def _trees(w):
+    """Per row of flattened 3 x 3 chains, the spanning trees into each state a, with c, d
+    the other two: w[a, c] * (w[a, d] + w[c, d]) + w[d, c] * w[a, d]."""
+    t = w[:, _TREE]
+    return t[:, 0] * (t[:, 1] + t[:, 2]) + t[:, 3] * t[:, 1]
+
+
 def _solve(w0, r, xp, mask, fp_tol):
     """Fixed-point values of k infosets padded to m states each, as a (k, m) array.
 
@@ -351,13 +357,14 @@ def _solve(w0, r, xp, mask, fp_tol):
     ``mask`` (None for all) is 1.  A dummy column sends all its mass to
     action 0 and receives none, so the closed form of m states (by the
     Markov chain tree theorem, for m = 2 and 3), and :func:`_stationary`,
-    give the answer of fewer real states bit for bit.  A column
-    whose sum, weighted by its parent mass, is not 1 raises
+    give the answer of fewer real states bit for bit; for m of 4 or more,
+    a row of at most 3 real states takes the closed form of its first 3.
+    A column whose sum, weighted by its parent mass, is not 1 raises
     :class:`NumericalError`, and a nan entry or one below -1e-12
     ValueError, whatever the number of states; the other negative entries
     are clipped to 0.  A row whose parent has no mass is 0.  The other
     rows whose closed form does not sum to a positive total, every row of
-    4 or more states among them, are solved together by
+    4 or more real states among them, are solved together by
     :func:`_stationary`; a non-finite entry in one of them raises
     ValueError.
     """
@@ -395,12 +402,12 @@ def _solve(w0, r, xp, mask, fp_tol):
     elif m == 2:
         b = w.reshape(k, 4)[:, 1:3].copy()  # (w[0, 1], w[1, 0])
     elif m == 3:
-        # Spanning trees into each state a, with c, d the other two states:
-        # w[a, c] * (w[a, d] + w[c, d]) + w[d, c] * w[a, d].
-        t = w.reshape(k, 9)[:, _TREE]
-        b = t[:, 0] * (t[:, 1] + t[:, 2]) + t[:, 3] * t[:, 1]
+        b = _trees(w.reshape(k, 9))
     else:
         b = np.zeros((k, m))
+        if mask is not None:  # a row with a dummy state 3 has at most 3 real states
+            narrow = mask[:, 0, 3] == 0.0
+            b[narrow, :3] = _trees(w[narrow, :3, :3].reshape(-1, 9))
     total = np.add.reduce(b, axis=1) + massless
     if np.count_nonzero(total > 0.0) != k:
         rows = np.flatnonzero(~(total > 0.0))
@@ -459,15 +466,14 @@ def fixed_point(game, phi, fp_tol=1e-10):
 
     Starts from the vector with mass only on the empty sequence (of every
     player of a group's combination) and extends it one level of the infoset
-    forests at a time.  The parts of all blocks' chains that do not depend
-    on x are one gather, up front, of which each block reads a view.  An
+    forests at a time.  The parts of all levels' chains that do not depend
+    on x are one gather, up front, of which each level reads a view.  An
     infoset's incoming mass depends only on shallower entries, so a whole
     level's is one product over its pairs, summed per sequence as
-    :func:`extend` sums it, and each block reads it at its states (a dummy
-    reads the 0 past the sequences).  One kernel call solves each
-    of the level's ``blocks``: its infosets of at most 3 actions together,
-    and those of each larger action count together.  The result is checked
-    against the closed-form action; residuals above 10 * fp_tol raise
+    :func:`extend` sums it, and read at the level's states (a dummy reads
+    the 0 past the sequences).  One kernel call solves each level, its
+    infosets padded to the widest.  The result is checked against the
+    closed-form action; residuals above 10 * fp_tol raise
     :class:`NumericalError`, as does an extension matrix column that does
     not sum to 1, and a tolerance that is not positive and finite
     ValueError.
@@ -483,19 +489,17 @@ def fixed_point(game, phi, fp_tol=1e-10):
     x = np.zeros(lam.size + 1)
     x[plan.offsets] = 1.0
     xv = x[:-1]
-    done = 0  # the entries of static that earlier blocks read
+    done = 0  # the entries of static that earlier levels read
     for level in plan.levels:
         r = None  # nothing sends mass into the roots
         if level.lo:
             pairs = slice(level.lo, level.hi)
             inflow = conts[pairs] * (lam * xv).take(plan.pair_trigger[pairs])
-            r = np.bincount(plan.pair_seq[pairs], inflow, x.size)
-        for ch in level.blocks:
-            k, m = ch.sids.shape
-            x[ch.sids] = _solve(static[done:done + k * m * m].reshape(k, m, m),
-                                None if r is None else r.take(ch.sids),
-                                x.take(ch.parents), ch.mask, fp_tol)
-            done += k * m * m
+            r = np.bincount(plan.pair_seq[pairs], inflow, x.size).take(level.sids)
+        k, m = level.sids.shape
+        x[level.sids] = _solve(static[done:done + k * m * m].reshape(k, m, m), r,
+                               x.take(level.parent_seq), level.mask, fp_tol)
+        done += k * m * m
     x = xv
     resid = np.maximum.reduce(np.abs(_act(plan, moved, keep, x) - x))
     if not resid <= 10.0 * fp_tol:

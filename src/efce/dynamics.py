@@ -300,12 +300,12 @@ class RunLog:
 def check_run_args(iterations, gap_every, delta, fp_tol):
     """Raise ValueError unless the arguments of :func:`run` are valid.
 
-    Each message starts with the argument's command-line name.
+    Each message starts with the argument's command-line name.  A bool is
+    not a round count.
     """
-    if not (isinstance(iterations, Integral) and iterations >= 1):
-        raise ValueError("iterations must be an integer of at least 1")
-    if not (isinstance(gap_every, Integral) and gap_every >= 1):
-        raise ValueError("gap-every must be an integer of at least 1")
+    for value, name in ((iterations, "iterations"), (gap_every, "gap-every")):
+        if type(value) is bool or not (isinstance(value, Integral) and value >= 1):
+            raise ValueError(f"{name} must be an integer of at least 1")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie strictly between 0 and 1")
     _check_tol(fp_tol, "fp-tol")

@@ -83,33 +83,19 @@ _SLOTS = np.array([0.0, 0.0, 1.0])
 
 
 @dataclass(frozen=True)
-class Chains:
-    """Static arrays of k information sets whose fixed-point chains are solved together.
-
-    Every infoset is padded to m states: ``sids[j]`` holds its sequence ids,
-    then N (the plan's sequence count) for each dummy state, so a vector
-    that takes values at ``sids`` needs one slot past its N entries (a 0,
-    for the dummies to read), and ``parents[j]`` its parent sequence.  The
-    block's chains are a run of the plan's ``gather``, in which a dummy
-    state's column is e_0 (all its mass to action 0) and its row is 0.
-    ``mask`` is the (k, 1, m) column mask, 1 at a real state and 0 at a
-    dummy, or None when no infoset is padded.
-    """
-
-    sids: np.ndarray
-    parents: np.ndarray
-    mask: np.ndarray | None
-
-
-@dataclass(frozen=True)
 class Level:
     """The information sets at one depth of a plan's infoset forests, and their pairs.
 
-    ``blocks`` holds one :class:`Chains` per kernel call, their chains
-    consecutive runs of the plan's ``gather``: first the level's infosets
-    of at most 3 actions, padded to the most actions among them (when there
-    are any), then one block per action count of 4 or more, in increasing
-    order.  The level's pairs are ``lo`` to ``hi`` of the plan's pair
+    The level's k infosets are solved in one kernel call, in increasing
+    action count, each padded to the m states of the widest: ``sids[j]``
+    holds its sequence ids, then N (the plan's sequence count) for each
+    dummy state, so a vector that takes values at ``sids`` needs one slot
+    past its N entries (a 0, for the dummies to read), and
+    ``parent_seq[j]`` its parent sequence.  Their chains are a run of the
+    plan's ``gather``, in which a dummy state's column is e_0 (all its
+    mass to action 0) and its row is 0.  ``mask`` is the (k, 1, m) column
+    mask, 1 at a real state and 0 at a dummy, or None when no infoset is
+    padded.  The level's pairs are ``lo`` to ``hi`` of the plan's pair
     layout: per infoset, one segment of m pairs (one per action) for each
     trigger covering it.  Per pair, ``segment`` is its segment (counted
     from 0 in the level), and ``up`` its parent pair (t, parent sequence),
@@ -119,7 +105,9 @@ class Level:
     pair count for the root slot).
     """
 
-    blocks: tuple[Chains, ...]
+    sids: np.ndarray
+    parent_seq: np.ndarray
+    mask: np.ndarray | None
     lo: int
     hi: int
     segment: np.ndarray
@@ -138,8 +126,8 @@ class PlayerPlan:
     ``owner[s]`` is the slot k of sequence s, and ``triggerless[k]`` is set
     when the k-th player has no triggers (``sizes[k]`` is 1).  ``levels``
     runs from the roots of the infoset forests down, merging the players'
-    infosets by depth.  ``gather`` holds, block after block in level order,
-    each block's (k, m, m) chains as indices into :meth:`chain_entries`:
+    infosets by depth.  ``gather`` holds, level after level, each level's
+    (k, m, m) chains as indices into :meth:`chain_entries`:
     ``gather[j, a, c]`` is the pair (``sids[j, c]``, ``sids[j, a]``) when
     both states are real, the 1 slot (P + 2) where a dummy column c meets
     a = 0, and the 0 slot (P + 1) elsewhere.
@@ -147,7 +135,7 @@ class PlayerPlan:
     All per-trigger state is held in the pair layout: one entry per pair
     (t, s) of a trigger t (a non-empty sequence) and a sequence s at or
     below t's infoset.  Pair p is (``pair_trigger[p]``, ``pair_seq[p]``).
-    The P pairs run by level, then by infoset in block order, then by
+    The P pairs run by level, then by infoset in ``sids`` order, then by
     trigger (the parent sequence's infoset's triggers, then the infoset's
     own), then by action, so each (infoset, trigger) segment of m pairs is
     contiguous; ``segment[p]`` numbers p's segment, and the S segments run
@@ -203,16 +191,6 @@ class PlayerPlan:
     def infoset_gather(self, sids):
         """The (1, m, m) gather of one infoset's chain, from its m sequence ids."""
         return _gather(np.array([sids], dtype=np.int64), self.own, self.pair_seq.size)
-
-
-def _chains(groups, m, n):
-    """:class:`Chains` of (sequence ids, parent) infosets padded to m states."""
-    sids = np.full((len(groups), m), n, dtype=np.int64)
-    for j, (seqs, _) in enumerate(groups):
-        sids[j, :len(seqs)] = seqs
-    real = sids < n
-    return Chains(sids, np.array([p for _, p in groups], dtype=np.int64),
-                  None if real.all() else real[:, None, :] * 1.0)
 
 
 def _gather(sids, own, n_pairs):
@@ -536,6 +514,7 @@ class GameTree:
             self._player_isets.append(tuple(order))
 
         self._plan_cache: dict[tuple[int, ...], PlayerPlan] = {}
+        self._player_types: set[type] = set()
 
     # -- counts and lookups --------------------------------------------------
 
@@ -661,27 +640,28 @@ class GameTree:
         """The :class:`PlayerPlan` of one player or a tuple of distinct players, built on first use.
 
         Raises ValueError for an empty tuple, a player that is not an integer
-        from 0 to ``n_players - 1``, or a repeated player.  A tuple equal to a
-        key whose plan is built returns it before those checks run.
+        from 0 to ``n_players - 1``, or a repeated player.
         """
         key = players if type(players) is tuple else (int(players),) if isinstance(
             players, Integral) else (tuple(players) if np.iterable(players) else None)
         plan = self._plan_cache.get(key)
-        if plan is None:
+        # 1.0 == 1, so a built plan answers only a key of element types that passed the checks.
+        if plan is None or not {*map(type, key)} <= self._player_types:
             if not key or len(set(key)) != len(key) or not all(
                     isinstance(p, Integral) and 0 <= p < self.n_players for p in key):
                 raise ValueError(f"players {players!r} are not one or more distinct players "
                                  f"0 to {self.n_players - 1}")
-            plan = self._build_plan(key)
-            self._plan_cache[key] = plan
+            self._player_types.update(map(type, key))
+            if plan is None:
+                plan = self._plan_cache[key] = self._build_plan(key)
         return plan
 
     def _build_plan(self, players):
         sizes = np.array([self._n_seq[p] for p in players], dtype=np.int64)
         offsets = np.cumsum(sizes) - sizes
         n = int(sizes.sum())
-        # depth -> action count -> (joint sequence ids, joint parent sequence) per infoset
-        by_depth: dict[int, dict[int, list]] = {}
+        # depth -> (joint sequence ids, joint parent sequence) per infoset
+        by_depth: dict[int, list] = {}
         seq_depth = {}  # non-empty sequence -> the depth of its infoset
         for player, off in zip(players, offsets.tolist()):
             # Pre-order visits a parent sequence's infoset before its children's.
@@ -691,7 +671,7 @@ class GameTree:
                 parent = off + js.parent_seq
                 depth = seq_depth.get(parent, -1) + 1
                 seq_depth.update(dict.fromkeys(sids, depth))
-                by_depth.setdefault(depth, {}).setdefault(len(sids), []).append((sids, parent))
+                by_depth.setdefault(depth, []).append((sids, parent))
 
         pair_seq, pair_trigger, segment, up, ancestor = [], [], [], [], []
         own = np.zeros(n, dtype=np.int64)
@@ -701,32 +681,27 @@ class GameTree:
         ranges, n_segments = [], 0
         for depth in sorted(by_depth):
             lo = len(pair_seq)
-            groups = sorted(by_depth[depth].items())
-            for m, group in groups:
-                for sids, parent in group:
-                    # The triggers covering an infoset: its parent's infoset's, then its own.
-                    first, covers, pm, pa = home.get(parent, (0, (), 0, 0))
-                    triggers = covers + tuple(sids)
-                    base = len(pair_seq)
-                    for q, t in enumerate(triggers):
-                        pair_trigger += [t] * m
-                        up += [first + q * pm + pa if q < len(covers) else -1] * m
-                        # (t, s) is an ancestor pair when s = t or its parent pair is one.
-                        ancestor += [ancestor[up[-1]] if q < len(covers) else s == t for s in sids]
-                        segment += [n_segments] * m
-                        n_segments += 1
-                    pair_seq += sids * len(triggers)
-                    for a, s in enumerate(sids):
-                        home[s] = (base, triggers, m, a)
-                        own[s] = base + (len(covers) + a) * m + a
-                        own_segment[s] = n_segments - m + a
-            # One kernel call for the narrow infosets, padded together, then one
-            # per action count of 4 or more.  The groups run by action count, so
-            # the last narrow infoset is the widest.
-            narrow = [g for m, group in groups if m <= 3 for g in group]
-            calls = [(len(narrow[-1][0]), narrow)] if narrow else []
-            calls += [(m, group) for m, group in groups if m > 3]
-            ranges.append((lo, len(pair_seq), calls))
+            # By action count, so the last infoset is the widest.
+            group = sorted(by_depth[depth], key=lambda g: len(g[0]))
+            for sids, parent in group:
+                m = len(sids)
+                # The triggers covering an infoset: its parent's infoset's, then its own.
+                first, covers, pm, pa = home.get(parent, (0, (), 0, 0))
+                triggers = covers + tuple(sids)
+                base = len(pair_seq)
+                for q, t in enumerate(triggers):
+                    pair_trigger += [t] * m
+                    up += [first + q * pm + pa if q < len(covers) else -1] * m
+                    # (t, s) is an ancestor pair when s = t or its parent pair is one.
+                    ancestor += [ancestor[up[-1]] if q < len(covers) else s == t for s in sids]
+                    segment += [n_segments] * m
+                    n_segments += 1
+                pair_seq += sids * len(triggers)
+                for a, s in enumerate(sids):
+                    home[s] = (base, triggers, m, a)
+                    own[s] = base + (len(covers) + a) * m + a
+                    own_segment[s] = n_segments - m + a
+            ranges.append((lo, len(pair_seq), group))
         n_pairs = len(pair_seq)
         own[offsets] = n_pairs
         own_segment[offsets] = n_segments
@@ -739,15 +714,20 @@ class GameTree:
         up[up < 0] = n_pairs
         levels = []
         above = 0
-        for lo, hi, calls in ranges:
+        for lo, hi, group in ranges:
+            sids = np.full((len(group), len(group[-1][0])), n, dtype=np.int64)
+            for j, (seqs, _) in enumerate(group):
+                sids[j, :len(seqs)] = seqs
+            real = sids < n
             rel = segment[lo:hi] - segment[lo]
             starts = np.flatnonzero(np.diff(rel, prepend=-1))
             heads = up[lo + starts]
-            levels.append(Level(tuple(_chains(group, m, n) for m, group in calls), lo, hi, rel,
+            levels.append(Level(sids, np.array([p for _, p in group], dtype=np.int64),
+                                None if real.all() else real[:, None, :] * 1.0, lo, hi, rel,
                                 up[lo:hi], starts, np.where(heads == n_pairs, lo, heads) - above))
             above = lo
         gather = np.concatenate([np.empty(0, dtype=np.int64)] + [
-            _gather(ch.sids, own, n_pairs).ravel() for level in levels for ch in level.blocks])
+            _gather(level.sids, own, n_pairs).ravel() for level in levels])
         spans = tuple((p, a, a + k)
                       for p, a, k in zip(players, offsets.tolist(), sizes.tolist()))
         return PlayerPlan(spans, offsets, sizes,

@@ -181,16 +181,20 @@ class MixedTriggerMinimizer:
 class PureTriggerMinimizer(MixedTriggerMinimizer):
     """Mixed trigger minimizer plus per-round sampling of a pure strategy.
 
-    ``rng`` is one random stream, or a list or tuple of one per player of a
-    group ``player``; each player's pure strategy is drawn from its own
-    stream, in player order.  A group with another number of streams
-    raises ValueError.
+    ``rng`` is one random stream (an object with a callable ``random``), or
+    a list or tuple of one per player of a group ``player``; each player's
+    pure strategy is drawn from its own stream, in player order.  One
+    player's ``rng`` without a callable ``random``, or a group with another
+    number of streams, raises ValueError.
     """
 
     def __init__(self, game, player, rng, fp_tol=1e-10):
         super().__init__(game, player, fp_tol)
-        if self._spans is not None and not (
-                isinstance(rng, (list, tuple)) and len(rng) == len(self._spans)):
+        if self._spans is None:
+            if not callable(getattr(rng, "random", None)):
+                raise ValueError(f"rng must be a random stream with a random() method, "
+                                 f"not {rng!r}")
+        elif not (isinstance(rng, (list, tuple)) and len(rng) == len(self._spans)):
             raise ValueError(f"a group of {len(self._spans)} players needs one random "
                              f"stream per player, in a list or tuple")
         self.rng = rng

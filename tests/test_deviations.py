@@ -684,7 +684,7 @@ def test_fixed_point_closed_forms_match_general_solver():
 def _spy_stationary(monkeypatch):
     """Record every (chains, real-state mask, answer) that ``_stationary`` sees.
 
-    The mask comes from the rows' block, not from the padded chains: it is
+    The mask comes from the rows' level, not from the padded chains: it is
     the calling ``_solve``'s ``mask`` at the ``rows`` it hands over, or None
     when every state is real.
     """
@@ -807,42 +807,107 @@ def test_fixed_point_on_a_level_of_mixed_action_counts(monkeypatch):
     g = efce.parse_game(_MIXED_LEVEL_GAME)
     plan = g.player_plan(0)
     level = plan.levels[1]
-    assert level.blocks[0].sids.shape == (3, 3)
-    assert [ch.sids.shape for ch in level.blocks[1:]] == [(1, 4)]
+    # A1 to A4, in increasing action count, padded to 4 states
+    assert (level.sids < plan.owner.size).sum(axis=1).tolist() == [1, 2, 3, 4]
     calls = _spy_stationary(monkeypatch)
     rng = random.Random(11)
-    for _ in range(40):
-        phi = random_deviation(g, 0, rng)
-        fp = efce.fixed_point(g, phi)
-        assert np.abs(efce.apply_deviation(g, phi, fp.values) - fp.values).max() <= 1e-10
-        assert np.array_equal(fp.values, _chained_extends(g, phi))
+    phis = [random_deviation(g, 0, rng) for _ in range(40)]
+    fps = [efce.fixed_point(g, phi).values for phi in phis]
     efce.run(g, 16, 0, gap_every=16)
-    # The 4-action infosets (R, and A4 below it) arrive one row a call, unpadded.
-    assert {(w.shape, real) for w, real, _ in calls if w.shape[1] == 4} == {((1, 4, 4), None)}
+    monkeypatch.undo()  # extend and stationary_distribution below call _stationary
+    for phi, fp in zip(phis, fps):
+        assert np.abs(efce.apply_deviation(g, phi, fp) - fp).max() <= 1e-10
+        assert np.array_equal(fp, _chained_extends(g, phi))
+    # The solver sees R, then A4 and the degenerate narrow rows padded to
+    # A4's 4 states; each row comes out as its real states alone would.
+    widths = set()
+    for w, real, b in calls:
+        for j in range(len(w)):
+            d = w.shape[1] if real is None else int(real[j].sum())
+            assert np.array_equal(b[j, :d], efce.stationary_distribution(w[j, :d, :d]))
+            assert not b[j, d:].any()
+            widths.add((w.shape[1], d))
+    assert widths == {(4, 2), (4, 3), (4, 4)}
 
 
 # _MIXED_LEVEL_GAME plus a 5-action infoset at depth 1.
-_TWO_WIDE_BLOCKS_GAME = _MIXED_LEVEL_GAME.replace("d -> n4 }", "d -> n4 ; e -> n5 }") + (
+_TWO_WIDE_INFOSETS_GAME = _MIXED_LEVEL_GAME.replace("d -> n4 }", "d -> n4 ; e -> n5 }") + (
     "decision n5 player 1 infoset A5 "
     "{ e1 -> z11 ; e2 -> z12 ; e3 -> z13 ; e4 -> z14 ; e5 -> z15 }\n"
     "leaf z11 {3}; leaf z12 {7}; leaf z13 {1}; leaf z14 {9}; leaf z15 {5}\n")
 
 
-def test_fixed_point_on_a_level_of_two_wide_blocks(monkeypatch):
-    # The 5-action block's incoming mass starts past the 4-action block's.
-    g = efce.parse_game(_TWO_WIDE_BLOCKS_GAME)
-    level = g.player_plan(0).levels[1]
-    assert [ch.sids.shape for ch in level.blocks] == [(3, 3), (1, 4), (1, 5)]
+def test_fixed_point_on_a_level_of_two_wide_infosets(monkeypatch):
+    # A4 is padded to A5's 5 states, beside the narrow infosets.
+    g = efce.parse_game(_TWO_WIDE_INFOSETS_GAME)
+    plan = g.player_plan(0)
+    assert (plan.levels[1].sids < plan.owner.size).sum(axis=1).tolist() == [1, 2, 3, 4, 5]
     calls = _spy_stationary(monkeypatch)
     rng = random.Random(5)
-    for _ in range(40):
-        phi = random_deviation(g, 0, rng)
-        assert np.array_equal(efce.fixed_point(g, phi).values, _chained_extends(g, phi))
-    assert {w.shape for w, _, _ in calls if w.shape[1] > 3} == {(1, 4, 4), (1, 5, 5)}
+    phis = [random_deviation(g, 0, rng) for _ in range(40)]
+    fps = [efce.fixed_point(g, phi).values for phi in phis]
+    monkeypatch.undo()
+    for phi, fp in zip(phis, fps):
+        assert np.array_equal(fp, _chained_extends(g, phi))
+    # At most one solver call per level: R (5 actions) alone, then A4 and A5
+    # together, with any degenerate narrow rows, when their parents have mass.
+    wide = [tuple(d for d in ([w.shape[1]] * len(w) if real is None else real.sum(axis=1).tolist())
+                  if d >= 4) for w, real, _ in calls]
+    assert len(calls) <= 2 * len(phis) and (4, 5) in wide
+    assert set(wide) <= {(), (4,), (5,), (4, 5)}
+
+
+def _closed_classes(w):
+    """The number of closed communicating classes of a column-stochastic chain."""
+    reach = (w > 0.0) | np.eye(len(w), dtype=bool)  # reach[a, c]: a is reached from c
+    for _ in range(len(w)):
+        reach = (reach.astype(np.int64) @ reach) > 0
+    recurrent = (reach.T >= reach).all(axis=0)
+    return len({frozenset(np.flatnonzero(reach[:, c]).tolist())
+                for c in np.flatnonzero(recurrent)})
+
+
+def test_fixed_point_solves_each_level_in_one_kernel_call(monkeypatch):
+    # On both mixed games, every fixed point makes one _solve call per level.
+    # Only the rows of 4 or more real states reach the general solver, and
+    # the narrow rows without a positive closed form: those of several closed
+    # classes, such as the identity chains below a trigger whose continuation
+    # sends nothing into them.
+    shapes = []
+    solve = efce.deviations._solve
+
+    def spy(w0, *args):
+        shapes.append(w0.shape)
+        return solve(w0, *args)
+
+    monkeypatch.setattr(efce.deviations, "_solve", spy)
+    calls = _spy_stationary(monkeypatch)
+    for text, seed in ((_MIXED_LEVEL_GAME, 11), (_TWO_WIDE_INFOSETS_GAME, 5)):
+        g = efce.parse_game(text)
+        plan = g.player_plan(0)
+        a = g.infoset(0, "R").seq_ids[0]
+        cont = np.zeros(g.num_sequences(0))
+        cont[[a, *g.infoset(0, "A1").seq_ids]] = 1.0
+        rng = random.Random(seed)
+        phis = [efce.ConvexTriggerDeviation(0, [(a, 1.0, cont)])]
+        phis += [random_deviation(g, 0, rng) for _ in range(100)]
+        for phi in phis:
+            shapes.clear()
+            efce.fixed_point(g, phi)
+            assert len(shapes) == len(plan.levels)
+            assert shapes == [(k, m, m) for k, m in (lev.sids.shape for lev in plan.levels)]
+    narrow = 0
+    for w, real, _ in calls:
+        for j in range(len(w)):
+            d = w.shape[1] if real is None else int(real[j].sum())
+            if d <= 3:
+                assert d > 1 and _closed_classes(w[j, :d, :d]) >= 2
+                narrow += 1
+    assert narrow >= 4  # A2 and A3 of the identity chains, in each game
 
 
 def test_degenerate_rows_of_self_play_match_general_solver(monkeypatch):
-    # Every zero-total row that self-play hands to the solver, in a block of
+    # Every zero-total row that self-play hands to the solver, in a batch of
     # padded rows, comes out as stationary_distribution's answer on its real
     # states alone, bit for bit.  Some of these chains have flow between
     # their states and several closed classes: two absorbing states, or one
@@ -1000,11 +1065,11 @@ leaf z1 {1}; leaf z2 {2}
             efce.extend(g, phi, {R.index}, A1.index, x)
 
 
-def test_block_chains_are_views_of_one_gather_and_match_a_per_block_gather():
-    # fixed_point gathers every block's static chains at once; each block's
+def test_level_chains_are_views_of_one_gather_and_match_a_per_level_gather():
+    # fixed_point gathers every level's static chains at once; each level's
     # (k, m, m) view holds, bit for bit, the moved mass of the pair
     # (sids[c], sids[a]) plus the kept share on the diagonal, 1 where a
-    # dummy column meets action 0, and 0 elsewhere.  A block's own gather,
+    # dummy column meets action 0, and 0 elsewhere.  A level's own gather,
     # and extend's gather of each of its infosets, read the same entries.
     rng = random.Random(13)
     for g in kernel_games():
@@ -1021,27 +1086,26 @@ def test_block_chains_are_views_of_one_gather_and_match_a_per_block_gather():
             static = entries.take(plan.gather)
             done = 0
             for level in plan.levels:
-                for ch in level.blocks:
-                    k, m = ch.sids.shape
-                    want = np.zeros((k, m, m))
-                    for j, row in enumerate(ch.sids.tolist()):
-                        for a in range(m):
-                            for c in range(m):
-                                if row[a] < n and row[c] < n:
-                                    want[j, a, c] = moved[index[row[c], row[a]]]
-                                    if a == c:
-                                        want[j, a, c] += keep[row[a]]
-                                elif a == 0:
-                                    want[j, a, c] = 1.0
-                    got = static[done:done + k * m * m].reshape(k, m, m)
-                    assert np.shares_memory(got, static) and np.array_equal(got, want)
-                    gather = _gather(ch.sids, plan.own, plan.pair_seq.size)
-                    assert np.array_equal(entries.take(gather), want)
-                    for j, row in enumerate(ch.sids.tolist()):
-                        d = sum(s < n for s in row)
-                        assert np.array_equal(entries.take(plan.infoset_gather(row[:d])),
-                                              want[j:j + 1, :d, :d])
-                    done += k * m * m
+                k, m = level.sids.shape
+                want = np.zeros((k, m, m))
+                for j, row in enumerate(level.sids.tolist()):
+                    for a in range(m):
+                        for c in range(m):
+                            if row[a] < n and row[c] < n:
+                                want[j, a, c] = moved[index[row[c], row[a]]]
+                                if a == c:
+                                    want[j, a, c] += keep[row[a]]
+                            elif a == 0:
+                                want[j, a, c] = 1.0
+                got = static[done:done + k * m * m].reshape(k, m, m)
+                assert np.shares_memory(got, static) and np.array_equal(got, want)
+                gather = _gather(level.sids, plan.own, plan.pair_seq.size)
+                assert np.array_equal(entries.take(gather), want)
+                for j, row in enumerate(level.sids.tolist()):
+                    d = sum(s < n for s in row)
+                    assert np.array_equal(entries.take(plan.infoset_gather(row[:d])),
+                                          want[j:j + 1, :d, :d])
+                done += k * m * m
             assert done == plan.gather.size == static.size
             q = np.array([rng.random() for _ in range(n)])
             hull.observe_utility(np.array([rng.uniform(-1.0, 1.0) for _ in range(n)]), q)

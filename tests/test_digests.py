@@ -20,8 +20,8 @@ _DIR = Path(__file__).resolve().parent / "digests"
 def log_lines():
     """Every 8th run of the log protocol, plus every run on the wide and mixed-level games.
 
-    Those games are the protocol's only ones whose levels hold blocks of 4 or
-    more actions beside padded narrow infosets.
+    Those games are the protocol's only ones with infosets of 4 or more
+    actions; the mixed-level game pads narrower ones to them.
     """
     runs = log_digests.protocol()
     return [f"{label} {log_digests.digest(make, seed, rounds, gap_every)}"

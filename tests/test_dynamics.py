@@ -626,6 +626,15 @@ def test_run_rejects_bad_arguments():
         efce.run(g, iterations=5, seed=0, gap_every=1.5)
 
 
+def test_run_rejects_bool_round_counts():
+    # True once ran one round, its summary saying "iterations: True"
+    g = efce.builtin_game("fig1", seed=0)
+    with pytest.raises(ValueError, match="^iterations must be an integer of at least 1$"):
+        efce.run(g, True, 0)
+    with pytest.raises(ValueError, match="^gap-every must be an integer of at least 1$"):
+        efce.run(g, iterations=5, seed=0, gap_every=True)
+
+
 def test_run_rejects_bad_fp_tol():
     g = efce.builtin_game("fig1", seed=0)
     for bad in (0.0, -1.0, float("nan"), float("inf")):

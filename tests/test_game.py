@@ -9,6 +9,7 @@ import pytest
 
 import efce
 import efce.cli as cli
+from conftest import MIXED_LEVEL
 from efce.game import GameTree, _fig1_text, _kuhn3_text, _random_tree_text
 
 
@@ -477,9 +478,10 @@ def test_group_plan_stacks_one_player_plans():
             assert pairs[lo:hi] == [(t, a + x) for x in sids]
 
 
-def test_level_blocks_hold_each_infoset_once_narrow_first():
+def test_level_batch_holds_each_infoset_once_widest_last():
     games = [efce.builtin_game("kuhn3"), efce.builtin_game("fig1", seed=0)]
     games += [efce.builtin_game("random-tree", seed=s) for s in range(64)]
+    games.append(efce.parse_game(MIXED_LEVEL))
     masks = set()
     for g in games:
         plan = g.player_plan(tuple(range(g.n_players)))
@@ -496,27 +498,22 @@ def test_level_blocks_hold_each_infoset_once_narrow_first():
                                                a + js.parent_seq))
         assert len(plan.levels) == len(want)
         for d, level in enumerate(plan.levels):
-            blocks = level.blocks
-            got = [(tuple(s for s in row if s < n), parent) for ch in blocks
-                   for row, parent in zip(ch.sids.tolist(), ch.parents.tolist())]
+            got = [(tuple(s for s in row if s < n), parent)
+                   for row, parent in zip(level.sids.tolist(), level.parent_seq.tolist())]
             assert sorted(got) == sorted(want[d])
-            real = [ch.sids < n for ch in blocks]
-            widths = [ch.sids.shape[1] for ch in blocks]
-            narrow = real[0].sum(axis=1).max() <= 3
-            if narrow:
-                # padded to its widest member, and masked exactly where padded
-                assert real[0].sum(axis=1).max() == widths[0]
-                masks.add(blocks[0].mask is None)
-                if real[0].all():
-                    assert blocks[0].mask is None
-                else:
-                    assert np.array_equal(blocks[0].mask, real[0][:, None, :] * 1.0)
-            # then one unpadded block per action count of 4 or more, increasing
-            rest = slice(1 if narrow else 0, None)
-            assert all(r.all() and ch.mask is None for r, ch in zip(real[rest], blocks[rest]))
-            assert min(widths[rest], default=4) >= 4 and widths[rest] == sorted(set(widths[rest]))
-            # the level's pairs' sequences are its blocks' real states, each once
-            grid = np.concatenate([ch.sids.ravel() for ch in blocks])
+            # real states first, in increasing action count, padded to the widest, the last
+            real = level.sids < n
+            counts = real.sum(axis=1)
+            assert np.array_equal(real, np.arange(real.shape[1]) < counts[:, None])
+            assert counts.tolist() == sorted(counts.tolist()) and counts[-1] == real.shape[1]
+            # masked exactly where padded
+            masks.add(level.mask is None)
+            if real.all():
+                assert level.mask is None
+            else:
+                assert np.array_equal(level.mask, real[:, None, :] * 1.0)
+            # the level's pairs' sequences are its real states, each once
+            grid = level.sids.ravel()
             assert np.array_equal(np.sort(grid[grid < n]),
                                   np.unique(plan.pair_seq[level.lo:level.hi]))
     assert masks == {True, False}
@@ -703,6 +700,20 @@ def test_player_plan_rejects_bad_players():
         with pytest.raises(ValueError):
             make()
     assert g.player_plan((1, 0)).sizes.tolist() == [5, 9]
+
+
+def test_player_plan_checks_a_key_equal_to_a_built_one():
+    # (1.0,) compares equal to (1,), so once player 1's plan was built it
+    # was answered from the cache, where before it raised ValueError.
+    g = efce.builtin_game("kuhn3")
+    one, both = g.player_plan(1), g.player_plan((0, 1))
+    for bad in ((1.0,), (0, 1.0), (0.0, 1.0), [1.0], (complex(1),)):
+        with pytest.raises(ValueError):
+            g.player_plan(bad)
+    assert g.player_plan((1,)) is g.player_plan(np.int64(1)) is g.player_plan((True,)) is one
+    assert g.player_plan([0, 1]) is g.player_plan((np.int64(0), 1)) is both
+    with pytest.raises(ValueError):
+        g.player_plan((1.0,))
 
 
 def test_pure_strategy_counts():

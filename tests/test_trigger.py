@@ -215,6 +215,15 @@ def test_group_pure_minimizer_needs_one_stream_per_player():
     assert [p.player for p in pure.next_element()] == [0, 1]
 
 
+def test_one_player_pure_minimizer_needs_a_random_stream():
+    # These were accepted and raised AttributeError at the first next_element.
+    g = efce.builtin_game("kuhn3")
+    for rng in ([random.Random(0)], None, 5, object()):
+        with pytest.raises(ValueError, match="random stream"):
+            efce.PureTriggerMinimizer(g, 0, rng)
+    assert efce.PureTriggerMinimizer(g, 1, random.Random(0)).next_element().player == 1
+
+
 def test_self_play_deviations_pass_the_checks_of_from_pairs(monkeypatch):
     # The hull builds its deviations past from_pairs' checks, since its
     # arrays are valid by construction; every one of them must pass them.

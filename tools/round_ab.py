@@ -1,8 +1,7 @@
-"""Compare two trees' self-play rounds in one process, in alternating pairs.
+"""Count two trees' C calls per self-play round, on the benchmark's workloads.
 
 Loads the ``efce`` package of each ``src`` directory under its own module
-name, then times PAIRS pairs of passes per workload, the two trees taking
-turns to go first:
+name, then runs one pass of each workload per tree:
 
 - ``kuhn3``: the built-in three-card Kuhn poker at run seeds 0, 16, 32 and
   48, 256 rounds each, a gap checkpoint every 2 rounds;
@@ -10,15 +9,12 @@ turns to go first:
   every run seed (the benchmark's timed games), parsed afresh before its
   run, at run seed 0, 32 rounds, a gap checkpoint every round.
 
-Per pass it prints rounds/s (run wall time only, so a plan built in the run
-counts) and the median latency of the module's ``efce_gap`` over the
-pass's checkpoints; per pair, the change's ratio to the parent.  Then, per
-workload, the medians and the pairs the change won, and the C calls per
-round of one more pass of each tree, counted with ``sys.setprofile`` after
-each game's plan is built, with the ten Python functions of that tree
-that make the most of them, each with its C calls per round.
-One process sees the same host for both trees; the host's speed swings,
-and timings from separate processes disagree by more than the effects.
+Per workload and tree it prints the C calls per round, counted with
+``sys.setprofile`` after each game's plan is built, and the ten Python
+functions of that tree that make the most of them, each with its C calls
+per round.  The count is deterministic, so one pass per tree is enough.
+It times nothing: the host's speed swings by more than a small change's
+effect, so timing claims come from ``bench/run.py``'s alternating runs.
 
 Run it from the repository root::
 
@@ -28,13 +24,10 @@ Run it from the repository root::
 from __future__ import annotations
 
 import importlib.util
-import statistics
 import sys
-import time
 from collections import Counter
 from pathlib import Path
 
-PAIRS = 10
 KUHN_SEEDS = (0, 16, 32, 48)
 # The random-tree games that fail on some run seed, left out as the benchmark does.
 RANDOM_TREE_FAILING = frozenset({21, 34, 51, 53, 54})
@@ -58,33 +51,6 @@ def runs(efce, workload):
         return [(lambda: game, seed, 256, 2) for seed in KUHN_SEEDS]
     return [(lambda s=s: efce.builtin_game("random-tree", seed=s), 0, 32, 1)
             for s in range(64) if s not in RANDOM_TREE_FAILING]
-
-
-def timed_pass(efce, workload):
-    """(rounds/s, median efce_gap seconds) of one pass."""
-    dyn = efce.dynamics
-    efce_gap = dyn.efce_gap
-    latencies = []
-
-    def timed_gap(freq):
-        t0 = time.perf_counter()
-        out = efce_gap(freq)
-        latencies.append(time.perf_counter() - t0)
-        return out
-
-    rounds = 0
-    elapsed = 0.0
-    dyn.efce_gap = timed_gap
-    try:
-        for make, seed, n, gap_every in runs(efce, workload):
-            game = make()
-            t0 = time.perf_counter()
-            dyn.run(game, n, seed, gap_every=gap_every)
-            elapsed += time.perf_counter() - t0
-            rounds += n
-    finally:
-        dyn.efce_gap = efce_gap
-    return rounds / elapsed, statistics.median(latencies)
 
 
 def calls_per_round(efce, workload):
@@ -122,32 +88,9 @@ def main(argv):
         return 2
     trees = {"parent": load(argv[1], "efce_parent"), "change": load(argv[2], "efce_change")}
     for workload in ("kuhn3", "random-trees"):
-        for efce in trees.values():
-            timed_pass(efce, workload)  # warm-up
-        rates = {name: [] for name in trees}
-        gaps = {name: [] for name in trees}
-        for pair in range(PAIRS):
-            order = list(trees) if pair % 2 == 0 else list(trees)[::-1]
-            for name in order:
-                rate, gap = timed_pass(trees[name], workload)
-                rates[name].append(rate)
-                gaps[name].append(gap)
-            print(f"{workload} pair {pair + 1}: rounds/s parent {rates['parent'][-1]:.1f} "
-                  f"change {rates['change'][-1]:.1f} ratio "
-                  f"{rates['change'][-1] / rates['parent'][-1]:.3f}; gap_us parent "
-                  f"{gaps['parent'][-1] * 1e6:.2f} change {gaps['change'][-1] * 1e6:.2f} ratio "
-                  f"{gaps['change'][-1] / gaps['parent'][-1]:.3f}", flush=True)
-        faster = sum(c > p for p, c in zip(rates["parent"], rates["change"]))
-        quicker = sum(c < p for p, c in zip(gaps["parent"], gaps["change"]))
         counted = {name: calls_per_round(efce, workload) for name, efce in trees.items()}
-        calls = {name: per_round for name, (per_round, _) in counted.items()}
-        print(f"{workload} median rounds/s parent {statistics.median(rates['parent']):.1f} "
-              f"change {statistics.median(rates['change']):.1f} (change faster in "
-              f"{faster}/{PAIRS}); median gap_us parent "
-              f"{statistics.median(gaps['parent']) * 1e6:.2f} change "
-              f"{statistics.median(gaps['change']) * 1e6:.2f} (change quicker in "
-              f"{quicker}/{PAIRS}); C calls/round parent {calls['parent']:.2f} "
-              f"change {calls['change']:.2f}", flush=True)
+        print(f"{workload} C calls/round parent {counted['parent'][0]:.2f} "
+              f"change {counted['change'][0]:.2f}", flush=True)
         for name, (_, top) in counted.items():
             print(f"{workload} {name} top C callers per round: "
                   + ", ".join(f"{caller} {n:.2f}" for caller, n in top), flush=True)
