@@ -19,6 +19,7 @@ transient and so gets 0.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -27,7 +28,6 @@ import numpy as np
 from .game import EMPTY_SEQ
 from .strategies import SequenceFormStrategy, validate_strategy
 
-_WEIGHT_TOL = 1e-9
 # Flat indices into a 3 x 3 matrix for each state a = 0, 1, 2 (columns) and
 # its two other states c < d: entries (a, c), (a, d), (c, d) and (d, c) (rows).
 _TREE = np.array([[1, 3, 6], [2, 5, 7], [5, 2, 1], [7, 6, 3]])
@@ -54,35 +54,40 @@ class ConvexTriggerDeviation:
     """Convex combination of trigger deviations for one player, or one per player of a group.
 
     ``entries`` holds (trigger sequence id, weight, continuation vector)
-    triples.  Trigger ids must be non-empty sequence ids, weights must be
-    nonnegative and sum to 1; zero-weight entries are dropped.  An empty
-    combination is allowed for players without any non-empty sequences and
-    acts as the identity.
+    triples: integer non-empty sequence ids, nonnegative weights that sum
+    to 1 and continuations of one length; zero-weight entries are dropped.
+    The empty combination, allowed for a player without non-empty
+    sequences, acts as the identity.
 
     ``lam[s]`` is the weight of trigger s, and ``conts`` the continuations
-    in the plan's pair layout (see :class:`~efce.game.PlayerPlan`), the
-    layout the hull learns them in and the fixed point reads: entry p is
-    trigger t's continuation at sequence s, for the pair p = (t, s).  A
-    combination built from entries is turned into the pair layout on its
-    first use with each plan; that raises ValueError unless every
-    continuation is finite, nonnegative and zero off the subtree of its
-    trigger's infoset, as :meth:`from_pairs` checks at once.  One from
-    :meth:`from_pairs` is read only with its own plan.  ``C``, with row s trigger s's
-    continuation, is a triggers x sequences copy.
-    ``lam`` and ``C`` are empty for the empty combination.  A group's
-    combination (from :meth:`from_pairs` with a tuple ``player``) is indexed
-    by the group's plan: every player's weights sum to 1, or to 0 for a
-    player without triggers, and ``C`` is block diagonal.
+    in a plan's pair layout (see :class:`~efce.game.PlayerPlan`), the one
+    the hull learns them in and the fixed point reads: entry p is trigger
+    t's continuation at sequence s, for the pair p = (t, s).  Only the hull
+    builds a combination in that layout (:meth:`_of_pairs`), read with its
+    own plan only.  One built from entries has ``conts`` None and is laid
+    out for each use, which raises ValueError unless every continuation is
+    finite, nonnegative and zero off its trigger infoset's subtree; no use
+    changes a combination.  ``C``, with row s trigger s's continuation, is
+    a triggers x sequences copy, empty like ``lam`` for the empty
+    combination.  A group's (hull) combination is indexed by the group's
+    plan: every player's weights sum to 1, or to 0 for a player without
+    triggers, and ``C`` is block diagonal.
     """
 
     __slots__ = ("player", "lam", "conts", "_plan", "_rows")
 
     def __init__(self, player, entries):
-        entries = [(int(sid), float(w), np.asarray(c, dtype=float)) for sid, w, c in entries]
+        entries = [(sid, float(w), np.asarray(c, dtype=float)) for sid, w, c in entries]
         n = max((len(c) for _, _, c in entries), default=0)
         lam = np.zeros(n)
         rows = {}
         for sid, weight, c in entries:
+            try:
+                sid = operator.index(sid)
+            except TypeError:
+                raise ValueError(f"trigger {sid!r} is not an integer") from None
+            if len(c) != n:
+                raise ValueError(f"continuations have {len(c)} and {n} entries, not one length")
             if sid == EMPTY_SEQ:
                 raise ValueError("the empty sequence cannot be a trigger")
             if not 0 < sid < n:
@@ -94,20 +99,14 @@ class ConvexTriggerDeviation:
                 old = lam[sid]
                 rows[sid] = c if old == 0.0 else (old * rows[sid] + weight * c) / (old + weight)
                 lam[sid] = old + weight
-        _check_weights(lam, [0])
+        total = float(np.add.reduceat(lam, [0])[0]) if n else 0.0
+        if total != 0.0 and not abs(total - 1.0) <= 1e-9:
+            raise ValueError(f"deviation weights sum to {total!r}, not 1")
         self.player, self.lam, self.conts, self._plan, self._rows = player, lam, None, None, rows
 
     @classmethod
-    def from_pairs(cls, player, lam, conts, plan):
-        """Wrap weights and continuations in ``plan``'s pair layout, with the same checks;
-        the result is read with ``plan`` only (another plan raises ValueError)."""
-        _check_conts(conts)
-        _check_weights(lam, plan.offsets)
-        return cls._of_pairs(player, lam, conts, plan)
-
-    @classmethod
     def _of_pairs(cls, player, lam, conts, plan):
-        """:meth:`from_pairs` on arrays that pass its checks by construction, unchecked."""
+        """The hull's combination of ``lam`` and ``conts`` in ``plan``'s pairs, unchecked."""
         phi = cls.__new__(cls)
         phi.player, phi.lam, phi.conts, phi._plan, phi._rows = player, lam, conts, plan, None
         return phi
@@ -129,40 +128,26 @@ class ConvexTriggerDeviation:
         return [(int(s), float(self.lam[s]), C[s]) for s in np.flatnonzero(self.lam)]
 
 
-def _check_weights(lam, offsets):
-    """Raise ValueError unless ``lam``'s blocks at ``offsets`` are >= 0, 0 first, sum 0 or 1."""
-    if lam.size:
-        if lam[offsets].any() or not lam.min() >= 0.0:
-            raise ValueError("deviation weights must be nonnegative and off the empty sequence")
-        for total in np.add.reduceat(lam, offsets).tolist():
-            if total != 0.0 and not abs(total - 1.0) <= _WEIGHT_TOL:
-                raise ValueError(f"deviation weights sum to {total!r}, not 1")
-
-
 def _arrays(plan, phi):
-    """The weights of ``phi`` and its continuations in ``plan``'s pair layout (see the class)."""
+    """``phi``'s weights and continuations in ``plan``'s pairs: a hull deviation's own
+    arrays, or an entries one's laid out anew, with nothing stored (see the class)."""
+    if phi._plan is plan:
+        return phi.lam, phi.conts
     n = plan.owner.size
     if phi.lam.size == 0:
         return np.zeros(n), np.zeros(plan.pair_seq.size)
     if phi.lam.size != n:
         raise ValueError(f"deviation has {phi.lam.size} sequences, expected {n}")
-    if phi._plan is not plan:
-        if phi._rows is None:
-            raise ValueError("deviation was laid out in pairs for another plan")
-        C = phi.C
-        conts = C[plan.pair_trigger, plan.pair_seq]
-        C[plan.pair_trigger, plan.pair_seq] = 0.0
-        # The pair layout has no slot for an entry off the trigger infoset's subtree.
-        _check_conts(conts, C.any())
-        phi.conts, phi._plan = conts, plan
-    return phi.lam, phi.conts
-
-
-def _check_conts(conts, off_subtree=False):
-    """Raise ValueError for a nan, infinite or negative continuation entry, or one ``off_subtree``."""
-    if off_subtree or not (conts.min(initial=0.0) >= 0.0 and conts.max(initial=0.0) < np.inf):
+    if phi._rows is None:
+        raise ValueError("deviation was laid out in pairs for another plan")
+    C = phi.C
+    conts = C[plan.pair_trigger, plan.pair_seq]
+    C[plan.pair_trigger, plan.pair_seq] = 0.0
+    # The pair layout has no slot for an entry off the trigger infoset's subtree.
+    if C.any() or not (conts.min(initial=0.0) >= 0.0 and conts.max(initial=0.0) < np.inf):
         raise ValueError("continuations must be finite, nonnegative and zero off "
                          "the subtree of their trigger's information set")
+    return phi.lam, conts
 
 
 def validate_deviation(game, phi):
@@ -170,6 +155,18 @@ def validate_deviation(game, phi):
     for sid, _, cont in phi.terms:
         gid = int(game.seq_infoset(phi.player)[sid])
         validate_strategy(game, SequenceFormStrategy(phi.player, cont, gid))
+
+
+def _trigger(game, dev):
+    """``dev``'s trigger, its infoset's subtree and its continuation, all checked (ValueError)."""
+    t = game._sequence(dev.player, dev.trigger)
+    if t == EMPTY_SEQ:
+        raise ValueError("the empty sequence cannot be a trigger")
+    cont = np.asarray(dev.continuation, dtype=float)
+    n = game.num_sequences(dev.player)
+    if cont.shape != (n,):
+        raise ValueError(f"continuation has shape {cont.shape}, expected ({n},)")
+    return t, game.subtree_sequences(int(game.seq_infoset(dev.player)[t])), cont
 
 
 def build_matrix(game, dev):
@@ -180,27 +177,18 @@ def build_matrix(game, dev):
     continuation on the subtree of the trigger's infoset; columns strictly
     below the trigger are zero.
     """
-    i = dev.player
-    n = game.num_sequences(i)
-    gid = int(game.seq_infoset(i)[dev.trigger])
-    sub = game.subtree_sequences(gid)
-    desc = game.descendant_mask(i)
-    m = np.zeros((n, n))
-    for col in range(n):
-        if not desc[dev.trigger, col]:
-            m[col, col] = 1.0
-    m[sub, dev.trigger] = dev.continuation[sub]
+    t, sub, cont = _trigger(game, dev)
+    m = np.diag(np.where(game.descendant_mask(dev.player)[t], 0.0, 1.0))
+    m[sub, t] = cont[sub]
     return m
 
 
 def apply_trigger(game, dev, x):
     """Apply one trigger deviation's matrix to a vector, without the matrix."""
-    i = dev.player
+    t, sub, cont = _trigger(game, dev)
     x = np.asarray(x, dtype=float)
-    gid = int(game.seq_infoset(i)[dev.trigger])
-    out = np.where(game.descendant_mask(i)[dev.trigger], 0.0, x)
-    sub = game.subtree_sequences(gid)
-    out[sub] += x[dev.trigger] * dev.continuation[sub]
+    out = np.where(game.descendant_mask(dev.player)[t], 0.0, x)
+    out[sub] += x[t] * cont[sub]
     return out
 
 
@@ -219,7 +207,15 @@ def apply_deviation(game, phi, x):
     """
     plan = game.player_plan(phi.player)
     _, _, moved, keep = _parts(plan, phi)
-    return _act(plan, moved, keep, np.asarray(x, dtype=float))
+    return _act(plan, moved, keep, _vector(plan, x))
+
+
+def _vector(plan, x):
+    """A float copy of ``x``; ValueError unless it has one entry per sequence of ``plan``."""
+    x = np.array(x, dtype=float)
+    if x.shape != plan.owner.shape:
+        raise ValueError(f"x has shape {x.shape}, expected {plan.owner.shape}")
+    return x
 
 
 def _act(plan, moved, keep, x):
@@ -446,9 +442,9 @@ def extend(game, phi, trunk, j_star, x, fp_tol=1e-10):
                 f"immediate predecessor of '{js.label}'"
             )
     plan = game.player_plan(i)
+    out = _vector(plan, x)
     lam, conts, moved, keep = _parts(plan, phi)
     sids = np.array(js.seq_ids, dtype=np.int64)
-    out = np.array(x, dtype=float)
     # Only triggers above the infoset send mass into it; its own sequences'
     # current values are not part of the trunk.
     above = out.copy()

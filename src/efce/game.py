@@ -529,12 +529,12 @@ class GameTree:
         return self.infosets[gid]
 
     def _player(self, player):
-        """``player``; ValueError unless it is an integer from 0 to ``n_players - 1``."""
-        # An exact int, what the per-round callers pass, skips the ABC check.
+        """``player`` as an int; ValueError unless it is an integer from 0 to ``n_players - 1``."""
+        # An exact int, what the per-round callers pass, skips the ABC check and the copy.
         if not ((type(player) is int or isinstance(player, Integral))
                 and 0 <= player < self.n_players):
             raise ValueError(f"player {player} is not one of players 0 to {self.n_players - 1}")
-        return player
+        return player if type(player) is int else int(player)
 
     def player_infosets(self, player):
         """Global infoset ids of one player, parents before children."""
@@ -548,11 +548,11 @@ class GameTree:
         return self._n_seq[self._player(player)]
 
     def _sequence(self, player, sid):
-        """``sid``; ValueError unless it is one of ``player``'s sequence ids, an integer."""
+        """``sid`` as an int; ValueError unless it is an integer sequence id of ``player``."""
         n = self.num_sequences(player)
         if not (isinstance(sid, Integral) and 0 <= sid < n):
             raise ValueError(f"player {player + 1} has sequence ids 0 to {n - 1}, not {sid}")
-        return sid
+        return sid if type(sid) is int else int(sid)
 
     def sequence_id(self, player, label, action):
         js = self.infoset(player, label)
@@ -562,7 +562,8 @@ class GameTree:
         return js.seq_ids[js.actions.index(action)]
 
     def sequence_name(self, player, sid):
-        if self._sequence(player, sid) == EMPTY_SEQ:
+        sid = self._sequence(player, sid)
+        if sid == EMPTY_SEQ:
             return "(empty)"
         js = self.infosets[self._seq_infoset[player][sid]]
         return f"{js.label}:{js.actions[sid - js.seq_ids[0]]}"

@@ -100,8 +100,8 @@ def is_valid_strategy(game, strat, tol=_FLOW_TOL):
 def sequence_from_behavioral(game, player, local, root=None):
     """Compose per-infoset action distributions into sequence form.
 
-    ``local`` maps a global infoset id to an action-probability array.  The
-    result is scoped to ``root`` when given, full-tree otherwise.
+    ``local`` maps a global infoset id to its action probabilities, one per action
+    (else ValueError); the result is scoped to ``root`` when given, full-tree otherwise.
     """
     isets = game.scope_infosets(player, root)
     values = np.zeros(game.num_sequences(player))
@@ -111,6 +111,8 @@ def sequence_from_behavioral(game, player, local, root=None):
         js = game.infosets[gid]
         mass = 1.0 if gid == root else values[js.parent_seq]
         dist = np.asarray(local[gid], dtype=float)
+        if dist.shape != (len(js.seq_ids),):
+            raise ValueError(f"information set '{js.label}' needs one probability per action")
         values[list(js.seq_ids)] = mass * dist
     return SequenceFormStrategy(player, values, root)
 

@@ -81,7 +81,7 @@ class HullMinimizer:
         return self.plan.dense(self._regrets)
 
     def next_element(self):
-        """The round's deviation, unchecked: valid by construction, it skips ``from_pairs``' checks.
+        """The round's deviation, unchecked, since it is valid by construction.
 
         A non-finite regret, which only an overflow makes, gives a deviation that
         ``fixed_point`` rejects.  CallOrderError if the last one was not observed.

@@ -148,11 +148,6 @@ def test_convex_deviation_validation():
         efce.ConvexTriggerDeviation(0, [(3, 1.0, cont), (4, np.nan, cont)])
     with pytest.raises(ValueError):
         efce.ConvexTriggerDeviation(0, [(3, np.nan, cont)])
-    lam = np.zeros(9)
-    lam[3] = np.nan
-    with pytest.raises(ValueError):
-        plan = g.player_plan(0)
-        efce.ConvexTriggerDeviation.from_pairs(0, lam, np.zeros(plan.pair_seq.size), plan)
     # trigger ids must be non-empty sequence ids: -1 once wrapped to 8
     with pytest.raises(ValueError):
         efce.ConvexTriggerDeviation(0, [(-1, 1.0, cont)])
@@ -162,6 +157,83 @@ def test_convex_deviation_validation():
     assert empty.terms == []
     x = efce.uniform_strategy(g, 0)
     assert np.allclose(efce.apply_deviation(g, empty, x.values), x.values)
+
+
+def test_entries_trigger_ids_must_be_integers_and_continuations_one_length():
+    # 1.7 and "1" were both read as trigger 1, and a 5-entry continuation
+    # beside 13-entry ones failed only in fixed_point, with numpy's message.
+    g = efce.builtin_game("kuhn3")
+    cont = efce.uniform_strategy(g, 0).values.copy()
+    cont[efce.EMPTY_SEQ] = 0.0
+    for sid in (1.7, "1", 1.0, None):
+        with pytest.raises(ValueError, match="not an integer"):
+            efce.ConvexTriggerDeviation(0, [(sid, 1.0, cont)])
+    for sid in (True, np.int64(1)):
+        assert efce.ConvexTriggerDeviation(0, [(sid, 1.0, cont)]).lam.tolist() == [0, 1] + [0] * 11
+    with pytest.raises(ValueError, match="empty sequence"):
+        efce.ConvexTriggerDeviation(0, [(False, 1.0, cont)])
+    with pytest.raises(ValueError, match="one length"):
+        efce.ConvexTriggerDeviation(0, [(1, 0.5, cont), (2, 0.5, np.zeros(5))])
+    with pytest.raises(ValueError, match="one length"):
+        efce.ConvexTriggerDeviation(0, [(1, 0.5, np.zeros(5)), (2, 0.5, cont)])
+
+
+def test_entries_deviation_is_not_changed_by_use():
+    # An entries deviation was once laid out in pairs on its first use with
+    # each plan, and kept that layout and plan.
+    games = [efce.builtin_game("fig1", seed=0) for _ in range(2)]
+    assert games[0].player_plan(0) is not games[1].player_plan(0)
+    da, db, dc = fig1_deviations(games[0])
+    phi = efce.ConvexTriggerDeviation(
+        0, [(1, 0.5, da.continuation), (2, 1 / 3, db.continuation), (3, 1 / 6, dc.continuation)])
+    lam, C = phi.lam.copy(), phi.C
+    for g in games:
+        x = efce.fixed_point(g, phi).values
+        efce.apply_deviation(g, phi, x)
+        efce.extend(g, phi, set(), g.player_infosets(0)[0], x)
+        efce.cumulative_weights(g, phi)
+        assert phi.conts is None and phi._plan is None
+        assert np.array_equal(phi.lam, lam) and np.array_equal(phi.C, C)
+
+
+def test_apply_deviation_and_extend_check_the_shape_of_x():
+    # On fig1, x of shape (9, 1) gave a (9, 9) result and (1, 9) a (1, 9)
+    # one; on kuhn3 a one-entry x raised IndexError, and extend raised
+    # numpy's broadcast message for 5 or 14 entries.
+    for g in (efce.builtin_game("fig1", seed=0), efce.builtin_game("kuhn3")):
+        x = efce.uniform_strategy(g, 0).values
+        n = x.size
+        phi = random_deviation(g, 0, random.Random(3))
+        root = g.player_infosets(0)[0]
+        for bad in (x[:, None], x[None], x[:1], np.ones(5), np.ones(n + 5), x[0]):
+            with pytest.raises(ValueError, match=rf"x has shape .*, expected \({n},\)"):
+                efce.apply_deviation(g, phi, bad)
+            with pytest.raises(ValueError, match=rf"x has shape .*, expected \({n},\)"):
+                efce.extend(g, phi, set(), root, bad)
+        assert efce.apply_deviation(g, phi, list(x)).shape == (n,)
+
+
+def test_apply_trigger_and_build_matrix_check_their_deviation():
+    # On fig1, trigger 0 raised "no information set with id -1", trigger 1.5
+    # IndexError, and a 3-entry continuation IndexError.
+    g = efce.builtin_game("fig1", seed=0)
+    x = efce.uniform_strategy(g, 0).values
+    da, _, _ = fig1_deviations(g)
+    cases = [(efce.EMPTY_SEQ, da.continuation, "empty sequence"),
+             (1.5, da.continuation, "sequence ids 0 to 8"),
+             (9, da.continuation, "sequence ids 0 to 8"),
+             (1, da.continuation[:3], r"shape \(3,\), expected \(9,\)"),
+             (1, np.append(da.continuation, 0.0), r"shape \(10,\), expected \(9,\)")]
+    for trigger, cont, match in cases:
+        dev = efce.TriggerDeviation(0, trigger, cont)
+        with pytest.raises(ValueError, match=match):
+            efce.apply_trigger(g, dev, x)
+        with pytest.raises(ValueError, match=match):
+            efce.build_matrix(g, dev)
+    for trigger in (np.int64(1), True):
+        dev = efce.TriggerDeviation(0, trigger, da.continuation)
+        assert np.array_equal(efce.build_matrix(g, dev), efce.build_matrix(g, da))
+        assert np.array_equal(efce.apply_trigger(g, dev, x), efce.apply_trigger(g, da, x))
 
 
 def test_validate_deviation_checks_continuations():
@@ -209,24 +281,16 @@ def test_continuations_off_their_subtree_fail_fast():
     assert np.abs(efce.apply_deviation(g, phi, fp.values) - fp.values).max() <= 1e-12
 
 
-def test_bad_continuations_raise_the_same_error_through_both_constructors():
-    # from_pairs once took nan, inf and -0.5, which fixed_point then rejected
-    # as a non-finite matrix entry or as lost mass conservation.
+def test_bad_continuations_raise_the_continuation_error():
+    # A nan, inf or negative entry raises the continuation check's error, not
+    # a non-finite matrix entry or lost mass conservation deeper in fixed_point.
     g = efce.builtin_game("fig1", seed=0)
-    plan = g.player_plan(0)
-    lam = np.zeros(plan.owner.size)
-    lam[1] = 1.0
     for value in (np.nan, np.inf, -0.5):
         cont = np.zeros(9)
         cont[1] = cont[3] = cont[5] = 1.0
         cont[5] = value
         with pytest.raises(ValueError) as built:
             efce.fixed_point(g, efce.ConvexTriggerDeviation(0, [(1, 1.0, cont)]))
-        conts = 1.0 / np.bincount(plan.segment).take(plan.segment)
-        conts[plan.own[5]] = value
-        with pytest.raises(ValueError) as wrapped:
-            efce.ConvexTriggerDeviation.from_pairs(0, lam, conts, plan)
-        assert str(wrapped.value) == str(built.value)
         assert "continuations must be finite, nonnegative" in str(built.value)
 
 
@@ -761,7 +825,7 @@ def _player_part(game, phi, i, a, b):
     """Player i's part (block a:b) of a group's deviation, on the player's own plan."""
     one = game.player_plan(i)
     conts = phi.C[a:b, a:b][one.pair_trigger, one.pair_seq]
-    return efce.ConvexTriggerDeviation.from_pairs(i, phi.lam[a:b].copy(), conts, one)
+    return efce.ConvexTriggerDeviation._of_pairs(i, phi.lam[a:b].copy(), conts, one)
 
 
 def test_self_play_fixed_points_equal_chained_extends(monkeypatch):
@@ -957,8 +1021,8 @@ def test_massless_parent_with_closed_pair_needs_no_solver(monkeypatch):
 
 
 def test_fixed_point_checks_raise_their_types():
-    # from_pairs rejects a negative continuation up front; set past it, the
-    # extension matrix checks catch it, in fixed_point and extend alike.
+    # A deviation in the pair layout is unchecked; the extension matrix checks
+    # catch a bad continuation in it, in fixed_point and extend alike.
     g = efce.builtin_game("fig1", seed=0)
     plan = g.player_plan(0)
     A = g.infoset(0, "A")
@@ -976,11 +1040,8 @@ def test_fixed_point_checks_raise_their_types():
     bad[ValueError] = neg
     x0 = np.zeros(plan.owner.size)
     x0[efce.EMPTY_SEQ] = 1.0
-    with pytest.raises(ValueError, match="continuations must be finite"):
-        efce.ConvexTriggerDeviation.from_pairs(0, lam, neg, plan)
     for error, conts in bad.items():
-        phi = efce.ConvexTriggerDeviation.from_pairs(0, lam, uniform, plan)
-        phi.conts = conts
+        phi = efce.ConvexTriggerDeviation._of_pairs(0, lam, conts, plan)
         with pytest.raises(error):
             efce.fixed_point(g, phi)
         with pytest.raises(error):
@@ -1004,10 +1065,7 @@ def test_fixed_point_checks_raise_their_types_at_every_action_count():
     def deviation(conts, *isets_):
         lam = np.zeros(plan.owner.size)
         lam[[js.seq_ids[0] for js in isets_]] = 1.0 / len(isets_)
-        # Set past from_pairs, which rejects a negative or nan entry up front.
-        phi = efce.ConvexTriggerDeviation.from_pairs(0, lam, uniform, plan)
-        phi.conts = conts
-        return phi
+        return efce.ConvexTriggerDeviation._of_pairs(0, lam, conts, plan)
 
     x0 = np.zeros(plan.owner.size)
     x0[efce.EMPTY_SEQ] = 1.0
@@ -1051,11 +1109,9 @@ leaf z1 {1}; leaf z2 {2}
         trigger = A1.seq_ids[0]
         lam = np.zeros(plan.owner.size)
         lam[trigger] = 1.0
-        uniform = 1.0 / np.bincount(plan.segment).take(plan.segment)
-        phi = efce.ConvexTriggerDeviation.from_pairs(0, lam, uniform, plan)
-        conts = uniform.copy()
+        conts = 1.0 / np.bincount(plan.segment).take(plan.segment)
         conts[plan.pair_trigger == trigger] = np.nan
-        phi.conts = conts  # past from_pairs, which rejects a nan up front
+        phi = efce.ConvexTriggerDeviation._of_pairs(0, lam, conts, plan)
         with pytest.raises(ValueError, match="extension matrix entries"):
             efce.fixed_point(g, phi)
         x0 = np.zeros(plan.owner.size)

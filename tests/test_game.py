@@ -716,6 +716,19 @@ def test_player_plan_checks_a_key_equal_to_a_built_one():
         g.player_plan((1.0,))
 
 
+def test_bool_ids_are_read_as_the_ints_0_and_1():
+    # True reached numpy as a mask: utility_vector and payoff_range raised
+    # "only 0-dimensional arrays can be converted", sequence_name a TypeError.
+    g = efce.builtin_game("fig1", seed=0)
+    profile = [efce.uniform_strategy(g, i) for i in range(g.n_players)]
+    assert np.array_equal(efce.utility_vector(g, True, profile).coefficients,
+                          efce.utility_vector(g, 1, profile).coefficients)
+    assert g.payoff_range(True) == g.payoff_range(1) and g.payoff_range(False) == g.payoff_range(0)
+    assert g.sequence_name(0, True) == g.sequence_name(0, 1) != g.sequence_name(0, 0)
+    assert g.sequence_name(True, np.int64(2)) == g.sequence_name(1, 2)
+    assert type(g._player(True)) is type(g._sequence(0, np.int64(2))) is int
+
+
 def test_pure_strategy_counts():
     g = efce.builtin_game("fig1", seed=0)
     assert g.pure_count(0) == 6

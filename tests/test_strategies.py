@@ -53,6 +53,21 @@ def test_sequence_from_behavioral():
     efce.validate_strategy(g, q)
 
 
+def test_sequence_from_behavioral_checks_each_distribution_length():
+    # On fig1, one entry per infoset was broadcast to every action, which gave
+    # every sequence the value 1.0 and no error.
+    g = efce.builtin_game("fig1", seed=0)
+    isets = g.player_infosets(0)
+    good = {gid: np.full(len(g.infosets[gid].actions), 0.5) for gid in isets}
+    efce.validate_strategy(g, efce.sequence_from_behavioral(g, 0, good))
+    for bad in ([1.0], [0.2, 0.3, 0.5], 1.0, [[0.5, 0.5]]):
+        local = dict(good)
+        local[isets[-1]] = bad
+        label = g.infosets[isets[-1]].label
+        with pytest.raises(ValueError, match=f"information set '{label}' needs one probability"):
+            efce.sequence_from_behavioral(g, 0, local)
+
+
 def test_mixed_strategy_example_is_valid():
     g = efce.builtin_game("fig1", seed=0)
     q = efce.SequenceFormStrategy(0, np.array([1, .5, .5, .25, .25, .1, .4, 0, .5]), None)

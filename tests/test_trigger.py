@@ -224,15 +224,19 @@ def test_one_player_pure_minimizer_needs_a_random_stream():
     assert efce.PureTriggerMinimizer(g, 1, random.Random(0)).next_element().player == 1
 
 
-def test_self_play_deviations_pass_the_checks_of_from_pairs(monkeypatch):
-    # The hull builds its deviations past from_pairs' checks, since its
-    # arrays are valid by construction; every one of them must pass them.
+def test_self_play_deviations_are_valid_by_construction(monkeypatch):
+    # The hull builds its deviations unchecked, since its arrays are valid by
+    # construction; every one of them must be.
     hull_next = efce.HullMinimizer.next_element
     checked = []
 
     def next_checked(hull):
         phi = hull_next(hull)
-        efce.ConvexTriggerDeviation.from_pairs(phi.player, phi.lam, phi.conts, hull.plan)
+        plan = hull.plan
+        assert np.isfinite(phi.conts).all() and phi.conts.min(initial=0.0) >= 0.0
+        assert phi.lam.min() >= 0.0 and not phi.lam[plan.offsets].any()
+        totals = np.add.reduceat(phi.lam, plan.offsets)
+        assert np.where(plan.sizes > 1, np.abs(totals - 1.0) <= 1e-9, totals == 0.0).all()
         checked.append(phi)
         return phi
 
@@ -244,8 +248,8 @@ def test_self_play_deviations_pass_the_checks_of_from_pairs(monkeypatch):
 
 
 def test_non_finite_hull_state_still_raises_in_fixed_point():
-    # from_pairs once rejected the deviation of an overflowed hull inside
-    # next_element; unchecked, it must still be rejected by fixed_point.
+    # next_element once rejected the deviation of an overflowed hull;
+    # unchecked, it must still be rejected by fixed_point.
     g = efce.builtin_game("kuhn3")
     for player in (0, (0, 1)):
         for name in ("_regrets", "mixer_regrets"):
@@ -257,9 +261,6 @@ def test_non_finite_hull_state_still_raises_in_fixed_point():
                 getattr(mixed.hull, name)[entries] = np.inf
                 with np.errstate(invalid="ignore"):
                     phi = mixed.hull.next_element()
-                    with pytest.raises(ValueError):
-                        efce.ConvexTriggerDeviation.from_pairs(
-                            phi.player, phi.lam, phi.conts, mixed.hull.plan)
                     with pytest.raises(ValueError, match="must be finite"):
                         efce.fixed_point(g, phi)
                     mixed.hull._phi = None
