@@ -55,7 +55,7 @@ class ConvexTriggerDeviation:
 
     ``entries`` holds (trigger sequence id, weight, continuation vector)
     triples: integer non-empty sequence ids, nonnegative weights that sum
-    to 1 and continuations of one length; zero-weight entries are dropped.
+    to 1 and 1-D continuations of one length; zero-weight entries are dropped.
     The empty combination, allowed for a player without non-empty
     sequences, acts as the identity.
 
@@ -78,6 +78,9 @@ class ConvexTriggerDeviation:
 
     def __init__(self, player, entries):
         entries = [(sid, float(w), np.asarray(c, dtype=float)) for sid, w, c in entries]
+        for _, _, c in entries:
+            if c.ndim != 1:
+                raise ValueError(f"continuation has shape {c.shape}, expected a vector")
         n = max((len(c) for _, _, c in entries), default=0)
         lam = np.zeros(n)
         rows = {}
@@ -187,6 +190,8 @@ def apply_trigger(game, dev, x):
     """Apply one trigger deviation's matrix to a vector, without the matrix."""
     t, sub, cont = _trigger(game, dev)
     x = np.asarray(x, dtype=float)
+    if x.shape != cont.shape:
+        raise ValueError(f"x has shape {x.shape}, expected {cont.shape}")
     out = np.where(game.descendant_mask(dev.player)[t], 0.0, x)
     out[sub] += x[t] * cont[sub]
     return out
@@ -422,8 +427,8 @@ def extend(game, phi, trunk, j_star, x, fp_tol=1e-10):
     must contain the infoset owning ``j_star``'s parent sequence (when there
     is one).  ``x`` is a partial fixed point over the trunk; the returned
     vector extends it with values at ``j_star``'s sequences, every other
-    coordinate untouched.  Raises ValueError unless ``fp_tol`` is positive
-    and finite.
+    coordinate untouched; its inflow is summed per sequence over all pairs.
+    Raises ValueError unless ``fp_tol`` is positive and finite.
     """
     _check_tol(fp_tol, "fp_tol")
     i = phi.player
@@ -449,9 +454,8 @@ def extend(game, phi, trunk, j_star, x, fp_tol=1e-10):
     # current values are not part of the trunk.
     above = out.copy()
     above[sids] = 0.0
-    pairs = np.isin(plan.pair_seq, sids)
-    inflow = conts[pairs] * (lam * above).take(plan.pair_trigger[pairs])
-    r = np.bincount(plan.pair_seq[pairs], inflow, out.size)[sids]
+    inflow = conts * (lam * above).take(plan.pair_trigger)
+    r = np.bincount(plan.pair_seq, inflow, out.size)[sids]
     w0 = plan.chain_entries(moved, keep).take(plan.infoset_gather(sids))
     out[sids] = _solve(w0, r[None], out[[js.parent_seq]], None, fp_tol)[0]
     return out

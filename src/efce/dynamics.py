@@ -168,22 +168,19 @@ def subtree_best_response(game, player, coeffs, root=None):
 def efce_gap(freq):
     """Trigger gap of the accumulated empirical distribution.
 
-    Reads the meter's cached pass: the gap of trigger s is (best
-    continuation value - follow value) / t, and a player's gap the largest
-    of its triggers', or 0 without triggers.  The report keeps the pass's
-    completed tables, off which it reads the witness continuation of each
-    player's worst trigger top-down when first asked.
+    The meter's cached pass (:meth:`~efce.trigger.PhiRegretMeter.best_pass`)
+    over the t rounds: each trigger's regret / t, and each player's largest
+    / t, the logged regret's own rule.  The report keeps the pass's completed
+    tables, off which it reads the witness continuation of each player's
+    worst trigger top-down when first asked.
     """
-    if freq.t == 0:
+    t = freq.t
+    if t == 0:
         raise ValueError("no profiles accumulated yet")
-    meter = freq.meter
-    plan = meter.plan
-    best, completed = meter.best_pass()
-    gaps = (best - meter.follow) / freq.t
-    gaps[plan.offsets] = -np.inf
-    per_player = np.maximum.reduceat(gaps, plan.offsets)
-    per_player[plan.triggerless] = 0.0
-    per_player = per_player.tolist()
+    plan = freq.meter.plan
+    regrets, largest, completed = freq.meter.best_pass()
+    gaps = regrets / t
+    per_player = [x / t for x in largest]
     trigger_gaps = [gaps[a:b] for _, a, b in plan.spans]
     return GapReport(per_player, max(per_player), trigger_gaps, (freq.game, plan, completed))
 

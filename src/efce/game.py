@@ -144,7 +144,7 @@ class PlayerPlan:
     empty sequence.  ``ancestry`` (2 x A) holds the sequence ancestry: the
     ancestor pairs (t, s), those whose sequence is at or below the trigger
     itself, in pair order, then (empty sequence of s's block, s) for every
-    s.  :meth:`dense` and ``subtree`` give triggers x sequences copies.
+    s.  :meth:`dense` gives triggers x sequences copies.
     """
 
     spans: tuple[tuple[int, int, int], ...]
@@ -174,11 +174,6 @@ class PlayerPlan:
         out = np.zeros((self.owner.size, self.owner.size))
         out[self.pair_trigger, self.pair_seq] = pairs
         return out
-
-    @property
-    def subtree(self):
-        """Row t is 1 on the sequences at or below trigger t's infoset (a copy)."""
-        return self.dense(1.0)
 
     def chain_entries(self, moved, keep):
         """What ``gather`` reads: per pair its ``moved`` mass (its continuation
@@ -757,23 +752,6 @@ class GameTree:
         for i in range(self.n_players):
             total *= self.pure_count(i)
         return total
-
-    def same_structure(self, other):
-        """Exact structural equality, used by round-trip checks."""
-        return (
-            self.name == other.name
-            and self.n_players == other.n_players
-            and self.root == other.root
-            and self.node_kind == other.node_kind
-            and self.node_label == other.node_label
-            and self.node_children == other.node_children
-            and self.node_actions == other.node_actions
-            and self.node_player == other.node_player
-            and self.node_infoset == other.node_infoset
-            and self.chance_probs == other.chance_probs
-            and self.leaf_payoffs == other.leaf_payoffs
-            and [js.label for js in self.infosets] == [js.label for js in other.infosets]
-        )
 
 
 # -- precedence and subtree queries -----------------------------------------

@@ -60,10 +60,8 @@ class UtilityVector:
 
 
 def validate_strategy(game, strat, tol=_FLOW_TOL):
-    """Raise ValueError unless ``strat`` lies in its sequence-form polytope."""
-    i = strat.player
-    if not 0 <= i < game.n_players:
-        raise ValueError(f"strategy names player {i + 1} of a {game.n_players}-player game")
+    """Raise ValueError unless ``strat``'s player is the game's and it lies in its polytope."""
+    i = game._player(strat.player)
     v = strat.values
     n = game.num_sequences(i)
     if v.shape != (n,):
@@ -100,8 +98,9 @@ def is_valid_strategy(game, strat, tol=_FLOW_TOL):
 def sequence_from_behavioral(game, player, local, root=None):
     """Compose per-infoset action distributions into sequence form.
 
-    ``local`` maps a global infoset id to its action probabilities, one per action
-    (else ValueError); the result is scoped to ``root`` when given, full-tree otherwise.
+    ``local`` maps each global infoset id of the scope to its action
+    probabilities, one per action (else ValueError); the result is scoped
+    to ``root`` when given, full-tree otherwise.
     """
     isets = game.scope_infosets(player, root)
     values = np.zeros(game.num_sequences(player))
@@ -110,7 +109,10 @@ def sequence_from_behavioral(game, player, local, root=None):
     for gid in isets:
         js = game.infosets[gid]
         mass = 1.0 if gid == root else values[js.parent_seq]
-        dist = np.asarray(local[gid], dtype=float)
+        try:
+            dist = np.asarray(local[gid], dtype=float)
+        except KeyError:
+            raise ValueError(f"information set '{js.label}' has no action distribution") from None
         if dist.shape != (len(js.seq_ids),):
             raise ValueError(f"information set '{js.label}' needs one probability per action")
         values[list(js.seq_ids)] = mass * dist
@@ -252,10 +254,13 @@ def evaluate(util, strat):
 
 
 def format_strategy(game, strat):
-    """Human-readable labeled rendering of a strategy vector."""
+    """Labeled rendering of a strategy vector; ValueError unless it has one entry per sequence."""
     i = strat.player
+    n = game.num_sequences(i)
+    if strat.values.shape != (n,):
+        raise ValueError(f"strategy has shape {strat.values.shape}, expected ({n},)")
     parts = [
         f"{game.sequence_name(i, sid)}: {strat.values[sid]:g}"
-        for sid in range(game.num_sequences(i))
+        for sid in range(n)
     ]
     return "[" + ", ".join(parts) + "]"

@@ -183,20 +183,21 @@ class PureTriggerMinimizer(MixedTriggerMinimizer):
 
     ``rng`` is one random stream (an object with a callable ``random``), or
     a list or tuple of one per player of a group ``player``; each player's
-    pure strategy is drawn from its own stream, in player order.  One
-    player's ``rng`` without a callable ``random``, or a group with another
-    number of streams, raises ValueError.
+    pure strategy is drawn from its own stream, in player order.  A stream
+    without a callable ``random``, or a group with another number of
+    streams, raises ValueError.
     """
 
     def __init__(self, game, player, rng, fp_tol=1e-10):
         super().__init__(game, player, fp_tol)
-        if self._spans is None:
-            if not callable(getattr(rng, "random", None)):
-                raise ValueError(f"rng must be a random stream with a random() method, "
-                                 f"not {rng!r}")
-        elif not (isinstance(rng, (list, tuple)) and len(rng) == len(self._spans)):
+        if self._spans is not None and not (isinstance(rng, (list, tuple))
+                                            and len(rng) == len(self._spans)):
             raise ValueError(f"a group of {len(self._spans)} players needs one random "
                              f"stream per player, in a list or tuple")
+        for stream in [rng] if self._spans is None else rng:
+            if not callable(getattr(stream, "random", None)):
+                raise ValueError(f"rng must be a random stream with a random() method, "
+                                 f"not {stream!r}")
         self.rng = rng
         self.last_pure = None
 
@@ -281,11 +282,19 @@ class PhiRegretMeter:
         self._pass = None
 
     def best_pass(self):
-        """(best continuation value per trigger, completed tables in pair layout), cached;
-        trigger s's value is that of its own segment, the pair (s, s)'s."""
+        """Per trigger, its regret (best continuation value, its own segment's, minus
+        follow value; -inf at an empty sequence), each player's largest as floats (0
+        without triggers), and the completed tables in pair layout; cached until the
+        next :meth:`record`."""
         if self._pass is None:
+            plan = self.plan
             completed = self._tables.copy()
-            self._pass = (_complete(self.plan, completed).take(self.plan.own_segment), completed)
+            regrets = _complete(plan, completed).take(plan.own_segment)
+            regrets -= self.follow
+            regrets[plan.offsets] = -np.inf
+            largest = np.maximum.reduceat(regrets, plan.offsets)
+            largest[plan.triggerless] = 0.0
+            self._pass = (regrets, largest.tolist(), completed)
         return self._pass
 
     def regret(self):
@@ -294,13 +303,8 @@ class PhiRegretMeter:
         A float for one player; for a tuple of players, a list with one
         float per player.  A player without triggers has regret 0.
         """
-        plan = self.plan
-        values, _ = self.best_pass()
-        gaps = values - self.follow
-        gaps[plan.offsets] = -np.inf
-        out = np.maximum.reduceat(gaps, plan.offsets)
-        out[plan.triggerless] = 0.0
-        return float(out[0]) if isinstance(self.player, Integral) else out.tolist()
+        largest = self.best_pass()[1]
+        return largest[0] if isinstance(self.player, Integral) else largest[:]
 
 
 def split_rngs(seed, n):

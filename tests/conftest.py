@@ -1,6 +1,7 @@
 """Shared helpers for the test suite."""
 
 import sys
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -197,9 +198,8 @@ def reference_gap(freq):
     """
     game = freq.game
     meter = freq.meter
-    best, completed = meter.best_pass()
-    gaps = (best - meter.follow) / freq.t
-    gaps[meter.plan.offsets] = -np.inf
+    regrets, _, completed = meter.best_pass()
+    gaps = regrets / freq.t
     per_player = []
     trigger_gaps = []
     witnesses = []
@@ -224,3 +224,44 @@ def reference_gap(freq):
     argmax = (top, witnesses[top][0]) if witnesses[top] is not None else None
     return SimpleNamespace(per_player=per_player, eps=eps, trigger_gaps=trigger_gaps,
                            witnesses=witnesses, argmax=argmax)
+
+
+def exact_stationary(w):
+    """The stationary distribution of a column-stochastic chain of Fractions, exactly.
+
+    ``w[a][c]`` is the chance of moving from state c to state a.  The closed
+    classes, found by reachability, share the mass equally; each is solved
+    by a Fraction linear solve, and the transient states get 0.  Returns
+    the distribution as Fractions and the closed classes as sorted lists.
+    """
+    m = len(w)
+    # reach[a][c]: state a can be reached from state c
+    reach = [[a == c or w[a][c] != 0 for c in range(m)] for a in range(m)]
+    for k in range(m):
+        for c in range(m):
+            if reach[k][c]:
+                for a in range(m):
+                    reach[a][c] = reach[a][c] or reach[a][k]
+    classes = []
+    for c in range(m):
+        out = [a for a in range(m) if reach[a][c]]
+        # c is recurrent when every state it reaches leads back to it, and
+        # its class, everything it reaches, is counted at its lowest state.
+        if out[0] == c and all(reach[c][a] for a in out):
+            classes.append(out)
+    b = [Fraction(0)] * m
+    for cls in classes:
+        # (w - I) b = 0 on the class, its last equation replaced by sum(b) = 1.
+        rows = [[w[a][c] - (a == c) for c in cls] + [Fraction(0)] for a in cls]
+        rows[-1] = [Fraction(1)] * (len(cls) + 1)
+        for col in range(len(cls)):
+            pivot = next(r for r in range(col, len(cls)) if rows[r][col] != 0)
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            rows[col] = [v / rows[col][col] for v in rows[col]]
+            for r in range(len(cls)):
+                if r != col and rows[r][col] != 0:
+                    f = rows[r][col]
+                    rows[r] = [v - f * u for v, u in zip(rows[r], rows[col])]
+        for a, row in zip(cls, rows):
+            b[a] = row[-1] / len(classes)
+    return b, classes

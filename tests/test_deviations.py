@@ -2,12 +2,14 @@ import functools
 import random
 import sys
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import efce
-from conftest import fig1_deviations, kernel_games, random_behavioral, random_deviation
+from conftest import (exact_stationary, fig1_deviations, kernel_games, random_behavioral,
+                      random_deviation)
 from efce.deviations import _parts
 from efce.game import _gather
 
@@ -213,6 +215,30 @@ def test_apply_deviation_and_extend_check_the_shape_of_x():
         assert efce.apply_deviation(g, phi, list(x)).shape == (n,)
 
 
+def test_apply_trigger_checks_the_shape_of_x():
+    # On fig1, x of 14 entries or of shape (9, 1) raised numpy's "operands
+    # could not be broadcast together".
+    g = efce.builtin_game("fig1", seed=0)
+    da, _, _ = fig1_deviations(g)
+    x = efce.uniform_strategy(g, 0).values
+    for bad in (np.ones(14), x[:, None], x[None], x[:5], x[0]):
+        with pytest.raises(ValueError, match=r"x has shape .*, expected \(9,\)"):
+            efce.apply_trigger(g, da, bad)
+    assert np.array_equal(efce.apply_trigger(g, da, list(x)), efce.apply_trigger(g, da, x))
+
+
+def test_entries_continuations_must_be_vectors():
+    # On fig1, a (9, 2) continuation built a deviation whose C and fixed
+    # point raised numpy's broadcast error, and a scalar one raised TypeError.
+    g = efce.builtin_game("fig1", seed=0)
+    da, _, _ = fig1_deviations(g)
+    wide = np.stack([da.continuation] * 2, axis=1)
+    for bad in (wide, wide.T, 0.5, [da.continuation]):
+        for entries in ([(1, 1.0, bad)], [(1, 0.5, da.continuation), (2, 0.5, bad)]):
+            with pytest.raises(ValueError, match=r"continuation has shape .*, expected a vector"):
+                efce.ConvexTriggerDeviation(0, entries)
+
+
 def test_apply_trigger_and_build_matrix_check_their_deviation():
     # On fig1, trigger 0 raised "no information set with id -1", trigger 1.5
     # IndexError, and a 3-entry continuation IndexError.
@@ -394,6 +420,27 @@ def test_stationary_distribution_input_validation():
         efce.stationary_distribution(np.array([[0.5, -0.1], [0.5, 1.1]]))
     with pytest.raises(ValueError):
         efce.stationary_distribution(np.array([[0.5, 0.5], [0.4, 0.5]]))
+
+
+def test_stationary_distribution_matches_exact_reference():
+    # Sparse chains with rational entries, solved exactly in Fractions: the
+    # solver is compared with an independent reference, not with itself.
+    rng = random.Random(2027)
+    several = transient = 0
+    for _ in range(2000):
+        m = rng.randint(2, 6)
+        w = [[Fraction(0)] * m for _ in range(m)]
+        for c in range(m):
+            weights = [rng.randint(1, 9) if rng.random() < 0.25 else 0 for _ in range(m)]
+            weights[rng.randrange(m)] += rng.randint(1, 9)
+            for a in range(m):
+                w[a][c] = Fraction(weights[a], sum(weights))
+        exact, classes = exact_stationary(w)
+        got = efce.stationary_distribution(np.array(w, dtype=float))
+        assert np.abs(got - np.array(exact, dtype=float)).max() <= 1e-12
+        several += len(classes) > 1
+        transient += sum(map(len, classes)) < m
+    assert several >= 100 and transient >= 100
 
 
 def _reducible_chain(rng, d):

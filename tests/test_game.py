@@ -402,7 +402,7 @@ def test_plan_matches_independent_ancestry():
             want += [(efce.EMPTY_SEQ, s) for s in range(n)]
             assert list(zip(*plan.ancestry.tolist())) == want
             assert len(want) == below.sum()
-            assert np.array_equal(plan.subtree, subtree)
+            assert np.array_equal(plan.dense(1.0), subtree)
             # the sums over it are the products with the ancestry
             v = np.arange(1.0, n + 1.0)
             assert np.allclose(plan.sum_below(v), below @ v)
@@ -432,7 +432,7 @@ def test_group_plan_stacks_one_player_plans():
             one = g.player_plan(i)
             assert (i, a) == (players[k], plan.offsets[k])
             assert (plan.owner[a:b] == k).all()
-            assert np.array_equal(plan.subtree[a:b, a:b], one.subtree)
+            assert np.array_equal(plan.dense(1.0)[a:b, a:b], one.dense(1.0))
             assert np.array_equal(plan.sum_below(v)[a:b], one.sum_below(v[a:b]))
             assert np.array_equal(plan.sum_above(v)[a:b], one.sum_above(v[a:b]))
             mask[a:b, a:b] = True
@@ -447,7 +447,7 @@ def test_group_plan_stacks_one_player_plans():
                 while t != -1:
                     ancestry.add((a + t, a + s))
                     t = parent[t]
-        assert not plan.subtree[~mask].any()
+        assert not plan.dense(1.0)[~mask].any()
         anc = list(zip(*plan.ancestry.tolist()))
         assert len(anc) == len(ancestry) and set(anc) == ancestry
         # every pair's sequence lies in its trigger's subtree, and every
@@ -770,8 +770,9 @@ def test_serialize_roundtrip():
     for name, seed in [("fig1", 7), ("kuhn3", None)] + [
             ("random-tree", s) for s in range(8)]:
         g = efce.builtin_game(name, seed=seed)
-        h = efce.parse_game(efce.serialize_game(g))
-        assert g.same_structure(h)
+        text = efce.serialize_game(g)
+        h = efce.parse_game(text)
+        assert efce.serialize_game(h) == text
         assert np.array_equal(g.term_payoffs, h.term_payoffs)
         assert np.allclose(g.term_chance, h.term_chance)
 

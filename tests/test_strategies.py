@@ -359,3 +359,20 @@ def test_format_strategy_mentions_sequences():
     g = efce.builtin_game("fig1", seed=0)
     text = efce.format_strategy(g, efce.uniform_strategy(g, 0))
     assert "A:1" in text and "D:8" in text
+
+
+def test_sequence_from_behavioral_names_a_missing_infoset():
+    # {0: [0.5, 0.5]} on fig1 raised a bare KeyError: 3.
+    g = efce.builtin_game("fig1", seed=0)
+    A, B = g.player_infosets(0)[:2]
+    with pytest.raises(ValueError, match=f"'{g.infosets[B].label}' has no action distribution"):
+        efce.sequence_from_behavioral(g, 0, {A: [0.5, 0.5]})
+
+
+def test_format_strategy_checks_the_shape_of_the_values():
+    # On fig1, 12 entries rendered the first 9 silently, and 3 raised IndexError.
+    g = efce.builtin_game("fig1", seed=0)
+    for bad in (np.zeros(12), np.zeros(3), np.zeros((9, 1))):
+        with pytest.raises(ValueError, match=r"strategy has shape .*, expected \(9,\)"):
+            efce.format_strategy(g, efce.SequenceFormStrategy(0, bad, None))
+    assert efce.format_strategy(g, efce.uniform_strategy(g, 0)).startswith("[(empty): 1, A:1: 0.5")

@@ -224,6 +224,16 @@ def test_one_player_pure_minimizer_needs_a_random_stream():
     assert efce.PureTriggerMinimizer(g, 1, random.Random(0)).next_element().player == 1
 
 
+def test_group_pure_minimizer_needs_random_streams():
+    # [1, 2] once built a learner whose first next_element raised
+    # AttributeError after the hull had advanced, and every later call
+    # CallOrderError.
+    g = efce.builtin_game("fig1", seed=0)
+    for rng in ([1, 2], (random.Random(0), None), [object(), random.Random(1)]):
+        with pytest.raises(ValueError, match="random stream with a random"):
+            efce.PureTriggerMinimizer(g, (0, 1), rng)
+
+
 def test_self_play_deviations_are_valid_by_construction(monkeypatch):
     # The hull builds its deviations unchecked, since its arrays are valid by
     # construction; every one of them must be.
@@ -340,12 +350,13 @@ def test_meter_pass_matches_recursive_reference():
                 played = random_behavioral(g, i, rng).values
                 ell = np.array([rng.uniform(-1.0, 1.0) for _ in range(n)])
                 meter.record(ell, played)
-                values, _ = meter.best_pass()
+                regrets, _, _ = meter.best_pass()
                 want = np.zeros(n)
                 for sid in range(1, n):
                     gid = int(g.seq_infoset(i)[sid])
                     want[sid] = _reference_subtree_best(g, i, meter.tables[sid], gid)
-                assert np.abs(values[1:] - want[1:]).max() <= 1e-12
+                assert regrets[0] == -np.inf
+                assert np.abs(regrets[1:] - (want[1:] - meter.follow[1:])).max() <= 1e-12
                 want_regret = float(np.max(want[1:] - meter.follow[1:]))
                 assert abs(meter.regret() - want_regret) <= 1e-12
 
@@ -439,8 +450,7 @@ def test_group_learner_matches_one_player_learners():
                 assert abs(regrets[i] - meters[i].regret()) <= 1e-9
             report = efce.efce_gap(freq)
             for i in players:
-                best, _ = meters[i].best_pass()
-                gaps = (best - meters[i].follow) / t
+                gaps = meters[i].best_pass()[0] / t
                 assert np.abs(report.trigger_gaps[i][1:] - gaps[1:]).max(initial=0.0) <= 1e-9
                 want = float(gaps[1:].max()) if gaps.size > 1 else 0.0
                 assert abs(report.per_player[i] - want) <= 1e-9
@@ -492,8 +502,12 @@ def test_best_pass_matches_per_pair_reference():
         for _ in range(4):
             played = np.concatenate([random_behavioral(g, i, rng).values for i in players])
             meter.record(np.array([rng.uniform(-1.0, 1.0) for _ in range(n)]), played)
-            values, completed = meter.best_pass()
+            regrets, largest, completed = meter.best_pass()
             want_completed = meter._tables.copy()
             want = np.append(reference_complete(plan, want_completed), 0.0).take(plan.own)
-            assert np.array_equal(values, want)
+            want -= meter.follow
+            want[plan.offsets] = -np.inf
+            assert np.array_equal(regrets, want)
+            assert largest == [float(want[a + 1:b].max()) if b - a > 1 else 0.0
+                               for _, a, b in plan.spans]
             assert np.array_equal(completed, want_completed)

@@ -10,9 +10,11 @@ name, then runs one pass of each workload per tree:
   run, at run seed 0, 32 rounds, a gap checkpoint every round.
 
 Per workload and tree it prints the C calls per round, counted with
-``sys.setprofile`` after each game's plan is built, and the ten Python
-functions of that tree that make the most of them, each with its C calls
-per round.  The count is deterministic, so one pass per tree is enough.
+``sys.setprofile`` after each game's plan is built, the C calls made while
+``efce_gap`` runs, per gap checkpoint (the call the benchmark's
+``gap_ms_*`` metrics time), and the ten Python functions of that tree that
+make the most C calls, each with its C calls per round.  The count is
+deterministic, so one pass per tree is enough.
 It times nothing: the host's speed swings by more than a small change's
 effect, so timing claims come from ``bench/run.py``'s alternating runs.
 
@@ -54,21 +56,33 @@ def runs(efce, workload):
 
 
 def calls_per_round(efce, workload):
-    """(C calls per round, the ten callers making most of them) of one pass.
+    """(C calls per round, C calls in ``efce_gap`` per checkpoint, the ten
+    callers making most C calls) of one pass.
 
     Counted over the runs only: each game first plays one round
     unprofiled, which builds its plan and scorer tables, so the count is
-    of the rounds' own work.  A caller is a Python function, named by its
-    file and qualified name (``trigger.HullMinimizer.next_element``), and
-    listed with its C calls per round.
+    of the rounds' own work.  A C call counts as ``efce_gap``'s when that
+    function is on the stack, whoever makes it.  A caller is a Python
+    function, named by its file and qualified name
+    (``trigger.HullMinimizer.next_element``), and listed with its C calls
+    per round.
     """
     callers = Counter()
     rounds = 0
+    gap_code = efce.dynamics.efce_gap.__code__
+    gap = {"depth": 0, "calls": 0, "checkpoints": 0}
 
     def profile(frame, event, arg):
         if event == "c_call":
             code = frame.f_code
             callers[f"{Path(code.co_filename).stem}.{code.co_qualname}"] += 1
+            gap["calls"] += gap["depth"] > 0
+        elif frame.f_code is gap_code:
+            if event == "call":
+                gap["depth"] += 1
+                gap["checkpoints"] += 1
+            elif event == "return":
+                gap["depth"] -= 1
 
     for make, seed, n, gap_every in runs(efce, workload):
         game = make()
@@ -79,7 +93,8 @@ def calls_per_round(efce, workload):
         finally:
             sys.setprofile(None)
         rounds += n
-    return callers.total() / rounds, [(name, n / rounds) for name, n in callers.most_common(10)]
+    return (callers.total() / rounds, gap["calls"] / gap["checkpoints"],
+            [(name, n / rounds) for name, n in callers.most_common(10)])
 
 
 def main(argv):
@@ -91,7 +106,9 @@ def main(argv):
         counted = {name: calls_per_round(efce, workload) for name, efce in trees.items()}
         print(f"{workload} C calls/round parent {counted['parent'][0]:.2f} "
               f"change {counted['change'][0]:.2f}", flush=True)
-        for name, (_, top) in counted.items():
+        print(f"{workload} C calls in efce_gap/checkpoint parent {counted['parent'][1]:.2f} "
+              f"change {counted['change'][1]:.2f}", flush=True)
+        for name, (_, _, top) in counted.items():
             print(f"{workload} {name} top C callers per round: "
                   + ", ".join(f"{caller} {n:.2f}" for caller, n in top), flush=True)
     return 0
