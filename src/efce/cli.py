@@ -121,9 +121,6 @@ def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
         if args.command == "validate":
             return _cmd_validate(args, parser)
         return _cmd_run(args, parser)

@@ -26,7 +26,7 @@ from numbers import Integral
 import numpy as np
 
 from .game import EMPTY_SEQ
-from .strategies import SequenceFormStrategy, validate_strategy
+from .strategies import SequenceFormStrategy, _check_shape, validate_strategy
 
 # Flat indices into a 3 x 3 matrix for each state a = 0, 1, 2 (columns) and
 # its two other states c < d: entries (a, c), (a, d), (c, d) and (d, c) (rows).
@@ -154,10 +154,16 @@ def _arrays(plan, phi):
 
 
 def validate_deviation(game, phi):
-    """Raise ValueError unless every continuation lies in its subtree polytope."""
+    """Raise ValueError unless every continuation lies in its subtree polytope.
+
+    A group's deviation is checked block by block of its plan: each trigger's
+    continuation on the block of the trigger's player.
+    """
+    plan = game.player_plan(phi.player)
     for sid, _, cont in phi.terms:
-        gid = int(game.seq_infoset(phi.player)[sid])
-        validate_strategy(game, SequenceFormStrategy(phi.player, cont, gid))
+        i, a, b = plan.spans[plan.owner[sid]]
+        gid = int(game.seq_infoset(i)[sid - a])
+        validate_strategy(game, SequenceFormStrategy(i, cont[a:b], gid))
 
 
 def _trigger(game, dev):
@@ -165,10 +171,8 @@ def _trigger(game, dev):
     t = game._sequence(dev.player, dev.trigger)
     if t == EMPTY_SEQ:
         raise ValueError("the empty sequence cannot be a trigger")
-    cont = np.asarray(dev.continuation, dtype=float)
-    n = game.num_sequences(dev.player)
-    if cont.shape != (n,):
-        raise ValueError(f"continuation has shape {cont.shape}, expected ({n},)")
+    cont = _check_shape(np.asarray(dev.continuation, dtype=float),
+                        game.num_sequences(dev.player), "continuation")
     return t, game.subtree_sequences(int(game.seq_infoset(dev.player)[t])), cont
 
 
@@ -189,9 +193,7 @@ def build_matrix(game, dev):
 def apply_trigger(game, dev, x):
     """Apply one trigger deviation's matrix to a vector, without the matrix."""
     t, sub, cont = _trigger(game, dev)
-    x = np.asarray(x, dtype=float)
-    if x.shape != cont.shape:
-        raise ValueError(f"x has shape {x.shape}, expected {cont.shape}")
+    x = _check_shape(np.asarray(x, dtype=float), cont.size, "x")
     out = np.where(game.descendant_mask(dev.player)[t], 0.0, x)
     out[sub] += x[t] * cont[sub]
     return out
@@ -212,15 +214,7 @@ def apply_deviation(game, phi, x):
     """
     plan = game.player_plan(phi.player)
     _, _, moved, keep = _parts(plan, phi)
-    return _act(plan, moved, keep, _vector(plan, x))
-
-
-def _vector(plan, x):
-    """A float copy of ``x``; ValueError unless it has one entry per sequence of ``plan``."""
-    x = np.array(x, dtype=float)
-    if x.shape != plan.owner.shape:
-        raise ValueError(f"x has shape {x.shape}, expected {plan.owner.shape}")
-    return x
+    return _act(plan, moved, keep, _check_shape(np.asarray(x, dtype=float), plan.owner.size, "x"))
 
 
 def _act(plan, moved, keep, x):
@@ -447,7 +441,7 @@ def extend(game, phi, trunk, j_star, x, fp_tol=1e-10):
                 f"immediate predecessor of '{js.label}'"
             )
     plan = game.player_plan(i)
-    out = _vector(plan, x)
+    out = _check_shape(np.array(x, dtype=float), plan.owner.size, "x")  # a copy, written below
     lam, conts, moved, keep = _parts(plan, phi)
     sids = np.array(js.seq_ids, dtype=np.int64)
     # Only triggers above the infoset send mass into it; its own sequences'

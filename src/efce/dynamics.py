@@ -22,7 +22,7 @@ import numpy as np
 
 from .deviations import _check_tol
 from .game import EMPTY_SEQ
-from .strategies import SequenceFormStrategy, UtilityVector, _score
+from .strategies import SequenceFormStrategy, UtilityVector, _check_finite, _check_shape, _score
 from .trigger import PhiRegretMeter, PureTriggerMinimizer, _complete, split_rngs
 
 _PROFILE_KEEP_LIMIT = 200
@@ -72,8 +72,7 @@ class EmpiricalFrequency:
         utility overflows, raises ValueError and leaves the summary unchanged.
         """
         played, utility = _score(self.game, profile)
-        if np.count_nonzero(np.isfinite(utility)) != utility.size:
-            raise ValueError("utility has a non-finite entry")
+        _check_finite(utility, "utility")
         self.meter._add(utility, played)
         self.t += 1
         self.utility = utility
@@ -152,9 +151,8 @@ def subtree_best_response(game, player, coeffs, root=None):
     returns the optimal value, the vertex's, together with an optimal vertex.
     """
     plan = game.player_plan(player)
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != plan.owner.shape or not np.isfinite(coeffs).all():
-        raise ValueError(f"coefficients must be {plan.owner.size} finite numbers")
+    coeffs = _check_shape(np.asarray(coeffs, dtype=float), plan.owner.size, "coefficients")
+    _check_finite(coeffs, "coefficients")
     # Every pair holds its sequence's coefficient, so pair (s, s) completes s.
     completed = coeffs.take(plan.pair_seq)
     _complete(plan, completed)

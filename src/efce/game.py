@@ -509,7 +509,6 @@ class GameTree:
             self._player_isets.append(tuple(order))
 
         self._plan_cache: dict[tuple[int, ...], PlayerPlan] = {}
-        self._player_types: set[type] = set()
 
     # -- counts and lookups --------------------------------------------------
 
@@ -635,21 +634,19 @@ class GameTree:
     def player_plan(self, players):
         """The :class:`PlayerPlan` of one player or a tuple of distinct players, built on first use.
 
-        Raises ValueError for an empty tuple, a player that is not an integer
-        from 0 to ``n_players - 1``, or a repeated player.
+        Cached under the players as ints.  Raises ValueError for an empty tuple, a
+        player that is not an integer from 0 to ``n_players - 1``, or a repeated player.
         """
-        key = players if type(players) is tuple else (int(players),) if isinstance(
-            players, Integral) else (tuple(players) if np.iterable(players) else None)
+        try:
+            key = tuple(map(self._player, players if np.iterable(players) else (players,)))
+        except ValueError:  # no player: the empty key, which raises below
+            key = ()
         plan = self._plan_cache.get(key)
-        # 1.0 == 1, so a built plan answers only a key of element types that passed the checks.
-        if plan is None or not {*map(type, key)} <= self._player_types:
-            if not key or len(set(key)) != len(key) or not all(
-                    isinstance(p, Integral) and 0 <= p < self.n_players for p in key):
+        if plan is None:
+            if not key or len(set(key)) != len(key):
                 raise ValueError(f"players {players!r} are not one or more distinct players "
                                  f"0 to {self.n_players - 1}")
-            self._player_types.update(map(type, key))
-            if plan is None:
-                plan = self._plan_cache[key] = self._build_plan(key)
+            plan = self._plan_cache[key] = self._build_plan(key)
         return plan
 
     def _build_plan(self, players):

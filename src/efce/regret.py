@@ -8,9 +8,11 @@ raise :class:`CallOrderError`.
 
 from __future__ import annotations
 
+from numbers import Integral
+
 import numpy as np
 
-from .strategies import sequence_from_behavioral
+from .strategies import _check_finite, _check_shape, sequence_from_behavioral
 
 
 class CallOrderError(RuntimeError):
@@ -27,6 +29,8 @@ class RegretMatching:
     __slots__ = ("regrets", "_last")
 
     def __init__(self, m):
+        if type(m) is bool or not isinstance(m, Integral):  # a bool is not a count
+            raise ValueError(f"action count {m!r} is not an integer")
         if m < 0:
             raise ValueError("action count must be nonnegative")
         self.regrets = np.zeros(m)
@@ -50,11 +54,8 @@ class RegretMatching:
         ValueError and leaves the round open."""
         if self._last is None:
             raise CallOrderError("observe_utility called before next_element")
-        u = np.asarray(utility, dtype=float)
-        if u.shape != self.regrets.shape:
-            raise ValueError(f"utility has shape {u.shape}, expected {self.regrets.shape}")
-        if not np.isfinite(u).all():
-            raise ValueError("utility has a non-finite entry")
+        u = _check_shape(np.asarray(utility, dtype=float), self.regrets.size, "utility")
+        _check_finite(u, "utility")
         self.regrets += u - float(u @ self._last)
         self._last = None
 
@@ -96,12 +97,9 @@ class CfrMinimizer:
         player's sequences; a bad one raises ValueError and leaves the round open."""
         if self._last_dists is None:
             raise CallOrderError("observe_utility called before next_element")
-        coeffs = np.asarray(coeffs, dtype=float)
-        n = self.game.num_sequences(self.player)
-        if coeffs.shape != (n,):
-            raise ValueError(f"utility has shape {coeffs.shape}, expected ({n},)")
-        if not np.isfinite(coeffs).all():
-            raise ValueError("utility has a non-finite entry")
+        coeffs = _check_shape(np.asarray(coeffs, dtype=float),
+                              self.game.num_sequences(self.player), "utility")
+        _check_finite(coeffs, "utility")
         value = {}
         for gid in reversed(self._isets):
             sids = self._seq_ids[gid]

@@ -19,6 +19,19 @@ from .game import EMPTY_SEQ
 _FLOW_TOL = 1e-9
 
 
+def _check_shape(v, n, what):
+    """``v``; ValueError, naming it ``what``, unless the array ``v`` has shape (n,)."""
+    if v.shape != (n,):
+        raise ValueError(f"{what} has shape {v.shape}, expected ({n},)")
+    return v
+
+
+def _check_finite(v, what):
+    """Raise ValueError, naming ``v`` ``what``, unless every entry of the array ``v`` is finite."""
+    if np.count_nonzero(np.isfinite(v)) != v.size:
+        raise ValueError(f"{what} has a non-finite entry")
+
+
 @dataclass
 class SequenceFormStrategy:
     """One player's sequence-form strategy.
@@ -62,10 +75,7 @@ class UtilityVector:
 def validate_strategy(game, strat, tol=_FLOW_TOL):
     """Raise ValueError unless ``strat``'s player is the game's and it lies in its polytope."""
     i = game._player(strat.player)
-    v = strat.values
-    n = game.num_sequences(i)
-    if v.shape != (n,):
-        raise ValueError(f"strategy has shape {v.shape}, expected ({n},)")
+    v = _check_shape(strat.values, game.num_sequences(i), "strategy")
     if not np.all((v >= -tol) & (v <= 1.0 + tol)):
         raise ValueError("strategy entries must lie in [0, 1]")
 
@@ -142,9 +152,7 @@ def sample_pure(game, strat, rng):
         raise ValueError("can only sample from full-tree strategies")
     i = strat.player
     n = game.num_sequences(i)
-    if strat.values.shape != (n,):
-        raise ValueError(f"strategy has shape {strat.values.shape}, expected ({n},)")
-    q = strat.values.tolist()
+    q = _check_shape(strat.values, n, "strategy").tolist()
     values = [0.0] * n
     values[EMPTY_SEQ] = 1.0
     for gid in game.player_infosets(i):
@@ -257,8 +265,7 @@ def format_strategy(game, strat):
     """Labeled rendering of a strategy vector; ValueError unless it has one entry per sequence."""
     i = strat.player
     n = game.num_sequences(i)
-    if strat.values.shape != (n,):
-        raise ValueError(f"strategy has shape {strat.values.shape}, expected ({n},)")
+    _check_shape(strat.values, n, "strategy")
     parts = [
         f"{game.sequence_name(i, sid)}: {strat.values[sid]:g}"
         for sid in range(n)

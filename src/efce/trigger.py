@@ -22,16 +22,15 @@ import numpy as np
 
 from .deviations import ConvexTriggerDeviation, _check_tol, fixed_point
 from .regret import CallOrderError
-from .strategies import SequenceFormStrategy, sample_pure
+from .strategies import SequenceFormStrategy, _check_shape, sample_pure
 
 _ZERO = np.zeros(1)
 
 
 def _check_round(n, ell, x, name):
     """Raise ValueError unless ``ell`` is a finite n-vector and ``x`` one within 1e-9 of [0, 1]."""
-    if ell.shape != (n,) or x.shape != (n,):
-        raise ValueError(f"utility and {name} have shapes {ell.shape} and {x.shape}, "
-                         f"expected ({n},)")
+    _check_shape(ell, n, "utility")
+    _check_shape(x, n, name)
     # On vectors this short, count_nonzero costs about half of what .all() does.
     # NaN and inf fail the range test; it runs before any product can overflow.
     if (np.count_nonzero(np.isfinite(ell))

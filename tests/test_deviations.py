@@ -178,6 +178,8 @@ def test_entries_trigger_ids_must_be_integers_and_continuations_one_length():
         efce.ConvexTriggerDeviation(0, [(1, 0.5, cont), (2, 0.5, np.zeros(5))])
     with pytest.raises(ValueError, match="one length"):
         efce.ConvexTriggerDeviation(0, [(1, 0.5, np.zeros(5)), (2, 0.5, cont)])
+    with pytest.raises(ValueError, match=r"^deviation has 5 sequences, expected 13$"):
+        efce.fixed_point(g, efce.ConvexTriggerDeviation(0, [(1, 1.0, np.zeros(5))]))
 
 
 def test_entries_deviation_is_not_changed_by_use():
@@ -280,6 +282,36 @@ def test_validate_deviation_checks_continuations():
         0, [(1, 0.5, da.continuation), (2, 1 / 3, db.continuation),
             (3, 1 / 6, dc.continuation)])
     efce.validate_deviation(g, good)
+
+
+def test_validate_deviation_checks_group_deviations_block_by_block():
+    # Every group deviation once raised "player (0, 1) is not one of players
+    # 0 to 1", though fixed_point, apply_deviation and cumulative_weights
+    # take it.
+    games = [efce.builtin_game("kuhn3")] + [efce.builtin_game("random-tree", seed=s)
+                                            for s in (0, 1, 2)]
+    for g in games:
+        players = tuple(range(g.n_players))
+        hull = efce.HullMinimizer(g, players)
+        freq = efce.EmpiricalFrequency(g)
+        for rng in efce.split_rngs(0, 6):
+            phi = hull.next_element()
+            efce.validate_deviation(g, phi)
+            q = efce.fixed_point(g, phi)
+            freq.accumulate([efce.sample_pure(g, efce.SequenceFormStrategy(i, q[a:b]), rng)
+                             for i, a, b in hull.plan.spans])
+            hull.observe_utility(freq.utility, q)
+    # Flow broken at a trigger's own infoset, in player 2's block of kuhn3.
+    g = games[0]
+    phi = efce.HullMinimizer(g, (0, 1)).next_element()
+    plan = g.player_plan((0, 1))
+    own = np.flatnonzero((plan.owner[plan.pair_trigger] == 1)
+                         & (plan.pair_trigger == plan.pair_seq))[0]
+    conts = phi.conts.copy()
+    conts[own] *= 0.5
+    bad = efce.ConvexTriggerDeviation._of_pairs(phi.player, phi.lam, conts, plan)
+    with pytest.raises(ValueError, match="flow conservation fails .* of player 2"):
+        efce.validate_deviation(g, bad)
 
 
 def test_continuations_off_their_subtree_fail_fast():
@@ -501,6 +533,10 @@ def test_stationary_distribution_underflow_raises():
         efce.stationary_distribution(w)
     with pytest.raises(efce.NumericalError, match="underflowed"):
         efce.deviations._stationary(np.stack([np.eye(3), w]), 1e-10)
+    # A residual above the tolerance raises too; this chain's is about 6e-17.
+    w = np.random.default_rng(0).random((3, 3))
+    with pytest.raises(efce.NumericalError, match="residual .* exceeds tolerance"):
+        efce.stationary_distribution(w / w.sum(axis=0), tol=1e-300)
 
 
 def test_is_trunk_classification():
@@ -514,6 +550,7 @@ def test_is_trunk_classification():
         assert efce.is_trunk(g, 0, trunk)
     assert not efce.is_trunk(g, 0, {B})
     assert not efce.is_trunk(g, 0, {B, C, D})
+    assert not efce.is_trunk(g, 0, {g.infoset(1, "R").index})
 
 
 def _worked_phi(g):
@@ -1065,6 +1102,32 @@ def test_massless_parent_with_closed_pair_needs_no_solver(monkeypatch):
     assert np.array_equal(fp.values[[p, q, s]], np.zeros(3))
     assert not np.signbit(fp.values).any()
     assert calls == []
+
+
+def test_fixed_point_residual_above_tolerance_raises(monkeypatch):
+    # Each level's values scaled by 1 + 1e-6 leave a residual of about 3e-8.
+    g = efce.builtin_game("fig1", seed=0)
+    phi = random_deviation(g, 0, random.Random(1))
+    solve = efce.deviations._solve
+    monkeypatch.setattr(efce.deviations, "_solve", lambda *args: solve(*args) * (1.0 + 1e-6))
+    with pytest.raises(efce.NumericalError, match="fixed point residual .* exceeds tolerance"):
+        efce.fixed_point(g, phi)
+
+
+def test_extend_rejects_an_infinite_inflow_below_a_massless_parent():
+    # numpy's default error state warns of an invalid value and carries on,
+    # and this input then reaches the chain's finiteness check; the suite's
+    # warnings-as-errors stop it at the warning, so the test silences it.
+    g = efce.builtin_game("fig1", seed=0)
+    A, B = g.infoset(0, "A"), g.infoset(0, "B")
+    cont = efce.uniform_strategy(g, 0).values
+    cont[efce.EMPTY_SEQ] = 0.0
+    phi = efce.ConvexTriggerDeviation(0, [(2, 1.0, cont)])
+    x = _vertex(9)
+    x[2] = np.inf  # trigger 2's mass, all of it sent into B, whose parent 1 has none
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError, match="^extension matrix entries must be finite$"):
+            efce.extend(g, phi, {A.index}, B.index, x)
 
 
 def test_fixed_point_checks_raise_their_types():

@@ -1,6 +1,9 @@
+import inspect
 import random
+import re
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,6 +137,20 @@ def test_accumulate_rejects_non_finite_profile_unchanged():
     fresh = EmpiricalFrequency(g)
     fresh.accumulate([p1, p2])
     assert freq.t == 1 and efce.efce_gap(freq).per_player == efce.efce_gap(fresh).per_player
+
+
+def test_utility_that_overflows_raises_unchanged():
+    # Both leaves pay the largest double, and the chance weights sum past 1.
+    g = efce.parse_game("players 1; root c\n"
+                        "chance c { a=0.5000000001 -> z1 ; b=0.5 -> z2 }\n"
+                        "leaf z1 { 1.7976931348623157e308 }\n"
+                        "leaf z2 { 1.7976931348623157e308 }")
+    freq = EmpiricalFrequency(g)
+    with pytest.raises(ValueError, match="^no profiles accumulated yet$"):
+        efce.efce_gap_brute(freq)
+    with pytest.raises(ValueError, match="^utility has a non-finite entry$"):
+        freq.accumulate([efce.uniform_strategy(g, 0)])
+    assert freq.t == 0 and freq.utility is None and freq.profiles == []
 
 
 def test_inf_profile_raises_value_error_before_any_product():
@@ -836,3 +853,18 @@ def test_payoff_overflow_fails_fast(tmp_path, capsys):
             efce.run(g, 1, 0)
     assert np.isfinite(log.final.eps)
     assert all(np.isfinite(b) for b in log.meta["final_regret_bounds"])
+
+
+def test_readme_round_phases_name_functions_of_the_package():
+    # The README's map of a round must not name a function that is gone.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| ([a-z ]+) \| `([\w.]+)` \| `([\w/.]+)` \|", readme, re.M)
+    assert [phase for phase, _, _ in rows] == [
+        "hull next", "fixed point", "sample", "score", "meter update", "hull observe",
+        "meter regret", "gap"]
+    root = Path(efce.__file__).resolve().parents[2]
+    for _, name, path in rows:
+        obj = efce
+        for part in name.split("."):
+            obj = getattr(obj, part)
+        assert Path(inspect.getsourcefile(obj)).resolve() == root / path

@@ -44,6 +44,19 @@ def test_alternation_enforced():
     rm.next_element()
 
 
+def test_matching_takes_an_integer_action_count():
+    # With numpy 2.4, 2.5 and True raised numpy's TypeError "expected a
+    # sequence of integers or a single integer", and "3" "'<' not supported".
+    for bad in (2.5, True, "3", None, -1):
+        with pytest.raises(ValueError, match="action count"):
+            efce.RegretMatching(bad)
+    assert efce.RegretMatching(np.int64(2)).next_element().tolist() == [0.5, 0.5]
+    empty = efce.RegretMatching(0)
+    for _ in range(2):
+        assert empty.next_element().shape == (0,)
+        empty.observe_utility([])
+
+
 def test_matching_rejects_bad_utility():
     # a NaN once made every regret NaN, and every later round uniform
     rm = efce.RegretMatching(2)

@@ -353,6 +353,8 @@ def test_evaluate_rejects_mismatches():
     B = g.infoset(0, "B").index
     with pytest.raises(ValueError):
         efce.evaluate(util, efce.uniform_strategy(g, 0, root=B))
+    with pytest.raises(ValueError, match="different lengths"):
+        efce.evaluate(efce.UtilityVector(0, np.ones(5), 1.0), profile[0])
 
 
 def test_format_strategy_mentions_sequences():
