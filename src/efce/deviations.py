@@ -26,7 +26,7 @@ from numbers import Integral
 import numpy as np
 
 from .game import EMPTY_SEQ
-from .strategies import SequenceFormStrategy, _check_shape, validate_strategy
+from .strategies import SequenceFormStrategy, _check_finite, _check_shape, validate_strategy
 
 # Flat indices into a 3 x 3 matrix for each state a = 0, 1, 2 (columns) and
 # its two other states c < d: entries (a, c), (a, d), (c, d) and (d, c) (rows).
@@ -136,11 +136,9 @@ def _arrays(plan, phi):
     arrays, or an entries one's laid out anew, with nothing stored (see the class)."""
     if phi._plan is plan:
         return phi.lam, phi.conts
-    n = plan.owner.size
+    n = _check_size(plan, phi)
     if phi.lam.size == 0:
         return np.zeros(n), np.zeros(plan.pair_seq.size)
-    if phi.lam.size != n:
-        raise ValueError(f"deviation has {phi.lam.size} sequences, expected {n}")
     if phi._rows is None:
         raise ValueError("deviation was laid out in pairs for another plan")
     C = phi.C
@@ -153,13 +151,24 @@ def _arrays(plan, phi):
     return phi.lam, conts
 
 
+def _check_size(plan, phi):
+    """``plan``'s sequence count; ValueError unless ``phi`` is empty or has that many."""
+    n = plan.owner.size
+    if phi.lam.size not in (0, n):
+        raise ValueError(f"deviation has {phi.lam.size} sequences, expected {n}")
+    return n
+
+
 def validate_deviation(game, phi):
     """Raise ValueError unless every continuation lies in its subtree polytope.
 
-    A group's deviation is checked block by block of its plan: each trigger's
-    continuation on the block of the trigger's player.
+    A deviation with another number of sequences than the plan's raises
+    before any is read.  A group's deviation is checked block by block of
+    its plan: each trigger's continuation on the block of the trigger's
+    player.
     """
     plan = game.player_plan(phi.player)
+    _check_size(plan, phi)
     for sid, _, cont in phi.terms:
         i, a, b = plan.spans[plan.owner[sid]]
         gid = int(game.seq_infoset(i)[sid - a])
@@ -422,7 +431,7 @@ def extend(game, phi, trunk, j_star, x, fp_tol=1e-10):
     is one).  ``x`` is a partial fixed point over the trunk; the returned
     vector extends it with values at ``j_star``'s sequences, every other
     coordinate untouched; its inflow is summed per sequence over all pairs.
-    Raises ValueError unless ``fp_tol`` is positive and finite.
+    Raises ValueError unless ``x`` is finite and ``fp_tol`` positive and finite.
     """
     _check_tol(fp_tol, "fp_tol")
     i = phi.player
@@ -442,6 +451,7 @@ def extend(game, phi, trunk, j_star, x, fp_tol=1e-10):
             )
     plan = game.player_plan(i)
     out = _check_shape(np.array(x, dtype=float), plan.owner.size, "x")  # a copy, written below
+    _check_finite(out, "x")
     lam, conts, moved, keep = _parts(plan, phi)
     sids = np.array(js.seq_ids, dtype=np.int64)
     # Only triggers above the infoset send mass into it; its own sequences'

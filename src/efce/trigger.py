@@ -73,6 +73,8 @@ class HullMinimizer:
         self._uniform = 1.0 / np.bincount(plan.segment).take(plan.segment)
         self._local = None
         self._phi = None
+        # The bytes of the positive parts the last built deviation came from, and that deviation.
+        self._key = self._last = None
 
     @property
     def regrets(self):
@@ -82,13 +84,23 @@ class HullMinimizer:
     def next_element(self):
         """The round's deviation, unchecked, since it is valid by construction.
 
-        A non-finite regret, which only an overflow makes, gives a deviation that
-        ``fixed_point`` rejects.  CallOrderError if the last one was not observed.
+        The deviation is a function of the positive parts of the two regret
+        arrays alone; while both are unchanged, byte for byte, the last
+        deviation is returned again, the same object.  Its ``lam`` and
+        ``conts`` are read-only, so that object cannot change under a caller
+        that kept it.  A non-finite regret, which only an overflow makes, gives
+        a deviation that ``fixed_point`` rejects.  CallOrderError if the last
+        one was not observed.
         """
         if self._phi is not None:
             raise CallOrderError("next_element called again before observe_utility")
         plan = self.plan
         pos = np.maximum(self._regrets, 0.0)
+        mpos = np.maximum(self.mixer_regrets, 0.0)
+        key = (pos.tobytes(), mpos.tobytes())
+        if key == self._key:
+            self._phi = self._last
+            return self._phi
         tot = np.bincount(plan.segment, pos).take(plan.segment)
         local = np.divide(pos, tot, out=self._uniform.copy(), where=tot > 0.0)
         # Compose top-down: a pair's mass is its parent pair's (1 in the root
@@ -96,11 +108,13 @@ class HullMinimizer:
         conts = np.ones(pos.size + 1)
         for lev in plan.levels:
             np.multiply(conts.take(lev.up), local[lev.lo:lev.hi], out=conts[lev.lo:lev.hi])
-        mpos = np.maximum(self.mixer_regrets, 0.0)
         s = np.add.reduceat(mpos, plan.offsets).take(plan.owner)
         lam = np.divide(mpos, s, out=self._even.copy(), where=s > 0.0)
+        conts = conts[:-1]
+        lam.flags.writeable = conts.flags.writeable = False
         self._local = local
-        self._phi = ConvexTriggerDeviation._of_pairs(self.player, lam, conts[:-1], plan)
+        self._phi = ConvexTriggerDeviation._of_pairs(self.player, lam, conts, plan)
+        self._key, self._last = key, self._phi
         return self._phi
 
     def observe_utility(self, ell, q):
@@ -139,7 +153,9 @@ class MixedTriggerMinimizer:
     Each round plays the fixed point of the hull's deviation, so the value a
     deviation assigns to the played point equals the played point's own
     utility, and the hull's deviation-space regret transfers unchanged.
-    The hull enforces that next and observe calls alternate.
+    The hull enforces that next and observe calls alternate.  A repeated
+    deviation is the hull's same read-only object, and its fixed point is
+    solved once: the point is kept, and each round hands callers a copy.
 
     For one player, :meth:`next_element` returns a strategy and
     :meth:`observe_utility` takes one utility vector.  For a tuple of
@@ -159,12 +175,18 @@ class MixedTriggerMinimizer:
         self._spans = None if isinstance(player, Integral) else self.hull.plan.spans
         self.last_mixed = None
         self._point = None
+        # The last deviation solved, and its fixed point's values.
+        self._solved = self._values = None
 
     def next_element(self):
-        point = fixed_point(self.game, self.hull.next_element(), self.fp_tol)
-        self._point = point.values if self._spans is None else point
-        self.last_mixed = point if self._spans is None else [
-            SequenceFormStrategy(p, point[a:b], None) for p, a, b in self._spans]
+        phi = self.hull.next_element()
+        if phi is not self._solved:
+            self._solved = None  # a solve that raises leaves nothing cached
+            point = fixed_point(self.game, phi, self.fp_tol)
+            self._solved, self._values = phi, point.values if self._spans is None else point
+        self._point = point = self._values.copy()
+        self.last_mixed = (SequenceFormStrategy(self.player, point, None) if self._spans is None
+                           else [SequenceFormStrategy(p, point[a:b], None) for p, a, b in self._spans])
         return self.last_mixed
 
     def observe_utility(self, util):

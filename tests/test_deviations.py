@@ -284,6 +284,17 @@ def test_validate_deviation_checks_continuations():
     efce.validate_deviation(g, good)
 
 
+def test_validate_deviation_checks_the_number_of_sequences_first():
+    # A trigger past fig1's 9 sequences once raised IndexError from the
+    # plan's arrays; fixed_point raises this ValueError for both deviations.
+    g = efce.builtin_game("fig1", seed=0)
+    for sid, n in ((10, 12), (3, 5)):
+        phi = efce.ConvexTriggerDeviation(0, [(sid, 1.0, np.zeros(n))])
+        for check in (efce.validate_deviation, efce.fixed_point):
+            with pytest.raises(ValueError, match=f"^deviation has {n} sequences, expected 9$"):
+                check(g, phi)
+
+
 def test_validate_deviation_checks_group_deviations_block_by_block():
     # Every group deviation once raised "player (0, 1) is not one of players
     # 0 to 1", though fixed_point, apply_deviation and cumulative_weights
@@ -913,18 +924,19 @@ def _player_part(game, phi, i, a, b):
 
 
 def test_self_play_fixed_points_equal_chained_extends(monkeypatch):
-    # Every round's group deviation of 32 self-play rounds: the fixed point,
-    # batched by level and padded to the level's widest infoset, equals bit
+    # Every round's group deviation of 32 self-play rounds: the point the
+    # learner plays, the fixed point batched by level and padded to the
+    # level's widest infoset (or a repeated deviation's kept one), equals bit
     # for bit each player's part grown one infoset at a time.
     seen = []
-    solve = efce.trigger.fixed_point
+    step = efce.trigger.MixedTriggerMinimizer.next_element
 
-    def spy(game, phi, fp_tol=1e-10):
-        out = solve(game, phi, fp_tol)
-        seen.append((game, phi, out))
+    def spy(learner):
+        out = step(learner)
+        seen.append((learner.game, learner.hull._phi, learner._point.copy()))
         return out
 
-    monkeypatch.setattr(efce.trigger, "fixed_point", spy)
+    monkeypatch.setattr(efce.trigger.MixedTriggerMinimizer, "next_element", spy)
     games = [efce.builtin_game("kuhn3")]
     games += [efce.builtin_game("random-tree", seed=s) for s in range(64)]
     for g in games:
@@ -1118,15 +1130,33 @@ def test_extend_rejects_an_infinite_inflow_below_a_massless_parent():
     # numpy's default error state warns of an invalid value and carries on,
     # and this input then reaches the chain's finiteness check; the suite's
     # warnings-as-errors stop it at the warning, so the test silences it.
+    # The pair layout is unchecked, so an infinite continuation gets there;
+    # an infinite x no longer does (see the next test).
     g = efce.builtin_game("fig1", seed=0)
+    plan = g.player_plan(0)
     A, B = g.infoset(0, "A"), g.infoset(0, "B")
-    cont = efce.uniform_strategy(g, 0).values
-    cont[efce.EMPTY_SEQ] = 0.0
-    phi = efce.ConvexTriggerDeviation(0, [(2, 1.0, cont)])
-    x = _vertex(9)
-    x[2] = np.inf  # trigger 2's mass, all of it sent into B, whose parent 1 has none
+    lam = np.zeros(9)
+    lam[2] = 1.0
+    conts = 1.0 / np.bincount(plan.segment).take(plan.segment)
+    # trigger 2 sends inf into B, whose parent sequence 1 has no mass
+    conts[(plan.pair_trigger == 2) & np.isin(plan.pair_seq, B.seq_ids)] = np.inf
+    phi = efce.ConvexTriggerDeviation._of_pairs(0, lam, conts, plan)
     with np.errstate(invalid="ignore"):
         with pytest.raises(ValueError, match="^extension matrix entries must be finite$"):
+            efce.extend(g, phi, {A.index}, B.index, _vertex(9, 2))
+
+
+def test_extend_rejects_a_non_finite_x():
+    # An inf at trigger 2, whose continuation sends mass into B below the
+    # massless sequence 1, once reached the chain, where numpy warned of an
+    # invalid product before the chain's own check raised.
+    g = efce.builtin_game("fig1", seed=0)
+    A, B = g.infoset(0, "A"), g.infoset(0, "B")
+    phi = efce.ConvexTriggerDeviation(0, [(2, 1.0, efce.uniform_strategy(g, 0, root=A.index).values)])
+    for bad in (np.inf, -np.inf, np.nan):
+        x = _vertex(9)
+        x[2] = bad
+        with pytest.raises(ValueError, match="^x has a non-finite entry$"):
             efce.extend(g, phi, {A.index}, B.index, x)
 
 

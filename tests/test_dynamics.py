@@ -524,7 +524,9 @@ def test_run_reaches_the_names_the_benchmark_times(monkeypatch):
     assert checkpoints == [3, 6, 9, 10]
     assert [row[4] is not None for row in log.rows[::2]] == [t in (3, 6, 9, 10)
                                                             for t in range(1, 11)]
-    # Once per round, and sample_pure once per player per round.
+    # The hull steps once per round, fixed_point runs once per distinct
+    # deviation (each of kuhn3's first 10 rounds changes it), and sample_pure
+    # once per player per round.
     assert calls == {"next_element": 10, "observe_utility": 10, "fixed_point": 10,
                      "sample_pure": 20}
 

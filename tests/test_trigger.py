@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -395,6 +396,110 @@ def test_meter_rejects_bad_utility_and_played_point():
     assert not meter.tables.any()
     meter.record(ell, played)
     assert np.isfinite(meter.regret())
+
+
+def test_played_points_are_fixed_points_and_most_rounds_reuse_one(monkeypatch):
+    # Every round plays its deviation's fixed point bit for bit, whether
+    # solved that round or kept from the round that built the deviation; on
+    # fig1 and the random trees most rounds repeat the last deviation.
+    played = []
+    solves = Counter()
+    step = efce.trigger.MixedTriggerMinimizer.next_element
+    solve = efce.trigger.fixed_point
+
+    def spy_step(learner):
+        out = step(learner)
+        played.append((learner.game, learner.hull._phi, learner._point.copy()))
+        return out
+
+    def spy_solve(game, phi, fp_tol=1e-10):
+        solves[game] += 1
+        return solve(game, phi, fp_tol)
+
+    monkeypatch.setattr(efce.trigger.MixedTriggerMinimizer, "next_element", spy_step)
+    monkeypatch.setattr(efce.trigger, "fixed_point", spy_solve)
+    workloads = {"fig1": ([efce.builtin_game("fig1", seed=s) for s in range(5)], 512),
+                 "random-trees": ([efce.builtin_game("random-tree", seed=s)
+                                   for s in range(64)], 32),
+                 "kuhn3": ([efce.builtin_game("kuhn3")], 64)}
+    for name, (games, rounds) in workloads.items():
+        played.clear()
+        for g in games:
+            efce.run(g, rounds, 0, gap_every=rounds)
+        assert len(played) == rounds * len(games)
+        for g, phi, point in played:
+            assert np.array_equal(point, efce.fixed_point(g, phi))
+        n_solves = sum(solves[g] for g in games)
+        assert 0 < n_solves <= len(played)
+        if name != "kuhn3":
+            assert n_solves < len(played) / 2, name
+
+
+def test_hull_repeats_its_deviation_while_positive_regrets_are_unchanged():
+    g = efce.builtin_game("fig1", seed=0)
+    hull = efce.HullMinimizer(g, 0)
+    rng = random.Random(7)
+    q = efce.uniform_strategy(g, 0).values
+    zero = np.zeros(9)
+    for _ in range(6):
+        hull.next_element()
+        hull.observe_utility(np.array([rng.uniform(-1, 1) for _ in range(9)]), q)
+    phi = hull.next_element()
+    for regrets in (hull._regrets, hull.mixer_regrets):
+        assert (regrets > 0.0).any() and (regrets < 0.0).any()
+    # A zero utility moves no regret.
+    hull.observe_utility(zero, q)
+    assert hull.next_element() is phi
+    # Negative regrets pushed further down leave every positive part as it was.
+    hull.observe_utility(zero, q)
+    hull._regrets[hull._regrets < 0.0] *= 2.0
+    hull.mixer_regrets[hull.mixer_regrets < 0.0] -= 1.0
+    assert hull.next_element() is phi
+    # Making a negative regret of either array positive builds a new deviation.
+    for regrets in (hull._regrets, hull.mixer_regrets):
+        hull.observe_utility(zero, q)
+        regrets[np.argmin(regrets)] = regrets.max()
+        new = hull.next_element()
+        assert new is not phi
+        phi = new
+
+
+def test_hull_deviations_are_read_only():
+    # The hull hands out the same object while its deviation repeats, so no
+    # caller may change it.
+    g = efce.builtin_game("kuhn3")
+    for player in (0, (0, 1)):
+        phi = efce.HullMinimizer(g, player).next_element()
+        for arr in (phi.lam, phi.conts):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[1] = 0.5
+            with pytest.raises(ValueError, match="read-only"):
+                arr *= 2.0
+
+
+def test_changing_last_mixed_does_not_change_a_later_round():
+    # A repeated deviation's fixed point is kept, and each round hands out a
+    # copy of it: writing to the returned strategy cannot reach a later round.
+    g = efce.builtin_game("fig1", seed=0)
+    rng = random.Random(5)
+    for player in (0, (0, 1)):
+        clean, scribbled = (efce.MixedTriggerMinimizer(g, player) for _ in range(2))
+        n = clean.hull.plan.owner.size
+        repeats, last = 0, None
+        for r in range(20):
+            want, got = clean.next_element(), scribbled.next_element()
+            want, got = ([want], [got]) if player == 0 else (want, got)
+            for w, p in zip(want, got):
+                assert np.array_equal(w.values, p.values)
+            repeats += scribbled.hull._phi is last
+            last = scribbled.hull._phi
+            # Every other utility is zero, which repeats the deviation.
+            ell = np.zeros(n) if r % 2 else np.array([rng.uniform(-1, 1) for _ in range(n)])
+            clean.observe_utility(ell)
+            scribbled.observe_utility(ell)
+            for p in got:
+                p.values[:] = 7.0
+        assert repeats >= 9
 
 
 def test_group_mixed_deals_in_per_player_strategies_and_joint_utility():

@@ -12,8 +12,10 @@ name, then runs one pass of each workload per tree:
 Per workload and tree it prints the C calls per round, counted with
 ``sys.setprofile`` after each game's plan is built, the C calls made while
 ``efce_gap`` runs, per gap checkpoint (the call the benchmark's
-``gap_ms_*`` metrics time), and the ten Python functions of that tree that
-make the most C calls, each with its C calls per round.  The count is
+``gap_ms_*`` metrics time), the ``fixed_point`` calls per round (the
+learner solves each distinct deviation once, so this is the share of
+rounds whose deviation changed), and the ten Python functions of that tree
+that make the most C calls, each with its C calls per round.  The count is
 deterministic, so one pass per tree is enough.
 It times nothing: the host's speed swings by more than a small change's
 effect, so timing claims come from ``bench/run.py``'s alternating runs.
@@ -56,8 +58,9 @@ def runs(efce, workload):
 
 
 def calls_per_round(efce, workload):
-    """(C calls per round, C calls in ``efce_gap`` per checkpoint, the ten
-    callers making most C calls) of one pass.
+    """(C calls per round, C calls in ``efce_gap`` per checkpoint,
+    ``fixed_point`` calls per round, the ten callers making most C calls)
+    of one pass.
 
     Counted over the runs only: each game first plays one round
     unprofiled, which builds its plan and scorer tables, so the count is
@@ -70,13 +73,18 @@ def calls_per_round(efce, workload):
     callers = Counter()
     rounds = 0
     gap_code = efce.dynamics.efce_gap.__code__
+    solve_code = efce.deviations.fixed_point.__code__
     gap = {"depth": 0, "calls": 0, "checkpoints": 0}
+    solves = 0
 
     def profile(frame, event, arg):
+        nonlocal solves
         if event == "c_call":
             code = frame.f_code
             callers[f"{Path(code.co_filename).stem}.{code.co_qualname}"] += 1
             gap["calls"] += gap["depth"] > 0
+        elif frame.f_code is solve_code:
+            solves += event == "call"
         elif frame.f_code is gap_code:
             if event == "call":
                 gap["depth"] += 1
@@ -93,7 +101,7 @@ def calls_per_round(efce, workload):
         finally:
             sys.setprofile(None)
         rounds += n
-    return (callers.total() / rounds, gap["calls"] / gap["checkpoints"],
+    return (callers.total() / rounds, gap["calls"] / gap["checkpoints"], solves / rounds,
             [(name, n / rounds) for name, n in callers.most_common(10)])
 
 
@@ -108,7 +116,9 @@ def main(argv):
               f"change {counted['change'][0]:.2f}", flush=True)
         print(f"{workload} C calls in efce_gap/checkpoint parent {counted['parent'][1]:.2f} "
               f"change {counted['change'][1]:.2f}", flush=True)
-        for name, (_, _, top) in counted.items():
+        print(f"{workload} fixed_point calls/round parent {counted['parent'][2]:.4f} "
+              f"change {counted['change'][2]:.4f}", flush=True)
+        for name, (*_, top) in counted.items():
             print(f"{workload} {name} top C callers per round: "
                   + ", ".join(f"{caller} {n:.2f}" for caller, n in top), flush=True)
     return 0
