@@ -1,5 +1,25 @@
 """Uncoupled no-regret dynamics converging to extensive-form correlated
-equilibrium in n-player general-sum imperfect-information games."""
+equilibrium in n-player general-sum imperfect-information games.
+
+The entry points share these input rules.  Each is checked in one place; a
+broken one raises ValueError, and a numerical failure NumericalError.
+
+- A player is an integer from 0 to ``n_players - 1``, and a bool reads as
+  0 or 1; a group is a tuple or list of distinct players.  A sequence or
+  infoset id is an integer in range.
+- A vector over the sequences of a player, or of a group's plan, has shape
+  (n,): strategies, continuations, ``x``, utilities and coefficients.  A
+  deviation has the plan's number of sequences, or none (the empty
+  combination).
+- A utility or coefficient vector, and ``extend``'s ``x``, is finite.  A
+  played point or profile lies within 1e-9 of [0, 1]; one count checks
+  finiteness and range together, before any product can overflow.
+- A tolerance is positive and finite.  A round count is an integer of at
+  least 1, and an action count one of at least 0; a bool is no count.
+- Each array of a round is checked once, where it enters: ``accumulate``
+  checks the profile and its utility and hands the meter the checked
+  arrays, and the hull's deviation, valid by construction, goes unchecked.
+"""
 
 from .deviations import (
     ConvexTriggerDeviation,

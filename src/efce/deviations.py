@@ -431,10 +431,14 @@ def extend(game, phi, trunk, j_star, x, fp_tol=1e-10):
     is one).  ``x`` is a partial fixed point over the trunk; the returned
     vector extends it with values at ``j_star``'s sequences, every other
     coordinate untouched; its inflow is summed per sequence over all pairs.
-    Raises ValueError unless ``x`` is finite and ``fp_tol`` positive and finite.
+    ``phi`` is one player's: a group's combination raises ValueError, as
+    do an ``x`` that is not finite and an ``fp_tol`` that is not positive and
+    finite.
     """
     _check_tol(fp_tol, "fp_tol")
     i = phi.player
+    if not isinstance(i, Integral):
+        raise ValueError("extend takes one player's deviation, not a group's")
     js = game._infoset(j_star)
     if js.player != i:
         raise ValueError("information set belongs to a different player")

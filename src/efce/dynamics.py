@@ -70,6 +70,8 @@ class EmpiricalFrequency:
         ``profile`` holds one full-tree strategy per player, in player order,
         with values within 1e-9 of [0, 1]; any other profile, or one whose
         utility overflows, raises ValueError and leaves the summary unchanged.
+        Each vector's coefficients are a view of its player's block of
+        ``utility``.
         """
         played, utility = _score(self.game, profile)
         _check_finite(utility, "utility")

@@ -269,7 +269,9 @@ class GameTree:
         no comment a line end, so every offset, line and column stays.  Raises
         only :class:`GameFormatError`.  Until linking, ``node_children`` holds
         each node's child ids as text, and ``node_infoset`` each decision
-        node's infoset label.
+        node's infoset label.  The one node id -> index dict is both the
+        duplicate-id check and the child lookup of linking, which then checks
+        the nodes one by one in document order.
         """
         header = {}
         ids: dict[str, int] = {}
@@ -284,14 +286,14 @@ class GameTree:
             if kw in _HEADER:
                 if kw in header:
                     raise cur.error(f"repeated '{kw}' statement")
-                header[kw] = cur.take(_HEADER[kw])
+                header[kw] = cur.take(_HEADER[kw], ())
                 if kw == "players":
                     header[kw] = cur.number(header[kw], "player count", int)
                 continue
             kind = _KINDS.get(kw)
             if kind is None:
                 raise cur.error(f"expected a statement keyword, found '{kw}'")
-            label = cur.take("node id")
+            label = cur.take("node id", ())
             if label in ids:
                 raise cur.error(f"duplicate node id '{label}'")
             player, iset, actions, probs, children, payoffs = -1, -1, [], [], [], None
@@ -299,7 +301,7 @@ class GameTree:
                 cur.expect("player")
                 player = cur.number(cur.take("player number"), "a player number", int) - 1
                 cur.expect("infoset")
-                iset = cur.take("infoset label")
+                iset = cur.take("infoset label", ())
             cur.expect("{")
             if kind == LEAF:
                 payoffs = []
@@ -310,14 +312,14 @@ class GameTree:
                 payoffs = tuple(payoffs)
             else:
                 what = "chance entry or '}'" if kind == CHANCE else "action entry or '}'"
-                while (t := cur.take(what)) != "}":
+                while (t := cur.take(what, ("}", ";"))) != "}":
                     if t != ";":
                         actions.append(t)
                         if kind == CHANCE:
                             cur.expect("=")
                             probs.append(cur.number(cur.take("probability"), "a probability"))
                         cur.expect("->")
-                        children.append(cur.take("child node id"))
+                        children.append(cur.take("child node id", ()))
             self._add_node(ids, kind, label, player, iset, tuple(actions), tuple(children),
                            tuple(probs), payoffs)
 
@@ -782,6 +784,8 @@ def sequences_at_or_below(game, gid):
 _COMMENT = re.compile(r"#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*")
 _TOKEN = re.compile(r"->|[{}=;]|(?:(?!->)[^{}\s=;])+")
 _HEADER = {"game": "game name", "players": "player count", "root": "root node id"}
+# The tokens that are no word: no name is one of them.
+_PUNCT = frozenset(("{", "}", "=", ";", "->"))
 # The statement reader's words hold no '>'.  Each one below ends where a
 # token word ends: before a character no word holds, or before '->'.
 _WORD = r"[^{}\s=;>]+"
@@ -810,14 +814,19 @@ class _Cursor:
         self.next = next(self.tokens, None)
         self.start = self.end = start
 
-    def take(self, what="token"):
+    def take(self, what="token", allow=_PUNCT):
+        """The next token; a punctuation token not in ``allow`` raises, so
+        ``allow=()`` takes a name."""
         m = self.next
         if m is None:
             self.start = self.end
             raise self.error(f"unexpected end of input, expected {what}")
         self.start, self.end = m.span()
         self.next = next(self.tokens, None)
-        return m[0]
+        tok = m[0]
+        if tok in _PUNCT and tok not in allow:
+            raise self.error(f"expected {what}, found '{tok}'")
+        return tok
 
     def expect(self, text):
         tok = self.take(f"'{text}'")

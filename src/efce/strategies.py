@@ -143,10 +143,11 @@ def sample_pure(game, strat, rng):
     """Sample a deterministic strategy whose expectation is ``strat``.
 
     Walks the infoset forest top-down, picking one action per reached infoset
-    with probability proportional to the sequence weights.  Subtrees the
-    sample does not reach, and subtrees where ``strat`` itself has no mass,
-    are left all-zero.  A reached infoset whose parent mass is nan, or
-    positive with no action of positive mass, raises ValueError.
+    with probability proportional to the sequence weights, with one
+    ``rng.random()`` draw at each reached infoset whose parent has mass.
+    Subtrees the sample does not reach, and subtrees where ``strat`` itself
+    has no mass, are left all-zero.  A reached infoset whose parent mass is
+    nan, or positive with no action of positive mass, raises ValueError.
     """
     if strat.root is not None:
         raise ValueError("can only sample from full-tree strategies")

@@ -174,7 +174,6 @@ class MixedTriggerMinimizer:
         self.hull = HullMinimizer(game, player)
         self._spans = None if isinstance(player, Integral) else self.hull.plan.spans
         self.last_mixed = None
-        self._point = None
         # The last deviation solved, and its fixed point's values.
         self._solved = self._values = None
 
@@ -184,7 +183,7 @@ class MixedTriggerMinimizer:
             self._solved = None  # a solve that raises leaves nothing cached
             point = fixed_point(self.game, phi, self.fp_tol)
             self._solved, self._values = phi, point.values if self._spans is None else point
-        self._point = point = self._values.copy()
+        point = self._values.copy()
         self.last_mixed = (SequenceFormStrategy(self.player, point, None) if self._spans is None
                            else [SequenceFormStrategy(p, point[a:b], None) for p, a, b in self._spans])
         return self.last_mixed
@@ -195,8 +194,10 @@ class MixedTriggerMinimizer:
         player = getattr(util, "player", self.player)
         if player != self.player:
             raise ValueError(f"utility vector is player {player + 1}'s, not this learner's")
-        # Before the first round there is no point; the hull raises CallOrderError.
-        self.hull.observe_utility(getattr(util, "coefficients", util), self._point)
+        # The hull is fed the kept point, not the copy handed out, which a caller may
+        # have written to.  Before the first round there is none; the hull raises
+        # CallOrderError.
+        self.hull.observe_utility(getattr(util, "coefficients", util), self._values)
 
 
 class PureTriggerMinimizer(MixedTriggerMinimizer):

@@ -610,6 +610,12 @@ def test_extend_precondition_errors():
     phi2 = efce.ConvexTriggerDeviation(1, [])
     with pytest.raises(ValueError):
         efce.extend(g, phi2, set(), A, x0)  # player mismatch
+    # A group's deviation is refused as such, not blamed on an infoset of one
+    # of its players.
+    group = efce.HullMinimizer(g, (0, 1)).next_element()
+    root1 = next(j.index for j in g.infosets if j.player == 1 and j.parent_seq == efce.EMPTY_SEQ)
+    with pytest.raises(ValueError, match="^extend takes one player's deviation"):
+        efce.extend(g, group, set(), root1, x0)
 
 
 def test_tolerances_must_be_positive_and_finite():
@@ -933,7 +939,7 @@ def test_self_play_fixed_points_equal_chained_extends(monkeypatch):
 
     def spy(learner):
         out = step(learner)
-        seen.append((learner.game, learner.hull._phi, learner._point.copy()))
+        seen.append((learner.game, learner.hull._phi, learner._values.copy()))
         return out
 
     monkeypatch.setattr(efce.trigger.MixedTriggerMinimizer, "next_element", spy)

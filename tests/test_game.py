@@ -217,6 +217,18 @@ def test_structural_errors_rejected(text, match):
     ("players 1\nroot z\nleaf z {0}\nroot z", "repeated 'root'", 4, 1),
     ("players 1\r\nroot z\r\nleaf y {1}\r\nleaf z 0", "expected '{'", 4, 8),
     ("players 1\u2028root z\u2028leaf y {1}\u2028leaf z 0", "expected '{'", 4, 8),
+    # A name is a word: the token reader once took punctuation as a name, and
+    # each of these parsed.
+    ("players 1; root {; leaf { { 1 }", "expected root node id, found '{'", 1, 17),
+    ("players 1; root ->; leaf -> { 1 }", "expected root node id, found '->'", 1, 17),
+    ("game ;\nplayers 1; root z; leaf z {0}", "expected game name, found ';'", 1, 6),
+    ("players 1; root a\ndecision a player 1 infoset = { x -> z }\nleaf z {0}",
+     "expected infoset label, found '='", 2, 29),
+    ("players 1; root a\ndecision a player 1 infoset A { = -> z }\nleaf z {0}",
+     "expected action entry or '}', found '='", 2, 33),
+    ("players 1; root c\nchance c { -> = 1 -> z }\nleaf z {0}",
+     "expected chance entry or '}', found '->'", 2, 12),
+    ("players 1; root z; leaf } {0}", "expected node id, found '}'", 1, 25),
 ])
 def test_format_errors_report_position(text, match, line, col):
     with pytest.raises(efce.GameFormatError, match=match) as e:

@@ -409,7 +409,7 @@ def test_played_points_are_fixed_points_and_most_rounds_reuse_one(monkeypatch):
 
     def spy_step(learner):
         out = step(learner)
-        played.append((learner.game, learner.hull._phi, learner._point.copy()))
+        played.append((learner.game, learner.hull._phi, learner._values.copy()))
         return out
 
     def spy_solve(game, phi, fp_tol=1e-10):
@@ -479,7 +479,10 @@ def test_hull_deviations_are_read_only():
 
 def test_changing_last_mixed_does_not_change_a_later_round():
     # A repeated deviation's fixed point is kept, and each round hands out a
-    # copy of it: writing to the returned strategy cannot reach a later round.
+    # copy of it: writing to the returned strategy, before or after the round
+    # is observed, cannot reach the hull or a later round.  The hull was once
+    # fed the copy itself: a 7.0 written into it raised at observe_utility,
+    # and a 0.5 moved the regrets.
     g = efce.builtin_game("fig1", seed=0)
     rng = random.Random(5)
     for player in (0, (0, 1)):
@@ -495,8 +498,12 @@ def test_changing_last_mixed_does_not_change_a_later_round():
             last = scribbled.hull._phi
             # Every other utility is zero, which repeats the deviation.
             ell = np.zeros(n) if r % 2 else np.array([rng.uniform(-1, 1) for _ in range(n)])
+            for p in got:
+                p.values[:] = 7.0 if r % 2 else 0.5
             clean.observe_utility(ell)
             scribbled.observe_utility(ell)
+            assert np.array_equal(clean.hull._regrets, scribbled.hull._regrets)
+            assert np.array_equal(clean.hull.mixer_regrets, scribbled.hull.mixer_regrets)
             for p in got:
                 p.values[:] = 7.0
         assert repeats >= 9
