@@ -22,8 +22,9 @@ import numpy as np
 
 from .deviations import _check_tol
 from .game import EMPTY_SEQ
-from .strategies import SequenceFormStrategy, UtilityVector, _check_finite, _check_shape, _score
-from .trigger import PhiRegretMeter, PureTriggerMinimizer, _complete, split_rngs
+from .strategies import (SequenceFormStrategy, UtilityVector, _check_finite, _check_shape,
+                         _joint, _score)
+from .trigger import PhiRegretMeter, PureTriggerMinimizer, _complete, _Memo, split_rngs
 
 _PROFILE_KEEP_LIMIT = 200
 
@@ -40,9 +41,18 @@ class EmpiricalFrequency:
     meter's state on each access; ``follow[i]`` is a view of player i's
     block of the meter's joint array.  ``utility`` holds the last profile's
     utility vectors concatenated in the order of the meter's plan, the form
-    a group learner takes them in.  Games with at most 200 joint
-    deterministic profiles also keep the raw samples: ``profiles`` holds one
-    ``[values, count]`` entry per distinct joint profile.
+    a group learner takes them in; it is read-only.
+
+    A round's utility and meter increments are a function of the joint
+    profile alone, so each distinct profile is scored once: a store keyed
+    by the joint point's bytes keeps them, and a repeat adds the kept
+    arrays again.  The store holds at most ``efce.trigger._MEMO_BYTES`` (4
+    MiB) of keys and arrays; past that it takes no new profile, and one it
+    lacks is scored afresh each time it is played.  Games with at most 200
+    joint deterministic profiles also keep the raw samples, in the same
+    store and past its budget: ``profiles`` lists one ``[values, count]``
+    entry per distinct joint profile, in the order first played, ``values``
+    holding read-only per-player arrays.  Other games' ``profiles`` is None.
     """
 
     def __init__(self, game):
@@ -51,9 +61,17 @@ class EmpiricalFrequency:
         self.meter = PhiRegretMeter(game, tuple(range(game.n_players)))
         self._spans = [(span, game.payoff_range(span[0])) for span in self.meter.plan.spans]
         self.utility = None
-        small = game.joint_profile_count() <= _PROFILE_KEEP_LIMIT
-        self.profiles: list[list] | None = [] if small else None
-        self._profile_index: dict[bytes, list] = {}
+        self._small = game.joint_profile_count() <= _PROFILE_KEEP_LIMIT
+        # Per joint point's bytes: [(utility, follow, tables), times played]; a
+        # small game's profile past the budget keeps None for the three arrays.
+        self._store = _Memo()
+
+    @property
+    def profiles(self):
+        if not self._small:
+            return None
+        return [[[np.frombuffer(key)[a:b] for (_, a, b), _ in self._spans], count]
+                for key, (_, count) in self._store.items()]
 
     @property
     def tables(self):
@@ -70,22 +88,29 @@ class EmpiricalFrequency:
         ``profile`` holds one full-tree strategy per player, in player order,
         with values within 1e-9 of [0, 1]; any other profile, or one whose
         utility overflows, raises ValueError and leaves the summary unchanged.
-        Each vector's coefficients are a view of its player's block of
-        ``utility``.
+        Each vector's coefficients are a read-only view of its player's block
+        of ``utility``, which the store may hand out again on a repeat.
         """
-        played, utility = _score(self.game, profile)
-        _check_finite(utility, "utility")
-        self.meter._add(utility, played)
+        played = _joint(self.game, profile)
+        key = played.tobytes()
+        entry = self._store.get(key)
+        score = None if entry is None else entry[0]
+        if score is None:
+            utility = _score(self.game, played)
+            _check_finite(utility, "utility")
+            utility.flags.writeable = False
+            follow, tables = self.meter._increments(utility, played)
+            score = utility, follow, tables
+            if entry is None:
+                entry = [score, 0]
+                nbytes = played.nbytes + utility.nbytes + follow.nbytes + tables.nbytes
+                if not self._store.keep(key, entry, nbytes) and self._small:
+                    self._store[key] = entry = [None, 0]
+        utility, follow, tables = score
+        self.meter._add(follow, tables)
         self.t += 1
         self.utility = utility
-        if self.profiles is not None:
-            key = played.tobytes()
-            entry = self._profile_index.get(key)
-            if entry is None:
-                entry = [[p.values.copy() for p in profile], 0]
-                self._profile_index[key] = entry
-                self.profiles.append(entry)
-            entry[1] += 1
+        entry[1] += 1
         return [UtilityVector(i, utility[a:b], r) for (i, a, b), r in self._spans]
 
 

@@ -214,26 +214,34 @@ def enumerate_pure(game, player, root=None):
     return walk()
 
 
-def _score(game, profile):
-    """The joint point of ``profile`` and every player's utility coefficients there, end to end.
+def _joint(game, profile):
+    """The joint point of ``profile``: its players' values end to end, in a new array.
 
     Raises ValueError unless ``profile`` holds one full-tree strategy per
-    player, in player order, with values within 1e-9 of [0, 1].  One
-    gather reads the other players' weights at each terminal; they
-    multiply into chance reach in player order, then into the payoff, and
-    one bincount adds the products per sequence, in terminal order.
+    player, in player order, with values within 1e-9 of [0, 1].
     """
-    form, keys, others = game._scorer_tables
-    if [(p.player, p.root, p.values.shape) for p in profile] != form:
+    if [(p.player, p.root, p.values.shape) for p in profile] != game._scorer_tables[0]:
         raise ValueError("profile must hold one full-tree strategy per player, in player order")
     played = np.concatenate([p.values for p in profile])
-    # Checked before the products, where 0 x inf or 1e200 x 1e200 would warn first.
+    # Checked before the scorer's products, where 0 x inf or 1e200 x 1e200 would warn first.
     if np.count_nonzero(np.abs(played - 0.5) <= 0.5 + 1e-9) != played.size:
         raise ValueError("profile has a non-finite entry or one outside [0, 1]")
+    return played
+
+
+def _score(game, played):
+    """Every player's utility coefficients at the joint point ``played``, end to end.
+
+    ``played`` is a checked :func:`_joint` point.  One gather reads the
+    other players' weights at each terminal; they multiply into chance
+    reach in player order, then into the payoff, and one bincount adds the
+    products per sequence, in terminal order.
+    """
+    _, keys, others = game._scorer_tables
     reach = game.term_chance
     for f in played.take(others):
         reach = reach * f  # not in place: reach starts as the tree's own array
-    return played, np.bincount(keys.ravel(), (reach * game.term_payoffs.T).ravel(), played.size)
+    return np.bincount(keys.ravel(), (reach * game.term_payoffs.T).ravel(), played.size)
 
 
 def utility_vector(game, player, profile):
@@ -247,7 +255,7 @@ def utility_vector(game, player, profile):
     """
     n = game.num_sequences(player)  # checks player before the blocks in front of it
     start = sum(map(game.num_sequences, range(player)))
-    coeffs = _score(game, profile)[1][start:start + n]
+    coeffs = _score(game, _joint(game, profile))[start:start + n]
     return UtilityVector(player, coeffs, game.payoff_range(player))
 
 

@@ -26,6 +26,26 @@ from .strategies import SequenceFormStrategy, _check_shape, sample_pure
 
 _ZERO = np.zeros(1)
 
+# The bytes each memo may hold: a frequency's store of scored profiles, or a
+# hull's increments under its current deviation.  Past it a memo takes no new
+# entry, and each round it misses is computed afresh.
+_MEMO_BYTES = 1 << 22
+
+
+class _Memo(dict):
+    """A dict of a round's kept results by byte key, its entries' bytes counted in ``nbytes``."""
+
+    nbytes = 0
+
+    def keep(self, key, value, nbytes):
+        """Hold ``value`` under ``key`` and return True, unless ``nbytes`` more would pass
+        ``_MEMO_BYTES``; then return False."""
+        if self.nbytes + nbytes > _MEMO_BYTES:
+            return False
+        self[key] = value
+        self.nbytes += nbytes
+        return True
+
 
 def _check_round(n, ell, x, name):
     """Raise ValueError unless ``ell`` is a finite n-vector and ``x`` one within 1e-9 of [0, 1]."""
@@ -75,6 +95,8 @@ class HullMinimizer:
         self._phi = None
         # The bytes of the positive parts the last built deviation came from, and that deviation.
         self._key = self._last = None
+        # The (pair, mixer) increments of observed (ell, q) bytes under that deviation.
+        self._memo = _Memo()
 
     @property
     def regrets(self):
@@ -115,6 +137,7 @@ class HullMinimizer:
         self._local = local
         self._phi = ConvexTriggerDeviation._of_pairs(self.player, lam, conts, plan)
         self._key, self._last = key, self._phi
+        self._memo = _Memo()
         return self._phi
 
     def observe_utility(self, ell, q):
@@ -123,7 +146,10 @@ class HullMinimizer:
         ``ell`` is the utility vector over the player's sequences and ``q``
         the point the round's deviation was applied to.  ``ell`` must be
         finite and every entry of ``q`` within 1e-9 of [0, 1]; a bad pair
-        raises ValueError and leaves the round open.
+        raises ValueError and leaves the round open.  The increments are a
+        function of the deviation, ``ell`` and ``q``, so they are computed
+        once per (deviation, ``ell``, ``q``) bytes within the memo's budget,
+        and a repeat adds the kept arrays again.
         """
         if self._phi is None:
             raise CallOrderError("observe_utility called before next_element")
@@ -133,18 +159,23 @@ class HullMinimizer:
         n = plan.owner.size
         _check_round(n, ell, q, "point")
         phi, self._phi = self._phi, None
-        # Counterfactual values, completed bottom-up with child infoset values.
-        ell_pairs = ell.take(plan.pair_seq)
-        vals = ell_pairs * q.take(plan.pair_trigger)
-        vals -= _complete(plan, vals, self._local).take(plan.segment)
-        self._regrets += vals
+        key = (ell.tobytes(), q.tobytes())
+        step = self._memo.get(key)
+        if step is None:
+            # Counterfactual values, completed bottom-up with child infoset values.
+            ell_pairs = ell.take(plan.pair_seq)
+            vals = ell_pairs * q.take(plan.pair_trigger)
+            vals -= _complete(plan, vals, self._local).take(plan.segment)
 
-        lq = ell * q
-        values = np.add.reduceat(lq, plan.offsets).take(plan.owner) - plan.sum_below(lq)
-        values += q * np.bincount(plan.pair_trigger, phi.conts * ell_pairs, n)
-        values -= np.add.reduceat(values * phi.lam, plan.offsets).take(plan.owner)
-        values[plan.offsets] = 0.0
-        self.mixer_regrets += values
+            lq = ell * q
+            values = np.add.reduceat(lq, plan.offsets).take(plan.owner) - plan.sum_below(lq)
+            values += q * np.bincount(plan.pair_trigger, phi.conts * ell_pairs, n)
+            values -= np.add.reduceat(values * phi.lam, plan.offsets).take(plan.owner)
+            values[plan.offsets] = 0.0
+            step = vals, values
+            self._memo.keep(key, step, ell.nbytes + q.nbytes + vals.nbytes + values.nbytes)
+        self._regrets += step[0]
+        self.mixer_regrets += step[1]
 
 
 class MixedTriggerMinimizer:
@@ -181,7 +212,13 @@ class MixedTriggerMinimizer:
         phi = self.hull.next_element()
         if phi is not self._solved:
             self._solved = None  # a solve that raises leaves nothing cached
-            point = fixed_point(self.game, phi, self.fp_tol)
+            try:
+                point = fixed_point(self.game, phi, self.fp_tol)
+            except BaseException:
+                # and closes the hull's round: no utility is observed against an unsolved
+                # deviation, and the next call solves it again.
+                self.hull._phi = None
+                raise
             self._solved, self._values = phi, point.values if self._spans is None else point
         point = self._values.copy()
         self.last_mixed = (SequenceFormStrategy(self.player, point, None) if self._spans is None
@@ -294,13 +331,19 @@ class PhiRegretMeter:
         ell = np.asarray(ell, dtype=float)
         played = np.asarray(played, dtype=float)
         _check_round(self.follow.size, ell, played, "played point")
-        self._add(ell, played)
+        self._add(*self._increments(ell, played))
 
-    def _add(self, ell, played):
-        """:meth:`record` on float arrays that passed its checks."""
+    def _increments(self, ell, played):
+        """The (follow, tables) that one round adds, from float arrays that passed
+        :meth:`record`'s checks: its rule, which the frequency's store keeps too."""
         plan = self.plan
-        self.follow += plan.sum_below(ell * played)
-        self._tables += ell.take(plan.pair_seq) * played.take(plan.pair_trigger)
+        tables = ell.take(plan.pair_seq) * played.take(plan.pair_trigger)
+        return plan.sum_below(ell * played), tables
+
+    def _add(self, follow, tables):
+        """Add one round's :meth:`_increments`."""
+        self.follow += follow
+        self._tables += tables
         self._pass = None
 
     def best_pass(self):

@@ -30,11 +30,11 @@ from call_count import count  # noqa: E402
 # name: (runs of (game factory, run seed, rounds, gap every), C calls per round,
 # C calls in efce_gap per checkpoint, fixed_point calls, rounds), as counted.
 COUNTED = {
-    "kuhn3": ([(lambda: efce.builtin_game("kuhn3"), 0, 128, 2)], 105.09, 10.0, 127, 128),
+    "kuhn3": ([(lambda: efce.builtin_game("kuhn3"), 0, 128, 2)], 104.09, 10.0, 127, 128),
     "random-trees": ([(lambda s=s: efce.builtin_game("random-tree", seed=s), 0, 32, 1)
-                      for s in range(16)], 72.65, 10.375, 94, 512),
+                      for s in range(16)], 61.75, 10.375, 94, 512),
     "fig1": ([(lambda s=s: efce.builtin_game("fig1", seed=s), 0, 512, 64)
-              for s in range(2)], 56.51, 10.0, 5, 1024),
+              for s in range(2)], 41.60, 10.0, 5, 1024),
 }
 
 

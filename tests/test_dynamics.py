@@ -1,6 +1,7 @@
 import inspect
 import random
 import re
+import sys
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -286,6 +287,136 @@ def test_frequency_skips_profile_storage_for_large_games():
     freq.accumulate([rng.choice(pures[0]), rng.choice(pures[1])])
     with pytest.raises(ValueError):
         efce.efce_gap_brute(freq)
+
+
+def _traced_runs(monkeypatch, games, rounds, gap_every, budget=None):
+    """Self-play each game with the memos' byte budget set to ``budget`` (unless None).
+
+    Returns the runs' logged rows, the bytes of the hull's two regret
+    arrays and of the meter's two arrays after every round, the runs'
+    frequencies (each with ``sizes``, its store's entries after each
+    round, and ``seen``, the distinct profiles it was fed), the calls of
+    the scorer and of the hull's completion pass, and the most bytes a
+    hull memo held.
+    """
+    states, freqs, calls, memo = [], [], Counter(), [0]
+    observe = efce.trigger.HullMinimizer.observe_utility
+    regret = efce.trigger.PhiRegretMeter.regret
+    score, complete = efce.dynamics._score, efce.trigger._complete
+
+    def spy_observe(hull, ell, q):
+        observe(hull, ell, q)
+        states.append((hull._regrets.tobytes(), hull.mixer_regrets.tobytes()))
+        memo[0] = max(memo[0], hull._memo.nbytes)
+
+    def spy_regret(meter):
+        states.append((meter.follow.tobytes(), meter._tables.tobytes()))
+        return regret(meter)
+
+    def spy_score(game, played):
+        calls["score"] += 1
+        return score(game, played)
+
+    def spy_complete(plan, vals, local=None):
+        calls["hull"] += local is not None
+        return complete(plan, vals, local)
+
+    class Recording(EmpiricalFrequency):
+        def __init__(self, game):
+            super().__init__(game)
+            self.sizes, self.seen = [], set()
+            freqs.append(self)
+
+        def accumulate(self, profile):
+            out = super().accumulate(profile)
+            self.sizes.append(len(self._store))
+            self.seen.add(b"".join(p.values.tobytes() for p in profile))
+            return out
+
+    with monkeypatch.context() as m:
+        m.setattr(efce.trigger.HullMinimizer, "observe_utility", spy_observe)
+        m.setattr(efce.trigger.PhiRegretMeter, "regret", spy_regret)
+        m.setattr(efce.dynamics, "_score", spy_score)
+        m.setattr(efce.trigger, "_complete", spy_complete)
+        m.setattr(efce.dynamics, "EmpiricalFrequency", Recording)
+        if budget is not None:
+            m.setattr(efce.trigger, "_MEMO_BYTES", budget)
+        rows = [efce.run(g, rounds, 0, gap_every=gap_every).rows for g in games]
+    return rows, states, freqs, calls, memo[0]
+
+
+@pytest.mark.parametrize("name, games, rounds", [
+    ("fig1", [("fig1", s) for s in range(5)], 512),
+    ("kuhn3", [("kuhn3", None)], 256),
+    ("random-trees", [("random-tree", s) for s in range(16)], 32),
+])
+def test_memos_move_no_bit_of_any_round(monkeypatch, name, games, rounds):
+    # A round's score and meter increments are a function of the joint
+    # profile, and the hull's increments of (deviation, utility, point), so
+    # adding kept arrays must give every bit that computing them afresh does.
+    games = [efce.builtin_game(game, seed=s) for game, s in games]
+    on = _traced_runs(monkeypatch, games, rounds, 16)
+    off = _traced_runs(monkeypatch, games, rounds, 16, budget=0)
+    assert repr(on[0]) == repr(off[0])
+    assert len(on[1]) == len(off[1]) >= 2 * rounds * len(games)
+    assert on[1] == off[1]
+    # Memos off, every round scores and completes; on, a repeat does neither.
+    played = rounds * len(games)
+    assert off[3]["score"] == off[3]["hull"] == played
+    assert all(f._store.nbytes == 0 for f in off[2]) and off[4] == 0
+    assert on[3]["score"] == sum(len(f.seen) for f in on[2]) < played
+    assert 0 < on[3]["hull"] < played, name
+
+
+def test_kept_utility_is_read_only():
+    # A repeated profile hands out its kept utility again, so a caller that
+    # writes into it must fail, not change a later round.
+    for g, budget in ((efce.builtin_game("fig1", seed=0), None), (efce.builtin_game("kuhn3"), 0)):
+        rng = random.Random(4)
+        pures = [list(efce.enumerate_pure(g, i)) for i in range(2)]
+        profile = [rng.choice(pures[0]), rng.choice(pures[1])]
+        freq, fresh = EmpiricalFrequency(g), EmpiricalFrequency(g)
+        with pytest.MonkeyPatch.context() as m:
+            if budget is not None:
+                m.setattr(efce.trigger, "_MEMO_BYTES", budget)
+            utils = freq.accumulate(profile)
+            want = freq.utility.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                freq.utility[1] = 5.0
+            for util in utils:
+                with pytest.raises(ValueError, match="read-only"):
+                    util.coefficients[:] = 0.0
+                with pytest.raises(ValueError, match="read-only"):
+                    util.coefficients *= 2.0
+            again = freq.accumulate(profile)
+            for _ in range(2):
+                fresh.accumulate(profile)
+        assert freq.utility.tobytes() == fresh.utility.tobytes() == want
+        assert ([u.coefficients.tobytes() for u in again]
+                == [u.coefficients.tobytes() for u in utils])
+        assert freq.meter.follow.tobytes() == fresh.meter.follow.tobytes()
+        assert freq.meter._tables.tobytes() == fresh.meter._tables.tobytes()
+
+
+def test_store_stops_growing_at_its_budget(monkeypatch):
+    # Kuhn N = 24 self-play plays mostly new profiles: the store fills to its
+    # byte budget, then takes none more, and the rounds are those of no memo.
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+    from kuhn import kuhn_text
+
+    g = efce.parse_game(kuhn_text(24))
+    budget = 100_000
+    on = _traced_runs(monkeypatch, [g], 200, 50, budget=budget)
+    off = _traced_runs(monkeypatch, [g], 200, 50, budget=0)
+    assert repr(on[0]) == repr(off[0]) and on[1] == off[1]
+    freq = on[2][0]
+    store = freq._store
+    entry = store.nbytes // len(store)
+    assert store.nbytes == entry * len(store) <= budget < store.nbytes + entry
+    full = freq.sizes.index(len(store))
+    assert full < 100 and freq.sizes[full:] == [len(store)] * (200 - full)
+    assert len(freq.seen) > 2 * len(store)
+    assert 0 < on[4] <= budget
 
 
 def test_gap_requires_samples():

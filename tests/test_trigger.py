@@ -279,6 +279,38 @@ def test_non_finite_hull_state_still_raises_in_fixed_point():
                         mixed.next_element()
 
 
+def test_a_failed_solve_closes_the_hulls_round(monkeypatch):
+    # A fixed_point that raised once left the hull's round open, so
+    # observe_utility took the next utility against the last solved point,
+    # not the fixed point of the open round's deviation.
+    g = efce.builtin_game("fig1", seed=0)
+    ell = np.array([random.Random(3).uniform(-1, 1) for _ in range(9)])
+    clean, failed = efce.MixedTriggerMinimizer(g, 0), efce.MixedTriggerMinimizer(g, 0)
+    for learner in (clean, failed):
+        learner.next_element()
+        learner.observe_utility(ell)
+    solve = efce.trigger.fixed_point
+
+    def fail(game, phi, fp_tol=1e-10):
+        raise efce.NumericalError("fixed point missed its tolerance")
+
+    monkeypatch.setattr(efce.trigger, "fixed_point", fail)
+    with pytest.raises(efce.NumericalError):
+        failed.next_element()
+    assert failed._solved is None
+    with pytest.raises(efce.CallOrderError):
+        failed.observe_utility(ell)
+    monkeypatch.setattr(efce.trigger, "fixed_point", solve)
+    # The deviation is tried again, and the rounds go on as if nothing failed.
+    for _ in range(3):
+        want, got = clean.next_element(), failed.next_element()
+        assert np.array_equal(want.values, got.values)
+        clean.observe_utility(ell)
+        failed.observe_utility(ell)
+        assert np.array_equal(clean.hull._regrets, failed.hull._regrets)
+        assert np.array_equal(clean.hull.mixer_regrets, failed.hull.mixer_regrets)
+
+
 def test_meter_single_round_matches_hand_computation():
     g = efce.builtin_game("fig1", seed=0)
     meter = efce.PhiRegretMeter(g, 0)
