@@ -14,8 +14,9 @@ broken one raises ValueError, and a numerical failure NumericalError.
 - A utility or coefficient vector, and ``extend``'s ``x``, is finite.  A
   played point or profile lies within 1e-9 of [0, 1]; one count checks
   finiteness and range together, before any product can overflow.
-- A tolerance is positive and finite.  A round count is an integer of at
-  least 1, and an action count one of at least 0; a bool is no count.
+- A tolerance is a positive and finite real number, not a string, None or
+  an array.  A round count is an integer of at least 1, and an action
+  count one of at least 0; a bool is no count.
 - Each array of a round is checked once, where it enters: ``accumulate``
   checks the profile and its utility and hands the meter the checked
   arrays, and the hull's deviation, valid by construction, goes unchecked.

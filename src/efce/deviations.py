@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -234,8 +234,9 @@ def _act(plan, moved, keep, x):
 
 
 def _check_tol(tol, name):
-    """``tol``; ValueError, naming it ``name``, unless it is positive and finite."""
-    if not 0.0 < tol < np.inf:
+    """``tol``; ValueError, naming it ``name``, unless it is a positive and finite real number."""
+    # A float skips the isinstance call: the learner's tolerance is checked on each solve.
+    if not ((type(tol) is float or isinstance(tol, Real)) and 0.0 < tol < np.inf):
         raise ValueError(f"{name} must be positive and finite")
     return tol
 

@@ -8,15 +8,17 @@ single trigger deviation in hindsight) is each player's metered regret over
 the rounds, and doubles as the distance from correlated-equilibrium
 behavior.
 
-For small games the distinct sampled profiles are kept with their counts
-so an exhaustive checker can enumerate every deviation directly.
+While a run has played at most 200 distinct profiles, they are kept with
+their counts so an exhaustive checker can enumerate every deviation
+directly.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -24,7 +26,7 @@ from .deviations import _check_tol
 from .game import EMPTY_SEQ
 from .strategies import (SequenceFormStrategy, UtilityVector, _check_finite, _check_shape,
                          _joint, _score)
-from .trigger import PhiRegretMeter, PureTriggerMinimizer, _complete, _Memo, split_rngs
+from .trigger import PhiRegretMeter, PureTriggerMinimizer, _complete, _room, split_rngs
 
 _PROFILE_KEEP_LIMIT = 200
 
@@ -46,13 +48,16 @@ class EmpiricalFrequency:
     A round's utility and meter increments are a function of the joint
     profile alone, so each distinct profile is scored once: a store keyed
     by the joint point's bytes keeps them, and a repeat adds the kept
-    arrays again.  The store holds at most ``efce.trigger._MEMO_BYTES`` (4
-    MiB) of keys and arrays; past that it takes no new profile, and one it
-    lacks is scored afresh each time it is played.  Games with at most 200
-    joint deterministic profiles also keep the raw samples, in the same
-    store and past its budget: ``profiles`` lists one ``[values, count]``
-    entry per distinct joint profile, in the order first played, ``values``
-    holding read-only per-player arrays.  Other games' ``profiles`` is None.
+    arrays again.  The store takes at most as many profiles as fit in
+    ``efce.trigger._MEMO_BYTES`` (4 MiB) of keys and arrays
+    (:func:`efce.trigger._room`); past that, a profile it lacks is scored
+    afresh each time it is played.  The raw samples are counted under the
+    same keys while the run has played at most 200 distinct profiles:
+    ``profiles`` lists one ``[values, count]`` entry per distinct joint
+    profile, in the order first played, ``values`` holding read-only
+    per-player arrays.  The 201st distinct profile drops the counts, and
+    ``profiles`` is None from then on.  What is played decides this, so
+    whether a run will keep its samples cannot be told from the game alone.
     """
 
     def __init__(self, game):
@@ -61,17 +66,17 @@ class EmpiricalFrequency:
         self.meter = PhiRegretMeter(game, tuple(range(game.n_players)))
         self._spans = [(span, game.payoff_range(span[0])) for span in self.meter.plan.spans]
         self.utility = None
-        self._small = game.joint_profile_count() <= _PROFILE_KEEP_LIMIT
-        # Per joint point's bytes: [(utility, follow, tables), times played]; a
-        # small game's profile past the budget keeps None for the three arrays.
-        self._store = _Memo()
+        # Per joint point's bytes: (utility, follow, tables), and the entries it may still take.
+        self._store, self._left = {}, _room(self.meter.plan)
+        # Per joint point's bytes: times played; None past _PROFILE_KEEP_LIMIT distinct ones.
+        self._counts = Counter()
 
     @property
     def profiles(self):
-        if not self._small:
+        if self._counts is None:
             return None
         return [[[np.frombuffer(key)[a:b] for (_, a, b), _ in self._spans], count]
-                for key, (_, count) in self._store.items()]
+                for key, count in self._counts.items()]
 
     @property
     def tables(self):
@@ -93,24 +98,25 @@ class EmpiricalFrequency:
         """
         played = _joint(self.game, profile)
         key = played.tobytes()
-        entry = self._store.get(key)
-        score = None if entry is None else entry[0]
+        score = self._store.get(key)
+        counts = self._counts
         if score is None:
             utility = _score(self.game, played)
             _check_finite(utility, "utility")
             utility.flags.writeable = False
-            follow, tables = self.meter._increments(utility, played)
-            score = utility, follow, tables
-            if entry is None:
-                entry = [score, 0]
-                nbytes = played.nbytes + utility.nbytes + follow.nbytes + tables.nbytes
-                if not self._store.keep(key, entry, nbytes) and self._small:
-                    self._store[key] = entry = [None, 0]
+            score = (utility, *self.meter._increments(utility, played))
+            if self._left:
+                self._left -= 1
+                self._store[key] = score
+            # A hit is a profile played before, so only a miss can be a new one.
+            if counts is not None and key not in counts and len(counts) == _PROFILE_KEEP_LIMIT:
+                self._counts = counts = None
         utility, follow, tables = score
         self.meter._add(follow, tables)
         self.t += 1
         self.utility = utility
-        entry[1] += 1
+        if counts is not None:
+            counts[key] += 1
         return [UtilityVector(i, utility[a:b], r) for (i, a, b), r in self._spans]
 
 
@@ -216,14 +222,16 @@ def efce_gap_brute(freq):
     Enumerates every pure continuation at every trigger and evaluates the
     defining inequalities of the equilibrium directly on the stored samples,
     each weighted by how often it was played, walking terminals.  Only
-    available when the game was small enough for the frequency object to
-    keep its samples.
+    available while the frequency object keeps its samples, that is while
+    the run has played at most 200 distinct profiles; what was played
+    decides this, not the game alone.
     """
     from .strategies import enumerate_pure
 
     game = freq.game
     if freq.profiles is None:
-        raise ValueError("raw samples were not kept for this game")
+        raise ValueError(f"raw samples were not kept: more than {_PROFILE_KEEP_LIMIT} distinct "
+                         "profiles were played")
     if freq.t == 0:
         raise ValueError("no profiles accumulated yet")
     per_player = []
@@ -323,12 +331,13 @@ def check_run_args(iterations, gap_every, delta, fp_tol):
     """Raise ValueError unless the arguments of :func:`run` are valid.
 
     Each message starts with the argument's command-line name.  A bool is
-    not a round count.
+    not a round count, and a string or an array is not a ``delta`` or an
+    ``fp_tol``.
     """
     for value, name in ((iterations, "iterations"), (gap_every, "gap-every")):
         if type(value) is bool or not (isinstance(value, Integral) and value >= 1):
             raise ValueError(f"{name} must be an integer of at least 1")
-    if not 0.0 < delta < 1.0:
+    if not (isinstance(delta, Real) and 0.0 < delta < 1.0):
         raise ValueError("delta must lie strictly between 0 and 1")
     _check_tol(fp_tol, "fp-tol")
 

@@ -32,19 +32,14 @@ _ZERO = np.zeros(1)
 _MEMO_BYTES = 1 << 22
 
 
-class _Memo(dict):
-    """A dict of a round's kept results by byte key, its entries' bytes counted in ``nbytes``."""
+def _room(plan):
+    """The entries a memo over ``plan`` may hold within ``_MEMO_BYTES``.
 
-    nbytes = 0
-
-    def keep(self, key, value, nbytes):
-        """Hold ``value`` under ``key`` and return True, unless ``nbytes`` more would pass
-        ``_MEMO_BYTES``; then return False."""
-        if self.nbytes + nbytes > _MEMO_BYTES:
-            return False
-        self[key] = value
-        self.nbytes += nbytes
-        return True
+    Every entry holds 3n + P floats, for n sequences and P pairs: a hull's
+    key ``ell`` and ``q`` with its ``vals`` and ``values``, or a store's key
+    ``played`` with its ``utility``, ``follow`` and ``tables``.
+    """
+    return _MEMO_BYTES // (8 * (3 * plan.owner.size + plan.pair_seq.size))
 
 
 def _check_round(n, ell, x, name):
@@ -95,8 +90,8 @@ class HullMinimizer:
         self._phi = None
         # The bytes of the positive parts the last built deviation came from, and that deviation.
         self._key = self._last = None
-        # The (pair, mixer) increments of observed (ell, q) bytes under that deviation.
-        self._memo = _Memo()
+        # The entries that next_element's memo may take under each deviation.
+        self._room = _room(plan)
 
     @property
     def regrets(self):
@@ -137,7 +132,10 @@ class HullMinimizer:
         self._local = local
         self._phi = ConvexTriggerDeviation._of_pairs(self.player, lam, conts, plan)
         self._key, self._last = key, self._phi
-        self._memo = _Memo()
+        # The (pair, mixer) increments of observed (ell, q) bytes under this deviation,
+        # and the entries the memo may still take.
+        self._memo = {}
+        self._left = self._room
         return self._phi
 
     def observe_utility(self, ell, q):
@@ -148,8 +146,8 @@ class HullMinimizer:
         finite and every entry of ``q`` within 1e-9 of [0, 1]; a bad pair
         raises ValueError and leaves the round open.  The increments are a
         function of the deviation, ``ell`` and ``q``, so they are computed
-        once per (deviation, ``ell``, ``q``) bytes within the memo's budget,
-        and a repeat adds the kept arrays again.
+        once per (deviation, ``ell``, ``q``) bytes while the memo has room
+        (:func:`_room`), and a repeat adds the kept arrays again.
         """
         if self._phi is None:
             raise CallOrderError("observe_utility called before next_element")
@@ -173,7 +171,9 @@ class HullMinimizer:
             values -= np.add.reduceat(values * phi.lam, plan.offsets).take(plan.owner)
             values[plan.offsets] = 0.0
             step = vals, values
-            self._memo.keep(key, step, ell.nbytes + q.nbytes + vals.nbytes + values.nbytes)
+            if self._left:
+                self._left -= 1
+                self._memo[key] = step
         self._regrets += step[0]
         self.mixer_regrets += step[1]
 

@@ -621,13 +621,16 @@ def test_extend_precondition_errors():
 def test_tolerances_must_be_positive_and_finite():
     # A tolerance of -1 once failed only at the fixed point's residual check,
     # "residual 0 exceeds tolerance"; nan raised NumericalError from
-    # stationary_distribution, and extend returned a vector for 0.
+    # stationary_distribution, and extend returned a vector for 0.  A string
+    # or None raised TypeError ("'<' not supported"), and an array numpy's
+    # "truth value ... is ambiguous".
     g = efce.builtin_game("fig1", seed=0)
     phi = _worked_phi(g)
     x0 = np.zeros(9)
     x0[efce.EMPTY_SEQ] = 1.0
     A = g.infoset(0, "A").index
-    for bad in (0.0, -1.0, np.nan, np.inf, -np.inf):
+    for bad in (0.0, -1.0, np.nan, np.inf, -np.inf, "x", "1e-10", None,
+                np.array([1e-10, 1e-10]), np.array([1e-10])):
         for name, call in (
                 ("fp_tol", lambda: efce.fixed_point(g, phi, bad)),
                 ("fp_tol", lambda: efce.extend(g, phi, set(), A, x0, fp_tol=bad)),
@@ -636,6 +639,9 @@ def test_tolerances_must_be_positive_and_finite():
                 ("fp_tol", lambda: efce.PureTriggerMinimizer(g, 0, random.Random(0), bad))):
             with pytest.raises(ValueError, match=f"^{name} must be positive and finite$"):
                 call()
+    # Real numbers of other types pass.
+    for good in (np.float64(1e-10), np.float32(1e-6), 1):
+        efce.fixed_point(g, phi, good)
 
 
 def test_extend_zero_mass_parent_gives_zero_children():

@@ -14,6 +14,7 @@ import efce.cli as cli
 from efce.dynamics import EmpiricalFrequency
 from conftest import (brute_expected_payoffs, mixed_point, random_behavioral, random_deviation,
                       reference_games, reference_gap, reference_utility_vector)
+from log_digests import wide_text  # noqa: E402  (on the path conftest sets)
 
 
 def _pure(game, player, *sids):
@@ -277,16 +278,69 @@ def test_frequency_keeps_one_entry_per_distinct_profile():
         assert np.abs(fast.trigger_gaps[i][1:] - slow.trigger_gaps[i][1:]).max() <= 1e-9
 
 
-def test_frequency_skips_profile_storage_for_large_games():
-    g = efce.builtin_game("kuhn3")
-    assert g.joint_profile_count() > 200
+def _kuhn(n):
+    """Kuhn poker with ``n`` cards, from the benchmark's generator."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+    from kuhn import kuhn_text
+
+    return efce.parse_game(kuhn_text(n))
+
+
+def test_frequency_stops_listing_at_the_201st_distinct_profile():
+    # Kuhn N = 24 self-play plays mostly new profiles: the frequency lists
+    # them with their counts up to the 200th, then drops the counts, and the
+    # brute oracle raises while the fast gap still reads the meter.
+    g = _kuhn(24)
+    learner = efce.PureTriggerMinimizer(g, (0, 1), efce.split_rngs(0, 2))
     freq = EmpiricalFrequency(g)
-    assert freq.profiles is None
-    rng = random.Random(0)
-    pures = [list(efce.enumerate_pure(g, i)) for i in range(2)]
-    freq.accumulate([rng.choice(pures[0]), rng.choice(pures[1])])
-    with pytest.raises(ValueError):
+    seen = {}
+    while len(seen) <= 210:
+        profile = learner.next_element()
+        freq.accumulate(profile)
+        learner.observe_utility(freq.utility)
+        key = b"".join(p.values.tobytes() for p in profile)
+        seen[key] = seen.get(key, 0) + 1
+        if len(seen) <= 200:
+            assert freq._counts == seen
+            if len(seen) == 200:
+                assert [count for _, count in freq.profiles] == list(seen.values())
+        else:
+            assert freq.profiles is None and freq._counts is None
+    assert freq.t > len(seen) > 200
+    with pytest.raises(ValueError, match="more than 200 distinct profiles"):
         efce.efce_gap_brute(freq)
+    assert efce.efce_gap(freq).eps >= 0.0
+
+
+@pytest.mark.parametrize("name", ["kuhn3", "wide-m4"] + [f"random-tree-{s}" for s in range(16)])
+def test_brute_oracle_agrees_at_the_end_of_self_play(monkeypatch, name):
+    # Every one of these runs plays at most 200 distinct profiles in 1024
+    # rounds (kuhn3 21, wide m = 4 63), so each keeps its samples whatever
+    # its game's number of joint profiles, and the independent oracle checks
+    # the fast gap at the end.
+    if name == "wide-m4":
+        g = efce.parse_game(wide_text(4))
+    elif name == "kuhn3":
+        g = efce.builtin_game("kuhn3")
+    else:
+        g = efce.builtin_game("random-tree", seed=int(name.rsplit("-", 1)[1]))
+    freqs = []
+
+    class Recording(EmpiricalFrequency):
+        def __init__(self, game):
+            super().__init__(game)
+            freqs.append(self)
+
+    monkeypatch.setattr(efce.dynamics, "EmpiricalFrequency", Recording)
+    efce.run(g, 1024, 0, gap_every=1024)
+    freq, = freqs
+    assert freq.profiles is not None
+    fast = efce.efce_gap(freq)
+    slow = efce.efce_gap_brute(freq)
+    assert abs(fast.eps - slow.eps) <= 1e-9
+    for i in range(g.n_players):
+        assert abs(fast.per_player[i] - slow.per_player[i]) <= 1e-9
+        assert np.abs(fast.trigger_gaps[i][1:] - slow.trigger_gaps[i][1:]).max(initial=0.0) <= 1e-9
 
 
 def _traced_runs(monkeypatch, games, rounds, gap_every, budget=None):
@@ -296,10 +350,11 @@ def _traced_runs(monkeypatch, games, rounds, gap_every, budget=None):
     arrays and of the meter's two arrays after every round, the runs'
     frequencies (each with ``sizes``, its store's entries after each
     round, and ``seen``, the distinct profiles it was fed), the calls of
-    the scorer and of the hull's completion pass, and the most bytes a
-    hull memo held.
+    the scorer and of the hull's completion pass, the most entries a hull
+    memo held, and the bytes of a hull memo's entry, key and arrays (0 if
+    none was kept).
     """
-    states, freqs, calls, memo = [], [], Counter(), [0]
+    states, freqs, calls, memo = [], [], Counter(), [0, 0]
     observe = efce.trigger.HullMinimizer.observe_utility
     regret = efce.trigger.PhiRegretMeter.regret
     score, complete = efce.dynamics._score, efce.trigger._complete
@@ -307,7 +362,10 @@ def _traced_runs(monkeypatch, games, rounds, gap_every, budget=None):
     def spy_observe(hull, ell, q):
         observe(hull, ell, q)
         states.append((hull._regrets.tobytes(), hull.mixer_regrets.tobytes()))
-        memo[0] = max(memo[0], hull._memo.nbytes)
+        memo[0] = max(memo[0], len(hull._memo))
+        if hull._memo:
+            (ell, q), arrays = next(iter(hull._memo.items()))
+            memo[1] = len(ell) + len(q) + sum(a.nbytes for a in arrays)
 
     def spy_regret(meter):
         states.append((meter.follow.tobytes(), meter._tables.tobytes()))
@@ -342,7 +400,7 @@ def _traced_runs(monkeypatch, games, rounds, gap_every, budget=None):
         if budget is not None:
             m.setattr(efce.trigger, "_MEMO_BYTES", budget)
         rows = [efce.run(g, rounds, 0, gap_every=gap_every).rows for g in games]
-    return rows, states, freqs, calls, memo[0]
+    return rows, states, freqs, calls, *memo
 
 
 @pytest.mark.parametrize("name, games, rounds", [
@@ -363,7 +421,7 @@ def test_memos_move_no_bit_of_any_round(monkeypatch, name, games, rounds):
     # Memos off, every round scores and completes; on, a repeat does neither.
     played = rounds * len(games)
     assert off[3]["score"] == off[3]["hull"] == played
-    assert all(f._store.nbytes == 0 for f in off[2]) and off[4] == 0
+    assert all(len(f._store) == 0 for f in off[2]) and off[4] == 0
     assert on[3]["score"] == sum(len(f.seen) for f in on[2]) < played
     assert 0 < on[3]["hull"] < played, name
 
@@ -375,10 +433,10 @@ def test_kept_utility_is_read_only():
         rng = random.Random(4)
         pures = [list(efce.enumerate_pure(g, i)) for i in range(2)]
         profile = [rng.choice(pures[0]), rng.choice(pures[1])]
-        freq, fresh = EmpiricalFrequency(g), EmpiricalFrequency(g)
         with pytest.MonkeyPatch.context() as m:
             if budget is not None:
                 m.setattr(efce.trigger, "_MEMO_BYTES", budget)
+            freq, fresh = EmpiricalFrequency(g), EmpiricalFrequency(g)
             utils = freq.accumulate(profile)
             want = freq.utility.tobytes()
             with pytest.raises(ValueError, match="read-only"):
@@ -391,6 +449,7 @@ def test_kept_utility_is_read_only():
             again = freq.accumulate(profile)
             for _ in range(2):
                 fresh.accumulate(profile)
+        assert len(freq._store) == (budget is None)
         assert freq.utility.tobytes() == fresh.utility.tobytes() == want
         assert ([u.coefficients.tobytes() for u in again]
                 == [u.coefficients.tobytes() for u in utils])
@@ -400,23 +459,25 @@ def test_kept_utility_is_read_only():
 
 def test_store_stops_growing_at_its_budget(monkeypatch):
     # Kuhn N = 24 self-play plays mostly new profiles: the store fills to its
-    # byte budget, then takes none more, and the rounds are those of no memo.
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
-    from kuhn import kuhn_text
-
-    g = efce.parse_game(kuhn_text(24))
+    # room under the byte budget, then takes none more, and the rounds are
+    # those of no memo.
+    g = _kuhn(24)
     budget = 100_000
     on = _traced_runs(monkeypatch, [g], 200, 50, budget=budget)
     off = _traced_runs(monkeypatch, [g], 200, 50, budget=0)
     assert repr(on[0]) == repr(off[0]) and on[1] == off[1]
     freq = on[2][0]
     store = freq._store
-    entry = store.nbytes // len(store)
-    assert store.nbytes == entry * len(store) <= budget < store.nbytes + entry
+    # The room is the entries whose bytes, key and arrays, fit in the budget.
+    key, arrays = next(iter(store.items()))
+    entry = len(key) + sum(a.nbytes for a in arrays)
+    monkeypatch.setattr(efce.trigger, "_MEMO_BYTES", budget)
+    assert len(store) == efce.trigger._room(freq.meter.plan) == budget // entry == 11
     full = freq.sizes.index(len(store))
     assert full < 100 and freq.sizes[full:] == [len(store)] * (200 - full)
     assert len(freq.seen) > 2 * len(store)
-    assert 0 < on[4] <= budget
+    # A hull entry is as large, so the hull's room is the same.
+    assert on[5] == entry and 0 < on[4] <= len(store)
 
 
 def test_gap_requires_samples():
@@ -769,6 +830,11 @@ def test_run_rejects_bad_arguments():
         efce.run(g, iterations=5, seed=0, delta=0.0)
     with pytest.raises(ValueError):
         efce.run(g, iterations=5, seed=0, delta=1.0)
+    # A string once raised TypeError ("'<' not supported"), and an array
+    # numpy's "truth value ... is ambiguous".
+    for bad in ("x", None, np.array([0.5, 0.5]), np.array([0.5])):
+        with pytest.raises(ValueError, match="^delta must lie strictly between 0 and 1$"):
+            efce.run(g, iterations=5, seed=0, delta=bad)
     # 3.5 once failed in range with TypeError, and 1.5 ran, logging "gap-every: 1.5"
     with pytest.raises(ValueError, match="^iterations"):
         efce.run(g, iterations=3.5, seed=0)
@@ -787,7 +853,7 @@ def test_run_rejects_bool_round_counts():
 
 def test_run_rejects_bad_fp_tol():
     g = efce.builtin_game("fig1", seed=0)
-    for bad in (0.0, -1.0, float("nan"), float("inf")):
+    for bad in (0.0, -1.0, float("nan"), float("inf"), "x", None, np.array([1e-10])):
         with pytest.raises(ValueError, match="^fp-tol must be positive and finite$"):
             efce.run(g, iterations=5, seed=0, fp_tol=bad)
 

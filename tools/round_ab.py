@@ -1,4 +1,4 @@
-"""Count two trees' C calls per self-play round, on the benchmark's workloads.
+"""Count two trees' C calls and opcodes per self-play round, on the benchmark's workloads.
 
 Loads the ``efce`` package of each ``src`` directory under its own module
 name, then runs one pass of each workload per tree:
@@ -10,15 +10,17 @@ name, then runs one pass of each workload per tree:
   run, at run seed 0, 32 rounds, a gap checkpoint every round.
 
 Per workload and tree it prints, as ``tools/call_count.py`` counts them
-with ``sys.setprofile`` after each game's plan is built, the C calls per
-round, the C calls made while ``efce_gap`` runs, per gap checkpoint (the
-call the benchmark's ``gap_ms_*`` metrics time), the ``fixed_point``
-calls per round (the learner solves each distinct deviation once, so this
-is the share of rounds whose deviation changed), and the ten Python
-functions of that tree that make the most C calls, each with its C calls
-per round.  The count is deterministic, so one pass per tree is enough.
-It times nothing: the host's speed swings by more than a small change's
-effect, so timing claims come from ``bench/run.py``'s alternating runs.
+after each game's plan is built, the C calls per round, the C calls made
+while ``efce_gap`` runs, per gap checkpoint (the call the benchmark's
+``gap_ms_*`` metrics time), the ``fixed_point`` calls per round (the
+learner solves each distinct deviation once, so this is the share of
+rounds whose deviation changed), the opcodes per round that the tree's
+own frames run (they see the ufunc calls and operators that the C calls
+miss), and the ten Python functions of that tree that make the most C
+calls, each with its C calls per round.  The count is deterministic, so
+one pass per tree is enough.  It times nothing: the host's speed swings
+by more than a small change's effect, so timing claims come from
+``bench/run.py``'s alternating runs.
 
 Run it from the repository root::
 
@@ -72,6 +74,8 @@ def main(argv):
               f"change {counted['change'][1]:.2f}", flush=True)
         print(f"{workload} fixed_point calls/round parent {counted['parent'][2]:.4f} "
               f"change {counted['change'][2]:.4f}", flush=True)
+        print(f"{workload} opcodes/round parent {counted['parent'][3]:.2f} "
+              f"change {counted['change'][3]:.2f}", flush=True)
         for name, (*_, top) in counted.items():
             print(f"{workload} {name} top C callers per round: "
                   + ", ".join(f"{caller} {n:.2f}" for caller, n in top), flush=True)
