@@ -9,8 +9,7 @@ broken one raises ValueError, and a numerical failure NumericalError.
   infoset id is an integer in range.
 - A vector over the sequences of a player, or of a group's plan, has shape
   (n,): strategies, continuations, ``x``, utilities and coefficients.  A
-  deviation has the plan's number of sequences, or none (the empty
-  combination).
+  deviation is built on one game and read with that game's plan only.
 - A utility or coefficient vector, and ``extend``'s ``x``, is finite.  A
   played point or profile lies within 1e-9 of [0, 1]; one count checks
   finiteness and range together, before any product can overflow.

@@ -53,76 +53,78 @@ class TriggerDeviation:
 class ConvexTriggerDeviation:
     """Convex combination of trigger deviations for one player, or one per player of a group.
 
-    ``entries`` holds (trigger sequence id, weight, continuation vector)
-    triples: integer non-empty sequence ids, nonnegative weights that sum
-    to 1 and 1-D continuations of one length; zero-weight entries are dropped.
-    The empty combination, allowed for a player without non-empty
-    sequences, acts as the identity.
+    Built on ``game``'s plan of ``player`` (see :class:`~efce.game.PlayerPlan`),
+    and read with that plan only: another game's plan, even another parse of
+    the same text, raises ValueError.  ``entries`` holds (trigger sequence
+    id, weight, continuation vector) triples: integer non-empty sequence
+    ids of the plan, nonnegative weights that sum to 1, and continuations
+    of the plan's shape (n,) that are finite, nonnegative and zero off the
+    subtree of their trigger's information set; anything else raises
+    ValueError here.  Zero-weight entries are dropped, and a repeated
+    trigger keeps the weighted mean of its continuations.  The empty
+    combination acts as the identity.
 
     ``lam[s]`` is the weight of trigger s, and ``conts`` the continuations
-    in a plan's pair layout (see :class:`~efce.game.PlayerPlan`), the one
-    the hull learns them in and the fixed point reads: entry p is trigger
-    t's continuation at sequence s, for the pair p = (t, s).  Only the hull
-    builds a combination in that layout (:meth:`_of_pairs`), read with its
-    own plan only.  One built from entries has ``conts`` None and is laid
-    out for each use, which raises ValueError unless every continuation is
-    finite, nonnegative and zero off its trigger infoset's subtree; no use
-    changes a combination.  ``C``, with row s trigger s's continuation, is
-    a triggers x sequences copy, empty like ``lam`` for the empty
-    combination.  A group's (hull) combination is indexed by the group's
-    plan: every player's weights sum to 1, or to 0 for a player without
+    in the plan's pair layout, the one the hull learns them in and the
+    fixed point reads: entry p is trigger t's continuation at sequence s,
+    for the pair p = (t, s).  Both are read-only.  The hull builds its
+    combinations in that layout directly (:meth:`_of_pairs`), unchecked.
+    ``C``, with row s trigger s's continuation, is a triggers x sequences
+    copy.  A group's (hull) combination is indexed by the group's plan:
+    every player's weights sum to 1, or to 0 for a player without
     triggers, and ``C`` is block diagonal.
     """
 
-    __slots__ = ("player", "lam", "conts", "_plan", "_rows")
+    __slots__ = ("player", "lam", "conts", "_plan")
 
-    def __init__(self, player, entries):
-        entries = [(sid, float(w), np.asarray(c, dtype=float)) for sid, w, c in entries]
-        for _, _, c in entries:
-            if c.ndim != 1:
-                raise ValueError(f"continuation has shape {c.shape}, expected a vector")
-        n = max((len(c) for _, _, c in entries), default=0)
+    def __init__(self, game, player, entries):
+        plan = game.player_plan(player)
+        n = plan.owner.size
         lam = np.zeros(n)
-        rows = {}
+        conts = np.zeros(plan.pair_seq.size)
         for sid, weight, c in entries:
+            c = _check_shape(np.asarray(c, dtype=float), n, "continuation")
             try:
                 sid = operator.index(sid)
             except TypeError:
                 raise ValueError(f"trigger {sid!r} is not an integer") from None
-            if len(c) != n:
-                raise ValueError(f"continuations have {len(c)} and {n} entries, not one length")
-            if sid == EMPTY_SEQ:
-                raise ValueError("the empty sequence cannot be a trigger")
-            if not 0 < sid < n:
+            if not 0 <= sid < n:
                 raise ValueError(f"trigger {sid} is not a sequence id between 1 and {n - 1}")
+            if plan.own[sid] == conts.size:  # an empty sequence, of any player of a group
+                raise ValueError("the empty sequence cannot be a trigger")
+            weight = float(weight)
             if not weight >= 0.0:
                 raise ValueError("deviation weights must be nonnegative")
+            pairs = plan.pair_trigger == sid
+            cont = c.take(plan.pair_seq[pairs])
+            # The pairs (sid, s) hold every s of the subtree: c must be 0 at the others.
+            if not (cont.min() >= 0.0 and cont.max() < np.inf
+                    and np.count_nonzero(cont) == np.count_nonzero(c)):
+                raise ValueError("continuations must be finite, nonnegative and zero off "
+                                 "the subtree of their trigger's information set")
             if weight > 0.0:
-                # A repeated trigger keeps the weighted mean of its continuations.
                 old = lam[sid]
-                rows[sid] = c if old == 0.0 else (old * rows[sid] + weight * c) / (old + weight)
+                if old:
+                    cont = (old * conts[pairs] + weight * cont) / (old + weight)
+                conts[pairs] = cont
                 lam[sid] = old + weight
-        total = float(np.add.reduceat(lam, [0])[0]) if n else 0.0
+        total = float(np.add.reduceat(lam, [0])[0])
         if total != 0.0 and not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"deviation weights sum to {total!r}, not 1")
-        self.player, self.lam, self.conts, self._plan, self._rows = player, lam, None, None, rows
+        lam.flags.writeable = conts.flags.writeable = False
+        self.player, self.lam, self.conts, self._plan = player, lam, conts, plan
 
     @classmethod
     def _of_pairs(cls, player, lam, conts, plan):
         """The hull's combination of ``lam`` and ``conts`` in ``plan``'s pairs, unchecked."""
         phi = cls.__new__(cls)
-        phi.player, phi.lam, phi.conts, phi._plan, phi._rows = player, lam, conts, plan, None
+        phi.player, phi.lam, phi.conts, phi._plan = player, lam, conts, plan
         return phi
 
     @property
     def C(self):
         """Triggers x sequences continuations, row s trigger s's (a copy)."""
-        if self._rows is None:
-            return self._plan.dense(self.conts)
-        C = np.zeros((self.lam.size, self.lam.size))
-        for sid, c in self._rows.items():
-            C[sid] = c
-        return C
+        return self._plan.dense(self.conts)
 
     @property
     def terms(self):
@@ -132,43 +134,21 @@ class ConvexTriggerDeviation:
 
 
 def _arrays(plan, phi):
-    """``phi``'s weights and continuations in ``plan``'s pairs: a hull deviation's own
-    arrays, or an entries one's laid out anew, with nothing stored (see the class)."""
-    if phi._plan is plan:
-        return phi.lam, phi.conts
-    n = _check_size(plan, phi)
-    if phi.lam.size == 0:
-        return np.zeros(n), np.zeros(plan.pair_seq.size)
-    if phi._rows is None:
-        raise ValueError("deviation was laid out in pairs for another plan")
-    C = phi.C
-    conts = C[plan.pair_trigger, plan.pair_seq]
-    C[plan.pair_trigger, plan.pair_seq] = 0.0
-    # The pair layout has no slot for an entry off the trigger infoset's subtree.
-    if C.any() or not (conts.min(initial=0.0) >= 0.0 and conts.max(initial=0.0) < np.inf):
-        raise ValueError("continuations must be finite, nonnegative and zero off "
-                         "the subtree of their trigger's information set")
-    return phi.lam, conts
-
-
-def _check_size(plan, phi):
-    """``plan``'s sequence count; ValueError unless ``phi`` is empty or has that many."""
-    n = plan.owner.size
-    if phi.lam.size not in (0, n):
-        raise ValueError(f"deviation has {phi.lam.size} sequences, expected {n}")
-    return n
+    """``phi``'s weights and continuations; ValueError unless ``phi`` was built on ``plan``."""
+    if phi._plan is not plan:
+        raise ValueError("deviation was built on another game's plan")
+    return phi.lam, phi.conts
 
 
 def validate_deviation(game, phi):
     """Raise ValueError unless every continuation lies in its subtree polytope.
 
-    A deviation with another number of sequences than the plan's raises
-    before any is read.  A group's deviation is checked block by block of
-    its plan: each trigger's continuation on the block of the trigger's
-    player.
+    A deviation built on another game's plan raises before any continuation
+    is read.  A group's deviation is checked block by block of its plan:
+    each trigger's continuation on the block of the trigger's player.
     """
     plan = game.player_plan(phi.player)
-    _check_size(plan, phi)
+    _arrays(plan, phi)
     for sid, _, cont in phi.terms:
         i, a, b = plan.spans[plan.owner[sid]]
         gid = int(game.seq_infoset(i)[sid - a])

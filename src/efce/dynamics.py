@@ -25,7 +25,7 @@ import numpy as np
 from .deviations import _check_tol
 from .game import EMPTY_SEQ
 from .strategies import (SequenceFormStrategy, UtilityVector, _check_finite, _check_shape,
-                         _joint, _score)
+                         _joint, _score, enumerate_pure)
 from .trigger import PhiRegretMeter, PureTriggerMinimizer, _complete, _room, split_rngs
 
 _PROFILE_KEEP_LIMIT = 200
@@ -226,32 +226,32 @@ def efce_gap_brute(freq):
     the run has played at most 200 distinct profiles; what was played
     decides this, not the game alone.
     """
-    from .strategies import enumerate_pure
-
     game = freq.game
-    if freq.profiles is None:
+    profiles = freq.profiles
+    if profiles is None:
         raise ValueError(f"raw samples were not kept: more than {_PROFILE_KEEP_LIMIT} distinct "
                          "profiles were played")
     if freq.t == 0:
         raise ValueError("no profiles accumulated yet")
+    term = game.term_seq.T  # row j: player j's sequence at each terminal
     per_player = []
     trigger_gaps = []
     for i in range(game.n_players):
         n = game.num_sequences(i)
         desc = game.descendant_mask(i)
+        term_i = term[i]
         gaps = np.full(n, -np.inf)
         for sid in range(1, n):
             gid = int(game.seq_infoset(i)[sid])
-            term_i = game.term_seq[:, i]
             below_trigger = desc[sid][term_i]
             below_iset = game.subtree_seq_mask(gid)[term_i]
             follow = 0.0
             triggered_alpha = np.zeros(game.n_terminals)
-            for sample, count in freq.profiles:
+            for sample, count in profiles:
                 others = count * game.term_chance
                 for j in range(game.n_players):
                     if j != i:
-                        others *= sample[j][game.term_seq[:, j]]
+                        others *= sample[j][term[j]]
                 alpha = game.term_payoffs[:, i] * others
                 follow += float((alpha * sample[i][term_i])[below_trigger].sum())
                 triggered_alpha += sample[i][sid] * alpha

@@ -63,7 +63,7 @@ def random_deviation(game, player, rng, max_triggers=None):
     n = game.num_sequences(player)
     sids = list(range(1, n))
     if not sids:
-        return efce.ConvexTriggerDeviation(player, [])
+        return efce.ConvexTriggerDeviation(game, player, [])
     rng.shuffle(sids)
     if max_triggers is not None:
         sids = sids[:max_triggers]
@@ -76,7 +76,7 @@ def random_deviation(game, player, rng, max_triggers=None):
         gid = int(game.seq_infoset(player)[sid])
         cont = random_behavioral(game, player, rng, root=gid)
         entries.append((sid, float(w), cont.values))
-    return efce.ConvexTriggerDeviation(player, entries)
+    return efce.ConvexTriggerDeviation(game, player, entries)
 
 
 def fig1_deviations(game):

@@ -58,8 +58,8 @@ def test_criterion_2_extension_worked_values():
     g = efce.builtin_game("fig1", seed=0)
     da, db, dc = fig1_deviations(g)
     phi = efce.ConvexTriggerDeviation(
-        0, [(1, 0.5, da.continuation), (2, 1 / 3, db.continuation),
-            (3, 1 / 6, dc.continuation)])
+        g, 0, [(1, 0.5, da.continuation), (2, 1 / 3, db.continuation),
+               (3, 1 / 6, dc.continuation)])
     A = g.infoset(0, "A").index
     B = g.infoset(0, "B").index
     C = g.infoset(0, "C").index

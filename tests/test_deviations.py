@@ -141,21 +141,21 @@ def test_convex_deviation_validation():
     cont = np.zeros(9)
     cont[1] = cont[3] = cont[5] = 1.0
     with pytest.raises(ValueError):
-        efce.ConvexTriggerDeviation(0, [(efce.EMPTY_SEQ, 1.0, cont)])
+        efce.ConvexTriggerDeviation(g, 0, [(efce.EMPTY_SEQ, 1.0, cont)])
     with pytest.raises(ValueError):
-        efce.ConvexTriggerDeviation(0, [(1, -0.5, cont), (2, 1.5, cont)])
+        efce.ConvexTriggerDeviation(g, 0, [(1, -0.5, cont), (2, 1.5, cont)])
     with pytest.raises(ValueError):
-        efce.ConvexTriggerDeviation(0, [(1, 0.4, cont)])
+        efce.ConvexTriggerDeviation(g, 0, [(1, 0.4, cont)])
     with pytest.raises(ValueError):
-        efce.ConvexTriggerDeviation(0, [(3, 1.0, cont), (4, np.nan, cont)])
+        efce.ConvexTriggerDeviation(g, 0, [(3, 1.0, cont), (4, np.nan, cont)])
     with pytest.raises(ValueError):
-        efce.ConvexTriggerDeviation(0, [(3, np.nan, cont)])
+        efce.ConvexTriggerDeviation(g, 0, [(3, np.nan, cont)])
     # trigger ids must be non-empty sequence ids: -1 once wrapped to 8
     with pytest.raises(ValueError):
-        efce.ConvexTriggerDeviation(0, [(-1, 1.0, cont)])
+        efce.ConvexTriggerDeviation(g, 0, [(-1, 1.0, cont)])
     with pytest.raises(ValueError):
-        efce.ConvexTriggerDeviation(0, [(9, 1.0, cont)])
-    empty = efce.ConvexTriggerDeviation(0, [])
+        efce.ConvexTriggerDeviation(g, 0, [(9, 1.0, cont)])
+    empty = efce.ConvexTriggerDeviation(g, 0, [])
     assert empty.terms == []
     x = efce.uniform_strategy(g, 0)
     assert np.allclose(efce.apply_deviation(g, empty, x.values), x.values)
@@ -164,40 +164,45 @@ def test_convex_deviation_validation():
 def test_entries_trigger_ids_must_be_integers_and_continuations_one_length():
     # 1.7 and "1" were both read as trigger 1, and a 5-entry continuation
     # beside 13-entry ones failed only in fixed_point, with numpy's message.
+    # Every continuation has the plan's length, checked as it is built.
     g = efce.builtin_game("kuhn3")
-    cont = efce.uniform_strategy(g, 0).values.copy()
-    cont[efce.EMPTY_SEQ] = 0.0
+    cont = efce.uniform_strategy(g, 0, root=int(g.seq_infoset(0)[1])).values
     for sid in (1.7, "1", 1.0, None):
         with pytest.raises(ValueError, match="not an integer"):
-            efce.ConvexTriggerDeviation(0, [(sid, 1.0, cont)])
+            efce.ConvexTriggerDeviation(g, 0, [(sid, 1.0, cont)])
     for sid in (True, np.int64(1)):
-        assert efce.ConvexTriggerDeviation(0, [(sid, 1.0, cont)]).lam.tolist() == [0, 1] + [0] * 11
+        phi = efce.ConvexTriggerDeviation(g, 0, [(sid, 1.0, cont)])
+        assert phi.lam.tolist() == [0, 1] + [0] * 11
     with pytest.raises(ValueError, match="empty sequence"):
-        efce.ConvexTriggerDeviation(0, [(False, 1.0, cont)])
-    with pytest.raises(ValueError, match="one length"):
-        efce.ConvexTriggerDeviation(0, [(1, 0.5, cont), (2, 0.5, np.zeros(5))])
-    with pytest.raises(ValueError, match="one length"):
-        efce.ConvexTriggerDeviation(0, [(1, 0.5, np.zeros(5)), (2, 0.5, cont)])
-    with pytest.raises(ValueError, match=r"^deviation has 5 sequences, expected 13$"):
-        efce.fixed_point(g, efce.ConvexTriggerDeviation(0, [(1, 1.0, np.zeros(5))]))
+        efce.ConvexTriggerDeviation(g, 0, [(False, 1.0, cont)])
+    for entries in ([(1, 0.5, cont), (2, 0.5, np.zeros(5))],
+                    [(1, 0.5, np.zeros(5)), (2, 0.5, cont)], [(1, 1.0, np.zeros(5))]):
+        with pytest.raises(ValueError, match=r"^continuation has shape \(5,\), expected \(13,\)$"):
+            efce.ConvexTriggerDeviation(g, 0, entries)
 
 
 def test_entries_deviation_is_not_changed_by_use():
     # An entries deviation was once laid out in pairs on its first use with
-    # each plan, and kept that layout and plan.
-    games = [efce.builtin_game("fig1", seed=0) for _ in range(2)]
-    assert games[0].player_plan(0) is not games[1].player_plan(0)
-    da, db, dc = fig1_deviations(games[0])
-    phi = efce.ConvexTriggerDeviation(
-        0, [(1, 0.5, da.continuation), (2, 1 / 3, db.continuation), (3, 1 / 6, dc.continuation)])
-    lam, C = phi.lam.copy(), phi.C
-    for g in games:
-        x = efce.fixed_point(g, phi).values
-        efce.apply_deviation(g, phi, x)
-        efce.extend(g, phi, set(), g.player_infosets(0)[0], x)
-        efce.cumulative_weights(g, phi)
-        assert phi.conts is None and phi._plan is None
-        assert np.array_equal(phi.lam, lam) and np.array_equal(phi.C, C)
+    # each plan, and kept that layout and plan; later it was laid out anew
+    # for each use, in the plan of whichever game was passed.  It is laid
+    # out once, read-only, in its own game's plan, and another parse's plan
+    # refuses it.
+    g, other = (efce.builtin_game("fig1", seed=0) for _ in range(2))
+    assert g.player_plan(0) is not other.player_plan(0)
+    phi = _worked_phi(g)
+    lam, conts = phi.lam.copy(), phi.conts.copy()
+    x = efce.fixed_point(g, phi).values
+    root = g.player_infosets(0)[0]
+    uses = [lambda h: efce.fixed_point(h, phi), lambda h: efce.apply_deviation(h, phi, x),
+            lambda h: efce.extend(h, phi, set(), root, x),
+            lambda h: efce.cumulative_weights(h, phi), lambda h: efce.validate_deviation(h, phi)]
+    for use in uses:
+        use(g)
+        with pytest.raises(ValueError, match="^deviation was built on another game's plan$"):
+            use(other)
+    assert phi._plan is g.player_plan(0)
+    assert not (phi.lam.flags.writeable or phi.conts.flags.writeable)
+    assert np.array_equal(phi.lam, lam) and np.array_equal(phi.conts, conts)
 
 
 def test_apply_deviation_and_extend_check_the_shape_of_x():
@@ -231,14 +236,15 @@ def test_apply_trigger_checks_the_shape_of_x():
 
 def test_entries_continuations_must_be_vectors():
     # On fig1, a (9, 2) continuation built a deviation whose C and fixed
-    # point raised numpy's broadcast error, and a scalar one raised TypeError.
+    # point raised numpy's broadcast error, and a scalar one raised TypeError;
+    # every continuation must have the plan's shape (9,).
     g = efce.builtin_game("fig1", seed=0)
     da, _, _ = fig1_deviations(g)
     wide = np.stack([da.continuation] * 2, axis=1)
     for bad in (wide, wide.T, 0.5, [da.continuation]):
         for entries in ([(1, 1.0, bad)], [(1, 0.5, da.continuation), (2, 0.5, bad)]):
-            with pytest.raises(ValueError, match=r"continuation has shape .*, expected a vector"):
-                efce.ConvexTriggerDeviation(0, entries)
+            with pytest.raises(ValueError, match=r"^continuation has shape .*, expected \(9,\)$"):
+                efce.ConvexTriggerDeviation(g, 0, entries)
 
 
 def test_apply_trigger_and_build_matrix_check_their_deviation():
@@ -268,31 +274,35 @@ def test_validate_deviation_checks_continuations():
     g = efce.builtin_game("fig1", seed=0)
     bad = np.zeros(9)
     bad[2] = 0.7  # flow broken below
-    phi = efce.ConvexTriggerDeviation(0, [(1, 1.0, bad)])
+    phi = efce.ConvexTriggerDeviation(g, 0, [(1, 1.0, bad)])
     with pytest.raises(ValueError):
         efce.validate_deviation(g, phi)
     nan_cont = np.zeros(9)
     nan_cont[1] = nan_cont[3] = 1.0
     nan_cont[5] = np.nan
-    phi = efce.ConvexTriggerDeviation(0, [(1, 1.0, nan_cont)])
-    with pytest.raises(ValueError):
-        efce.validate_deviation(g, phi)
+    # A nan raises as the deviation is built, before validate_deviation could see it.
+    with pytest.raises(ValueError, match="finite, nonnegative"):
+        efce.ConvexTriggerDeviation(g, 0, [(1, 1.0, nan_cont)])
     da, db, dc = fig1_deviations(g)
     good = efce.ConvexTriggerDeviation(
-        0, [(1, 0.5, da.continuation), (2, 1 / 3, db.continuation),
-            (3, 1 / 6, dc.continuation)])
+        g, 0, [(1, 0.5, da.continuation), (2, 1 / 3, db.continuation),
+               (3, 1 / 6, dc.continuation)])
     efce.validate_deviation(g, good)
 
 
 def test_validate_deviation_checks_the_number_of_sequences_first():
     # A trigger past fig1's 9 sequences once raised IndexError from the
-    # plan's arrays; fixed_point raises this ValueError for both deviations.
+    # plan's arrays.  A continuation of another length raises as the
+    # deviation is built, before its trigger is read, and a deviation built
+    # on a game of another size is refused before any of its arrays is read.
     g = efce.builtin_game("fig1", seed=0)
     for sid, n in ((10, 12), (3, 5)):
-        phi = efce.ConvexTriggerDeviation(0, [(sid, 1.0, np.zeros(n))])
-        for check in (efce.validate_deviation, efce.fixed_point):
-            with pytest.raises(ValueError, match=f"^deviation has {n} sequences, expected 9$"):
-                check(g, phi)
+        with pytest.raises(ValueError, match=rf"^continuation has shape \({n},\), expected"):
+            efce.ConvexTriggerDeviation(g, 0, [(sid, 1.0, np.zeros(n))])
+    phi = random_deviation(efce.builtin_game("kuhn3"), 0, random.Random(0))
+    for check in (efce.validate_deviation, efce.fixed_point):
+        with pytest.raises(ValueError, match="^deviation was built on another game's plan$"):
+            check(g, phi)
 
 
 def test_validate_deviation_checks_group_deviations_block_by_block():
@@ -341,11 +351,11 @@ def test_continuations_off_their_subtree_fail_fast():
                     lambda phi: efce.apply_deviation(g, phi, x),
                     lambda phi: efce.extend(g, phi, set(), g.infoset(0, "A").index, x)):
             with pytest.raises(ValueError, match="subtree"):
-                use(efce.ConvexTriggerDeviation(0, [(1, 0.5, below_a), (3, 0.5, y)]))
+                use(efce.ConvexTriggerDeviation(g, 0, [(1, 0.5, below_a), (3, 0.5, y)]))
     # valid continuations pass
     y = np.zeros(9)
     y[3] = y[4] = 0.5
-    phi = efce.ConvexTriggerDeviation(0, [(1, 0.5, below_a), (3, 0.5, y)])
+    phi = efce.ConvexTriggerDeviation(g, 0, [(1, 0.5, below_a), (3, 0.5, y)])
     fp = efce.fixed_point(g, phi)
     assert np.abs(efce.apply_deviation(g, phi, fp.values) - fp.values).max() <= 1e-12
 
@@ -359,52 +369,83 @@ def test_bad_continuations_raise_the_continuation_error():
         cont[1] = cont[3] = cont[5] = 1.0
         cont[5] = value
         with pytest.raises(ValueError) as built:
-            efce.fixed_point(g, efce.ConvexTriggerDeviation(0, [(1, 1.0, cont)]))
+            efce.fixed_point(g, efce.ConvexTriggerDeviation(g, 0, [(1, 1.0, cont)]))
         assert "continuations must be finite, nonnegative" in str(built.value)
 
 
-def _outcome(fn):
-    """fn's values, or the type and message of the error it raises."""
-    try:
-        return fn().values.tolist()
-    except (ValueError, efce.NumericalError) as err:
-        return type(err), str(err)
+def test_bad_continuations_raise_while_the_deviation_is_built():
+    # These entries built a deviation without a word, and only a use of it
+    # raised; a zero-weight entry, or two entries of one trigger whose mean
+    # is a valid continuation, raised nowhere.  On fig1, trigger 3's infoset
+    # B holds sequences 3 and 4.
+    g = efce.builtin_game("fig1", seed=0)
+
+    def cont(b3, b4, s7=0.0):
+        """A continuation of trigger 3: b3 and b4 on B's sequences, and s7 off B's subtree."""
+        y = np.zeros(9)
+        y[[3, 4, 7]] = b3, b4, s7
+        return y
+
+    valid = cont(0.5, 0.5)
+    cases = [[(3, 1.0, cont(1.0, 0.0, 1.0))], [(3, 1.0, cont(1.5, -0.5))],
+             [(3, 1.0, cont(1.0, np.inf))], [(3, 1.0, cont(1.0, np.nan))],
+             [(3, 1.0, valid), (4, 0.0, cont(1.0, 0.0, 1.0))],
+             [(3, 0.5, cont(1.5, -0.5)), (3, 0.5, cont(-0.5, 1.5))]]
+    for entries in cases:
+        with pytest.raises(ValueError, match="^continuations must be finite, nonnegative and "
+                                             "zero off the subtree"):
+            efce.ConvexTriggerDeviation(g, 0, entries)
+    # The empty sequence of a group's second player is no trigger either.
+    with pytest.raises(ValueError, match="^the empty sequence cannot be a trigger$"):
+        efce.ConvexTriggerDeviation(g, (0, 1), [(9, 1.0, np.zeros(14))])
+    phi = efce.ConvexTriggerDeviation(g, 0, [(3, 1.0, valid)])
+    assert phi.terms[0][0] == 3 and np.array_equal(phi.terms[0][2], valid)
+
+
+def test_entries_deviation_weights_and_continuations_are_read_only():
+    # The worked fig1 combination's weights could be rewritten in place to
+    # 0.25 and 0.25, which fixed_point then solved without a word.
+    g = efce.builtin_game("fig1", seed=0)
+    phi = _worked_phi(g)
+    fp = efce.fixed_point(g, phi).values.tolist()
+    for arr, at in ((phi.lam, [1, 2]), (phi.conts, [0])):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[at] = 0.25
+    assert efce.fixed_point(g, phi).values.tolist() == fp
 
 
 def test_a_deviation_is_read_only_in_the_pair_layout_of_its_plan():
     # random-tree 2 and 55 both give player 0 six sequences and 13 pairs:
     # 2's hull deviation was once read in 55's pair layout, and fixed_point
-    # returned [1, 1/3, 1/3, 1/3, 0.5, 0.5] without a word.  Other pairs of
-    # games with equal sequence counts raised numpy's broadcast ValueError,
-    # or NumericalError.
+    # returned [1, 1/3, 1/3, 1/3, 0.5, 0.5] without a word.  One built from
+    # entries was then laid out anew in the other game's pairs: of the 232
+    # pairs of seeds 0-63 whose player 0 has triggers and as many sequences,
+    # 95 returned a point and 137 raised.  Both kinds are refused now.
     games = [efce.builtin_game("random-tree", seed=s) for s in range(64)]
     games.append(efce.builtin_game("random-tree", seed=2))  # a second parse
     checked = 0
     for a in games:
         phi = efce.HullMinimizer(a, 0).next_element()
-        entries = efce.ConvexTriggerDeviation(0, phi.terms)
-        fp = efce.fixed_point(a, entries).values.tolist()
-        assert efce.fixed_point(a, phi).values.tolist() == fp
+        entries = efce.ConvexTriggerDeviation(a, 0, phi.terms)
+        fp = efce.fixed_point(a, phi).values.tolist()
+        assert efce.fixed_point(a, entries).values.tolist() == fp
         for b in games:
-            if b is a or b.num_sequences(0) != a.num_sequences(0) or not phi.terms:
+            if b is a or b.num_sequences(0) != a.num_sequences(0):
                 continue
-            with pytest.raises(ValueError, match="laid out in pairs for another plan"):
-                efce.fixed_point(b, phi)
-            # One built from entries is laid out again from its rows.
-            fresh = efce.ConvexTriggerDeviation(0, phi.terms)
-            assert (_outcome(lambda: efce.fixed_point(b, entries))
-                    == _outcome(lambda: efce.fixed_point(b, fresh)))
-            assert efce.fixed_point(a, entries).values.tolist() == fp
+            for dev in (phi, entries):
+                with pytest.raises(ValueError, match="^deviation was built on another game"):
+                    efce.fixed_point(b, dev)
             checked += 1
-    assert checked >= 200
+    # The 232, 20 pairs whose player 0 has no trigger, and 12 with the second parse.
+    assert checked == 264
 
 
 def test_cumulative_weights_worked_example():
     g = efce.builtin_game("fig1", seed=0)
     da, db, dc = fig1_deviations(g)
     phi = efce.ConvexTriggerDeviation(
-        0, [(1, 0.5, da.continuation), (2, 1 / 3, db.continuation),
-            (3, 1 / 6, dc.continuation)])
+        g, 0, [(1, 0.5, da.continuation), (2, 1 / 3, db.continuation),
+               (3, 1 / 6, dc.continuation)])
     cum = efce.cumulative_weights(g, phi)
     assert np.allclose(cum, [0, .5, 1 / 3, .5 + 1 / 6, .5, .5, .5, 1 / 3, 1 / 3])
 
@@ -471,7 +512,7 @@ def test_stationary_distribution_matches_exact_reference():
     rng = random.Random(2027)
     several = transient = 0
     for _ in range(2000):
-        m = rng.randint(2, 6)
+        m = rng.randint(2, 8)
         w = [[Fraction(0)] * m for _ in range(m)]
         for c in range(m):
             weights = [rng.randint(1, 9) if rng.random() < 0.25 else 0 for _ in range(m)]
@@ -567,8 +608,8 @@ def test_is_trunk_classification():
 def _worked_phi(g):
     da, db, dc = fig1_deviations(g)
     return efce.ConvexTriggerDeviation(
-        0, [(1, 0.5, da.continuation), (2, 1 / 3, db.continuation),
-            (3, 1 / 6, dc.continuation)])
+        g, 0, [(1, 0.5, da.continuation), (2, 1 / 3, db.continuation),
+               (3, 1 / 6, dc.continuation)])
 
 
 def test_extend_worked_example():
@@ -607,7 +648,7 @@ def test_extend_precondition_errors():
     x1 = efce.extend(g, phi, set(), A, x0)
     with pytest.raises(ValueError):
         efce.extend(g, phi, {A}, A, x1)  # already in the trunk
-    phi2 = efce.ConvexTriggerDeviation(1, [])
+    phi2 = efce.ConvexTriggerDeviation(g, 1, [])
     with pytest.raises(ValueError):
         efce.extend(g, phi2, set(), A, x0)  # player mismatch
     # A group's deviation is refused as such, not blamed on an infoset of one
@@ -650,7 +691,7 @@ def test_extend_zero_mass_parent_gives_zero_children():
     y = np.zeros(n)
     y[2] = 1.0
     y[8] = 1.0
-    phi = efce.ConvexTriggerDeviation(0, [(1, 1.0, y)])
+    phi = efce.ConvexTriggerDeviation(g, 0, [(1, 1.0, y)])
     A = g.infoset(0, "A").index
     B = g.infoset(0, "B").index
     x0 = np.zeros(n)
@@ -668,7 +709,7 @@ def test_extend_rounding_residue_parent_mass():
     g = efce.builtin_game("fig1", seed=0)
     y = np.zeros(9)
     y[2] = y[8] = 1.0
-    phi = efce.ConvexTriggerDeviation(0, [(1, 1.0, y)])
+    phi = efce.ConvexTriggerDeviation(g, 0, [(1, 1.0, y)])
     A = g.infoset(0, "A").index
     B = g.infoset(0, "B").index
     x = np.zeros(9)
@@ -692,7 +733,7 @@ def test_fixed_point_worked_example():
 
 def test_fixed_point_of_empty_deviation():
     g = efce.builtin_game("fig1", seed=0)
-    phi = efce.ConvexTriggerDeviation(0, [])
+    phi = efce.ConvexTriggerDeviation(g, 0, [])
     fp = efce.fixed_point(g, phi)
     efce.validate_strategy(g, fp)
     assert np.abs(efce.apply_deviation(g, phi, fp.values) - fp.values).max() == 0.0
@@ -700,7 +741,7 @@ def test_fixed_point_of_empty_deviation():
     # stationary_distribution gives an identity chain, 2 and 3 actions alike
     for g in [g] + [efce.builtin_game("random-tree", seed=s) for s in range(8)]:
         for i in range(g.n_players):
-            fp = efce.fixed_point(g, efce.ConvexTriggerDeviation(i, []))
+            fp = efce.fixed_point(g, efce.ConvexTriggerDeviation(g, i, []))
             assert np.array_equal(fp.values, efce.uniform_strategy(g, i).values)
     for m in (2, 3):
         assert np.array_equal(efce.stationary_distribution(np.eye(m)), np.full(m, 1.0 / m))
@@ -728,7 +769,7 @@ def test_fixed_point_pure_trigger_deviation():
     y = np.zeros(n)
     y[2] = 1.0
     y[7] = 1.0
-    phi = efce.ConvexTriggerDeviation(0, [(1, 1.0, y)])
+    phi = efce.ConvexTriggerDeviation(g, 0, [(1, 1.0, y)])
     fp = efce.fixed_point(g, phi)
     efce.validate_strategy(g, fp)
     assert fp.values[1] == 0.0
@@ -776,7 +817,8 @@ def _one_infoset_fixed_point(lam, conts):
     col = conts.T * lam
     col[np.diag_indices(m)] += 1.0 - lam
     entries = [(c + 1, lam[c], np.concatenate([[0.0], conts[c]])) for c in range(m)]
-    fp = efce.fixed_point(_one_infoset_game(m), efce.ConvexTriggerDeviation(0, entries))
+    g = _one_infoset_game(m)
+    fp = efce.fixed_point(g, efce.ConvexTriggerDeviation(g, 0, entries))
     return fp.values[1:], col
 
 
@@ -801,7 +843,7 @@ def test_fixed_point_closed_forms_match_general_solver():
                 cont /= cont.sum()
                 entries.append((c + 1, lam[c], np.concatenate([[0.0], cont])))
                 col[:, c] += lam[c] * cont
-            phi = efce.ConvexTriggerDeviation(0, entries)
+            phi = efce.ConvexTriggerDeviation(g, 0, entries)
             fp = efce.fixed_point(g, phi)
             assert np.abs(fp.values[1:] - efce.stationary_distribution(col)).max() <= 1e-12
 
@@ -846,7 +888,7 @@ def test_fixed_point_closed_forms_match_general_solver():
     g = efce.builtin_game("fig1", seed=0)
     y = np.zeros(9)
     y[2] = y[7] = 1.0
-    fp = efce.fixed_point(g, efce.ConvexTriggerDeviation(0, [(1, 1.0, y)]))
+    fp = efce.fixed_point(g, efce.ConvexTriggerDeviation(g, 0, [(1, 1.0, y)]))
     assert fp.values[1] == 0.0
     assert np.array_equal(fp.values[3:7], np.zeros(4))
     assert not np.signbit(fp.values[3:7]).any()
@@ -1061,7 +1103,7 @@ def test_fixed_point_solves_each_level_in_one_kernel_call(monkeypatch):
         cont = np.zeros(g.num_sequences(0))
         cont[[a, *g.infoset(0, "A1").seq_ids]] = 1.0
         rng = random.Random(seed)
-        phis = [efce.ConvexTriggerDeviation(0, [(a, 1.0, cont)])]
+        phis = [efce.ConvexTriggerDeviation(g, 0, [(a, 1.0, cont)])]
         phis += [random_deviation(g, 0, rng) for _ in range(100)]
         for phi in phis:
             shapes.clear()
@@ -1119,8 +1161,8 @@ def test_massless_parent_with_closed_pair_needs_no_solver(monkeypatch):
         return c
 
     calls = _spy_stationary(monkeypatch)
-    phi = efce.ConvexTriggerDeviation(0, [(x, 0.9, cont(y)), (q, 0.05, cont(s)),
-                                          (s, 0.05, cont(q))])
+    phi = efce.ConvexTriggerDeviation(g, 0, [(x, 0.9, cont(y)), (q, 0.05, cont(s)),
+                                             (s, 0.05, cont(q))])
     fp = efce.fixed_point(g, phi)
     assert fp.values[x] == 0.0 and fp.values[y] == 1.0
     assert np.array_equal(fp.values[[p, q, s]], np.zeros(3))
@@ -1164,7 +1206,8 @@ def test_extend_rejects_a_non_finite_x():
     # invalid product before the chain's own check raised.
     g = efce.builtin_game("fig1", seed=0)
     A, B = g.infoset(0, "A"), g.infoset(0, "B")
-    phi = efce.ConvexTriggerDeviation(0, [(2, 1.0, efce.uniform_strategy(g, 0, root=A.index).values)])
+    cont = efce.uniform_strategy(g, 0, root=A.index).values
+    phi = efce.ConvexTriggerDeviation(g, 0, [(2, 1.0, cont)])
     for bad in (np.inf, -np.inf, np.nan):
         x = _vertex(9)
         x[2] = bad

@@ -542,6 +542,31 @@ def test_gap_fast_matches_brute_on_random_play():
                                    slow.trigger_gaps[i][1:], atol=1e-9)
 
 
+def test_brute_oracle_reads_the_kept_profiles_once(monkeypatch):
+    # efce_gap_brute read freq.profiles, which builds new views of every kept
+    # profile, once for its check and again for every (player, trigger): 25
+    # reads in one call at the end of 1024 kuhn3 rounds (21 profiles, 24 triggers).
+    freqs, reads = [], []
+
+    class Recording(EmpiricalFrequency):
+        def __init__(self, game):
+            super().__init__(game)
+            freqs.append(self)
+
+        @property
+        def profiles(self):
+            reads.append(self)
+            return super().profiles
+
+    monkeypatch.setattr(efce.dynamics, "EmpiricalFrequency", Recording)
+    efce.run(efce.builtin_game("kuhn3"), 1024, 0, gap_every=1024)
+    freq, = freqs
+    reads.clear()
+    report = efce.efce_gap_brute(freq)
+    assert reads == [freq]
+    assert abs(report.eps - efce.efce_gap(freq).eps) <= 1e-9
+
+
 def test_brute_oracle_walks_a_chain_deeper_than_the_recursion_limit():
     # enumerate_pure once recursed per infoset, and raised RecursionError
     # at its first draw on a scope of more than about 1000 infosets.

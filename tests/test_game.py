@@ -708,7 +708,7 @@ def test_player_plan_rejects_bad_players():
                  lambda: efce.MixedTriggerMinimizer(g, ()),
                  lambda: efce.PhiRegretMeter(g, -1),
                  lambda: efce.subtree_best_response(g, -1, np.ones(5)),
-                 lambda: efce.fixed_point(g, efce.ConvexTriggerDeviation(-1, []))):
+                 lambda: efce.fixed_point(g, efce.ConvexTriggerDeviation(g, -1, []))):
         with pytest.raises(ValueError):
             make()
     assert g.player_plan((1, 0)).sizes.tolist() == [5, 9]
