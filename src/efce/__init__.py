@@ -16,9 +16,9 @@ broken one raises ValueError, and a numerical failure NumericalError.
 - A tolerance is a positive and finite real number, not a string, None or
   an array.  A round count is an integer of at least 1, and an action
   count one of at least 0; a bool is no count.
-- Each array of a round is checked once, where it enters: ``accumulate``
-  checks the profile and its utility and hands the meter the checked
-  arrays, and the hull's deviation, valid by construction, goes unchecked.
+- ``accumulate`` checks the profile and its utility for the meter; the
+  public ``HullMinimizer.observe_utility`` checks that utility again, and
+  the learner's point; the hull's deviation, valid by construction, is not.
 """
 
 from .deviations import (

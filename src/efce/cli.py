@@ -69,7 +69,7 @@ def _load_game(args, parser):
     if path is None:
         parser.error("a game file or --builtin is required")
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     return parse_game(text)
@@ -108,8 +108,8 @@ def _cmd_run(args, parser):
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        (out / "log.csv").write_text(log.csv_text())
-        (out / "summary.txt").write_text(log.summary_text())
+        (out / "log.csv").write_text(log.csv_text(), encoding="utf-8")
+        (out / "summary.txt").write_text(log.summary_text(), encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"cannot write results to {out}: {exc}") from exc
     print(f"wrote {out / 'log.csv'} and {out / 'summary.txt'}")

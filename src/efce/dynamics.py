@@ -45,10 +45,10 @@ class EmpiricalFrequency:
     utility vectors concatenated in the order of the meter's plan, the form
     a group learner takes them in; it is read-only.
 
-    A round's utility and meter increments are a function of the joint
-    profile alone, so each distinct profile is scored once: a store keyed
-    by the joint point's bytes keeps them, and a repeat adds the kept
-    arrays again.  The store takes at most as many profiles as fit in
+    A round's utility and meter step are a function of the joint profile
+    alone, so each distinct profile is scored once: a store keyed by the
+    joint point's bytes keeps them, and a repeat adds the kept step again.
+    The store takes at most as many profiles as fit in
     ``efce.trigger._MEMO_BYTES`` (4 MiB) of keys and arrays
     (:func:`efce.trigger._room`); past that, a profile it lacks is scored
     afresh each time it is played.  The raw samples are counted under the
@@ -66,7 +66,7 @@ class EmpiricalFrequency:
         self.meter = PhiRegretMeter(game, tuple(range(game.n_players)))
         self._spans = [(span, game.payoff_range(span[0])) for span in self.meter.plan.spans]
         self.utility = None
-        # Per joint point's bytes: (utility, follow, tables), and the entries it may still take.
+        # Per joint point's bytes: (utility, meter step), and the entries it may still take.
         self._store, self._left = {}, _room(self.meter.plan)
         # Per joint point's bytes: times played; None past _PROFILE_KEEP_LIMIT distinct ones.
         self._counts = Counter()
@@ -104,15 +104,15 @@ class EmpiricalFrequency:
             utility = _score(self.game, played)
             _check_finite(utility, "utility")
             utility.flags.writeable = False
-            score = (utility, *self.meter._increments(utility, played))
+            score = utility, self.meter._increments(utility, played)
             if self._left:
                 self._left -= 1
                 self._store[key] = score
             # A hit is a profile played before, so only a miss can be a new one.
             if counts is not None and key not in counts and len(counts) == _PROFILE_KEEP_LIMIT:
                 self._counts = counts = None
-        utility, follow, tables = score
-        self.meter._add(follow, tables)
+        utility, step = score
+        self.meter._add(step)
         self.t += 1
         self.utility = utility
         if counts is not None:
@@ -407,7 +407,5 @@ def run(game, iterations, seed, gap_every=100, delta=0.01, fp_tol=1e-10):
     log.final = report
     log.meta["final_gap_bound"] = gap_factor / math.sqrt(iterations)
     log.meta["final_regrets"] = freq.meter.regret()
-    log.meta["final_regret_bounds"] = [
-        regret_factor[i] * math.sqrt(iterations) for i in range(n)
-    ]
+    log.meta["final_regret_bounds"] = [f * math.sqrt(iterations) for f in regret_factor]
     return log

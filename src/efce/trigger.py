@@ -35,9 +35,9 @@ _MEMO_BYTES = 1 << 22
 def _room(plan):
     """The entries a memo over ``plan`` may hold within ``_MEMO_BYTES``.
 
-    Every entry holds 3n + P floats, for n sequences and P pairs: a hull's
-    key ``ell`` and ``q`` with its ``vals`` and ``values``, or a store's key
-    ``played`` with its ``utility``, ``follow`` and ``tables``.
+    Every entry holds 3n + P floats, for n sequences and P pairs: one step
+    of P + n, plus a hull's key ``ell`` and ``q``, or a store's key
+    ``played`` and its ``utility``.
     """
     return _MEMO_BYTES // (8 * (3 * plan.owner.size + plan.pair_seq.size))
 
@@ -58,13 +58,15 @@ class HullMinimizer:
 
     Regret matching over the non-empty sequences picks the mixture, and per
     trigger a counterfactual-regret learner on the trigger infoset's subtree
-    picks the continuation.  The learners are held flat, in the plan's pair
-    layout (see :class:`~efce.game.PlayerPlan`): one regret per (trigger,
-    sequence) pair, and both steps run a few array operations per level of
-    the infoset forest.  Observing a rank-one functional updates every
-    pair with the utility scaled by the weight the played point put on its
-    trigger, and feeds the mixture the value each pure-trigger deviation
-    would have obtained.
+    picks the continuation.  One state vector, ``_state``, holds both: a
+    regret per (trigger, sequence) pair of the plan's pair layout (see
+    :class:`~efce.game.PlayerPlan`), then a mixer regret per sequence (0 at
+    empty ones); ``_regrets`` and ``mixer_regrets`` are views of the two
+    parts, so rebinding one detaches it.  Each step runs a few array
+    operations per level of the infoset forest.  Observing a rank-one
+    functional adds to every pair the utility scaled by the weight the
+    played point put on its trigger, and to the mixture the value each
+    pure-trigger deviation would have obtained.
 
     ``player`` is one player, or a tuple of players whose minimizers
     advance together on the index of their :class:`~efce.game.PlayerPlan`.
@@ -76,9 +78,9 @@ class HullMinimizer:
         self.game = game
         self.player = player
         self.plan = plan = game.player_plan(player)
-        self._regrets = np.zeros(plan.pair_seq.size)
-        # Entry t is trigger t's; the entries of empty sequences stay zero.
-        self.mixer_regrets = np.zeros(plan.owner.size)
+        self._pairs = pairs = plan.pair_seq.size
+        self._state = np.zeros(pairs + plan.owner.size)
+        self._regrets, self.mixer_regrets = self._state[:pairs], self._state[pairs:]
         # The uniform mixture: 1 / (number of triggers) on each player's triggers.
         triggers = plan.sizes - 1
         self._even = np.divide(1.0, triggers, out=np.zeros(triggers.size),
@@ -101,8 +103,8 @@ class HullMinimizer:
     def next_element(self):
         """The round's deviation, unchecked, since it is valid by construction.
 
-        The deviation is a function of the positive parts of the two regret
-        arrays alone; while both are unchanged, byte for byte, the last
+        The deviation is a function of the positive part of the state
+        alone; while it is unchanged, byte for byte, the last
         deviation is returned again, the same object.  Its ``lam`` and
         ``conts`` are read-only, so that object cannot change under a caller
         that kept it.  A non-finite regret, which only an overflow makes, gives
@@ -112,12 +114,12 @@ class HullMinimizer:
         if self._phi is not None:
             raise CallOrderError("next_element called again before observe_utility")
         plan = self.plan
-        pos = np.maximum(self._regrets, 0.0)
-        mpos = np.maximum(self.mixer_regrets, 0.0)
-        key = (pos.tobytes(), mpos.tobytes())
+        state = np.maximum(self._state, 0.0)
+        key = state.tobytes()
         if key == self._key:
             self._phi = self._last
             return self._phi
+        pos, mpos = state[:self._pairs], state[self._pairs:]
         tot = np.bincount(plan.segment, pos).take(plan.segment)
         local = np.divide(pos, tot, out=self._uniform.copy(), where=tot > 0.0)
         # Compose top-down: a pair's mass is its parent pair's (1 in the root
@@ -132,8 +134,8 @@ class HullMinimizer:
         self._local = local
         self._phi = ConvexTriggerDeviation._of_pairs(self.player, lam, conts, plan)
         self._key, self._last = key, self._phi
-        # The (pair, mixer) increments of observed (ell, q) bytes under this deviation,
-        # and the entries the memo may still take.
+        # The state step of observed (ell, q) bytes under this deviation, and the
+        # entries the memo may still take.
         self._memo = {}
         self._left = self._room
         return self._phi
@@ -144,10 +146,10 @@ class HullMinimizer:
         ``ell`` is the utility vector over the player's sequences and ``q``
         the point the round's deviation was applied to.  ``ell`` must be
         finite and every entry of ``q`` within 1e-9 of [0, 1]; a bad pair
-        raises ValueError and leaves the round open.  The increments are a
-        function of the deviation, ``ell`` and ``q``, so they are computed
-        once per (deviation, ``ell``, ``q``) bytes while the memo has room
-        (:func:`_room`), and a repeat adds the kept arrays again.
+        raises ValueError and leaves the round open.  The state's step is a
+        function of the deviation, ``ell`` and ``q``, so it is computed once
+        per (deviation, ``ell``, ``q``) bytes while the memo has room
+        (:func:`_room`), and a repeat adds the kept step again.
         """
         if self._phi is None:
             raise CallOrderError("observe_utility called before next_element")
@@ -170,12 +172,11 @@ class HullMinimizer:
             values += q * np.bincount(plan.pair_trigger, phi.conts * ell_pairs, n)
             values -= np.add.reduceat(values * phi.lam, plan.offsets).take(plan.owner)
             values[plan.offsets] = 0.0
-            step = vals, values
+            step = np.concatenate((vals, values))
             if self._left:
                 self._left -= 1
                 self._memo[key] = step
-        self._regrets += step[0]
-        self.mixer_regrets += step[1]
+        self._state += step
 
 
 class MixedTriggerMinimizer:
@@ -303,10 +304,12 @@ class PhiRegretMeter:
     the played points (``follow``) and the utility vectors scaled by the
     played trigger weight, on the trigger's subtree (held in the plan's
     pair layout; ``tables`` is a triggers x sequences copy whose rows of
-    empty sequences are zero).  The regret against the best fixed
-    one-trigger deviation is then a max over triggers of (best continuation
-    value - follow value), the best values coming from one bottom-up pass
-    that is kept until the next :meth:`record`.
+    empty sequences are zero).  One state vector, ``_state``, holds the
+    pairs' tables, then the sequences' ``follow``; ``_tables`` and
+    ``follow`` are views of the two parts, so rebinding one detaches it.
+    The regret against the best fixed one-trigger deviation is then a max
+    over triggers of (best continuation value - follow value), the best
+    values coming from one bottom-up pass kept until a round is added.
 
     ``player`` is one player, or a tuple of players metered together on the
     index of their :class:`~efce.game.PlayerPlan`; ``record`` then takes the
@@ -317,8 +320,8 @@ class PhiRegretMeter:
         self.game = game
         self.player = player
         self.plan = plan = game.player_plan(player)
-        self._tables = np.zeros(plan.pair_seq.size)
-        self.follow = np.zeros(plan.owner.size)
+        self._state = state = np.zeros(plan.pair_seq.size + plan.owner.size)
+        self._tables, self.follow = state[:plan.pair_seq.size], state[plan.pair_seq.size:]
         self._pass = None
 
     @property
@@ -331,26 +334,25 @@ class PhiRegretMeter:
         ell = np.asarray(ell, dtype=float)
         played = np.asarray(played, dtype=float)
         _check_round(self.follow.size, ell, played, "played point")
-        self._add(*self._increments(ell, played))
+        self._add(self._increments(ell, played))
 
     def _increments(self, ell, played):
-        """The (follow, tables) that one round adds, from float arrays that passed
+        """The state step that one round adds, from float arrays that passed
         :meth:`record`'s checks: its rule, which the frequency's store keeps too."""
         plan = self.plan
-        tables = ell.take(plan.pair_seq) * played.take(plan.pair_trigger)
-        return plan.sum_below(ell * played), tables
+        return np.concatenate((ell.take(plan.pair_seq) * played.take(plan.pair_trigger),
+                               plan.sum_below(ell * played)))
 
-    def _add(self, follow, tables):
+    def _add(self, step):
         """Add one round's :meth:`_increments`."""
-        self.follow += follow
-        self._tables += tables
+        self._state += step
         self._pass = None
 
     def best_pass(self):
         """Per trigger, its regret (best continuation value, its own segment's, minus
         follow value; -inf at an empty sequence), each player's largest as floats (0
-        without triggers), and the completed tables in pair layout; cached until the
-        next :meth:`record`."""
+        without triggers), and the completed tables in pair layout; cached until a
+        round is added."""
         if self._pass is None:
             plan = self.plan
             completed = self._tables.copy()

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import efce.cli as cli
@@ -27,6 +32,16 @@ def test_validate_file(tmp_path, capsys):
     assert code == 0
     assert "game: tiny" in out
     assert "player 1: infosets=1 sequences=3 (nonempty 2)" in out
+
+
+def test_validate_reads_a_file_with_a_byte_order_mark(tmp_path, capsys):
+    # A UTF-8 byte-order mark once reached the parser as part of the first word.
+    p = tmp_path / "bom.game"
+    p.write_bytes(b"\xef\xbb\xbf" + "game tiny\nplayers 1\nroot a\n"
+                  "decision a player 1 infoset A { x -> z1 ; y -> z2 }\n"
+                  "leaf z1 {0}; leaf z2 {1}\n".encode())
+    assert cli.main(["validate", str(p)]) == 0
+    assert "game: tiny" in capsys.readouterr().out
 
 
 def test_validate_rejects_malformed_file(tmp_path, capsys):
@@ -128,6 +143,29 @@ def test_run_game_file(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert (tmp_path / "res" / "log.csv").exists()
+
+
+def test_run_reads_and_writes_utf8_under_an_ascii_locale(tmp_path, capsys):
+    # Game files and results are UTF-8 whatever the locale: under the C locale
+    # with UTF-8 mode off, a non-ASCII label once failed to decode, and with
+    # the read fixed a non-ASCII game name left an empty summary.
+    p = tmp_path / "g.game"
+    p.write_bytes("game ét\nplayers 1; root a\n"
+                  "decision a player 1 infoset À { x -> z1 ; y -> z2 }\n"
+                  "leaf z1 {0}; leaf z2 {1}\n".encode())
+    args = ["run", "--game", str(p), "--iterations", "20", "--gap-every", "5", "--out"]
+    assert cli.main(args + [str(tmp_path / "in")]) == 0
+    capsys.readouterr()
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-m", "efce.cli", *args, str(tmp_path / "sub")],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    for name in ("log.csv", "summary.txt"):
+        want = (tmp_path / "in" / name).read_bytes()
+        assert (tmp_path / "sub" / name).read_bytes() == want
+    assert "game: ét\n".encode() in want
 
 
 def test_run_reruns_are_byte_identical(tmp_path, capsys):

@@ -35,11 +35,11 @@ from call_count import count  # noqa: E402
 # rounds), as counted.
 COUNTED = {
     "kuhn3": ([(lambda: efce.builtin_game("kuhn3"), 0, 128, 2)],
-              103.98, 10.0, 127, 3367.17, 128),
+              102.96, 10.0, 127, 3349.24, 128),
     "random-trees": ([(lambda s=s: efce.builtin_game("random-tree", seed=s), 0, 32, 1)
-                      for s in range(16)], 61.40, 10.375, 94, 2062.30, 512),
+                      for s in range(16)], 60.33, 10.375, 94, 2033.14, 512),
     "fig1": ([(lambda s=s: efce.builtin_game("fig1", seed=s), 0, 512, 64)
-              for s in range(2)], 41.58, 10.0, 5, 1537.40, 1024),
+              for s in range(2)], 40.57, 10.0, 5, 1504.53, 1024),
 }
 
 

@@ -336,23 +336,11 @@ def test_validate_deviation_checks_group_deviations_block_by_block():
 
 
 def test_continuations_off_their_subtree_fail_fast():
-    # On fig1, trigger 3's infoset B holds sequences 3 and 4.  Mass on 7 once
-    # made fixed_point raise NumericalError and apply_deviation use it; -0.5
-    # raised "lost mass conservation", and inf a RuntimeWarning.
+    # Bad continuations now raise while the deviation is built (the test
+    # below); valid ones of two triggers pass, and their fixed point is one.
     g = efce.builtin_game("fig1", seed=0)
-    x = efce.uniform_strategy(g, 0).values
-    below_a = x.copy()
+    below_a = efce.uniform_strategy(g, 0).values
     below_a[efce.EMPTY_SEQ] = 0.0  # a valid continuation for trigger 1
-    for at, value in [(7, 1.0), (4, -0.5), (4, np.inf), (4, np.nan)]:
-        y = np.zeros(9)
-        y[3] = 1.0 - value if np.isfinite(value) else 1.0
-        y[at] = value
-        for use in (lambda phi: efce.fixed_point(g, phi),
-                    lambda phi: efce.apply_deviation(g, phi, x),
-                    lambda phi: efce.extend(g, phi, set(), g.infoset(0, "A").index, x)):
-            with pytest.raises(ValueError, match="subtree"):
-                use(efce.ConvexTriggerDeviation(g, 0, [(1, 0.5, below_a), (3, 0.5, y)]))
-    # valid continuations pass
     y = np.zeros(9)
     y[3] = y[4] = 0.5
     phi = efce.ConvexTriggerDeviation(g, 0, [(1, 0.5, below_a), (3, 0.5, y)])
@@ -360,25 +348,18 @@ def test_continuations_off_their_subtree_fail_fast():
     assert np.abs(efce.apply_deviation(g, phi, fp.values) - fp.values).max() <= 1e-12
 
 
-def test_bad_continuations_raise_the_continuation_error():
-    # A nan, inf or negative entry raises the continuation check's error, not
-    # a non-finite matrix entry or lost mass conservation deeper in fixed_point.
-    g = efce.builtin_game("fig1", seed=0)
-    for value in (np.nan, np.inf, -0.5):
-        cont = np.zeros(9)
-        cont[1] = cont[3] = cont[5] = 1.0
-        cont[5] = value
-        with pytest.raises(ValueError) as built:
-            efce.fixed_point(g, efce.ConvexTriggerDeviation(g, 0, [(1, 1.0, cont)]))
-        assert "continuations must be finite, nonnegative" in str(built.value)
-
-
 def test_bad_continuations_raise_while_the_deviation_is_built():
     # These entries built a deviation without a word, and only a use of it
     # raised; a zero-weight entry, or two entries of one trigger whose mean
     # is a valid continuation, raised nowhere.  On fig1, trigger 3's infoset
-    # B holds sequences 3 and 4.
+    # B holds sequences 3 and 4.  Before that, mass on 7 next to a valid
+    # trigger 1 made fixed_point raise NumericalError and apply_deviation use
+    # it, -0.5 raised "lost mass conservation" and inf a RuntimeWarning; and
+    # trigger 1's nan, inf or -0.5 at sequence 5 raised a non-finite matrix
+    # entry or lost mass conservation deep in fixed_point.
     g = efce.builtin_game("fig1", seed=0)
+    below_a = efce.uniform_strategy(g, 0).values
+    below_a[efce.EMPTY_SEQ] = 0.0  # a valid continuation for trigger 1
 
     def cont(b3, b4, s7=0.0):
         """A continuation of trigger 3: b3 and b4 on B's sequences, and s7 off B's subtree."""
@@ -391,6 +372,12 @@ def test_bad_continuations_raise_while_the_deviation_is_built():
              [(3, 1.0, cont(1.0, np.inf))], [(3, 1.0, cont(1.0, np.nan))],
              [(3, 1.0, valid), (4, 0.0, cont(1.0, 0.0, 1.0))],
              [(3, 0.5, cont(1.5, -0.5)), (3, 0.5, cont(-0.5, 1.5))]]
+    cases += [[(1, 0.5, below_a), (3, 0.5, y)]
+              for y in (cont(0.0, 0.0, 1.0), cont(1.5, -0.5), cont(1.0, np.inf), cont(1.0, np.nan))]
+    for value in (np.nan, np.inf, -0.5):
+        y = np.zeros(9)
+        y[[1, 3, 5]] = 1.0, 1.0, value
+        cases.append([(1, 1.0, y)])
     for entries in cases:
         with pytest.raises(ValueError, match="^continuations must be finite, nonnegative and "
                                              "zero off the subtree"):

@@ -346,13 +346,12 @@ def test_brute_oracle_agrees_at_the_end_of_self_play(monkeypatch, name):
 def _traced_runs(monkeypatch, games, rounds, gap_every, budget=None):
     """Self-play each game with the memos' byte budget set to ``budget`` (unless None).
 
-    Returns the runs' logged rows, the bytes of the hull's two regret
-    arrays and of the meter's two arrays after every round, the runs'
-    frequencies (each with ``sizes``, its store's entries after each
-    round, and ``seen``, the distinct profiles it was fed), the calls of
-    the scorer and of the hull's completion pass, the most entries a hull
-    memo held, and the bytes of a hull memo's entry, key and arrays (0 if
-    none was kept).
+    Returns the runs' logged rows, the bytes of the hull's state and of the
+    meter's state after every round, the runs' frequencies (each with
+    ``sizes``, its store's entries after each round, and ``seen``, the
+    distinct profiles it was fed), the calls of the scorer and of the hull's
+    completion pass, the most entries a hull memo held, and the bytes of a
+    hull memo's entry, key and step (0 if none was kept).
     """
     states, freqs, calls, memo = [], [], Counter(), [0, 0]
     observe = efce.trigger.HullMinimizer.observe_utility
@@ -361,14 +360,14 @@ def _traced_runs(monkeypatch, games, rounds, gap_every, budget=None):
 
     def spy_observe(hull, ell, q):
         observe(hull, ell, q)
-        states.append((hull._regrets.tobytes(), hull.mixer_regrets.tobytes()))
+        states.append(hull._state.tobytes())
         memo[0] = max(memo[0], len(hull._memo))
         if hull._memo:
-            (ell, q), arrays = next(iter(hull._memo.items()))
-            memo[1] = len(ell) + len(q) + sum(a.nbytes for a in arrays)
+            (ell, q), step = next(iter(hull._memo.items()))
+            memo[1] = len(ell) + len(q) + step.nbytes
 
     def spy_regret(meter):
-        states.append((meter.follow.tobytes(), meter._tables.tobytes()))
+        states.append(meter._state.tobytes())
         return regret(meter)
 
     def spy_score(game, played):
@@ -453,8 +452,7 @@ def test_kept_utility_is_read_only():
         assert freq.utility.tobytes() == fresh.utility.tobytes() == want
         assert ([u.coefficients.tobytes() for u in again]
                 == [u.coefficients.tobytes() for u in utils])
-        assert freq.meter.follow.tobytes() == fresh.meter.follow.tobytes()
-        assert freq.meter._tables.tobytes() == fresh.meter._tables.tobytes()
+        assert freq.meter._state.tobytes() == fresh.meter._state.tobytes()
 
 
 def test_store_stops_growing_at_its_budget(monkeypatch):
@@ -468,9 +466,9 @@ def test_store_stops_growing_at_its_budget(monkeypatch):
     assert repr(on[0]) == repr(off[0]) and on[1] == off[1]
     freq = on[2][0]
     store = freq._store
-    # The room is the entries whose bytes, key and arrays, fit in the budget.
-    key, arrays = next(iter(store.items()))
-    entry = len(key) + sum(a.nbytes for a in arrays)
+    # The room is the entries whose bytes, key, utility and step, fit in the budget.
+    key, (utility, step) = next(iter(store.items()))
+    entry = len(key) + utility.nbytes + step.nbytes
     monkeypatch.setattr(efce.trigger, "_MEMO_BYTES", budget)
     assert len(store) == efce.trigger._room(freq.meter.plan) == budget // entry == 11
     full = freq.sizes.index(len(store))

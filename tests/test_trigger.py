@@ -324,6 +324,10 @@ def test_meter_single_round_matches_hand_computation():
     # trigger 1: play seq 4 instead of 3 gains 2 - 1 = 1; trigger 3: 2 - 1 = 1;
     # switching at the root to sequence 2 then 7 earns 5 against 1 followed
     assert meter.regret() == pytest.approx(4.0)
+    # The tables and follow are views of the one state, pairs first, and the round moved both.
+    assert np.array_equal(meter._state, np.concatenate((meter._tables, meter.follow)))
+    for part in (meter._tables, meter.follow):
+        assert np.shares_memory(part, meter._state) and part.any()
 
 
 def test_meter_accumulates_over_rounds():
@@ -477,7 +481,11 @@ def test_hull_repeats_its_deviation_while_positive_regrets_are_unchanged():
         hull.next_element()
         hull.observe_utility(np.array([rng.uniform(-1, 1) for _ in range(9)]), q)
     phi = hull.next_element()
+    # Both regret arrays are views of the one state, pairs first.
+    assert hull._state.size == hull._regrets.size + 9
+    assert np.array_equal(hull._state, np.concatenate((hull._regrets, hull.mixer_regrets)))
     for regrets in (hull._regrets, hull.mixer_regrets):
+        assert np.shares_memory(regrets, hull._state)
         assert (regrets > 0.0).any() and (regrets < 0.0).any()
     # A zero utility moves no regret.
     hull.observe_utility(zero, q)
